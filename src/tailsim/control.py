@@ -1,7 +1,8 @@
 """Cascaded flight controller for the dual-rotor tail-sitter.
 
-Three nested loops run at fixed, independent rates, each latching the
-most recent output of the stage above it:
+Three nested loops run on one clock, the body-rate loop's tick: the
+outer loops fire on every n-th tick, and each stage latches the most
+recent output of the stage above it:
 
 * position loop (default 100 Hz): world-frame PD law with velocity
   reference feedforward produces a desired total force vector,
@@ -89,8 +90,16 @@ class LoopRates:
     rate_rate: float = 500.0
 
     def __post_init__(self) -> None:
-        if not (self.position_rate > 0 and self.attitude_rate > 0 and self.rate_rate > 0):
-            raise DomainError("loop rates must be positive")
+        rates = (self.position_rate, self.attitude_rate, self.rate_rate)
+        if not all(math.isfinite(r) and r > 0 for r in rates):
+            raise DomainError("loop rates must be finite and positive")
+        for name in ("position_rate", "attitude_rate"):
+            ticks = self.rate_rate / getattr(self, name)
+            if ticks != round(ticks):
+                raise DomainError(
+                    f"LoopRates.{name} {getattr(self, name):g} Hz must divide "
+                    f"the rate loop {self.rate_rate:g} Hz evenly"
+                )
 
 
 @dataclass
@@ -338,11 +347,12 @@ def clamp_command(cmd: ActuatorCommand, params: VehicleParams) -> tuple[Actuator
 class CascadeController:
     """Multi-rate cascade wiring the four control laws together.
 
-    Call :meth:`update` at least as often as the fastest loop; each stage
-    fires when its own period has elapsed and latches its output for the
-    stages below.  Between rate-loop firings the last actuator command is
-    held.  Telemetry of every latched intermediate is kept on the
-    instance for logging.
+    Call :meth:`update` once per rate-loop tick, at ``rates.rate_rate``.
+    The rate loop fires on every tick; the position and attitude loops
+    fire on tick 0 and then every ``rate_rate / position_rate`` and
+    ``rate_rate / attitude_rate`` ticks, and latch their outputs for the
+    stages below in between.  Telemetry of every latched intermediate is
+    kept on the instance for logging.
     """
 
     params: VehicleParams
@@ -350,6 +360,8 @@ class CascadeController:
     rates: LoopRates = field(default_factory=LoopRates)
 
     def __post_init__(self) -> None:
+        self._position_every = round(self.rates.rate_rate / self.rates.position_rate)
+        self._attitude_every = round(self.rates.rate_rate / self.rates.attitude_rate)
         self.reset()
 
     def reset(self) -> None:
@@ -362,50 +374,42 @@ class CascadeController:
         self.command = ActuatorCommand()
         self.saturated = False
         self.roll_clamped = False
-        self._fired = {"position": 0, "attitude": 0, "rate": 0}
+        self._tick = 0
 
-    def _due(self, loop: str, rate: float, t: float) -> bool:
-        count = self._fired[loop]
-        if t + 1e-9 >= count / rate:
-            self._fired[loop] = count + 1
-            return True
-        return False
-
-    def update(self, t: float, estimate: StateEstimate, setpoint: Setpoint) -> ActuatorCommand:
-        """Advance the cascade to time ``t`` and return the actuator command.
+    def update(self, estimate: StateEstimate, setpoint: Setpoint) -> ActuatorCommand:
+        """Run one rate-loop tick and return the actuator command.
 
         Args:
-            t: current time, s (nondecreasing across calls).
             estimate: fed-back vehicle state.
             setpoint: current trajectory sample.
         """
-        if self._due("position", self.rates.position_rate, t):
+        tick = self._tick
+        self._tick = tick + 1
+        if tick % self._position_every == 0:
             self.f_des = position_control(
                 setpoint, estimate.p, estimate.v, self.gains, self.params
             )
 
-        if self._due("attitude", self.rates.attitude_rate, t):
+        if tick % self._attitude_every == 0:
             self.R_wb_des, self.f_a = attitude_setpoint(
                 self.f_des, setpoint.psi_des, self.params
             )
             self.omega_des = attitude_control(estimate.R_wb(), self.R_wb_des, self.gains)
 
-        if self._due("rate", self.rates.rate_rate, t):
-            omega_err = self.omega_des - estimate.omega
-            m_des = rate_control(
-                estimate.omega, self.omega_des, self.integral, self.gains, self.params
-            )
-            self.roll_clamped = False
-            roll_limit = (1.0 - ROLL_CLAMP_MARGIN) * 2.0 * self.f_a * self.params.l
-            if abs(m_des[0]) > roll_limit:
-                m_des = m_des.copy()
-                m_des[0] = math.copysign(roll_limit, m_des[0])
-                self.roll_clamped = True
-            self.m_des = m_des
-            raw = model_inverse(m_des, self.f_a, self.params)
-            self.command, self.saturated = clamp_command(raw, self.params)
-            if not self.saturated:
-                # anti-windup: hold the integral while any actuator clips
-                self.integral = self.integral + omega_err / self.rates.rate_rate
-
+        omega_err = self.omega_des - estimate.omega
+        m_des = rate_control(
+            estimate.omega, self.omega_des, self.integral, self.gains, self.params
+        )
+        self.roll_clamped = False
+        roll_limit = (1.0 - ROLL_CLAMP_MARGIN) * 2.0 * self.f_a * self.params.l
+        if abs(m_des[0]) > roll_limit:
+            m_des = m_des.copy()
+            m_des[0] = math.copysign(roll_limit, m_des[0])
+            self.roll_clamped = True
+        self.m_des = m_des
+        raw = model_inverse(m_des, self.f_a, self.params)
+        self.command, self.saturated = clamp_command(raw, self.params)
+        if not self.saturated:
+            # anti-windup: hold the integral while any actuator clips
+            self.integral = self.integral + omega_err / self.rates.rate_rate
         return self.command

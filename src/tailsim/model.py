@@ -115,10 +115,6 @@ class Wrench:
     def __add__(self, other: "Wrench") -> "Wrench":
         return Wrench(self.force + other.force, self.torque + other.torque)
 
-    @staticmethod
-    def zero() -> "Wrench":
-        return Wrench(np.zeros(3), np.zeros(3))
-
 
 def _check_actuation(omega: float, delta: float | None, params: VehicleParams) -> None:
     if not math.isfinite(omega) or omega < 0.0:
@@ -174,12 +170,42 @@ def aero_wrench(omega: float, delta: float, params: VehicleParams) -> Wrench:
     )
 
 
+def actuator_wrench(
+    wl: float, wr: float, dl: float, dr: float,
+    k_t: float, k_m: float, k_l: float, k_d: float, k_p: float, l: float,
+) -> tuple[float, float, float, float, float, float]:
+    """Both sides' actuator wrench about the centre of mass, gravity excluded.
+
+    The sum over the two sides of the per-side model in the module
+    docstring, with each side's force applied at its lever arm ``-l``
+    (left) or ``+l`` (right).  Scalar arithmetic only: the integrator
+    calls it four times per physics step.
+
+    Args:
+        wl, wr: left and right rotor speeds, rad/s.
+        dl, dr: left and right elevon deflections, rad.
+        k_t, k_m, k_l, k_d, k_p, l: the :class:`VehicleParams` constants.
+
+    Returns:
+        ``(fx, fy, fz, mx, my, mz)`` in body axes, N and N m.
+    """
+    A = wl * wl
+    B = wr * wr
+    u_l = A * dl
+    u_r = B * dr
+    fx = -k_l * (u_l + u_r)
+    fy = 0.0
+    fz = -k_t * (A + B) + k_d * (u_l * dl + u_r * dr)
+    mx = k_t * l * (A - B) - k_d * l * (u_l * dl - u_r * dr)
+    my = -k_p * (u_l + u_r)
+    mz = k_m * (A - B) - k_l * l * (u_l - u_r)
+    return fx, fy, fz, mx, my, mz
+
+
 def total_wrench(act: ActuatorState, R_wb: np.ndarray, params: VehicleParams) -> Wrench:
     """Total body-frame wrench about the centre of mass, gravity included.
 
-    Sums both sides' propeller and slipstream wrenches, adds the moments
-    the per-side forces produce about the centre of mass (application
-    points ``(0, -l, 0)`` left and ``(0, +l, 0)`` right), and adds the
+    The :func:`actuator_wrench` of the current actuator state plus the
     weight rotated into body axes.
 
     Args:
@@ -187,17 +213,11 @@ def total_wrench(act: ActuatorState, R_wb: np.ndarray, params: VehicleParams) ->
         R_wb: 3x3 rotation, world frame to body frame.
         params: vehicle constants.
     """
-    total = Wrench(
-        R_wb @ (params.m * params.gravity_world),
-        np.zeros(3),
+    fx, fy, fz, mx, my, mz = actuator_wrench(
+        act.omega_left, act.omega_right, act.delta_left, act.delta_right,
+        params.k_t, params.k_m, params.k_l, params.k_d, params.k_p, params.l,
     )
-    for side, omega, delta, arm_y in (
-        ("left", act.omega_left, act.delta_left, -params.l),
-        ("right", act.omega_right, act.delta_right, +params.l),
-    ):
-        side_force = Wrench.zero()
-        side_force = side_force + prop_wrench(omega, side, params)
-        side_force = side_force + aero_wrench(omega, delta, params)
-        arm = np.array([0.0, arm_y, 0.0])
-        total = total + Wrench(side_force.force, side_force.torque + np.cross(arm, side_force.force))
-    return total
+    return Wrench(
+        np.array([fx, fy, fz]) + R_wb @ (params.m * params.gravity_world),
+        np.array([mx, my, mz]),
+    )

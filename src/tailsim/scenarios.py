@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import Config
+from .config import MIN_LEG_LENGTH_M, Config
 from .control import CascadeController, Setpoint
 from .errors import DomainError, MetricsWindowError, SimulationDivergedError
 from .model import VehicleParams, Wrench, total_wrench
@@ -30,7 +30,6 @@ from .rotations import matrix_to_quat, quat_to_matrix, wrap_angle
 from .sim import (
     ComplementaryEstimator,
     DisturbanceSpec,
-    PerfectEstimator,
     VehicleState,
     ActuatorState,
     sense,
@@ -98,7 +97,7 @@ def _make_legs(
     for a, b in zip(points[:-1], points[1:]):
         delta = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
         length = float(np.linalg.norm(delta))
-        if length < 1e-12:
+        if length < MIN_LEG_LENGTH_M:
             continue
         t_acc = speed / accel
         if length < accel * t_acc * t_acc:       # too short to reach the cap
@@ -418,8 +417,8 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
     """Execute one closed-loop scenario.
 
     Physics advances at the configured rate; the controller cascade is
-    polled at the rate-loop frequency (each stage fires on its own
-    schedule); with the complementary estimator, IMU samples (and pose
+    ticked at the rate-loop frequency (the outer stages fire on every
+    n-th tick); with the complementary estimator, IMU samples (and pose
     fixes at the pose rate) are fused as they arrive.  The log captures
     the state at each logging tick before it is stepped.
 
@@ -489,7 +488,7 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
                 estimate = state.estimate_view()
             if not static_reference:
                 setpoint = reference(t, scenario)
-            command = controller.update(t, estimate, setpoint)
+            command = controller.update(estimate, setpoint)
 
         if k % log_every == 0 and len(log) < n_rows:
             log.append([

@@ -17,9 +17,9 @@ Equations of motion (body rates ``omega``, diagonal inertia ``J``)::
 Sensing mimics the flight hardware: a 1 kHz IMU (rate gyro plus
 accelerometer measuring specific force) and a 100 Hz external pose
 source, each with white Gaussian noise.  The complementary estimator
-integrates low-pass-filtered gyro rates and blends pose corrections in;
-a perfect-state mode passes the true state through for controller
-verification.
+integrates low-pass-filtered gyro rates and blends pose corrections in.
+The perfect-state mode (:meth:`VehicleState.estimate_view`) passes the
+true state through for controller verification.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ import numpy as np
 
 from .control import StateEstimate
 from .errors import DomainError, SimulationDivergedError
-from .model import ActuatorState, VehicleParams, Wrench
+from .model import ActuatorState, VehicleParams, Wrench, actuator_wrench
 from .rotations import (
     quat_conjugate,
-    quat_derivative,
     quat_from_rotvec,
     quat_integrate,
     quat_multiply,
@@ -112,51 +111,6 @@ class VehicleState:
         )
 
 
-@dataclass
-class StateDerivative:
-    p_dot: np.ndarray
-    v_dot: np.ndarray
-    q_dot: np.ndarray
-    omega_dot: np.ndarray
-
-
-def derivative(state: VehicleState, wrench: Wrench, params: VehicleParams) -> StateDerivative:
-    """Newton-Euler time derivative under a given body wrench."""
-    R_bw = quat_to_matrix(state.q)
-    J = params.inertia_diag
-    return StateDerivative(
-        p_dot=state.v.copy(),
-        v_dot=R_bw @ wrench.force / params.m,
-        q_dot=quat_derivative(state.q, state.omega),
-        omega_dot=(wrench.torque - np.cross(state.omega, J * state.omega)) / J,
-    )
-
-
-def actuator_step(
-    act: ActuatorState, command, dt: float, params: VehicleParams
-) -> ActuatorState:
-    """Advance actuators toward a command by their first-order lags.
-
-    Each channel follows ``x(t) = cmd + (x0 - cmd) exp(-t / tau)`` with
-    ``tau_motor`` for rotor speeds and ``tau_servo`` for elevons; results
-    are clipped to the actuator limits.
-    """
-    if dt < 0.0:
-        raise DomainError("actuator_step requires dt >= 0")
-    a_m = math.exp(-dt / params.tau_motor)
-    a_s = math.exp(-dt / params.tau_servo)
-    return ActuatorState(
-        omega_left=_clip(command.omega_left + (act.omega_left - command.omega_left) * a_m,
-                         0.0, params.omega_max),
-        omega_right=_clip(command.omega_right + (act.omega_right - command.omega_right) * a_m,
-                          0.0, params.omega_max),
-        delta_left=_clip(command.delta_left + (act.delta_left - command.delta_left) * a_s,
-                         -params.delta_max, params.delta_max),
-        delta_right=_clip(command.delta_right + (act.delta_right - command.delta_right) * a_s,
-                          -params.delta_max, params.delta_max),
-    )
-
-
 def _clip(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
@@ -192,17 +146,11 @@ def _rhs(y: tuple, act: tuple, consts: tuple, dist_f: tuple, dist_m: tuple) -> t
     r21 = 2.0 * (qy * qz + qw * qx)
     r22 = 1.0 - 2.0 * (qx * qx + qy * qy)
 
-    # actuator wrench (same model as tailsim.model, unrolled)
-    A = wl * wl
-    B = wr * wr
-    u_l = A * dl
-    u_r = B * dr
-    fx = -k_l * (u_l + u_r)
-    fy = 0.0
-    fz = -k_t * (A + B) + k_d * (u_l * dl + u_r * dr)
-    mx = k_t * l * (A - B) - k_d * l * (u_l * dl - u_r * dr) + dist_m[0]
-    my = -k_p * (u_l + u_r) + dist_m[1]
-    mz = k_m * (A - B) - k_l * l * (u_l - u_r) + dist_m[2]
+    # actuator wrench plus the body-frame torque offset
+    fx, fy, fz, mx, my, mz = actuator_wrench(wl, wr, dl, dr, k_t, k_m, k_l, k_d, k_p, l)
+    mx += dist_m[0]
+    my += dist_m[1]
+    mz += dist_m[2]
 
     # weight and world-frame force offset rotated into body axes
     dfx, dfy, dfz = dist_f
@@ -257,10 +205,11 @@ def step(
         dist_f = (0.0, 0.0, 0.0)
         dist_m = (0.0, 0.0, 0.0)
     else:
-        dist_f = tuple(disturbance.force_offset_world)
-        dist_m = tuple(disturbance.torque_offset_body)
+        dist_f = disturbance.force_offset_world.tolist()
+        dist_m = disturbance.torque_offset_body.tolist()
 
-    y0 = (*state.p, *state.v, *state.q, *state.omega)
+    # Python floats, not numpy scalars: same IEEE arithmetic, much cheaper
+    y0 = (*state.p.tolist(), *state.v.tolist(), *state.q.tolist(), *state.omega.tolist())
 
     # exact actuator trajectories across the step
     a0 = state.act
@@ -408,16 +357,6 @@ class LowPass:
 IMU_CUTOFF_HZ = 20.0
 
 
-class PerfectEstimator:
-    """Passes the true state through; the controller-verification default."""
-
-    def update(self, sample: SensorSample, dt: float, truth: VehicleState) -> None:
-        self._estimate = truth.estimate_view()
-
-    def estimate(self) -> StateEstimate:
-        return self._estimate
-
-
 class ComplementaryEstimator:
     """Gyro-integration attitude filter with pose blending.
 
@@ -458,12 +397,10 @@ class ComplementaryEstimator:
         self.pos_alpha = pos_alpha
         self.vel_gain = vel_beta * pose_rate
         self._gyro_lp = LowPass(cutoff_hz, initial.omega)
-        self._accel_lp = LowPass(cutoff_hz)
 
-    def update(self, sample: SensorSample, dt: float, truth: VehicleState | None = None) -> None:
+    def update(self, sample: SensorSample, dt: float) -> None:
         """Fuse one IMU sample (and its optional pose fix) into the estimate."""
         self.omega = self._gyro_lp.step(sample.gyro, dt)
-        self.accel_filtered = self._accel_lp.step(sample.accel, dt)
 
         self.q = quat_integrate(self.q, self.omega, dt)
         self.p = self.p + self.v * dt

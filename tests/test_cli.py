@@ -120,6 +120,15 @@ def test_validate_full_and_partial(tmp_path, capsys):
     assert "error: category=config-invalid" in err
     assert "tau_att" in err  # missing keys are listed by name
 
+    heavy = tmp_path / "heavy.cfg"
+    cfg = Config()
+    cfg.params.m = 5.0  # hover rotor speed beyond omega_max
+    cfg.write(heavy)
+    assert main(["validate", str(heavy)]) == 1
+    err = capsys.readouterr().err
+    assert "error: category=config-invalid" in err
+    assert "omega_max" in err
+
 
 def test_sysid_synth_then_fit_round_trip(tmp_path, capsys):
     records_path = tmp_path / "bench.csv"

@@ -119,6 +119,10 @@ def test_enum_and_sign_validation():
         apply_overrides(Config(), {"duration_s": "0"})
     with pytest.raises(ConfigError):
         apply_overrides(Config(), {"waypoint_dwell_s": "-1"})
+    # hover needs sqrt(m g / 2 k_t) = 1766 rad/s, above omega_max = 790 rad/s
+    with pytest.raises(ConfigError) as excinfo:
+        apply_overrides(Config(), {"m": "5"})
+    assert "omega_max" in str(excinfo.value)
 
 
 def test_waypoints_need_at_least_two_points():
@@ -126,6 +130,8 @@ def test_waypoints_need_at_least_two_points():
         apply_overrides(Config(), {"waypoints": "1,2,3"})
     with pytest.raises(ConfigError):
         apply_overrides(Config(), {"waypoints": "1,2; 3,4"})  # not 3-vectors
+    with pytest.raises(ConfigError):  # every leg has zero length
+        apply_overrides(Config(), {"scenario": "waypoint", "waypoints": "1,1,1.5;1,1,1.5"})
 
 
 def test_strict_validation_requires_every_key():

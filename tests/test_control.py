@@ -270,7 +270,7 @@ def test_clamp_command_clips_and_flags():
 
 def test_cascade_hover_equilibrium_command():
     ctrl = CascadeController(PARAMS, GAINS)
-    cmd = ctrl.update(0.0, hover_estimate(), still_setpoint())
+    cmd = ctrl.update(hover_estimate(), still_setpoint())
     assert cmd.omega_left == pytest.approx(636.8907056884772, rel=1e-9)
     assert cmd.omega_right == pytest.approx(636.8907056884772, rel=1e-9)
     assert cmd.delta_left == pytest.approx(0.0, abs=1e-9)
@@ -279,40 +279,44 @@ def test_cascade_hover_equilibrium_command():
 
 
 def test_cascade_stage_latching():
+    # one update per 500 Hz rate-loop tick: position fires every 5th tick
+    # and attitude every 2nd, both from tick 0.  Their inputs change on
+    # every tick, yet their outputs stay latched between firings.
     ctrl = CascadeController(PARAMS, GAINS)
-    ctrl.update(0.0, hover_estimate(), still_setpoint())
-    f_des_0 = ctrl.f_des.copy()
-    # 1 ms later no loop is due (position 10 ms, attitude 4 ms, rate 2 ms):
-    # even a wildly different setpoint must not change any latched output
-    cmd = ctrl.update(0.001, hover_estimate(), still_setpoint(p=(50.0, 0.0, 1.5)))
-    assert np.allclose(ctrl.f_des, f_des_0)
-    assert cmd.omega_left == pytest.approx(636.8907056884772, rel=1e-9)
-    # at 10 ms the position loop refires and the force command moves
-    ctrl.update(0.010, hover_estimate(), still_setpoint(p=(50.0, 0.0, 1.5)))
-    assert not np.allclose(ctrl.f_des, f_des_0)
+    position_ticks, attitude_ticks = [], []
+    for tick in range(11):
+        f_des, omega_des = ctrl.f_des.copy(), ctrl.omega_des.copy()
+        sp = still_setpoint(p=(0.1 * (tick + 1), 0.0, 1.5), psi=0.01 * (tick + 1))
+        ctrl.update(hover_estimate(), sp)
+        if not np.array_equal(ctrl.f_des, f_des):
+            position_ticks.append(tick)
+        if not np.array_equal(ctrl.omega_des, omega_des):
+            attitude_ticks.append(tick)
+    assert position_ticks == [0, 5, 10]
+    assert attitude_ticks == [0, 2, 4, 6, 8, 10]
 
 
 def test_cascade_rate_loop_cadence():
     ctrl = CascadeController(PARAMS, GAINS, LoopRates(100.0, 250.0, 500.0))
     sp = still_setpoint()
     changes = 0
-    prev = ctrl.update(0.0, hover_estimate(), sp).as_array()
-    for k in range(1, 20):  # 1 kHz calls over 19 ms
+    prev = ctrl.update(hover_estimate(), sp).as_array()
+    for k in range(1, 20):
         est_k = hover_estimate()
         est_k.omega = np.array([0.0, 0.01 * k, 0.0])  # fresh rate error every call
-        cur = ctrl.update(k / 1000.0, est_k, sp).as_array()
+        cur = ctrl.update(est_k, sp).as_array()
         if not np.array_equal(cur, prev):
             changes += 1
         prev = cur
-    # the 500 Hz stage refires every 2 ms: 9 changes in (0, 19] ms
-    assert changes == 9
+    # the rate loop fires on every update: 19 changes after the first
+    assert changes == 19
 
 
 def test_cascade_roll_clamp_keeps_command_feasible():
     ctrl = CascadeController(PARAMS, GAINS)
     est = hover_estimate()
     est.omega = np.array([-40.0, 0.0, 0.0])  # violent roll rate error
-    ctrl.update(0.0, est, still_setpoint())
+    ctrl.update(est, still_setpoint())
     assert ctrl.roll_clamped
     limit = (1.0 - ROLL_CLAMP_MARGIN) * 2.0 * ctrl.f_a * PARAMS.l
     assert abs(ctrl.m_des[0]) == pytest.approx(limit, rel=1e-12)
@@ -322,21 +326,21 @@ def test_cascade_integral_freezes_while_saturated():
     ctrl = CascadeController(PARAMS, GAINS)
     est = hover_estimate()
     est.omega = np.array([0.0, -80.0, 0.0])  # forces elevon saturation
-    ctrl.update(0.0, est, still_setpoint())
+    ctrl.update(est, still_setpoint())
     assert ctrl.saturated
     assert np.allclose(ctrl.integral, np.zeros(3))
     # once the error is sane again the integral accumulates
     ctrl2 = CascadeController(PARAMS, GAINS)
     est2 = hover_estimate()
     est2.omega = np.array([0.0, 0.1, 0.0])
-    ctrl2.update(0.0, est2, still_setpoint())
+    ctrl2.update(est2, still_setpoint())
     assert not ctrl2.saturated
     assert ctrl2.integral[1] == pytest.approx(-0.1 / 500.0, rel=1e-12)
 
 
 def test_cascade_reset_restores_initial_latches():
     ctrl = CascadeController(PARAMS, GAINS)
-    ctrl.update(0.0, hover_estimate(p=(1.0, 2.0, 3.0)), still_setpoint())
+    ctrl.update(hover_estimate(p=(1.0, 2.0, 3.0)), still_setpoint())
     ctrl.reset()
     assert np.allclose(ctrl.f_des, [0.0, 0.0, 0.65 * 9.81])
     assert np.allclose(ctrl.integral, np.zeros(3))
@@ -350,6 +354,8 @@ def test_gains_validation():
         ControllerGains(k_i_omega_x=-1.0)
     with pytest.raises(DomainError):
         LoopRates(position_rate=0.0)
+    with pytest.raises(DomainError):
+        LoopRates(position_rate=300.0)  # does not divide the 500 Hz rate loop
 
 
 def test_setpoint_validation_and_heading_wrap():

@@ -20,14 +20,13 @@ from tailsim.sim import (
     ComplementaryEstimator,
     DisturbanceSpec,
     LowPass,
-    PerfectEstimator,
     SensorSample,
     VehicleState,
-    actuator_step,
-    derivative,
     sense,
     step,
 )
+
+from oracles import actuator_step, derivative, reference_wrench
 
 PARAMS = VehicleParams()
 HOVER_W = PARAMS.hover_rotor_speed()
@@ -179,8 +178,8 @@ def test_step_raises_on_divergence():
 
 
 def test_fast_path_matches_reference_dynamics():
-    # the integrator's unrolled right-hand side must agree with the
-    # vector-algebra model (total_wrench + derivative) it specialises
+    # the integrator's scalar right-hand side and total_wrench must agree
+    # with the per-side vector-algebra model (reference_wrench + derivative)
     from tailsim.sim import _consts, _rhs
 
     rng = np.random.default_rng(2)
@@ -197,7 +196,11 @@ def test_fast_path_matches_reference_dynamics():
                 float(rng.uniform(-0.785, 0.785)), float(rng.uniform(-0.785, 0.785)),
             ),
         )
-        wrench = total_wrench(st.act, quat_to_matrix(st.q).T, PARAMS)
+        R_wb = quat_to_matrix(st.q).T
+        wrench = reference_wrench(st.act, R_wb, PARAMS)
+        total = total_wrench(st.act, R_wb, PARAMS)
+        assert np.allclose(total.force, wrench.force, rtol=1e-11, atol=1e-12)
+        assert np.allclose(total.torque, wrench.torque, rtol=1e-11, atol=1e-12)
         ref = derivative(st, wrench, PARAMS)
         y = (*st.p, *st.v, *st.q, *st.omega)
         act = (st.act.omega_left, st.act.omega_right, st.act.delta_left, st.act.delta_right)
@@ -218,12 +221,22 @@ def test_vehicle_state_rejects_non_unit_quaternion():
 # actuator lag
 # --------------------------------------------------------------------------
 
+def assert_step_follows_actuator_lag(act, cmd):
+    # step's actuator update over one physics step must match the oracle
+    st = hover_state()
+    st.act = act
+    got = step(st, cmd, 2e-3, PARAMS).act.as_array()
+    assert got == pytest.approx(actuator_step(act, cmd, 2e-3, PARAMS).as_array(), rel=1e-12)
+
+
 def test_actuator_step_exact_exponential():
     act = ActuatorState()
     out = actuator_step(act, hover_command(), 0.025, PARAMS)
     # one motor time constant: 1 - 1/e of the way to the command
     assert out.omega_left == pytest.approx(402.5917087925146, rel=1e-12)
     assert out.omega_right == pytest.approx(402.5917087925146, rel=1e-12)
+    assert_step_follows_actuator_lag(act, hover_command())
+    assert_step_follows_actuator_lag(ActuatorState(700.0, 500.0, 0.0, 0.0), hover_command())
 
 
 def test_actuator_step_servo_time_constant():
@@ -232,6 +245,8 @@ def test_actuator_step_servo_time_constant():
     out = actuator_step(act, cmd, 0.020, PARAMS)
     assert out.delta_left == pytest.approx(0.4 * (1.0 - math.exp(-1.0)), rel=1e-12)
     assert out.delta_right == pytest.approx(-0.4 * (1.0 - math.exp(-1.0)), rel=1e-12)
+    assert_step_follows_actuator_lag(ActuatorState(HOVER_W, HOVER_W, 0.0, 0.0),
+                                     ActuatorCommand(HOVER_W, HOVER_W, 0.4, -0.4))
 
 
 def test_actuator_step_composition_equals_one_big_step():
@@ -250,6 +265,8 @@ def test_actuator_step_clips_to_limits():
     assert 0.0 <= out.omega_right <= 790.0
     assert abs(out.delta_left) <= 0.785
     assert abs(out.delta_right) <= 0.785
+    assert (out.omega_left, out.delta_left) == (790.0, 0.785)
+    assert_step_follows_actuator_lag(act, cmd)
 
 
 def test_step_actuator_state_follows_motor_lag():
@@ -369,18 +386,6 @@ def test_lowpass_validation():
 # --------------------------------------------------------------------------
 # estimators
 # --------------------------------------------------------------------------
-
-def test_perfect_estimator_passes_truth_through():
-    est = PerfectEstimator()
-    truth = hover_state()
-    sample = SensorSample(t=0.0, gyro=np.zeros(3), accel=np.zeros(3))
-    est.update(sample, 1e-3, truth)
-    out = est.estimate()
-    assert np.array_equal(out.p, truth.p)
-    assert np.array_equal(out.q, truth.q)
-    out.p[0] = 99.0  # the estimate must be a copy, not a view
-    assert truth.p[0] == 0.0
-
 
 def complementary_from(truth, **kwargs):
     return ComplementaryEstimator(truth.estimate_view(), **kwargs)
