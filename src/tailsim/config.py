@@ -142,8 +142,8 @@ class Config:
                         f"{name}: {rate:g} Hz must divide physics_rate_hz "
                         f"{h.physics_rate_hz} Hz evenly"
                     )
-        if h.imu_cutoff_hz <= 0:
-            problems.append(f"imu_cutoff_hz: must be > 0, got {h.imu_cutoff_hz}")
+        if not 0 < h.imu_cutoff_hz < math.inf:
+            problems.append(f"imu_cutoff_hz: must be finite and > 0, got {h.imu_cutoff_hz}")
         for name, value in (
             ("waypoint_speed_mps", h.waypoint_speed_mps),
             ("waypoint_accel_mps2", h.waypoint_accel_mps2),
@@ -178,8 +178,15 @@ class Config:
             ("noise_pose_pos", self.disturbance.pose_pos_noise_std),
             ("noise_pose_att", self.disturbance.pose_att_noise_std),
         ):
-            if sigma < 0:
-                problems.append(f"{name}: must be >= 0, got {sigma}")
+            if not 0 <= sigma < math.inf:
+                problems.append(f"{name}: must be finite and >= 0, got {sigma}")
+        for name, offset in (
+            ("dist_force", self.disturbance.force_offset_world),
+            ("dist_torque", self.disturbance.torque_offset_body),
+        ):
+            for axis, value in zip("xyz", offset):
+                if not math.isfinite(value):
+                    problems.append(f"{name}_{axis}: must be finite, got {value}")
         return problems
 
 

@@ -206,7 +206,8 @@ def total_wrench(act: ActuatorState, R_wb: np.ndarray, params: VehicleParams) ->
     """Total body-frame wrench about the centre of mass, gravity included.
 
     The :func:`actuator_wrench` of the current actuator state plus the
-    weight rotated into body axes.
+    weight ``R_wb @ (0, 0, -m g)``, which is ``-m g`` times the third
+    column of ``R_wb``.
 
     Args:
         act: current rotor speeds and elevon deflections.
@@ -217,7 +218,9 @@ def total_wrench(act: ActuatorState, R_wb: np.ndarray, params: VehicleParams) ->
         act.omega_left, act.omega_right, act.delta_left, act.delta_right,
         params.k_t, params.k_m, params.k_l, params.k_d, params.k_p, params.l,
     )
+    mg = params.m * params.g_mag
+    rx, ry, rz = np.asarray(R_wb, dtype=float)[:, 2].tolist()
     return Wrench(
-        np.array([fx, fy, fz]) + R_wb @ (params.m * params.gravity_world),
+        np.array([fx - mg * rx, fy - mg * ry, fz - mg * rz]),
         np.array([mx, my, mz]),
     )

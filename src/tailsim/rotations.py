@@ -9,6 +9,15 @@ Conventions used throughout the package:
   the body frame.
 * Body-rate kinematics: ``q_dot = 0.5 * q * (0, omega_body)``, so a body
   turning at constant rate integrates as a right multiplication.
+
+Quaternion multiply, conjugate, normalise, integrate, rotation vector
+to quaternion and back, and quaternion to matrix each exist once, as a
+core on tuples of Python floats (the ``*_f`` functions).  Python-float
+arithmetic is the same IEEE double arithmetic as numpy's elementwise
+operations but costs a fraction of it on 3- and 4-element values, so
+the 1 kHz sensing and estimation path calls the cores directly; the
+array functions of the same names without ``_f`` are one-line wrappers
+over them.
 """
 
 from __future__ import annotations
@@ -20,29 +29,67 @@ import numpy as np
 QUAT_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a * b."""
+def quat_multiply_f(a, b) -> tuple:
+    """Hamilton product a * b of two scalar-first quaternions, as floats."""
     aw, ax, ay, az = a
     bw, bx, by, bz = b
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
     )
 
 
+def quat_conjugate_f(q) -> tuple:
+    """Conjugate (inverse of a unit quaternion), as floats."""
+    w, x, y, z = q
+    return (w, -x, -y, -z)
+
+
+def quat_normalize_f(q) -> tuple:
+    """``q / |q|`` as floats."""
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n == 0.0:
+        raise ValueError("cannot normalize zero quaternion")
+    return (w / n, x / n, y / n, z / n)
+
+
+def quat_from_rotvec_f(r) -> tuple:
+    """Unit quaternion of a rotation vector (axis * angle), as floats."""
+    rx, ry, rz = r
+    angle = math.sqrt(rx * rx + ry * ry + rz * rz)
+    if angle < 1e-12:
+        # first-order expansion keeps the map smooth through zero
+        return quat_normalize_f((1.0, 0.5 * rx, 0.5 * ry, 0.5 * rz))
+    s = math.sin(0.5 * angle) / angle
+    return (math.cos(0.5 * angle), rx * s, ry * s, rz * s)
+
+
+def quat_to_rotvec_f(q) -> tuple:
+    """Rotation vector (angle in [0, pi]) of a unit quaternion, as floats."""
+    w, x, y, z = q
+    if w < 0.0:  # keep the short way around
+        w, x, y, z = -w, -x, -y, -z
+    s = math.sqrt(x * x + y * y + z * z)
+    if s < 1e-12:
+        return (2.0 * x, 2.0 * y, 2.0 * z)
+    f = 2.0 * math.atan2(s, w) / s
+    return (x * f, y * f, z * f)
+
+
+def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product a * b."""
+    return np.array(quat_multiply_f(a, b))
+
+
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return np.array(quat_conjugate_f(q))
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-    if n == 0.0:
-        raise ValueError("cannot normalize zero quaternion")
-    return q / n
+    return np.array(quat_normalize_f(q))
 
 
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -58,36 +105,27 @@ def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
 
 def quat_from_rotvec(r: np.ndarray) -> np.ndarray:
     """Unit quaternion for a rotation vector (axis * angle)."""
-    angle = math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
-    if angle < 1e-12:
-        # first-order expansion keeps the map smooth through zero
-        return quat_normalize(np.array([1.0, 0.5 * r[0], 0.5 * r[1], 0.5 * r[2]]))
-    s = math.sin(0.5 * angle) / angle
-    return np.array([math.cos(0.5 * angle), r[0] * s, r[1] * s, r[2] * s])
+    return np.array(quat_from_rotvec_f(r))
 
 
 def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
     """Rotation vector (axis * angle, angle in [0, pi]) of a unit quaternion."""
+    return np.array(quat_to_rotvec_f(q))
+
+
+def quat_to_matrix_f(q) -> tuple:
+    """Body-to-world rotation matrix of a unit quaternion, 9 floats row by row."""
     w, x, y, z = q
-    if w < 0.0:  # keep the short way around
-        w, x, y, z = -w, -x, -y, -z
-    s = math.sqrt(x * x + y * y + z * z)
-    if s < 1e-12:
-        return np.array([2.0 * x, 2.0 * y, 2.0 * z])
-    angle = 2.0 * math.atan2(s, w)
-    return np.array([x, y, z]) * (angle / s)
+    return (
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    )
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """Body-to-world rotation matrix of a unit quaternion."""
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    return np.array(quat_to_matrix_f(np.asarray(q, dtype=float).tolist())).reshape(3, 3)
 
 
 def matrix_to_quat(R: np.ndarray) -> np.ndarray:
@@ -141,9 +179,15 @@ def rotvec_from_matrix(R: np.ndarray) -> np.ndarray:
     return quat_to_rotvec(matrix_to_quat(R))
 
 
+def quat_integrate_f(q, omega_body, dt: float) -> tuple:
+    """Attitude advanced by a body rate held constant over ``dt``, as floats."""
+    wx, wy, wz = omega_body
+    return quat_normalize_f(quat_multiply_f(q, quat_from_rotvec_f((wx * dt, wy * dt, wz * dt))))
+
+
 def quat_integrate(q: np.ndarray, omega_body: np.ndarray, dt: float) -> np.ndarray:
     """Advance attitude by body rate held constant over ``dt`` (exact map)."""
-    return quat_normalize(quat_multiply(q, quat_from_rotvec(np.asarray(omega_body) * dt)))
+    return np.array(quat_integrate_f(q, omega_body, dt))
 
 
 def quat_derivative(q: np.ndarray, omega_body: np.ndarray) -> np.ndarray:

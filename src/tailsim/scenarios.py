@@ -25,7 +25,7 @@ import numpy as np
 from .config import MIN_LEG_LENGTH_M, Config
 from .control import CascadeController, Setpoint
 from .errors import DomainError, MetricsWindowError, SimulationDivergedError
-from .model import VehicleParams, Wrench, total_wrench
+from .model import VehicleParams, total_wrench
 from .rotations import matrix_to_quat, quat_to_matrix, wrap_angle
 from .sim import (
     ComplementaryEstimator,
@@ -255,15 +255,17 @@ class ScenarioLog:
         return self.data[: self._row, idx]
 
     def to_csv(self) -> str:
-        flag_idx = {LOG_COLUMNS.index(n) for n in _FLAG_COLUMNS}
+        """The log as CSV: floats round-trip exactly (``%.17g``), flags as ints.
+
+        Rows are converted one at a time, so the text is the only large
+        allocation.
+        """
+        template = ",".join(
+            "%d" if name in _FLAG_COLUMNS else "%.17g" for name in LOG_COLUMNS
+        )
         lines = [",".join(LOG_COLUMNS)]
         for row in self.data[: self._row]:
-            lines.append(
-                ",".join(
-                    str(int(v)) if j in flag_idx else f"{v:.17g}"
-                    for j, v in enumerate(row)
-                )
-            )
+            lines.append(template % tuple(row.tolist()))
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -471,26 +473,29 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
         t = k * dt
 
         if complementary and k % imu_every == 0:
+            # the accelerometer reads force only, so the torque offset is left out
             R_wb = quat_to_matrix(state.q).T
-            wrench = total_wrench(state.act, R_wb, params) + Wrench(
-                R_wb @ disturbance.force_offset_world,
-                disturbance.torque_offset_body.copy(),
-            )
+            wrench = total_wrench(state.act, R_wb, params)
+            wrench.force += R_wb @ disturbance.force_offset_world
             sample = sense(
                 state, wrench, params, disturbance, rng,
                 t=t, with_pose=(k % pose_every == 0),
             )
             estimator.update(sample, imu_dt)
-            estimate = estimator.estimate()
+            estimate = None          # built when the controller or the log reads it
 
         if k % ctrl_every == 0:
             if not complementary:
                 estimate = state.estimate_view()
+            elif estimate is None:
+                estimate = estimator.estimate()
             if not static_reference:
                 setpoint = reference(t, scenario)
             command = controller.update(estimate, setpoint)
 
         if k % log_every == 0 and len(log) < n_rows:
+            if estimate is None:
+                estimate = estimator.estimate()
             log.append([
                 t,
                 *setpoint.p_des, *setpoint.v_des, setpoint.psi_des,

@@ -16,10 +16,16 @@ Equations of motion (body rates ``omega``, diagonal inertia ``J``)::
 
 Sensing mimics the flight hardware: a 1 kHz IMU (rate gyro plus
 accelerometer measuring specific force) and a 100 Hz external pose
-source, each with white Gaussian noise.  The complementary estimator
-integrates low-pass-filtered gyro rates and blends pose corrections in.
-The perfect-state mode (:meth:`VehicleState.estimate_view`) passes the
-true state through for controller verification.
+source, each with white Gaussian noise drawn in a fixed order (gyro,
+accel, pose position, pose attitude).  The complementary estimator
+integrates gyro rates smoothed by :class:`LowPass`, the one filter in
+the package, and blends pose corrections in.  Sensing and estimation
+run at the IMU rate, so they compute on Python floats through the float
+cores of :mod:`tailsim.rotations`; the operations and their order are
+those of the elementwise array code, so the results are bit-identical
+to it.  Samples and estimates are still handed out as arrays.  The
+perfect-state mode (:meth:`VehicleState.estimate_view`) passes the true
+state through for controller verification.
 """
 
 from __future__ import annotations
@@ -33,13 +39,13 @@ from .control import StateEstimate
 from .errors import DomainError, SimulationDivergedError
 from .model import ActuatorState, VehicleParams, Wrench, actuator_wrench
 from .rotations import (
-    quat_conjugate,
-    quat_from_rotvec,
-    quat_integrate,
-    quat_multiply,
-    quat_normalize,
-    quat_to_matrix,
-    quat_to_rotvec,
+    quat_conjugate_f,
+    quat_from_rotvec_f,
+    quat_integrate_f,
+    quat_multiply_f,
+    quat_normalize_f,
+    quat_to_matrix_f,
+    quat_to_rotvec_f,
 )
 
 MAX_PHYSICS_DT = 2e-3
@@ -73,10 +79,13 @@ class DisturbanceSpec:
         self.torque_offset_body = np.asarray(self.torque_offset_body, dtype=float)
         if self.force_offset_world.shape != (3,) or self.torque_offset_body.shape != (3,):
             raise DomainError("disturbance offsets must be 3-vectors")
+        if not (np.all(np.isfinite(self.force_offset_world))
+                and np.all(np.isfinite(self.torque_offset_body))):
+            raise DomainError("disturbance offsets must be finite")
         for name in ("gyro_noise_std", "accel_noise_std",
                      "pose_pos_noise_std", "pose_att_noise_std"):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"DisturbanceSpec.{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"DisturbanceSpec.{name} must be finite and >= 0")
 
     @classmethod
     def none(cls) -> "DisturbanceSpec":
@@ -300,9 +309,11 @@ def sense(
 
     The accelerometer reports specific force: the total body force minus
     weight, divided by mass, so a hovering vehicle reads ``g`` along its
-    thrust axis.  All channels draw independent Gaussian noise from
-    ``rng`` in a fixed order (gyro, accel, pose position, pose attitude)
-    to keep runs reproducible.
+    thrust axis.  The weight in body axes is ``-m g`` times the third row
+    of the body-to-world matrix, so only that row is formed.  All channels
+    draw independent Gaussian noise from ``rng`` in a fixed order (gyro,
+    accel, pose position, pose attitude; one call, which yields the same
+    stream as one call per channel) to keep runs reproducible.
 
     Args:
         state: true vehicle state.
@@ -313,18 +324,36 @@ def sense(
         t: sample timestamp, s.
         with_pose: attach a pose fix to this sample.
     """
-    R_wb = quat_to_matrix(state.q).T
-    weight_body = R_wb @ (params.m * params.gravity_world)
-    specific_force = (true_wrench.force - weight_body) / params.m
+    q = state.q.tolist()
+    r20, r21, r22 = quat_to_matrix_f(q)[6:]
+    m = params.m
+    mg = m * params.g_mag
+    fx, fy, fz = true_wrench.force.tolist()
+    n = rng.standard_normal(12 if with_pose else 6).tolist()
 
-    gyro = state.omega + disturbance.gyro_noise_std * rng.standard_normal(3)
-    accel = specific_force + disturbance.accel_noise_std * rng.standard_normal(3)
+    s_g = disturbance.gyro_noise_std
+    wx, wy, wz = state.omega.tolist()
+    gyro = np.array([wx + s_g * n[0], wy + s_g * n[1], wz + s_g * n[2]])
+    s_a = disturbance.accel_noise_std
+    accel = np.array([
+        (fx + mg * r20) / m + s_a * n[3],
+        (fy + mg * r21) / m + s_a * n[4],
+        (fz + mg * r22) / m + s_a * n[5],
+    ])
     pose_p = pose_q = None
     if with_pose:
-        pose_p = state.p + disturbance.pose_pos_noise_std * rng.standard_normal(3)
-        tilt = disturbance.pose_att_noise_std * rng.standard_normal(3)
-        pose_q = quat_normalize(quat_multiply(state.q, quat_from_rotvec(tilt)))
+        s_p = disturbance.pose_pos_noise_std
+        px, py, pz = state.p.tolist()
+        pose_p = np.array([px + s_p * n[6], py + s_p * n[7], pz + s_p * n[8]])
+        s_q = disturbance.pose_att_noise_std
+        tilt = (s_q * n[9], s_q * n[10], s_q * n[11])
+        pose_q = np.array(quat_normalize_f(quat_multiply_f(q, quat_from_rotvec_f(tilt))))
     return SensorSample(t=t, gyro=gyro, accel=accel, pose_p=pose_p, pose_q=pose_q)
+
+
+def _floats(x) -> tuple:
+    """A scalar or array, flattened to a tuple of Python floats."""
+    return tuple(np.asarray(x, dtype=float).ravel().tolist())
 
 
 class LowPass:
@@ -332,26 +361,39 @@ class LowPass:
 
     ``y += (1 - exp(-dt / tau)) * (x - y)`` with ``tau = 1 / (2 pi f_c)``;
     unit DC gain, amplitude ``1 / sqrt(1 + (f / f_c)^2)`` well below the
-    sampling rate.
+    sampling rate.  The output is held as a tuple of Python floats (the
+    same IEEE arithmetic as the elementwise array update); :meth:`advance`
+    works on float sequences, :meth:`step` on arrays.  The gain is
+    recomputed only when ``dt`` changes.
     """
 
     def __init__(self, cutoff_hz: float, initial=None):
-        if cutoff_hz <= 0.0:
-            raise DomainError("low-pass cutoff must be > 0")
+        if not 0.0 < cutoff_hz < math.inf:
+            raise DomainError("low-pass cutoff must be finite and > 0")
         self.tau = 1.0 / (2.0 * math.pi * cutoff_hz)
-        self.y = None if initial is None else np.asarray(initial, dtype=float).copy()
+        self.y = None if initial is None else _floats(initial)
+        self._dt = None
+        self._alpha = 0.0
+
+    def advance(self, x, dt: float) -> tuple:
+        """Advance the filter by one sample of floats; return the output tuple."""
+        if not dt > 0.0:
+            raise DomainError("low-pass step requires dt > 0")
+        y = self.y
+        if y is None:
+            self.y = tuple(x)
+            return self.y
+        if dt != self._dt:
+            self._dt = dt
+            self._alpha = 1.0 - math.exp(-dt / self.tau)
+        alpha = self._alpha
+        self.y = tuple([yi + alpha * (xi - yi) for xi, yi in zip(x, y)])
+        return self.y
 
     def step(self, x: np.ndarray, dt: float) -> np.ndarray:
         """Advance the filter by one sample and return the new output."""
-        if dt <= 0.0:
-            raise DomainError("low-pass step requires dt > 0")
-        x = np.asarray(x, dtype=float)
-        if self.y is None:
-            self.y = x.copy()
-            return self.y.copy()
-        alpha = 1.0 - math.exp(-dt / self.tau)
-        self.y = self.y + alpha * (x - self.y)
-        return self.y.copy()
+        shape = np.shape(x)
+        return np.array(self.advance(_floats(x), dt)).reshape(shape)
 
 
 IMU_CUTOFF_HZ = 20.0
@@ -365,6 +407,13 @@ class ComplementaryEstimator:
     pose fix pulls the attitude a fixed fraction along the geodesic
     toward the measured attitude and applies constant-gain position and
     velocity corrections (an alpha-beta observer).
+
+    The estimate (``p``, ``v``, ``q``, ``omega``) and the gyro filter's
+    state are tuples of Python floats, updated by the float cores of
+    :mod:`tailsim.rotations` and :class:`LowPass` with the operations of
+    the elementwise array update in the same order, so the numbers are
+    bit for bit those of array code at a fraction of the cost.
+    :meth:`estimate` returns arrays.
 
     Args:
         initial: starting estimate (measured pose at deployment).
@@ -387,12 +436,12 @@ class ComplementaryEstimator:
     ):
         if not 0.0 < attitude_blend <= 1.0 or not 0.0 < pos_alpha <= 1.0:
             raise DomainError("blend fractions must lie in (0, 1]")
-        if cutoff_hz <= 0.0:
-            raise DomainError("cutoff frequency must be positive")
-        self.q = np.asarray(initial.q, dtype=float).copy()
-        self.p = np.asarray(initial.p, dtype=float).copy()
-        self.v = np.asarray(initial.v, dtype=float).copy()
-        self.omega = np.asarray(initial.omega, dtype=float).copy()
+        if not 0.0 < cutoff_hz < math.inf:
+            raise DomainError("cutoff frequency must be finite and positive")
+        self.q = _floats(initial.q)
+        self.p = _floats(initial.p)
+        self.v = _floats(initial.v)
+        self.omega = _floats(initial.omega)
         self.attitude_blend = attitude_blend
         self.pos_alpha = pos_alpha
         self.vel_gain = vel_beta * pose_rate
@@ -400,21 +449,27 @@ class ComplementaryEstimator:
 
     def update(self, sample: SensorSample, dt: float) -> None:
         """Fuse one IMU sample (and its optional pose fix) into the estimate."""
-        self.omega = self._gyro_lp.step(sample.gyro, dt)
-
-        self.q = quat_integrate(self.q, self.omega, dt)
-        self.p = self.p + self.v * dt
+        self.omega = omega = self._gyro_lp.advance(sample.gyro.tolist(), dt)
+        q = quat_integrate_f(self.q, omega, dt)
+        px, py, pz = self.p
+        vx, vy, vz = self.v
+        px, py, pz = px + vx * dt, py + vy * dt, pz + vz * dt
 
         if sample.pose_p is not None and sample.pose_q is not None:
-            err = quat_multiply(quat_conjugate(self.q), sample.pose_q)
-            self.q = quat_normalize(
-                quat_multiply(
-                    self.q, quat_from_rotvec(self.attitude_blend * quat_to_rotvec(err))
-                )
-            )
-            innovation = sample.pose_p - self.p
-            self.p = self.p + self.pos_alpha * innovation
-            self.v = self.v + self.vel_gain * innovation
+            err = quat_multiply_f(quat_conjugate_f(q), sample.pose_q.tolist())
+            b = self.attitude_blend
+            ex, ey, ez = quat_to_rotvec_f(err)
+            q = quat_normalize_f(quat_multiply_f(q, quat_from_rotvec_f((b * ex, b * ey, b * ez))))
+            mx, my, mz = sample.pose_p.tolist()
+            ix, iy, iz = mx - px, my - py, mz - pz
+            a = self.pos_alpha
+            px, py, pz = px + a * ix, py + a * iy, pz + a * iz
+            g = self.vel_gain
+            self.v = (vx + g * ix, vy + g * iy, vz + g * iz)
+        self.q = q
+        self.p = (px, py, pz)
 
     def estimate(self) -> StateEstimate:
-        return StateEstimate(self.p.copy(), self.v.copy(), self.q.copy(), self.omega.copy())
+        return StateEstimate(
+            np.array(self.p), np.array(self.v), np.array(self.q), np.array(self.omega)
+        )

@@ -3,7 +3,9 @@
 These are written independently of the package's fast paths: the wrench
 is assembled per side from :func:`prop_wrench` and :func:`aero_wrench`
 with explicit lever-arm cross products, the rigid-body derivative uses
-matrix algebra, and the actuator lag is a one-shot exponential step.
+matrix algebra, the actuator lag is a one-shot exponential step, and the
+sensing-and-fusion path (quaternion helpers, low-pass filter,
+complementary estimator, accelerometer formula) works on numpy arrays.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from tailsim.control import StateEstimate
 from tailsim.errors import DomainError
 from tailsim.model import ActuatorState, VehicleParams, Wrench, aero_wrench, prop_wrench
 from tailsim.rotations import quat_derivative, quat_to_matrix
-from tailsim.sim import VehicleState
+from tailsim.sim import SensorSample, VehicleState
 
 
 def reference_wrench(act: ActuatorState, R_wb: np.ndarray, params: VehicleParams) -> Wrench:
@@ -87,3 +90,139 @@ def actuator_step(
 
 def _clip(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
+
+
+# ---------------------------------------------------------------------------
+# Array-based sensing and fusion: the quaternion helpers, low-pass filter,
+# complementary estimator and accelerometer formula as written on 3- and
+# 4-element numpy arrays.  The package computes the same operations on
+# Python floats; the tests require bit-identical results.
+
+
+def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+
+
+def quat_conjugate(q: np.ndarray) -> np.ndarray:
+    return np.array([q[0], -q[1], -q[2], -q[3]])
+
+
+def quat_normalize(q: np.ndarray) -> np.ndarray:
+    n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    if n == 0.0:
+        raise ValueError("cannot normalize zero quaternion")
+    return q / n
+
+
+def quat_from_rotvec(r: np.ndarray) -> np.ndarray:
+    angle = math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
+    if angle < 1e-12:
+        return quat_normalize(np.array([1.0, 0.5 * r[0], 0.5 * r[1], 0.5 * r[2]]))
+    s = math.sin(0.5 * angle) / angle
+    return np.array([math.cos(0.5 * angle), r[0] * s, r[1] * s, r[2] * s])
+
+
+def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
+    w, x, y, z = q
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    s = math.sqrt(x * x + y * y + z * z)
+    if s < 1e-12:
+        return np.array([2.0 * x, 2.0 * y, 2.0 * z])
+    angle = 2.0 * math.atan2(s, w)
+    return np.array([x, y, z]) * (angle / s)
+
+
+def quat_integrate(q: np.ndarray, omega_body: np.ndarray, dt: float) -> np.ndarray:
+    return quat_normalize(quat_multiply(q, quat_from_rotvec(np.asarray(omega_body) * dt)))
+
+
+def array_sense(state, true_wrench, params, disturbance, rng, t=0.0, with_pose=False):
+    """IMU (and optional pose) sample drawn channel by channel on arrays."""
+    R_wb = quat_to_matrix(state.q).T
+    weight_body = R_wb @ (params.m * params.gravity_world)
+    specific_force = (true_wrench.force - weight_body) / params.m
+    gyro = state.omega + disturbance.gyro_noise_std * rng.standard_normal(3)
+    accel = specific_force + disturbance.accel_noise_std * rng.standard_normal(3)
+    pose_p = pose_q = None
+    if with_pose:
+        pose_p = state.p + disturbance.pose_pos_noise_std * rng.standard_normal(3)
+        tilt = disturbance.pose_att_noise_std * rng.standard_normal(3)
+        pose_q = quat_normalize(quat_multiply(state.q, quat_from_rotvec(tilt)))
+    return SensorSample(t=t, gyro=gyro, accel=accel, pose_p=pose_p, pose_q=pose_q)
+
+
+class ArrayLowPass:
+    """First-order low-pass filter with exact zero-order-hold discretisation."""
+
+    def __init__(self, cutoff_hz: float, initial=None):
+        if cutoff_hz <= 0.0:
+            raise DomainError("low-pass cutoff must be > 0")
+        self.tau = 1.0 / (2.0 * math.pi * cutoff_hz)
+        self.y = None if initial is None else np.asarray(initial, dtype=float).copy()
+
+    def step(self, x: np.ndarray, dt: float) -> np.ndarray:
+        if dt <= 0.0:
+            raise DomainError("low-pass step requires dt > 0")
+        x = np.asarray(x, dtype=float)
+        if self.y is None:
+            self.y = x.copy()
+            return self.y.copy()
+        alpha = 1.0 - math.exp(-dt / self.tau)
+        self.y = self.y + alpha * (x - self.y)
+        return self.y.copy()
+
+
+class ArrayComplementaryEstimator:
+    """Gyro-integration attitude filter with pose blending, on arrays."""
+
+    def __init__(
+        self,
+        initial: StateEstimate,
+        pose_rate: float = 100.0,
+        attitude_blend: float = 0.167,
+        pos_alpha: float = 0.4,
+        vel_beta: float = 0.05,
+        cutoff_hz: float = 20.0,
+    ):
+        if not 0.0 < attitude_blend <= 1.0 or not 0.0 < pos_alpha <= 1.0:
+            raise DomainError("blend fractions must lie in (0, 1]")
+        if cutoff_hz <= 0.0:
+            raise DomainError("cutoff frequency must be positive")
+        self.q = np.asarray(initial.q, dtype=float).copy()
+        self.p = np.asarray(initial.p, dtype=float).copy()
+        self.v = np.asarray(initial.v, dtype=float).copy()
+        self.omega = np.asarray(initial.omega, dtype=float).copy()
+        self.attitude_blend = attitude_blend
+        self.pos_alpha = pos_alpha
+        self.vel_gain = vel_beta * pose_rate
+        self._gyro_lp = ArrayLowPass(cutoff_hz, initial.omega)
+
+    def update(self, sample: SensorSample, dt: float) -> None:
+        self.omega = self._gyro_lp.step(sample.gyro, dt)
+
+        self.q = quat_integrate(self.q, self.omega, dt)
+        self.p = self.p + self.v * dt
+
+        if sample.pose_p is not None and sample.pose_q is not None:
+            err = quat_multiply(quat_conjugate(self.q), sample.pose_q)
+            self.q = quat_normalize(
+                quat_multiply(
+                    self.q, quat_from_rotvec(self.attitude_blend * quat_to_rotvec(err))
+                )
+            )
+            innovation = sample.pose_p - self.p
+            self.p = self.p + self.pos_alpha * innovation
+            self.v = self.v + self.vel_gain * innovation
+
+    def estimate(self) -> StateEstimate:
+        return StateEstimate(self.p.copy(), self.v.copy(), self.q.copy(), self.omega.copy())

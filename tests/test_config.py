@@ -125,6 +125,38 @@ def test_enum_and_sign_validation():
     assert "omega_max" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("noise_gyro", "nan"),
+    ("noise_accel", "inf"),
+    ("noise_pose_pos", "nan"),
+    ("noise_pose_att", "inf"),
+    ("imu_cutoff_hz", "nan"),
+    ("imu_cutoff_hz", "inf"),
+    ("dist_force_x", "nan"),
+    ("dist_torque_z", "-inf"),
+])
+def test_non_finite_noise_offsets_and_cutoff_rejected(key, value):
+    # each `< 0` / `<= 0` comparison is false for nan, so these used to pass
+    with pytest.raises(ConfigError):
+        apply_overrides(Config(), {key: value})
+    lines = [f"{key} = {value}" if ln.split("=")[0].strip() == key else ln
+             for ln in Config().to_text().splitlines()]
+    with pytest.raises(ConfigError) as excinfo:
+        validate_text("\n".join(lines) + "\n")
+    assert "duplicate" not in str(excinfo.value)
+
+
+def test_scenario_problems_sees_non_finite_values_set_after_construction():
+    cfg = Config()
+    cfg.disturbance.gyro_noise_std = float("nan")
+    cfg.disturbance.force_offset_world[1] = float("inf")
+    cfg.harness.imu_cutoff_hz = float("nan")
+    problems = "\n".join(cfg.scenario_problems())
+    assert "noise_gyro" in problems
+    assert "dist_force_y" in problems
+    assert "imu_cutoff_hz" in problems
+
+
 def test_waypoints_need_at_least_two_points():
     with pytest.raises(ConfigError):
         apply_overrides(Config(), {"waypoints": "1,2,3"})

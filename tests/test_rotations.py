@@ -24,6 +24,8 @@ from tailsim.rotations import (
     wrap_angle,
 )
 
+import oracles
+
 unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
 
 
@@ -179,3 +181,19 @@ def test_rotation_preserves_lengths_and_composition(a, b):
     assert np.allclose(
         quat_to_matrix(quat_multiply(qa, qb)) @ v, Ra @ (Rb @ v), atol=1e-12
     )
+
+
+def test_float_cores_match_array_helpers_bit_for_bit():
+    # the package's quaternion functions run on Python floats; the array
+    # versions in the oracles module must give the very same bits
+    qs = random_quats(200, seed=3)
+    rng = np.random.default_rng(4)
+    rotvecs = list(rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(-14, 0.5, (200, 1)))
+    rotvecs += [np.zeros(3), np.array([3e-13, 0.0, -1e-13])]   # first-order branch
+    qs = list(qs) + [np.array([1.0, 0.0, 0.0, 0.0]), np.array([-1.0, 1e-13, 0.0, 0.0])]
+    for a, b, r in zip(qs, qs[::-1], rotvecs):
+        assert np.array_equal(quat_multiply(a, b), oracles.quat_multiply(a, b))
+        assert np.array_equal(quat_normalize(3.0 * a), oracles.quat_normalize(3.0 * a))
+        assert np.array_equal(quat_from_rotvec(r), oracles.quat_from_rotvec(r))
+        assert np.array_equal(quat_to_rotvec(a), oracles.quat_to_rotvec(a))
+        assert np.array_equal(quat_integrate(a, r, 1e-3), oracles.quat_integrate(a, r, 1e-3))

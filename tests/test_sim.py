@@ -26,7 +26,14 @@ from tailsim.sim import (
     step,
 )
 
-from oracles import actuator_step, derivative, reference_wrench
+from oracles import (
+    ArrayComplementaryEstimator,
+    ArrayLowPass,
+    actuator_step,
+    array_sense,
+    derivative,
+    reference_wrench,
+)
 
 PARAMS = VehicleParams()
 HOVER_W = PARAMS.hover_rotor_speed()
@@ -322,6 +329,28 @@ def test_sense_is_reproducible_for_equal_seeds():
     assert np.array_equal(a2.gyro, b2.gyro)
 
 
+def test_sense_matches_array_formulas():
+    # gyro and pose bit for bit (same draws, same operations); the accel's
+    # weight term is m g times R's third row instead of a matmul
+    st = hover_state()
+    st.q = quat_multiply(st.q, np.array([math.cos(0.2), 0.3 * math.sin(0.2),
+                                         -0.4 * math.sin(0.2), math.sqrt(0.75) * math.sin(0.2)]))
+    st.omega = np.array([0.3, -0.2, 0.1])
+    wrench = total_wrench(st.act, quat_to_matrix(st.q).T, PARAMS)
+    rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
+    for with_pose in (True, False, True):
+        new = sense(st, wrench, PARAMS, DisturbanceSpec(), rng_new, with_pose=with_pose)
+        old = array_sense(st, wrench, PARAMS, DisturbanceSpec(), rng_old, with_pose=with_pose)
+        assert np.array_equal(new.gyro, old.gyro)
+        assert np.allclose(new.accel, old.accel, rtol=1e-12, atol=0.0)
+        if with_pose:
+            assert np.array_equal(new.pose_p, old.pose_p)
+            assert np.array_equal(new.pose_q, old.pose_q)
+        else:
+            assert new.pose_p is None and new.pose_q is None
+    assert rng_new.random() == rng_old.random()  # same number of draws
+
+
 def test_disturbance_defaults_and_validation():
     d = DisturbanceSpec()
     assert np.allclose(d.force_offset_world, [0.10, 0.02, 0.03])
@@ -335,6 +364,15 @@ def test_disturbance_defaults_and_validation():
         DisturbanceSpec(gyro_noise_std=-1.0)
     with pytest.raises(DomainError):
         DisturbanceSpec(force_offset_world=np.zeros(2))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            DisturbanceSpec(gyro_noise_std=bad)
+        with pytest.raises(DomainError):
+            DisturbanceSpec(accel_noise_std=bad)
+        with pytest.raises(DomainError):
+            DisturbanceSpec(force_offset_world=np.array([bad, 0.0, 0.0]))
+        with pytest.raises(DomainError):
+            DisturbanceSpec(torque_offset_body=np.array([0.0, 0.0, -bad]))
 
 
 # --------------------------------------------------------------------------
@@ -375,9 +413,22 @@ def test_lowpass_gain_a_decade_above_cutoff():
     assert _sine_gain(200.0) == pytest.approx(1.0 / math.sqrt(101.0), rel=1e-3)
 
 
+def test_lowpass_matches_array_filter_bit_for_bit():
+    rng = np.random.default_rng(2)
+    lp, ref = LowPass(20.0, initial=[0.1, -0.2, 0.3]), ArrayLowPass(20.0, initial=[0.1, -0.2, 0.3])
+    scalar, scalar_ref = LowPass(5.0), ArrayLowPass(5.0)
+    for dt in (1e-3, 1e-3, 5e-4, 2e-3, 1e-3):
+        x = rng.standard_normal(3)
+        assert np.array_equal(lp.step(x, dt), ref.step(x, dt))
+        assert scalar.step(x[0], dt) == scalar_ref.step(x[0], dt)
+
+
 def test_lowpass_validation():
     with pytest.raises(DomainError):
         LowPass(0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            LowPass(bad)
     lp = LowPass(20.0)
     with pytest.raises(DomainError):
         lp.step(np.zeros(3), 0.0)
@@ -457,3 +508,34 @@ def test_complementary_estimator_validation():
         complementary_from(truth, pos_alpha=1.5)
     with pytest.raises(DomainError):
         complementary_from(truth, cutoff_hz=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            complementary_from(truth, cutoff_hz=bad)
+
+
+def test_complementary_estimator_matches_array_estimator_bit_for_bit():
+    # a tumbling truth with default noise, and a start 0.1 m and 0.3 rad off
+    # with w < 0 (exercises quat_to_rotvec's short-way branch)
+    truth = hover_state()
+    truth.omega = np.array([0.4, -0.3, 0.2])
+    start = truth.estimate_view()
+    start.p = start.p + np.array([0.1, 0.0, 0.0])
+    tilt = np.array([math.cos(0.15), math.sin(0.15), 0.0, 0.0])   # 0.3 rad about x
+    start.q = quat_multiply(start.q, tilt)
+    assert start.q[0] < 0.0
+    est = ComplementaryEstimator(start, cutoff_hz=35.0)
+    ref = ArrayComplementaryEstimator(start, cutoff_hz=35.0)
+    dist = DisturbanceSpec(seed=11)
+    rng = np.random.default_rng(dist.seed)
+    command = ActuatorCommand(1.01 * HOVER_W, 0.99 * HOVER_W, 0.04, -0.03)
+    for k in range(2000):  # 2 s of 1 kHz IMU, pose at 100 Hz
+        wrench = total_wrench(truth.act, quat_to_matrix(truth.q).T, PARAMS)
+        sample = sense(truth, wrench, PARAMS, dist, rng, t=k * 1e-3, with_pose=(k % 10 == 0))
+        est.update(sample, 1e-3)
+        ref.update(sample, 1e-3)
+        got, want = est.estimate(), ref.estimate()
+        for name in ("p", "v", "q", "omega"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (k, name)
+        for _ in range(2):
+            truth = step(truth, command, 5e-4, PARAMS, dist)
+    assert np.linalg.norm(est.estimate().p - truth.p) < 0.05
