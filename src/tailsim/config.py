@@ -117,10 +117,12 @@ class Config:
             problems.append(f"estimator: must be one of {ESTIMATOR_KINDS}, got {h.estimator!r}")
         if h.yaw_mode not in YAW_MODES:
             problems.append(f"yaw_mode: must be one of {YAW_MODES}, got {h.yaw_mode!r}")
-        if not h.duration_s > 0:
-            problems.append(f"duration_s: must be > 0, got {h.duration_s}")
-        if not h.transient_window_s >= 0:
-            problems.append(f"transient_window_s: must be >= 0, got {h.transient_window_s}")
+        if not 0 < h.duration_s < math.inf:
+            problems.append(f"duration_s: must be finite and > 0, got {h.duration_s}")
+        if not 0 <= h.transient_window_s < math.inf:
+            problems.append(
+                f"transient_window_s: must be finite and >= 0, got {h.transient_window_s}"
+            )
         if h.physics_rate_hz <= 0:
             problems.append(f"physics_rate_hz: must be > 0, got {h.physics_rate_hz}")
         else:
@@ -153,14 +155,27 @@ class Config:
             ("star_speed_mps", h.star_speed_mps),
             ("star_accel_mps2", h.star_accel_mps2),
         ):
-            if not value > 0:
-                problems.append(f"{name}: must be > 0, got {value}")
+            if not 0 < value < math.inf:
+                problems.append(f"{name}: must be finite and > 0, got {value}")
         if h.star_points < 3:
             problems.append(f"star_points: must be >= 3, got {h.star_points}")
-        if h.waypoint_dwell_s < 0:
-            problems.append(f"waypoint_dwell_s: must be >= 0, got {h.waypoint_dwell_s}")
+        if not 0 <= h.waypoint_dwell_s < math.inf:
+            problems.append(f"waypoint_dwell_s: must be finite and >= 0, got {h.waypoint_dwell_s}")
+        if not math.isfinite(h.yaw_fixed_rad):
+            problems.append(f"yaw_fixed_rad: must be finite, got {h.yaw_fixed_rad}")
+        for prefix, point in (
+            ("start_offset_", h.start_offset),
+            ("hover_", h.hover_pos),
+            ("circle_", h.circle_center),
+            ("star_", h.star_center),
+        ):
+            for axis, value in zip("xyz", point):
+                if not math.isfinite(value):
+                    problems.append(f"{prefix}{axis}: must be finite, got {value}")
         if h.waypoints.ndim != 2 or h.waypoints.shape[0] < 2 or h.waypoints.shape[1] != 3:
             problems.append("waypoints: need at least two x,y,z triples")
+        elif not np.isfinite(h.waypoints).all():
+            problems.append("waypoints: every coordinate must be finite")
         elif h.scenario == "waypoint" and all(
             np.linalg.norm(b - a) < MIN_LEG_LENGTH_M
             for a, b in zip(h.waypoints[:-1], h.waypoints[1:])

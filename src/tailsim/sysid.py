@@ -2,10 +2,13 @@
 
 A bench record holds one steady operating point of a single
 propeller/elevon unit (left-side reaction-torque convention): rotor
-speed, elevon deflection, and the measured force/torque vector.  The
-five model coefficients enter the measurements linearly through known
-regressors, so each measurement channel is fit by least squares through
-the origin:
+speed, elevon deflection, and the measured force/torque vector about the
+unit's own hub.  Records travel as one columnar :class:`BenchRecords`
+table, from :func:`generate_synthetic` or :func:`read_records_csv`
+through :func:`write_records_csv` and :func:`fit_params`, and the table
+is validated once as a whole.  The five model coefficients enter the
+measurements linearly through known regressors, so each measurement
+channel is fit by least squares through the origin:
 
 ==========  =========================  ==================
 channel     basis                      coefficients
@@ -25,12 +28,13 @@ equations are solved by singular value decomposition via
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, InsufficientExcitationError
-from .model import VehicleParams, aero_wrench, prop_wrench
+from .model import VehicleParams
 
 ALL_CONSTANTS = ("k_t", "k_m", "k_l", "k_d", "k_p")
 
@@ -39,26 +43,62 @@ CSV_HEADER = "omega_rad_s, delta_rad, fx, fy, fz, mx, my, mz"
 # measurement channel supplying each coefficient's residual diagnostics
 _CHANNEL_OF = {"k_t": "fz", "k_d": "fz", "k_l": "fx", "k_p": "my", "k_m": "mz"}
 
+# one CSV row; rows are formatted from lists of this many at a time
+_ROW = ", ".join(["%.17g"] * 8) + "\n"
+_ROWS_PER_WRITE = 4096
+
+
+class _InvalidRecord(DomainError):
+    """A bench record that breaks a table rule; ``row`` is its 0-based index."""
+
+    def __init__(self, row: int, reason: str):
+        self.row = row
+        self.reason = reason
+        super().__init__(f"record {row}: {reason}")
+
 
 @dataclass
-class StaticTestRecord:
-    """One steady bench measurement of a single propeller/elevon unit."""
+class BenchRecords:
+    """Steady bench measurements of a single propeller/elevon unit, one row each.
 
-    omega: float                      # rotor speed, rad/s
-    delta: float                      # elevon deflection, rad
-    force: np.ndarray                 # measured force, body axes, N
-    torque: np.ndarray                # measured torque, body axes, N m
+    Columns: rotor speed ``omega`` (rad/s) and elevon deflection ``delta``
+    (rad), shape ``(N,)``; measured ``force`` (N) and ``torque`` (N m) in
+    body axes, shape ``(N, 3)``.  The table is validated once, as a whole:
+    every value finite, every rotor speed >= 0.
+    """
+
+    omega: np.ndarray
+    delta: np.ndarray
+    force: np.ndarray
+    torque: np.ndarray
 
     def __post_init__(self) -> None:
+        self.omega = np.asarray(self.omega, dtype=float)
+        self.delta = np.asarray(self.delta, dtype=float)
         self.force = np.asarray(self.force, dtype=float)
         self.torque = np.asarray(self.torque, dtype=float)
-        if self.force.shape != (3,) or self.torque.shape != (3,):
-            raise DomainError("record force/torque must be 3-vectors")
-        values = (self.omega, self.delta, *self.force, *self.torque)
-        if not all(math.isfinite(v) for v in values):
-            raise DomainError("record values must be finite")
-        if self.omega < 0.0:
-            raise DomainError(f"rotor speed must be >= 0, got {self.omega!r}")
+        if self.omega.ndim != 1 or self.delta.shape != self.omega.shape:
+            raise DomainError("record omega/delta must be 1-D columns of equal length")
+        n = self.omega.shape[0]
+        if self.force.shape != (n, 3) or self.torque.shape != (n, 3):
+            raise DomainError("record force/torque must be 3-vectors, one row per record")
+        finite = (
+            np.isfinite(self.omega)
+            & np.isfinite(self.delta)
+            & np.isfinite(self.force).all(axis=1)
+            & np.isfinite(self.torque).all(axis=1)
+        )
+        bad = ~finite | (self.omega < 0.0)
+        if bad.any():
+            row = int(np.argmax(bad))
+            if not finite[row]:
+                raise _InvalidRecord(row, "values must be finite")
+            raise _InvalidRecord(
+                row, f"rotor speed must be >= 0, got {float(self.omega[row])!r}"
+            )
+
+    def __len__(self) -> int:
+        return self.omega.shape[0]
 
 
 @dataclass
@@ -107,7 +147,7 @@ def _lstsq_channel(X: np.ndarray, y: np.ndarray, names: tuple[str, ...], interce
 
 
 def fit_params(
-    records: list[StaticTestRecord],
+    records: BenchRecords,
     constants: tuple[str, ...] = ALL_CONSTANTS,
     intercept: bool = False,
 ) -> FitResult:
@@ -135,11 +175,9 @@ def fit_params(
     if len(records) < 2:
         raise DomainError("need at least two records to fit")
 
-    omega = np.array([r.omega for r in records])
-    delta = np.array([r.delta for r in records])
-    w2 = omega**2
-    w2d = w2 * delta
-    w2d2 = w2 * delta**2
+    w2 = records.omega**2
+    w2d = w2 * records.delta
+    w2d2 = w2 * records.delta**2
 
     values: dict[str, float] = {}
     rms: dict[str, float] = {}
@@ -161,20 +199,17 @@ def fit_params(
 
     want = set(constants)
     if {"k_t", "k_d"} & want:
-        fz = np.array([r.force[2] for r in records])
+        fz = records.force[:, 2]
         if "k_d" in want:
             channel(("k_t", "k_d"), np.column_stack([w2, w2d2]), fz, (-1.0, 1.0))
         else:
             channel(("k_t",), w2.reshape(-1, 1), fz, (-1.0,))
     if "k_l" in want:
-        fx = np.array([r.force[0] for r in records])
-        channel(("k_l",), w2d.reshape(-1, 1), fx, (-1.0,))
+        channel(("k_l",), w2d.reshape(-1, 1), records.force[:, 0], (-1.0,))
     if "k_p" in want:
-        my = np.array([r.torque[1] for r in records])
-        channel(("k_p",), w2d.reshape(-1, 1), my, (-1.0,))
+        channel(("k_p",), w2d.reshape(-1, 1), records.torque[:, 1], (-1.0,))
     if "k_m" in want:
-        mz = np.array([r.torque[2] for r in records])
-        channel(("k_m",), w2.reshape(-1, 1), mz, (1.0,))
+        channel(("k_m",), w2.reshape(-1, 1), records.torque[:, 2], (1.0,))
 
     bad = [c for c in bad if c in want]
     if bad:
@@ -195,40 +230,75 @@ def generate_synthetic(
     delta_values: np.ndarray,
     relative_noise: float = 0.0,
     seed: int = 0,
-) -> list[StaticTestRecord]:
+) -> BenchRecords:
     """Bench records for every (omega, delta) grid combination.
 
-    Wrenches come from the single-side force/moment model (left-side
-    reaction-torque sign).  ``relative_noise`` applies multiplicative
+    Records run over ``delta_values`` for each of ``omega_values`` in
+    turn.  Wrenches come from the single-side force/moment model of
+    :func:`~tailsim.model.prop_wrench` plus
+    :func:`~tailsim.model.aero_wrench` (left-side reaction-torque sign,
+    about the unit's own hub), evaluated on the whole grid at once in the
+    same operation order.  ``relative_noise`` applies multiplicative
     Gaussian perturbations ``x * (1 + sigma * n)`` to every measured
-    component, seeded for reproducibility.
+    component, drawn force then torque per record and seeded for
+    reproducibility.
+
+    Raises:
+        DomainError: on a negative or non-finite ``relative_noise``, a
+            negative or non-finite rotor speed, or a deflection outside
+            ``|delta| <= delta_max``.
     """
-    if relative_noise < 0.0:
-        raise DomainError("relative_noise must be >= 0")
-    rng = np.random.default_rng(seed)
-    records = []
-    for w in np.asarray(omega_values, dtype=float):
-        for d in np.asarray(delta_values, dtype=float):
-            wrench = prop_wrench(w, "left", params) + aero_wrench(w, d, params)
-            force, torque = wrench.force, wrench.torque
-            if relative_noise > 0.0:
-                force = force * (1.0 + relative_noise * rng.standard_normal(3))
-                torque = torque * (1.0 + relative_noise * rng.standard_normal(3))
-            records.append(StaticTestRecord(float(w), float(d), force, torque))
-    return records
+    if not 0.0 <= relative_noise < math.inf:
+        raise DomainError(f"relative_noise must be finite and >= 0, got {relative_noise!r}")
+    deltas = np.asarray(delta_values, dtype=float)
+    omegas = np.asarray(omega_values, dtype=float)
+    omega = np.repeat(omegas, len(deltas))
+    delta = np.tile(deltas, len(omegas))
+    bad = ~(np.isfinite(omega) & (omega >= 0.0))
+    if bad.any():
+        w = float(omega[np.argmax(bad)])
+        raise DomainError(f"rotor speed must be finite and >= 0, got {w!r}")
+    bad = ~(np.abs(delta) <= params.delta_max + 1e-12)
+    if bad.any():
+        d = float(delta[np.argmax(bad)])
+        raise DomainError(
+            f"elevon deflection must satisfy |delta| <= {params.delta_max}, got {d!r}"
+        )
+
+    # columns fx, fy, fz, mx, my, mz of prop_wrench + aero_wrench (fy and
+    # mx are 0.0); the "0.0 +" terms are that Wrench sum's, and they turn
+    # -0.0 into +0.0, which "%.17g" would print as "-0"
+    w2 = omega * omega
+    wrench = np.zeros((len(omega), 6))
+    wrench[:, 0] = 0.0 + -params.k_l * w2 * delta
+    wrench[:, 2] = -params.k_t * w2 + params.k_d * w2 * delta * delta
+    wrench[:, 4] = 0.0 + -params.k_p * w2 * delta
+    wrench[:, 5] = params.k_m * w2 + 0.0
+    if relative_noise > 0.0:
+        rng = np.random.default_rng(seed)
+        wrench *= 1.0 + relative_noise * rng.standard_normal(wrench.shape)
+    return BenchRecords(omega, delta, wrench[:, :3], wrench[:, 3:])
 
 
-def write_records_csv(path, records: list[StaticTestRecord]) -> None:
-    """Write bench records with the canonical header."""
+def write_records_csv(path, records: BenchRecords) -> None:
+    """Write bench records with the canonical header, one ``%.17g`` row each."""
+    table = np.column_stack((records.omega, records.delta, records.force, records.torque))
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for r in records:
-            row = (r.omega, r.delta, *r.force, *r.torque)
-            fh.write(", ".join(f"{v:.17g}" for v in row) + "\n")
+        for start in range(0, len(table), _ROWS_PER_WRITE):
+            fh.writelines(
+                _ROW % tuple(row) for row in table[start:start + _ROWS_PER_WRITE].tolist()
+            )
 
 
-def read_records_csv(path) -> list[StaticTestRecord]:
-    """Read bench records; the header must match the canonical schema."""
+def read_records_csv(path) -> BenchRecords:
+    """Read bench records; the header must match the canonical schema.
+
+    Blank lines are skipped.  A malformed or invalid row is reported with
+    its line number.
+    """
+    values = array("d")
+    line_numbers = array("q")
     with open(path, "r", newline="") as fh:
         header = fh.readline().strip()
         if [c.strip() for c in header.split(",")] != [
@@ -237,7 +307,6 @@ def read_records_csv(path) -> list[StaticTestRecord]:
             raise DomainError(
                 f"unexpected CSV header {header!r}; expected {CSV_HEADER!r}"
             )
-        records = []
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -246,13 +315,15 @@ def read_records_csv(path) -> list[StaticTestRecord]:
             if len(parts) != 8:
                 raise DomainError(f"line {line_no}: expected 8 columns, got {len(parts)}")
             try:
-                vals = [float(p) for p in parts]
+                values.extend(map(float, parts))
             except ValueError as exc:
                 raise DomainError(f"line {line_no}: {exc}") from exc
-            records.append(
-                StaticTestRecord(vals[0], vals[1], np.array(vals[2:5]), np.array(vals[5:8]))
-            )
-    return records
+            line_numbers.append(line_no)
+    table = np.frombuffer(values, dtype=float).reshape(-1, 8)
+    try:
+        return BenchRecords(table[:, 0], table[:, 1], table[:, 2:5], table[:, 5:])
+    except _InvalidRecord as exc:
+        raise DomainError(f"line {line_numbers[exc.row]}: {exc.reason}") from None
 
 
 def write_fit_params(path, fit: FitResult) -> None:

@@ -6,6 +6,8 @@ with explicit lever-arm cross products, the rigid-body derivative uses
 matrix algebra, the actuator lag is a one-shot exponential step, and the
 sensing-and-fusion path (quaternion helpers, low-pass filter,
 complementary estimator, accelerometer formula) works on numpy arrays.
+Synthetic bench records are built one record at a time from the same
+per-side wrenches.
 """
 
 from __future__ import annotations
@@ -61,6 +63,33 @@ def derivative(state: VehicleState, wrench: Wrench, params: VehicleParams) -> St
         q_dot=quat_derivative(state.q, state.omega),
         omega_dot=(wrench.torque - np.cross(state.omega, J * state.omega)) / J,
     )
+
+
+def synthetic_bench_rows(
+    params: VehicleParams,
+    omega_values: np.ndarray,
+    delta_values: np.ndarray,
+    relative_noise: float = 0.0,
+    seed: int = 0,
+) -> np.ndarray:
+    """Bench records as rows ``(omega, delta, fx, fy, fz, mx, my, mz)``.
+
+    One record per grid point, delta varying fastest: the left side's
+    ``prop_wrench + aero_wrench``, each component scaled by
+    ``1 + relative_noise * n`` with three force draws then three torque
+    draws per record.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for w in np.asarray(omega_values, dtype=float):
+        for d in np.asarray(delta_values, dtype=float):
+            wrench = prop_wrench(w, "left", params) + aero_wrench(w, d, params)
+            force, torque = wrench.force, wrench.torque
+            if relative_noise > 0.0:
+                force = force * (1.0 + relative_noise * rng.standard_normal(3))
+                torque = torque * (1.0 + relative_noise * rng.standard_normal(3))
+            rows.append((float(w), float(d), *force.tolist(), *torque.tolist()))
+    return np.array(rows).reshape(-1, 8)
 
 
 def actuator_step(

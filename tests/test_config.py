@@ -134,9 +134,22 @@ def test_enum_and_sign_validation():
     ("imu_cutoff_hz", "inf"),
     ("dist_force_x", "nan"),
     ("dist_torque_z", "-inf"),
+    ("duration_s", "inf"),
+    ("transient_window_s", "inf"),
+    ("waypoint_dwell_s", "nan"),
+    ("waypoint_speed_mps", "inf"),
+    ("circle_speed_mps", "inf"),
+    ("star_radius_m", "inf"),
+    ("start_offset_x", "inf"),
+    ("hover_z", "nan"),
+    ("circle_y", "-inf"),
+    ("star_x", "nan"),
+    ("yaw_fixed_rad", "inf"),
+    ("waypoints", "0,0,1.5; nan,1,1.5; 1,1,1.5"),
 ])
 def test_non_finite_noise_offsets_and_cutoff_rejected(key, value):
-    # each `< 0` / `<= 0` comparison is false for nan, so these used to pass
+    # each `< 0` / `<= 0` comparison is false for nan and `> 0` is true for
+    # inf, and the position keys were not checked, so these used to pass
     with pytest.raises(ConfigError):
         apply_overrides(Config(), {key: value})
     lines = [f"{key} = {value}" if ln.split("=")[0].strip() == key else ln

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from oracles import synthetic_bench_rows
+from tailsim.cli import main
 from tailsim.errors import DomainError, InsufficientExcitationError
 from tailsim.model import VehicleParams
 from tailsim.sysid import (
     ALL_CONSTANTS,
     CSV_HEADER,
-    StaticTestRecord,
+    BenchRecords,
     fit_params,
     generate_synthetic,
     read_records_csv,
@@ -90,10 +92,10 @@ def test_single_speed_grid_still_identifies():
 
 def test_intercept_absorbs_sensor_bias():
     records = generate_synthetic(PARAMS, OMEGAS, DELTAS)
-    bumped = [
-        StaticTestRecord(r.omega, r.delta, r.force + np.array([0.0, 0.0, 0.05]), r.torque)
-        for r in records
-    ]
+    bumped = BenchRecords(
+        records.omega, records.delta, records.force + np.array([0.0, 0.0, 0.05]),
+        records.torque,
+    )
     fit = fit_params(bumped, intercept=True)
     for name in ALL_CONSTANTS:
         assert rel_err(fit, name) < 1e-9
@@ -109,37 +111,87 @@ def test_generate_synthetic_is_seeded_and_deterministic():
     a = generate_synthetic(PARAMS, *grid, relative_noise=0.05, seed=3)
     b = generate_synthetic(PARAMS, *grid, relative_noise=0.05, seed=3)
     c = generate_synthetic(PARAMS, *grid, relative_noise=0.05, seed=4)
-    assert all(np.array_equal(x.force, y.force) and np.array_equal(x.torque, y.torque)
-               for x, y in zip(a, b))
-    assert any(not np.array_equal(x.force, y.force) for x, y in zip(a, c))
+    assert np.array_equal(a.force, b.force) and np.array_equal(a.torque, b.torque)
+    assert not np.array_equal(a.force, c.force)
 
 
 def test_generate_synthetic_noiseless_matches_model():
     records = generate_synthetic(PARAMS, np.array([636.9]), np.array([0.1]))
-    (rec,) = records
+    assert len(records) == 1
+    force, torque = records.force[0], records.torque[0]
     # one side's thrust plus slipstream terms, evaluated per record
-    assert rec.force[2] == pytest.approx(
+    assert force[2] == pytest.approx(
         -PARAMS.k_t * 636.9**2 + PARAMS.k_d * 636.9**2 * 0.1**2, rel=1e-12
     )
-    assert rec.force[0] == pytest.approx(-PARAMS.k_l * 636.9**2 * 0.1, rel=1e-12)
-    assert rec.torque[1] == pytest.approx(-PARAMS.k_p * 636.9**2 * 0.1, rel=1e-12)
+    assert force[0] == pytest.approx(-PARAMS.k_l * 636.9**2 * 0.1, rel=1e-12)
+    assert torque[1] == pytest.approx(-PARAMS.k_p * 636.9**2 * 0.1, rel=1e-12)
+
+
+@pytest.mark.parametrize("relative_noise, seed", [(0.0, 0), (0.05, 3), (3.0, 5)])
+def test_generate_synthetic_matches_per_record_model_bit_for_bit(relative_noise, seed):
+    # delta = 0 and +/-delta_max, omega = 0 and omega_max; a noise level of
+    # 3 drives many factors 1 + 3 n negative, turning exact zeros into -0.0
+    omegas = np.array([0.0, 150.0, 636.9, PARAMS.omega_max])
+    deltas = np.array([-PARAMS.delta_max, -0.3, 0.0, 0.1, PARAMS.delta_max])
+    records = generate_synthetic(PARAMS, omegas, deltas, relative_noise, seed)
+    got = np.column_stack((records.omega, records.delta, records.force, records.torque))
+    want = synthetic_bench_rows(PARAMS, omegas, deltas, relative_noise, seed)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("omegas, deltas, match", [
+    ([150.0, -1.0], [0.0], "rotor speed"),
+    ([np.nan], [0.0], "rotor speed"),
+    ([np.inf], [0.0], "rotor speed"),
+    ([150.0], [0.0, 0.8], "elevon deflection"),
+    ([150.0], [np.nan], "elevon deflection"),
+])
+def test_generate_synthetic_rejects_out_of_range_grid(omegas, deltas, match):
+    with pytest.raises(DomainError, match=match):
+        generate_synthetic(PARAMS, np.array(omegas), np.array(deltas))
+
+
+@pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
+def test_generate_synthetic_rejects_bad_noise_level(noise):
+    with pytest.raises(DomainError, match="relative_noise"):
+        generate_synthetic(PARAMS, OMEGAS, DELTAS, relative_noise=noise)
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf", "-0.05"])
+def test_sysid_synth_cli_rejects_bad_noise_level(tmp_path, capsys, noise):
+    out = tmp_path / "bench.csv"
+    assert main(["sysid", "synth", "--out", str(out), "--noise", noise]) == 1
+    err = capsys.readouterr().err
+    assert "category=domain" in err
+    assert "relative_noise" in err
+    assert not out.exists()
 
 
 def test_fit_requires_at_least_two_records():
     with pytest.raises(DomainError):
-        fit_params([])
+        fit_params(BenchRecords(np.zeros(0), np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3))))
     records = generate_synthetic(PARAMS, np.array([600.0]), np.array([0.3]))
+    assert len(records) == 1
     with pytest.raises(DomainError):
-        fit_params(records[:1])
+        fit_params(records)
 
 
 def test_record_validation():
+    with pytest.raises(DomainError, match="record 0: rotor speed"):
+        BenchRecords([-5.0], [0.0], np.zeros((1, 3)), np.zeros((1, 3)))
+    with pytest.raises(DomainError, match="record 1: values must be finite"):
+        BenchRecords([100.0, 100.0], [0.0, np.nan], np.zeros((2, 3)), np.zeros((2, 3)))
+    torque = np.zeros((3, 3))
+    torque[2, 1] = np.inf
+    with pytest.raises(DomainError, match="record 2: values must be finite"):
+        BenchRecords([1.0, 2.0, 3.0], np.zeros(3), np.zeros((3, 3)), torque)
     with pytest.raises(DomainError):
-        StaticTestRecord(-5.0, 0.0, np.zeros(3), np.zeros(3))
+        BenchRecords([100.0], [0.0], np.zeros((1, 2)), np.zeros((1, 3)))
     with pytest.raises(DomainError):
-        StaticTestRecord(100.0, np.nan, np.zeros(3), np.zeros(3))
+        BenchRecords([100.0], [0.0], np.zeros(3), np.zeros(3))
     with pytest.raises(DomainError):
-        StaticTestRecord(100.0, 0.0, np.zeros(2), np.zeros(3))
+        BenchRecords([100.0, 200.0], [0.0], np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 def test_records_csv_round_trip(tmp_path):
@@ -150,11 +202,10 @@ def test_records_csv_round_trip(tmp_path):
     assert header == CSV_HEADER
     loaded = read_records_csv(path)
     assert len(loaded) == len(records)
-    for orig, back in zip(records, loaded):
-        assert back.omega == orig.omega
-        assert back.delta == orig.delta
-        assert np.array_equal(back.force, orig.force)
-        assert np.array_equal(back.torque, orig.torque)
+    assert np.array_equal(loaded.omega, records.omega)
+    assert np.array_equal(loaded.delta, records.delta)
+    assert np.array_equal(loaded.force, records.force)
+    assert np.array_equal(loaded.torque, records.torque)
 
 
 def test_read_records_csv_rejects_wrong_header(tmp_path):
@@ -162,6 +213,34 @@ def test_read_records_csv_rejects_wrong_header(tmp_path):
     path.write_text("a, b, c\n1, 2, 3\n")
     with pytest.raises(DomainError):
         read_records_csv(path)
+
+
+GOOD_ROW = "300, 0.1, 1, 0, -0.5, 0, 0.01, 0.02"
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("300, nan, 1, 0, -0.5, 0, 0.01, 0.02", "line 4: values must be finite"),
+    ("300, 0.1, inf, 0, -0.5, 0, 0.01, 0.02", "line 4: values must be finite"),
+    ("300, 0.1, 1, 0, -0.5, 0, 0.01, -inf", "line 4: values must be finite"),
+    ("-300, 0.1, 1, 0, -0.5, 0, 0.01, 0.02", "line 4: rotor speed must be >= 0"),
+    ("300, 0.1, 1, 0, -0.5, 0, 0.01", "line 4: expected 8 columns, got 7"),
+    ("300, 0.1, one, 0, -0.5, 0, 0.01, 0.02", "line 4: could not convert"),
+])
+def test_read_records_csv_names_the_offending_line(tmp_path, bad_row, message):
+    # line 3 is blank and skipped; the bad row is line 4, then a good one
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([CSV_HEADER, GOOD_ROW, "", bad_row, GOOD_ROW, bad_row]) + "\n")
+    with pytest.raises(DomainError) as excinfo:
+        read_records_csv(path)
+    assert str(excinfo.value).startswith(message)
+
+
+def test_read_records_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "ok.csv"
+    path.write_text("\n".join([CSV_HEADER, "", GOOD_ROW, "  ", GOOD_ROW]) + "\n")
+    records = read_records_csv(path)
+    assert len(records) == 2
+    assert records.torque[1].tolist() == [0.0, 0.01, 0.02]
 
 
 def test_write_fit_params_emits_config_compatible_keys(tmp_path):
