@@ -31,6 +31,17 @@ _RUN_OVERRIDE_FLAGS = (
 )
 
 
+def _count(text: str) -> int:
+    """A grid point count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tailsim",
@@ -69,10 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", dest="outfile", required=True, metavar="CSV")
     synth.add_argument("--omega-min", type=float, default=150.0, metavar="RAD_S")
     synth.add_argument("--omega-max", type=float, default=790.0, metavar="RAD_S")
-    synth.add_argument("--omega-count", type=int, default=12, metavar="N")
+    synth.add_argument("--omega-count", type=_count, default=12, metavar="N")
     synth.add_argument("--delta-max", type=float, default=0.785, metavar="RAD",
                        help="deflections sweep symmetrically up to this")
-    synth.add_argument("--delta-count", type=int, default=13, metavar="N")
+    synth.add_argument("--delta-count", type=_count, default=13, metavar="N")
     synth.add_argument("--noise", type=float, default=0.0, metavar="REL",
                        help="multiplicative noise level (e.g. 0.05)")
     synth.add_argument("--seed", type=int, default=0)

@@ -7,8 +7,9 @@ recent output of the stage above it:
 * position loop (default 100 Hz): world-frame PD law with velocity
   reference feedforward produces a desired total force vector,
 * attitude loop (default 250 Hz): converts the desired force direction
-  plus a heading reference into a desired rotation and a proportional
-  body-rate command,
+  plus a heading reference into a desired attitude quaternion and a
+  proportional body-rate command, on the float quaternion cores of
+  :mod:`tailsim.rotations`,
 * body-rate loop (default 500 Hz): computes a desired torque with
   gyroscopic compensation and integral action, then inverts the force
   and moment model to obtain per-rotor speeds and per-elevon angles,
@@ -32,10 +33,10 @@ import numpy as np
 from .errors import DegenerateThrustError, DomainError, InfeasibleRollError
 from .model import VehicleParams
 from .rotations import (
-    euler_zyx_from_matrix,
-    quat_to_matrix,
-    rotation_between,
-    rotvec_from_matrix,
+    quat_conjugate_f,
+    quat_multiply_f,
+    quat_normalize_f,
+    quat_to_rotvec_f,
     wrap_angle,
 )
 
@@ -45,9 +46,6 @@ FORCE_FLOOR = 1e-3
 # Fraction of the differential-thrust roll limit kept in reserve when an
 # infeasible roll command is clamped.
 ROLL_CLAMP_MARGIN = 0.05
-
-# Hover attitude at zero heading: body -z up, body x along world x.
-_R_BW_HOVER0 = np.diag([1.0, -1.0, -1.0])
 
 
 @dataclass
@@ -76,14 +74,6 @@ class ControllerGains:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
                 raise DomainError(f"ControllerGains.{name} must be finite and >= 0, got {value!r}")
-
-    @property
-    def tau_omega(self) -> np.ndarray:
-        return np.array([self.tau_omega_x, self.tau_omega_y, self.tau_omega_z])
-
-    @property
-    def k_i_omega(self) -> np.ndarray:
-        return np.array([self.k_i_omega_x, self.k_i_omega_y, self.k_i_omega_z])
 
 
 @dataclass
@@ -134,10 +124,6 @@ class StateEstimate:
     v: np.ndarray                     # velocity, world frame, m/s
     q: np.ndarray                     # attitude quaternion (see rotations module)
     omega: np.ndarray                 # body rates, rad/s
-
-    def R_wb(self) -> np.ndarray:
-        """World-to-body rotation matrix of the estimated attitude."""
-        return quat_to_matrix(self.q).T
 
 
 @dataclass
@@ -192,10 +178,13 @@ def attitude_setpoint(
 ) -> tuple[np.ndarray, float]:
     """Desired attitude and per-rotor thrust from a desired force vector.
 
-    The desired rotation is assembled heading-first: starting from the
-    hover attitude yawed to ``psi_des``, a minimal tilt (axis in the
-    horizontal plane) takes the thrust axis onto the desired force
-    direction.  At hover the tilt is the identity.
+    ``q_des = q_tilt * (0, cos(psi/2), sin(psi/2), 0)``: the second
+    factor yaws to ``psi_des`` and flips into hover (body -z up, body x
+    along the heading); ``q_tilt``, the shortest arc from world +z onto
+    the force direction ``f``, is ``(1 + f_z, -f_y, f_x, 0)`` normalised,
+    with the scalar part taken as ``(f_x^2 + f_y^2) / (1 - f_z)`` for a
+    downward force to avoid cancellation.  For a force straight down the
+    tilt is the half turn about the heading-rotated y axis.
 
     Args:
         f_des: desired total force, world frame, N.
@@ -203,48 +192,59 @@ def attitude_setpoint(
         params: vehicle constants.
 
     Returns:
-        ``(R_wb_des, f_a)``: world-to-body rotation of the desired
+        ``(q_des, f_a)``: body-to-world quaternion of the desired
         attitude and the per-rotor thrust ``|f_des| / 2`` in N.
 
     Raises:
         DegenerateThrustError: if ``|f_des|`` is below the force floor.
     """
-    f_des = np.asarray(f_des, dtype=float)
-    norm = float(np.linalg.norm(f_des))
-    if not np.all(np.isfinite(f_des)) or norm < FORCE_FLOOR:
+    fx, fy, fz = np.asarray(f_des, dtype=float).tolist()
+    norm = math.sqrt(fx * fx + fy * fy + fz * fz)
+    if not math.isfinite(norm) or norm < FORCE_FLOOR:
         raise DegenerateThrustError(
             f"|f_des| = {norm:.3e} N is below the {FORCE_FLOOR:.0e} N floor"
         )
-    f_hat = f_des / norm
+    hx, hy, hz = fx / norm, fy / norm, fz / norm
+    half = 0.5 * psi_des
+    heading = (0.0, math.cos(half), math.sin(half), 0.0)
 
-    c, s = math.cos(psi_des), math.sin(psi_des)
-    R_z = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    # Minimal world-frame tilt from straight-up thrust onto f_hat.  For a
-    # force pointing straight down the tilt axis is arbitrary; pitch
-    # about the heading-rotated y axis then.
-    R_xy = rotation_between(
-        np.array([0.0, 0.0, 1.0]), f_hat, fallback_axis=R_z @ np.array([0.0, 1.0, 0.0])
-    )
-    R_bw_des = R_xy @ R_z @ _R_BW_HOVER0
-    return R_bw_des.T, 0.5 * norm
+    s2 = hx * hx + hy * hy
+    if s2 >= 1e-24:
+        w = 1.0 + hz if hz >= 0.0 else s2 / (1.0 - hz)
+        q_tilt = quat_normalize_f((w, -hy, hx, 0.0))
+    elif hz > 0.0:
+        q_tilt = (1.0, 0.0, 0.0, 0.0)
+    else:
+        q_tilt = (0.0, -math.sin(psi_des), math.cos(psi_des), 0.0)
+    return np.array(quat_multiply_f(q_tilt, heading)), 0.5 * norm
 
 
 def attitude_control(
-    R_wb_est: np.ndarray, R_wb_des: np.ndarray, gains: ControllerGains
+    q_est: np.ndarray, q_des: np.ndarray, gains: ControllerGains
 ) -> np.ndarray:
     """Proportional body-rate command from an attitude error.
 
-    The error rotation ``R_err = R_est @ R_des^-1`` expresses, in body
-    axes, the rotation still needed to reach the desired attitude.  Its
-    intrinsic Z-Y-X Euler angles (rotation vector near the pitch
-    singularity) scaled by ``1 / tau_att`` give the body-rate command
-    that shrinks the error.
+    The error quaternion ``e = q_est^-1 * q_des`` is, in body axes, the
+    rotation still needed to reach the desired attitude.  Its intrinsic
+    Z-Y-X Euler angles, read from its components, scaled by
+    ``1 / tau_att`` give the body-rate command that shrinks the error.
+    Within 1e-6 of the ``|pitch| = pi/2`` singularity, where roll and
+    yaw are not defined, the rotation vector of ``e`` is used instead.
     """
-    R_err = R_wb_est @ R_wb_des.T
-    angles, ok = euler_zyx_from_matrix(R_err)
-    if not ok:
-        angles = rotvec_from_matrix(R_err)
-    return angles / gains.tau_att
+    q_est = np.asarray(q_est, dtype=float).tolist()
+    q_des = np.asarray(q_des, dtype=float).tolist()
+    e = quat_multiply_f(quat_conjugate_f(q_est), q_des)
+    w, x, y, z = e
+    sin_theta = 2.0 * (w * y - x * z)
+    if abs(sin_theta) >= 1.0 - 1e-6:
+        angles = quat_to_rotvec_f(e)
+    else:
+        angles = (
+            math.atan2(2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)),
+            math.asin(sin_theta),
+            math.atan2(2.0 * (x * y + w * z), 1.0 - 2.0 * (y * y + z * z)),
+        )
+    return np.array(angles) / gains.tau_att
 
 
 def rate_control(
@@ -392,7 +392,7 @@ class CascadeController:
         The rotor model ``omega_hat`` restarts at the hover trim speed.
         """
         self.f_des = np.array([0.0, 0.0, self.params.m * self.params.g_mag])
-        self.R_wb_des, self.f_a = attitude_setpoint(self.f_des, 0.0, self.params)
+        self.q_des, self.f_a = attitude_setpoint(self.f_des, 0.0, self.params)
         self.omega_des = np.zeros(3)
         self.m_des = np.zeros(3)
         self.integral = np.zeros(3)
@@ -418,10 +418,10 @@ class CascadeController:
             )
 
         if tick % self._attitude_every == 0:
-            self.R_wb_des, self.f_a = attitude_setpoint(
+            self.q_des, self.f_a = attitude_setpoint(
                 self.f_des, setpoint.psi_des, self.params
             )
-            self.omega_des = attitude_control(estimate.R_wb(), self.R_wb_des, self.gains)
+            self.omega_des = attitude_control(estimate.q, self.q_des, self.gains)
 
         omega_err = self.omega_des - estimate.omega
         m_des = rate_control(

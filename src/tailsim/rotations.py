@@ -1,12 +1,9 @@
-"""Quaternion and rotation helpers.
+"""Quaternion helpers: the package's one rotation type.
 
 Conventions used throughout the package:
 
 * Quaternions are scalar-first arrays ``(w, x, y, z)`` of unit norm using
-  the Hamilton product.
-* ``quat_to_matrix(q)`` returns the body-to-world direction cosine matrix:
-  ``v_world = R @ v_body``.  Its transpose transforms world vectors into
-  the body frame.
+  the Hamilton product, rotating body vectors into the world frame.
 * Body-rate kinematics: ``q_dot = 0.5 * q * (0, omega_body)``, so a body
   turning at constant rate integrates as a right multiplication.
 
@@ -15,9 +12,16 @@ to quaternion and back, and quaternion to matrix each exist once, as a
 core on tuples of Python floats (the ``*_f`` functions).  Python-float
 arithmetic is the same IEEE double arithmetic as numpy's elementwise
 operations but costs a fraction of it on 3- and 4-element values, so
-the 1 kHz sensing and estimation path calls the cores directly; the
-array functions of the same names without ``_f`` are one-line wrappers
-over them.
+the 1 kHz sensing and estimation path and the attitude loop call the
+cores directly; the array functions of the same names without ``_f``
+are one-line wrappers over them.
+
+Rotation matrices are an output only: ``quat_to_matrix(q)`` returns the
+body-to-world direction cosine matrix (``v_world = R @ v_body``; its
+transpose maps world vectors into the body frame), and nothing converts
+a matrix back.  Every rotation that reaches the run log is computed from
+quaternion components with explicit float arithmetic, never by a BLAS
+matrix product, so the log does not depend on which BLAS kernel loads.
 """
 
 from __future__ import annotations
@@ -92,17 +96,6 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     return np.array(quat_normalize_f(q))
 
 
-def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Unit quaternion rotating by ``angle`` (rad) about ``axis``."""
-    axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
-    if n == 0.0:
-        raise ValueError("rotation axis must be nonzero")
-    half = 0.5 * angle
-    s = math.sin(half) / n
-    return np.array([math.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
-
-
 def quat_from_rotvec(r: np.ndarray) -> np.ndarray:
     """Unit quaternion for a rotation vector (axis * angle)."""
     return np.array(quat_from_rotvec_f(r))
@@ -128,57 +121,6 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     return np.array(quat_to_matrix_f(np.asarray(q, dtype=float).tolist())).reshape(3, 3)
 
 
-def matrix_to_quat(R: np.ndarray) -> np.ndarray:
-    """Unit quaternion of a rotation matrix (Shepperd's method)."""
-    t = R[0, 0] + R[1, 1] + R[2, 2]
-    if t > 0.0:
-        s = math.sqrt(t + 1.0) * 2.0
-        q = np.array(
-            [
-                0.25 * s,
-                (R[2, 1] - R[1, 2]) / s,
-                (R[0, 2] - R[2, 0]) / s,
-                (R[1, 0] - R[0, 1]) / s,
-            ]
-        )
-    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
-        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array(
-            [
-                (R[2, 1] - R[1, 2]) / s,
-                0.25 * s,
-                (R[0, 1] + R[1, 0]) / s,
-                (R[0, 2] + R[2, 0]) / s,
-            ]
-        )
-    elif R[1, 1] >= R[2, 2]:
-        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array(
-            [
-                (R[0, 2] - R[2, 0]) / s,
-                (R[0, 1] + R[1, 0]) / s,
-                0.25 * s,
-                (R[1, 2] + R[2, 1]) / s,
-            ]
-        )
-    else:
-        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array(
-            [
-                (R[1, 0] - R[0, 1]) / s,
-                (R[0, 2] + R[2, 0]) / s,
-                (R[1, 2] + R[2, 1]) / s,
-                0.25 * s,
-            ]
-        )
-    return quat_normalize(q)
-
-
-def rotvec_from_matrix(R: np.ndarray) -> np.ndarray:
-    """Rotation vector of a rotation matrix, robust near 0 and pi."""
-    return quat_to_rotvec(matrix_to_quat(R))
-
-
 def quat_integrate_f(q, omega_body, dt: float) -> tuple:
     """Attitude advanced by a body rate held constant over ``dt``, as floats."""
     wx, wy, wz = omega_body
@@ -202,59 +144,6 @@ def quat_derivative(q: np.ndarray, omega_body: np.ndarray) -> np.ndarray:
             w * oz + x * oy - y * ox + z * ow,
         ]
     )
-
-
-def rotation_between(u: np.ndarray, v: np.ndarray, fallback_axis: np.ndarray | None = None) -> np.ndarray:
-    """Minimal rotation matrix taking unit vector ``u`` onto unit vector ``v``.
-
-    The rotation axis is ``u x v``.  For the antipodal case (``u ~ -v``)
-    the axis is ill-defined; ``fallback_axis`` (must be orthogonal to
-    ``u``) selects the 180-degree rotation plane then.
-    """
-    ux, uy, uz = float(u[0]), float(u[1]), float(u[2])
-    vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
-    c = ux * vx + uy * vy + uz * vz
-    ax = uy * vz - uz * vy
-    ay = uz * vx - ux * vz
-    az = ux * vy - uy * vx
-    s2 = ax * ax + ay * ay + az * az
-    if s2 < 1e-24:
-        if c > 0.0:
-            return np.eye(3)
-        if fallback_axis is None:
-            raise ValueError("antipodal vectors need an explicit fallback axis")
-        return quat_to_matrix(quat_from_axis_angle(fallback_axis, math.pi))
-    # Rodrigues with k = axis (unnormalised, |k| = sin):
-    # R = I + K + K^2 (1 - cos) / sin^2
-    f = (1.0 - c) / s2
-    return np.array(
-        [
-            [1.0 - f * (ay * ay + az * az), -az + f * ax * ay, ay + f * ax * az],
-            [az + f * ax * ay, 1.0 - f * (ax * ax + az * az), -ax + f * ay * az],
-            [-ay + f * ax * az, ax + f * ay * az, 1.0 - f * (ax * ax + ay * ay)],
-        ]
-    )
-
-
-def euler_zyx_from_matrix(R: np.ndarray, gimbal_tol: float = 1e-6) -> tuple[np.ndarray, bool]:
-    """Intrinsic Z-Y-X Euler angles (roll, pitch, yaw) of a rotation matrix.
-
-    Returns ``(angles, ok)`` where ``angles = (phi, theta, psi)`` satisfies
-    ``R = Rz(psi) @ Ry(theta) @ Rx(phi)``.  ``ok`` is False within
-    ``gimbal_tol`` of the ``|theta| = pi/2`` singularity, where the
-    extraction is unreliable and callers should fall back to a rotation
-    vector.
-    """
-    sin_theta = -R[2, 0]
-    if abs(sin_theta) >= 1.0 - gimbal_tol:
-        theta = math.copysign(0.5 * math.pi, sin_theta)
-        # roll/yaw are degenerate here; report their sum in phi
-        phi = math.atan2(-R[1, 2], R[1, 1])
-        return np.array([phi, theta, 0.0]), False
-    theta = math.asin(sin_theta)
-    phi = math.atan2(R[2, 1], R[2, 2])
-    psi = math.atan2(R[1, 0], R[0, 0])
-    return np.array([phi, theta, psi]), True
 
 
 def wrap_angle(a: float) -> float:

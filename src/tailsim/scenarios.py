@@ -26,7 +26,7 @@ from .config import MIN_LEG_LENGTH_M, Config
 from .control import CascadeController, Setpoint
 from .errors import DomainError, MetricsWindowError, SimulationDivergedError
 from .model import VehicleParams, total_wrench
-from .rotations import matrix_to_quat, quat_to_matrix, wrap_angle
+from .rotations import quat_to_matrix, wrap_angle
 from .sim import (
     ComplementaryEstimator,
     DisturbanceSpec,
@@ -96,7 +96,8 @@ def _make_legs(
     t0 = 0.0
     for a, b in zip(points[:-1], points[1:]):
         delta = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-        length = float(np.linalg.norm(delta))
+        dx, dy, dz = delta.tolist()
+        length = math.sqrt(dx * dx + dy * dy + dz * dz)
         if length < MIN_LEG_LENGTH_M:
             continue
         t_acc = speed / accel
@@ -395,11 +396,16 @@ def metrics(log: ScenarioLog, transient_window_s: float = 5.0) -> Metrics:
 
 
 def hover_attitude(yaw: float) -> np.ndarray:
-    """Body-to-world quaternion of the level hover attitude at heading ``yaw``."""
-    c, s = math.cos(yaw), math.sin(yaw)
-    rot_z = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    flip = np.diag([1.0, -1.0, -1.0])
-    return matrix_to_quat(rot_z @ flip)
+    """Body-to-world quaternion of the level hover attitude at heading ``yaw``.
+
+    ``Rz(yaw) diag(1, -1, -1)`` is ``(0, cos(yaw/2), sin(yaw/2), 0)``, up
+    to sign; the sign whose larger component is positive is returned, as
+    Shepperd's matrix-to-quaternion method picks it.
+    """
+    c, s = math.cos(0.5 * yaw), math.sin(0.5 * yaw)
+    if s < -c:
+        c, s = -c, -s
+    return np.array([0.0, c, s, 0.0])
 
 
 def initial_state(config: Config, scenario: Scenario) -> VehicleState:

@@ -7,7 +7,9 @@ matrix algebra, the actuator lag is a one-shot exponential step, and the
 sensing-and-fusion path (quaternion helpers, low-pass filter,
 complementary estimator, accelerometer formula) works on numpy arrays.
 Synthetic bench records are built one record at a time from the same
-per-side wrenches.
+per-side wrenches.  The attitude loop is the rotation-matrix version:
+Rodrigues tilt times heading times hover flip, and Z-Y-X Euler angles
+read from the error matrix.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tailsim.control import StateEstimate
-from tailsim.errors import DomainError
+from tailsim.control import FORCE_FLOOR, ControllerGains, StateEstimate
+from tailsim.errors import DegenerateThrustError, DomainError
 from tailsim.model import ActuatorState, VehicleParams, Wrench, aero_wrench, prop_wrench
 from tailsim.rotations import quat_derivative, quat_to_matrix
 from tailsim.sim import SensorSample, VehicleState
@@ -255,3 +257,163 @@ class ArrayComplementaryEstimator:
 
     def estimate(self) -> StateEstimate:
         return StateEstimate(self.p.copy(), self.v.copy(), self.q.copy(), self.omega.copy())
+
+
+# ---------------------------------------------------------------------------
+# Matrix-based attitude loop: the desired attitude as a world-to-body
+# matrix and the attitude error as a matrix product.  The package builds
+# the same rotations from quaternion components; the tests require
+# agreement to rounding.
+
+# Hover attitude at zero heading: body -z up, body x along world x.
+_R_BW_HOVER0 = np.diag([1.0, -1.0, -1.0])
+
+
+def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
+    """Unit quaternion rotating by ``angle`` (rad) about ``axis``."""
+    axis = np.asarray(axis, dtype=float)
+    n = np.linalg.norm(axis)
+    if n == 0.0:
+        raise ValueError("rotation axis must be nonzero")
+    half = 0.5 * angle
+    s = math.sin(half) / n
+    return np.array([math.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
+
+
+def matrix_to_quat(R: np.ndarray) -> np.ndarray:
+    """Unit quaternion of a rotation matrix (Shepperd's method)."""
+    t = R[0, 0] + R[1, 1] + R[2, 2]
+    if t > 0.0:
+        s = math.sqrt(t + 1.0) * 2.0
+        q = np.array(
+            [
+                0.25 * s,
+                (R[2, 1] - R[1, 2]) / s,
+                (R[0, 2] - R[2, 0]) / s,
+                (R[1, 0] - R[0, 1]) / s,
+            ]
+        )
+    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
+        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
+        q = np.array(
+            [
+                (R[2, 1] - R[1, 2]) / s,
+                0.25 * s,
+                (R[0, 1] + R[1, 0]) / s,
+                (R[0, 2] + R[2, 0]) / s,
+            ]
+        )
+    elif R[1, 1] >= R[2, 2]:
+        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
+        q = np.array(
+            [
+                (R[0, 2] - R[2, 0]) / s,
+                (R[0, 1] + R[1, 0]) / s,
+                0.25 * s,
+                (R[1, 2] + R[2, 1]) / s,
+            ]
+        )
+    else:
+        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
+        q = np.array(
+            [
+                (R[1, 0] - R[0, 1]) / s,
+                (R[0, 2] + R[2, 0]) / s,
+                (R[1, 2] + R[2, 1]) / s,
+                0.25 * s,
+            ]
+        )
+    return quat_normalize(q)
+
+
+def rotvec_from_matrix(R: np.ndarray) -> np.ndarray:
+    """Rotation vector of a rotation matrix, robust near 0 and pi."""
+    return quat_to_rotvec(matrix_to_quat(R))
+
+
+def rotation_between(u: np.ndarray, v: np.ndarray, fallback_axis: np.ndarray | None = None) -> np.ndarray:
+    """Minimal rotation matrix taking unit vector ``u`` onto unit vector ``v``.
+
+    The rotation axis is ``u x v``.  For the antipodal case (``u ~ -v``)
+    the axis is ill-defined; ``fallback_axis`` (must be orthogonal to
+    ``u``) selects the 180-degree rotation plane then.
+    """
+    ux, uy, uz = float(u[0]), float(u[1]), float(u[2])
+    vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
+    c = ux * vx + uy * vy + uz * vz
+    ax = uy * vz - uz * vy
+    ay = uz * vx - ux * vz
+    az = ux * vy - uy * vx
+    s2 = ax * ax + ay * ay + az * az
+    if s2 < 1e-24:
+        if c > 0.0:
+            return np.eye(3)
+        if fallback_axis is None:
+            raise ValueError("antipodal vectors need an explicit fallback axis")
+        return quat_to_matrix(quat_from_axis_angle(fallback_axis, math.pi))
+    # Rodrigues with k = axis (unnormalised, |k| = sin):
+    # R = I + K + K^2 (1 - cos) / sin^2
+    f = (1.0 - c) / s2
+    return np.array(
+        [
+            [1.0 - f * (ay * ay + az * az), -az + f * ax * ay, ay + f * ax * az],
+            [az + f * ax * ay, 1.0 - f * (ax * ax + az * az), -ax + f * ay * az],
+            [-ay + f * ax * az, ax + f * ay * az, 1.0 - f * (ax * ax + ay * ay)],
+        ]
+    )
+
+
+def euler_zyx_from_matrix(R: np.ndarray, gimbal_tol: float = 1e-6) -> tuple[np.ndarray, bool]:
+    """Intrinsic Z-Y-X Euler angles (roll, pitch, yaw) of a rotation matrix.
+
+    Returns ``(angles, ok)`` where ``angles = (phi, theta, psi)`` satisfies
+    ``R = Rz(psi) @ Ry(theta) @ Rx(phi)``.  ``ok`` is False within
+    ``gimbal_tol`` of the ``|theta| = pi/2`` singularity, where the
+    extraction is unreliable and callers should fall back to a rotation
+    vector.
+    """
+    sin_theta = -R[2, 0]
+    if abs(sin_theta) >= 1.0 - gimbal_tol:
+        theta = math.copysign(0.5 * math.pi, sin_theta)
+        # roll/yaw are degenerate here; report their sum in phi
+        phi = math.atan2(-R[1, 2], R[1, 1])
+        return np.array([phi, theta, 0.0]), False
+    theta = math.asin(sin_theta)
+    phi = math.atan2(R[2, 1], R[2, 2])
+    psi = math.atan2(R[1, 0], R[0, 0])
+    return np.array([phi, theta, psi]), True
+
+
+def attitude_setpoint(
+    f_des: np.ndarray, psi_des: float, params: VehicleParams
+) -> tuple[np.ndarray, float]:
+    """Desired world-to-body rotation and per-rotor thrust from a desired force."""
+    f_des = np.asarray(f_des, dtype=float)
+    norm = float(np.linalg.norm(f_des))
+    if not np.all(np.isfinite(f_des)) or norm < FORCE_FLOOR:
+        raise DegenerateThrustError(
+            f"|f_des| = {norm:.3e} N is below the {FORCE_FLOOR:.0e} N floor"
+        )
+    f_hat = f_des / norm
+
+    c, s = math.cos(psi_des), math.sin(psi_des)
+    R_z = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    # Minimal world-frame tilt from straight-up thrust onto f_hat.  For a
+    # force pointing straight down the tilt axis is arbitrary; pitch
+    # about the heading-rotated y axis then.
+    R_xy = rotation_between(
+        np.array([0.0, 0.0, 1.0]), f_hat, fallback_axis=R_z @ np.array([0.0, 1.0, 0.0])
+    )
+    R_bw_des = R_xy @ R_z @ _R_BW_HOVER0
+    return R_bw_des.T, 0.5 * norm
+
+
+def attitude_control(
+    R_wb_est: np.ndarray, R_wb_des: np.ndarray, gains: ControllerGains
+) -> np.ndarray:
+    """Body-rate command from the Z-Y-X Euler angles of ``R_est @ R_des^-1``."""
+    R_err = R_wb_est @ R_wb_des.T
+    angles, ok = euler_zyx_from_matrix(R_err)
+    if not ok:
+        angles = rotvec_from_matrix(R_err)
+    return angles / gains.tau_att

@@ -174,3 +174,14 @@ def test_sysid_fit_insufficient_excitation(tmp_path, capsys):
                  str(tmp_path / "fitted.cfg")])
     assert code == 1
     assert "error: category=insufficient-excitation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--omega-count", "--delta-count"])
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_sysid_synth_count_below_one_is_usage_error(tmp_path, capsys, flag, count):
+    out = tmp_path / "bench.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sysid", "synth", "--out", str(out), flag, count])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: must be at least 1, got {count}" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,7 +2,9 @@
 
 Expected numbers were computed independently from the stated control
 laws (PD position law, per-axis first-order rate law with gyroscopic
-feedforward, closed-form actuator inverse) and frozen as literals.
+feedforward, closed-form actuator inverse) and frozen as literals.  The
+quaternion attitude loop is also checked against the rotation-matrix
+version in the oracles module.
 """
 
 import math
@@ -30,9 +32,17 @@ from tailsim.control import (
 )
 from tailsim.errors import DegenerateThrustError, DomainError, InfeasibleRollError
 from tailsim.model import ActuatorState, VehicleParams
-from tailsim.rotations import quat_to_matrix
+from tailsim.rotations import (
+    quat_conjugate,
+    quat_from_rotvec,
+    quat_multiply,
+    quat_to_matrix,
+    quat_to_rotvec,
+)
 from tailsim.scenarios import hover_attitude
 from tailsim.sim import VehicleState, step
+
+import oracles
 
 PARAMS = VehicleParams()
 GAINS = ControllerGains()
@@ -83,15 +93,15 @@ def test_position_control_horizontal_gains():
 # --------------------------------------------------------------------------
 
 def test_attitude_setpoint_hover():
-    R_wb, f_a = attitude_setpoint(np.array([0.0, 0.0, 6.3765]), 0.0, PARAMS)
+    q_des, f_a = attitude_setpoint(np.array([0.0, 0.0, 6.3765]), 0.0, PARAMS)
     assert f_a == pytest.approx(3.18825, rel=1e-12)
-    assert np.allclose(R_wb, np.diag([1.0, -1.0, -1.0]), atol=1e-15)
+    assert np.allclose(quat_to_matrix(q_des), np.diag([1.0, -1.0, -1.0]), atol=1e-15)
 
 
 def test_attitude_setpoint_heading_only():
     psi = 0.7
-    R_wb, _ = attitude_setpoint(np.array([0.0, 0.0, 6.3765]), psi, PARAMS)
-    R_bw = R_wb.T
+    q_des, _ = attitude_setpoint(np.array([0.0, 0.0, 6.3765]), psi, PARAMS)
+    R_bw = quat_to_matrix(q_des)
     # thrust axis (body -z) still world-up; body x rotated to the heading
     assert np.allclose(R_bw @ [0.0, 0.0, -1.0], [0.0, 0.0, 1.0], atol=1e-14)
     assert np.allclose(R_bw @ [1.0, 0.0, 0.0], [math.cos(psi), math.sin(psi), 0.0], atol=1e-14)
@@ -99,17 +109,18 @@ def test_attitude_setpoint_heading_only():
 
 def test_attitude_setpoint_tilts_thrust_axis_onto_force():
     f_des = np.array([1.0, -0.5, 6.0])
-    R_wb, f_a = attitude_setpoint(f_des, 0.3, PARAMS)
+    q_des, f_a = attitude_setpoint(f_des, 0.3, PARAMS)
+    R_bw = quat_to_matrix(q_des)
     f_hat = f_des / np.linalg.norm(f_des)
-    assert np.allclose(R_wb.T @ [0.0, 0.0, -1.0], f_hat, atol=1e-13)
+    assert np.allclose(R_bw @ [0.0, 0.0, -1.0], f_hat, atol=1e-13)
     assert f_a == pytest.approx(0.5 * np.linalg.norm(f_des), rel=1e-14)
-    assert np.allclose(R_wb @ R_wb.T, np.eye(3), atol=1e-13)
-    assert np.linalg.det(R_wb) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(R_bw @ R_bw.T, np.eye(3), atol=1e-13)
+    assert np.linalg.det(R_bw) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_attitude_setpoint_straight_down_force_uses_fallback():
-    R_wb, _ = attitude_setpoint(np.array([0.0, 0.0, -2.0]), 0.0, PARAMS)
-    assert np.allclose(R_wb.T @ [0.0, 0.0, -1.0], [0.0, 0.0, -1.0], atol=1e-13)
+    q_des, _ = attitude_setpoint(np.array([0.0, 0.0, -2.0]), 0.0, PARAMS)
+    assert np.allclose(quat_to_matrix(q_des) @ [0.0, 0.0, -1.0], [0.0, 0.0, -1.0], atol=1e-13)
 
 
 def test_attitude_setpoint_rejects_tiny_force():
@@ -118,14 +129,14 @@ def test_attitude_setpoint_rejects_tiny_force():
 
 
 def test_attitude_control_zero_error():
-    R = quat_to_matrix(hover_attitude(0.4)).T
-    assert np.allclose(attitude_control(R, R, GAINS), np.zeros(3), atol=1e-14)
+    q = hover_attitude(0.4)
+    assert np.allclose(attitude_control(q, q, GAINS), np.zeros(3), atol=1e-14)
 
 
 def test_attitude_control_yaw_error_rate():
-    R_des = quat_to_matrix(hover_attitude(0.0)).T
-    R_est = quat_to_matrix(hover_attitude(0.1)).T
-    w = attitude_control(R_est, R_des, GAINS)
+    q_des = hover_attitude(0.0)
+    q_est = hover_attitude(0.1)
+    w = attitude_control(q_est, q_des, GAINS)
     # 0.1 rad heading error over tau_att = 0.2 s -> 0.5 rad/s about body z
     assert w[2] == pytest.approx(0.5, rel=1e-9)
     assert np.allclose(w[:2], 0.0, atol=1e-12)
@@ -133,9 +144,77 @@ def test_attitude_control_yaw_error_rate():
 
 def test_attitude_control_error_scales_inverse_tau():
     gains_fast = ControllerGains(tau_att=0.1)
-    R_des = quat_to_matrix(hover_attitude(0.0)).T
-    R_est = quat_to_matrix(hover_attitude(0.1)).T
-    assert attitude_control(R_est, R_des, gains_fast)[2] == pytest.approx(1.0, rel=1e-9)
+    q_des = hover_attitude(0.0)
+    q_est = hover_attitude(0.1)
+    assert attitude_control(q_est, q_des, gains_fast)[2] == pytest.approx(1.0, rel=1e-9)
+
+
+def test_attitude_control_recovers_euler_angles():
+    # an error rotation Rz(yaw) Ry(pitch) Rx(roll) reads back as its angles
+    roll, pitch, yaw = 0.2, -0.4, 1.1
+    err = quat_multiply(
+        quat_multiply(quat_from_rotvec([0.0, 0.0, yaw]), quat_from_rotvec([0.0, pitch, 0.0])),
+        quat_from_rotvec([roll, 0.0, 0.0]),
+    )
+    q_est = hover_attitude(0.3)
+    w = attitude_control(q_est, quat_multiply(q_est, err), GAINS)
+    assert np.allclose(w * GAINS.tau_att, [roll, pitch, yaw], atol=1e-12)
+
+
+def test_attitude_control_gimbal_lock_uses_rotation_vector():
+    # pitch -pi/2 with roll and yaw: the Euler angles are undefined, so
+    # the command follows the rotation vector of the error
+    err = quat_multiply(
+        quat_multiply(quat_from_rotvec([0.0, 0.0, 0.2]), quat_from_rotvec([0.0, -0.5 * math.pi, 0.0])),
+        quat_from_rotvec([0.3, 0.0, 0.0]),
+    )
+    q_est = hover_attitude(-0.6)
+    w = attitude_control(q_est, quat_multiply(q_est, err), GAINS)
+    assert np.isfinite(w).all()
+    assert np.allclose(w * GAINS.tau_att, quat_to_rotvec(err), atol=1e-12)
+
+
+def _random_quat(rng):
+    q = rng.standard_normal(4)
+    return q / np.linalg.norm(q)
+
+
+def _assert_matches_matrix_oracle(f_des, psi, q_est):
+    q_des, f_a = attitude_setpoint(f_des, psi, PARAMS)
+    R_wb_des, f_a_oracle = oracles.attitude_setpoint(f_des, psi, PARAMS)
+    assert f_a == pytest.approx(f_a_oracle, rel=1e-15)
+    assert np.max(np.abs(quat_to_matrix(q_des) - R_wb_des.T)) <= 1e-14
+    w = attitude_control(q_est, q_des, GAINS)
+    w_oracle = oracles.attitude_control(quat_to_matrix(q_est).T, R_wb_des, GAINS)
+    assert np.max(np.abs(w - w_oracle)) <= 1e-12 * np.max(np.abs(w_oracle))
+
+
+def test_attitude_loop_matches_matrix_oracle_random():
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        f_des = rng.standard_normal(3) * rng.uniform(0.1, 20.0)
+        _assert_matches_matrix_oracle(f_des, rng.uniform(-math.pi, math.pi), _random_quat(rng))
+
+
+def test_attitude_loop_matches_matrix_oracle_special_forces():
+    rng = np.random.default_rng(22)
+    hover = np.array([0.0, 0.0, PARAMS.m * PARAMS.g_mag])
+    for psi in np.linspace(-math.pi, math.pi, 13)[1:]:
+        a = rng.uniform(-math.pi, math.pi)
+        nearly_down = np.array([1e-7 * math.cos(a), 1e-7 * math.sin(a), -1.0])
+        for f_des in (hover, np.array([0.0, 0.0, -2.0]), nearly_down):
+            _assert_matches_matrix_oracle(f_des, psi, _random_quat(rng))
+        _assert_matches_matrix_oracle(hover, psi, hover_attitude(psi + 0.05))
+
+
+def test_attitude_loop_matches_matrix_oracle_at_gimbal_lock():
+    q_des, _ = attitude_setpoint(np.array([0.5, -0.2, 6.0]), 0.4, PARAMS)
+    # the estimate sits so that the error q_est^-1 q_des is yaw 0.2 after pitch pi/2
+    err = quat_multiply(quat_from_rotvec([0.0, 0.0, 0.2]), quat_from_rotvec([0.0, 0.5 * math.pi, 0.0]))
+    q_est = quat_multiply(q_des, quat_conjugate(err))
+    w = attitude_control(q_est, q_des, GAINS)
+    assert np.allclose(w * GAINS.tau_att, quat_to_rotvec(err), atol=1e-12)
+    _assert_matches_matrix_oracle(np.array([0.5, -0.2, 6.0]), 0.4, q_est)
 
 
 # --------------------------------------------------------------------------

@@ -4,20 +4,33 @@ Each run-log digest is the SHA-256 of ``ScenarioLog.to_csv()`` for a 6 s
 run at the default seed, measured on Python 3.11.7 with numpy 2.4.6 (600
 rows each).  A mismatch means the change altered the simulated
 trajectory, the controller's schedule, the noise stream or the CSV
-format.
+format.  No BLAS call produces a value that reaches the run log, so the
+log digests do not depend on which OpenBLAS kernel numpy loads;
+``test_log_digests_hold_on_every_openblas_kernel`` checks that on every
+kernel this CPU can run.
 
 The sysid digests cover the bench CSV written by ``tailsim sysid synth``
 (12 x 13 grid, 5 % noise, seed 1) and the ``sysid fit --intercept`` file
 made from it: the synthetic model, its noise stream, the ``%.17g`` CSV
-format and the least-squares fit.
+format and the least-squares fit.  The fit goes through LAPACK, so the
+fit-file digest holds only on the OpenBLAS kernel it was measured on
+(SkylakeX).
 
 A deliberate change to the closed loop re-pins the digests; the reason
 and each old and new digest are recorded in CHANGES.md.
 """
 
 import hashlib
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+import tailsim
 
 from tailsim.cli import main
 from tailsim.config import Config, apply_overrides
@@ -25,13 +38,13 @@ from tailsim.scenarios import run_scenario
 
 GOLDEN = {
     ("hover", "complementary"):
-        "67b5b940ed77ddf06d54027e0804660fcc6ff55de14cb2eb278b6e1be9ae2ab2",
+        "45df16eb56ae635d000a587a79c23c21fe8d6c57716f602bad1ae62c8d17de56",
     ("circle", "perfect"):
-        "915297a8cb2883e6b0316c382436f6d6aa70bae11e000e3b1ff1f1ee3a2a6558",
+        "ed9feacf69d09c6b26a5f9843f1294527efe1d8ece2c4e4fe28a0062aa6563ab",
     ("waypoint", "perfect"):
-        "f07a4643eefc0cd6775a0ce6e37962e0d3725d97467e4bb9ea453cd71132f6ca",
+        "5d2fc48cd092db448d40f9dc662f656f9b015d83b7e9cd839360ba4b41794266",
     ("star", "complementary"):
-        "a2b0e781a060e87183e61ab0321720e2f4c6d521dd841f4d1e933d8e4d2506d0",
+        "f63c56eb6b958e05c89c626478366110cb6c82808fe0dac4f034f8186e705c2b",
 }
 
 
@@ -44,6 +57,62 @@ def test_log_digest_matches_golden(scenario, estimator):
     assert len(log) == 600
     digest = hashlib.sha256(log.to_csv().encode()).hexdigest()
     assert digest == GOLDEN[(scenario, estimator)]
+
+
+def _numpy_uses_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError, ValueError):
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+def _openblas_kernels() -> list[str]:
+    """OpenBLAS kernels this x86-64 CPU can run, by its instruction sets."""
+    try:
+        flags = set(Path("/proc/cpuinfo").read_text().split())
+    except OSError:
+        flags = set()
+    kernels = ["Nehalem"]
+    if "avx2" in flags:
+        kernels += ["Haswell", "Zen"]
+    if "avx512f" in flags:
+        kernels.append("SkylakeX")
+    return kernels
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS kernels are x86-64"
+)
+@pytest.mark.skipif(not _numpy_uses_openblas(), reason="numpy is not linked to OpenBLAS")
+def test_log_digests_hold_on_every_openblas_kernel():
+    # OPENBLAS_CORETYPE is read once, when numpy loads, so each kernel
+    # needs its own interpreter; the runs are independent and go in parallel
+    env = dict(os.environ)
+    src = str(Path(tailsim.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    root = Path(__file__).resolve().parent.parent
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+           "-p", "no:hypothesispytest", f"{Path(__file__).resolve()}::test_log_digest_matches_golden"]
+    runs = {
+        kernel: subprocess.Popen(
+            cmd, cwd=root, env={**env, "OPENBLAS_CORETYPE": kernel},
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        for kernel in _openblas_kernels()
+    }
+    failed = {}
+    for kernel, proc in runs.items():
+        try:
+            out, _ = proc.communicate(timeout=300)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            out = proc.communicate()[0] + "\ntimed out after 300 s"
+        if proc.returncode != 0:
+            failed[kernel] = out[-2000:]
+    assert not failed, f"log digests differ under {sorted(failed)}:\n" + "\n".join(
+        f"--- {k} ---\n{v}" for k, v in failed.items()
+    )
 
 
 SYSID_GOLDEN = {

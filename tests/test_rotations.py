@@ -1,4 +1,4 @@
-"""Quaternion and rotation-matrix utilities."""
+"""Quaternion utilities and the quaternion-to-matrix output."""
 
 import math
 
@@ -9,18 +9,14 @@ from hypothesis import strategies as st
 
 from tailsim.rotations import (
     QUAT_IDENTITY,
-    euler_zyx_from_matrix,
-    matrix_to_quat,
     quat_conjugate,
     quat_derivative,
-    quat_from_axis_angle,
     quat_from_rotvec,
     quat_integrate,
     quat_multiply,
     quat_normalize,
     quat_to_matrix,
     quat_to_rotvec,
-    rotation_between,
     wrap_angle,
 )
 
@@ -42,19 +38,9 @@ def test_identity_is_noop():
 
 
 def test_axis_angle_quarter_turn_about_z():
-    q = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), math.pi / 2)
+    q = quat_from_rotvec(np.array([0.0, 0.0, math.pi / 2]))
     R = quat_to_matrix(q)
     assert np.allclose(R @ np.array([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-15)
-
-
-def test_matrix_quat_round_trip():
-    for q in random_quats(200):
-        R = quat_to_matrix(q)
-        q2 = matrix_to_quat(R)
-        # same rotation up to global sign
-        assert min(np.linalg.norm(q - q2), np.linalg.norm(q + q2)) < 1e-12
-        assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
-        assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_multiply_matches_matrix_product():
@@ -105,44 +91,6 @@ def test_derivative_points_along_multiplication():
     q2 = quat_normalize(q + dq * h)
     q_ref = quat_integrate(q, omega, h)
     assert np.allclose(q2, q_ref, atol=1e-12)
-
-
-def test_rotation_between_aligns_vectors():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        u = rng.standard_normal(3)
-        v = rng.standard_normal(3)
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
-        R = rotation_between(u, v)
-        assert np.allclose(R @ u, v, atol=1e-12)
-        assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_rotation_between_antipodal_uses_fallback():
-    u = np.array([0.0, 0.0, 1.0])
-    R = rotation_between(u, -u, fallback_axis=np.array([0.0, 1.0, 0.0]))
-    assert np.allclose(R @ u, -u, atol=1e-12)
-
-
-def test_euler_zyx_recovers_angles():
-    roll, pitch, yaw = 0.2, -0.4, 1.1
-    cz, sz = math.cos(yaw), math.sin(yaw)
-    cy, sy = math.cos(pitch), math.sin(pitch)
-    cx, sx = math.cos(roll), math.sin(roll)
-    Rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1.0]])
-    Ry = np.array([[cy, 0, sy], [0, 1.0, 0], [-sy, 0, cy]])
-    Rx = np.array([[1.0, 0, 0], [0, cx, -sx], [0, sx, cx]])
-    angles, ok = euler_zyx_from_matrix(Rz @ Ry @ Rx)
-    assert ok
-    assert np.allclose(angles, [roll, pitch, yaw], atol=1e-12)
-
-
-def test_euler_zyx_flags_gimbal_lock():
-    Ry = np.array([[0.0, 0, 1.0], [0, 1.0, 0], [-1.0, 0, 0]])  # pitch = -pi/2
-    angles, ok = euler_zyx_from_matrix(Ry)
-    assert not ok
-    assert np.isfinite(angles).all()
 
 
 def test_wrap_angle_range_and_fixed_points():

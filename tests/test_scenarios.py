@@ -21,6 +21,8 @@ from tailsim.scenarios import (
     run_scenario,
 )
 
+import oracles
+
 IDX = {name: i for i, name in enumerate(LOG_COLUMNS)}
 
 
@@ -233,12 +235,10 @@ def test_metrics_latency_of_shifted_response():
 
 
 def test_metrics_peak_pitch_from_tilted_attitude():
-    from tailsim.rotations import matrix_to_quat
-
+    # Ry(tilt) diag(1, -1, -1): the zero-heading hover attitude pitched
+    # by tilt about world y
     tilt = 0.3
-    c, s = math.cos(tilt), math.sin(tilt)
-    R_y = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-    q = matrix_to_quat(R_y @ np.diag([1.0, -1.0, -1.0]))
+    q = np.array([0.0, math.cos(0.5 * tilt), 0.0, -math.sin(0.5 * tilt)])
     t = np.arange(0.0, 10.0, 0.01)
     log = synth_log(t, qw=np.full_like(t, q[0]), qx=np.full_like(t, q[1]),
                     qy=np.full_like(t, q[2]), qz=np.full_like(t, q[3]))
@@ -316,6 +316,16 @@ def test_hover_attitude_matrix():
         expect = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ np.diag([1.0, -1.0, -1.0])
         assert np.allclose(R, expect, atol=1e-14)
         assert np.linalg.norm(hover_attitude(yaw)) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_hover_attitude_sign_matches_matrix_conversion():
+    # the quaternion of Rz(yaw) diag(1, -1, -1) has two signs; hover_attitude
+    # returns the one Shepperd's matrix-to-quaternion method returns
+    flip = np.diag([1.0, -1.0, -1.0])
+    for yaw in np.linspace(-math.pi, math.pi, 721)[1:]:
+        c, s = math.cos(yaw), math.sin(yaw)
+        R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ flip
+        assert np.allclose(hover_attitude(yaw), oracles.matrix_to_quat(R), rtol=0.0, atol=1e-15)
 
 
 def test_initial_state_starts_on_reference():
