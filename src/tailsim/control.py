@@ -21,14 +21,19 @@ The rotor lag is known and the command is held over the tick, so the
 lag inversion is exact as long as nothing clips; loop tuning therefore
 reduces to the time constants in :class:`ControllerGains`.  Elevon lag
 is not compensated.
+
+Every stage computes on Python floats: setpoints and estimates carry
+tuples of floats, and each control law returns its vector output as a
+tuple.  The laws also accept arrays (their entries are unpacked), and
+numpy's elementwise arithmetic is the same IEEE arithmetic, so the
+numbers do not depend on which is passed.  Finiteness and domain checks
+run on the floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import DegenerateThrustError, DomainError, InfeasibleRollError
 from .model import VehicleParams
@@ -99,31 +104,41 @@ class LoopRates:
 
 @dataclass
 class Setpoint:
-    """Trajectory sample handed to the controller."""
+    """Trajectory sample handed to the controller.
 
-    p_des: np.ndarray                 # desired position, world frame, m
-    v_des: np.ndarray                 # desired velocity, world frame, m/s
+    Any 3-sequences are accepted for the position and velocity; they are
+    stored as tuples of Python floats.
+    """
+
+    p_des: tuple                      # desired position, world frame, m
+    v_des: tuple                      # desired velocity, world frame, m/s
     psi_des: float = 0.0              # desired heading, rad, wrapped to (-pi, pi]
 
     def __post_init__(self) -> None:
-        self.p_des = np.asarray(self.p_des, dtype=float)
-        self.v_des = np.asarray(self.v_des, dtype=float)
-        if self.p_des.shape != (3,) or self.v_des.shape != (3,):
+        try:
+            self.p_des = p = tuple(map(float, self.p_des))
+            self.v_des = v = tuple(map(float, self.v_des))
+            psi = float(self.psi_des)
+        except (TypeError, ValueError):
+            raise DomainError("setpoint entries must be real numbers") from None
+        if len(p) != 3 or len(v) != 3:
             raise DomainError("setpoint position/velocity must be 3-vectors")
-        if not (np.all(np.isfinite(self.p_des)) and np.all(np.isfinite(self.v_des))
-                and math.isfinite(self.psi_des)):
+        if not all(map(math.isfinite, (*p, *v, psi))):
             raise DomainError("setpoint must be finite")
-        self.psi_des = wrap_angle(float(self.psi_des))
+        self.psi_des = wrap_angle(psi)
 
 
 @dataclass
 class StateEstimate:
-    """State fed back to the controller (true or estimated)."""
+    """State fed back to the controller (true or estimated).
 
-    p: np.ndarray                     # position, world frame, m
-    v: np.ndarray                     # velocity, world frame, m/s
-    q: np.ndarray                     # attitude quaternion (see rotations module)
-    omega: np.ndarray                 # body rates, rad/s
+    Each field is a sequence of floats; the simulator hands out tuples.
+    """
+
+    p: tuple                          # position, world frame, m
+    v: tuple                          # velocity, world frame, m/s
+    q: tuple                          # attitude quaternion (see rotations module)
+    omega: tuple                      # body rates, rad/s
 
 
 @dataclass
@@ -135,47 +150,41 @@ class ActuatorCommand:
     delta_left: float = 0.0
     delta_right: float = 0.0
 
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.omega_left, self.omega_right, self.delta_left, self.delta_right]
-        )
-
 
 def position_control(
     setpoint: Setpoint,
-    p_est: np.ndarray,
-    v_est: np.ndarray,
+    p_est,
+    v_est,
     gains: ControllerGains,
     params: VehicleParams,
-) -> np.ndarray:
+) -> tuple:
     """Desired world-frame force from position/velocity errors.
 
     Implements ``a_des = -g + (1/tau_p^2) (p_des - p) + (2 zeta_p / tau_p)
     (v_des - v)`` per axis (horizontal and vertical gains differ) and
-    returns ``f_des = m * a_des``.  Gravity enters with a minus sign, so
-    zero errors yield the upward hover force ``(0, 0, m g)``.
+    returns ``f_des = m * a_des`` as three floats.  Gravity enters with a
+    minus sign, so zero errors yield the upward hover force ``(0, 0, m g)``;
+    it has no horizontal part, so the horizontal sums start at the
+    position term.
     """
-    inv_tau2 = np.array(
-        [1.0 / gains.tau_p_xy**2, 1.0 / gains.tau_p_xy**2, 1.0 / gains.tau_p_z**2]
+    px, py, pz = p_est
+    vx, vy, vz = v_est
+    rx, ry, rz = setpoint.p_des
+    ux, uy, uz = setpoint.v_des
+    k_xy, k_z = 1.0 / gains.tau_p_xy**2, 1.0 / gains.tau_p_z**2
+    d_xy = 2.0 * gains.zeta_p_xy / gains.tau_p_xy
+    d_z = 2.0 * gains.zeta_p_z / gains.tau_p_z
+    m = params.m
+    return (
+        m * (k_xy * (rx - px) + d_xy * (ux - vx)),
+        m * (k_xy * (ry - py) + d_xy * (uy - vy)),
+        m * (params.g_mag + k_z * (rz - pz) + d_z * (uz - vz)),
     )
-    damp = np.array(
-        [
-            2.0 * gains.zeta_p_xy / gains.tau_p_xy,
-            2.0 * gains.zeta_p_xy / gains.tau_p_xy,
-            2.0 * gains.zeta_p_z / gains.tau_p_z,
-        ]
-    )
-    a_des = (
-        -params.gravity_world
-        + inv_tau2 * (setpoint.p_des - p_est)
-        + damp * (setpoint.v_des - v_est)
-    )
-    return params.m * a_des
 
 
 def attitude_setpoint(
-    f_des: np.ndarray, psi_des: float, params: VehicleParams
-) -> tuple[np.ndarray, float]:
+    f_des, psi_des: float, params: VehicleParams
+) -> tuple[tuple, float]:
     """Desired attitude and per-rotor thrust from a desired force vector.
 
     ``q_des = q_tilt * (0, cos(psi/2), sin(psi/2), 0)``: the second
@@ -193,12 +202,13 @@ def attitude_setpoint(
 
     Returns:
         ``(q_des, f_a)``: body-to-world quaternion of the desired
-        attitude and the per-rotor thrust ``|f_des| / 2`` in N.
+        attitude (four floats) and the per-rotor thrust ``|f_des| / 2``
+        in N.
 
     Raises:
         DegenerateThrustError: if ``|f_des|`` is below the force floor.
     """
-    fx, fy, fz = np.asarray(f_des, dtype=float).tolist()
+    fx, fy, fz = f_des
     norm = math.sqrt(fx * fx + fy * fy + fz * fz)
     if not math.isfinite(norm) or norm < FORCE_FLOOR:
         raise DegenerateThrustError(
@@ -216,12 +226,10 @@ def attitude_setpoint(
         q_tilt = (1.0, 0.0, 0.0, 0.0)
     else:
         q_tilt = (0.0, -math.sin(psi_des), math.cos(psi_des), 0.0)
-    return np.array(quat_multiply_f(q_tilt, heading)), 0.5 * norm
+    return quat_multiply_f(q_tilt, heading), 0.5 * norm
 
 
-def attitude_control(
-    q_est: np.ndarray, q_des: np.ndarray, gains: ControllerGains
-) -> np.ndarray:
+def attitude_control(q_est, q_des, gains: ControllerGains) -> tuple:
     """Proportional body-rate command from an attitude error.
 
     The error quaternion ``e = q_est^-1 * q_des`` is, in body axes, the
@@ -230,9 +238,8 @@ def attitude_control(
     ``1 / tau_att`` give the body-rate command that shrinks the error.
     Within 1e-6 of the ``|pitch| = pi/2`` singularity, where roll and
     yaw are not defined, the rotation vector of ``e`` is used instead.
+    Returns three floats.
     """
-    q_est = np.asarray(q_est, dtype=float).tolist()
-    q_des = np.asarray(q_des, dtype=float).tolist()
     e = quat_multiply_f(quat_conjugate_f(q_est), q_des)
     w, x, y, z = e
     sin_theta = 2.0 * (w * y - x * z)
@@ -244,17 +251,13 @@ def attitude_control(
             math.asin(sin_theta),
             math.atan2(2.0 * (x * y + w * z), 1.0 - 2.0 * (y * y + z * z)),
         )
-    return np.array(angles) / gains.tau_att
+    tau = gains.tau_att
+    return (angles[0] / tau, angles[1] / tau, angles[2] / tau)
 
 
-def rate_control(
-    omega_est: np.ndarray,
-    omega_des: np.ndarray,
-    integral: np.ndarray,
-    gains: ControllerGains,
-    params: VehicleParams,
-) -> np.ndarray:
-    """Desired body torque from a rate error.
+def rate_control(omega_est, omega_des, integral, gains: ControllerGains,
+                 params: VehicleParams) -> tuple:
+    """Desired body torque from a rate error, as three floats.
 
     ``m_des = omega x J omega + J (omega_err / tau_omega)
     + J (K_I * integral)`` with diagonal inertia; the caller owns the
@@ -262,22 +265,19 @@ def rate_control(
     """
     jx, jy, jz = params.j_xx, params.j_yy, params.j_zz
     wx, wy, wz = omega_est
-    ex = omega_des[0] - wx
-    ey = omega_des[1] - wy
-    ez = omega_des[2] - wz
-    return np.array(
-        [
-            wy * jz * wz - wz * jy * wy
-            + jx * (ex / gains.tau_omega_x + gains.k_i_omega_x * integral[0]),
-            wz * jx * wx - wx * jz * wz
-            + jy * (ey / gains.tau_omega_y + gains.k_i_omega_y * integral[1]),
-            wx * jy * wy - wy * jx * wx
-            + jz * (ez / gains.tau_omega_z + gains.k_i_omega_z * integral[2]),
-        ]
+    dx, dy, dz = omega_des
+    ix, iy, iz = integral
+    return (
+        wy * jz * wz - wz * jy * wy
+        + jx * ((dx - wx) / gains.tau_omega_x + gains.k_i_omega_x * ix),
+        wz * jx * wx - wx * jz * wz
+        + jy * ((dy - wy) / gains.tau_omega_y + gains.k_i_omega_y * iy),
+        wx * jy * wy - wy * jx * wx
+        + jz * ((dz - wz) / gains.tau_omega_z + gains.k_i_omega_z * iz),
     )
 
 
-def model_inverse(m_des: np.ndarray, f_a: float, params: VehicleParams) -> ActuatorCommand:
+def model_inverse(m_des, f_a: float, params: VehicleParams) -> ActuatorCommand:
     """Exact drag-free inverse of the force/moment model.
 
     Solves for rotor speeds from total thrust ``2 f_a`` and roll torque,
@@ -300,12 +300,12 @@ def model_inverse(m_des: np.ndarray, f_a: float, params: VehicleParams) -> Actua
         InfeasibleRollError: if ``|m_x| >= 2 f_a l`` so a rotor-speed
             radicand would be non-positive.
     """
-    m_des = np.asarray(m_des, dtype=float)
-    if not (np.all(np.isfinite(m_des)) and math.isfinite(f_a)):
+    m_x, m_y, m_z = m_des
+    if not (math.isfinite(m_x) and math.isfinite(m_y) and math.isfinite(m_z)
+            and math.isfinite(f_a)):
         raise DomainError("model_inverse inputs must be finite")
     if f_a <= 0.0:
         raise DomainError(f"per-rotor thrust must be > 0, got {f_a!r}")
-    m_x, m_y, m_z = float(m_des[0]), float(m_des[1]), float(m_des[2])
     k_t, k_m, k_l, k_p, l = params.k_t, params.k_m, params.k_l, params.k_p, params.l
 
     lever = 2.0 * f_a * l
@@ -391,11 +391,9 @@ class CascadeController:
 
         The rotor model ``omega_hat`` restarts at the hover trim speed.
         """
-        self.f_des = np.array([0.0, 0.0, self.params.m * self.params.g_mag])
+        self.f_des = (0.0, 0.0, self.params.m * self.params.g_mag)
         self.q_des, self.f_a = attitude_setpoint(self.f_des, 0.0, self.params)
-        self.omega_des = np.zeros(3)
-        self.m_des = np.zeros(3)
-        self.integral = np.zeros(3)
+        self.omega_des = self.m_des = self.integral = (0.0, 0.0, 0.0)
         self.command = ActuatorCommand()
         self.saturated = False
         self.roll_clamped = False
@@ -423,15 +421,13 @@ class CascadeController:
             )
             self.omega_des = attitude_control(estimate.q, self.q_des, self.gains)
 
-        omega_err = self.omega_des - estimate.omega
         m_des = rate_control(
             estimate.omega, self.omega_des, self.integral, self.gains, self.params
         )
         self.roll_clamped = False
         roll_limit = (1.0 - ROLL_CLAMP_MARGIN) * 2.0 * self.f_a * self.params.l
         if abs(m_des[0]) > roll_limit:
-            m_des = m_des.copy()
-            m_des[0] = math.copysign(roll_limit, m_des[0])
+            m_des = (math.copysign(roll_limit, m_des[0]), m_des[1], m_des[2])
             self.roll_clamped = True
         self.m_des = m_des
         raw = model_inverse(m_des, self.f_a, self.params)
@@ -448,5 +444,9 @@ class CascadeController:
         )
         if not self.saturated:
             # anti-windup: hold the integral while any actuator clips
-            self.integral = self.integral + omega_err / self.rates.rate_rate
+            rate = self.rates.rate_rate
+            self.integral = tuple([
+                i + (d - w) / rate
+                for i, d, w in zip(self.integral, self.omega_des, estimate.omega)
+            ])
         return self.command

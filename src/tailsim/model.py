@@ -75,16 +75,6 @@ class VehicleParams:
             if not math.isfinite(value) or value <= 0.0:
                 raise DomainError(f"VehicleParams.{name} must be finite and > 0, got {value!r}")
 
-    @property
-    def inertia_diag(self) -> np.ndarray:
-        """Principal moments of inertia (J_xx, J_yy, J_zz)."""
-        return np.array([self.j_xx, self.j_yy, self.j_zz])
-
-    @property
-    def gravity_world(self) -> np.ndarray:
-        """Gravitational acceleration in world axes."""
-        return np.array([0.0, 0.0, -self.g_mag])
-
     def hover_rotor_speed(self) -> float:
         """Rotor speed at which two propellers carry the full weight."""
         return math.sqrt(self.m * self.g_mag / (2.0 * self.k_t))
@@ -98,11 +88,6 @@ class ActuatorState:
     omega_right: float = 0.0
     delta_left: float = 0.0
     delta_right: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.omega_left, self.omega_right, self.delta_left, self.delta_right]
-        )
 
 
 @dataclass
@@ -211,7 +196,8 @@ def total_wrench(act: ActuatorState, R_wb: np.ndarray, params: VehicleParams) ->
 
     Args:
         act: current rotor speeds and elevon deflections.
-        R_wb: 3x3 rotation, world frame to body frame.
+        R_wb: 3x3 rotation, world frame to body frame (an array or three
+            rows of floats).
         params: vehicle constants.
     """
     fx, fy, fz, mx, my, mz = actuator_wrench(
@@ -219,7 +205,7 @@ def total_wrench(act: ActuatorState, R_wb: np.ndarray, params: VehicleParams) ->
         params.k_t, params.k_m, params.k_l, params.k_d, params.k_p, params.l,
     )
     mg = params.m * params.g_mag
-    rx, ry, rz = np.asarray(R_wb, dtype=float)[:, 2].tolist()
+    rx, ry, rz = (row[2] for row in R_wb)
     return Wrench(
         np.array([fx - mg * rx, fy - mg * ry, fz - mg * rz]),
         np.array([mx, my, mz]),

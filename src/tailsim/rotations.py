@@ -132,20 +132,6 @@ def quat_integrate(q: np.ndarray, omega_body: np.ndarray, dt: float) -> np.ndarr
     return np.array(quat_integrate_f(q, omega_body, dt))
 
 
-def quat_derivative(q: np.ndarray, omega_body: np.ndarray) -> np.ndarray:
-    """Kinematic derivative q_dot = 0.5 * q * (0, omega_body)."""
-    ow, ox, oy, oz = 0.0, omega_body[0], omega_body[1], omega_body[2]
-    w, x, y, z = q
-    return 0.5 * np.array(
-        [
-            w * ow - x * ox - y * oy - z * oz,
-            w * ox + x * ow + y * oz - z * oy,
-            w * oy - x * oz + y * ow + z * ox,
-            w * oz + x * oy - y * ox + z * ow,
-        ]
-    )
-
-
 def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     w = math.remainder(a, 2.0 * math.pi)

@@ -26,7 +26,7 @@ from .config import MIN_LEG_LENGTH_M, Config
 from .control import CascadeController, Setpoint
 from .errors import DomainError, MetricsWindowError, SimulationDivergedError
 from .model import VehicleParams, total_wrench
-from .rotations import quat_to_matrix, wrap_angle
+from .rotations import quat_to_matrix_f, wrap_angle
 from .sim import (
     ComplementaryEstimator,
     DisturbanceSpec,
@@ -64,8 +64,8 @@ class _Leg:
 
     t0: float                 # leg start time, s
     duration: float           # leg duration, s
-    p0: np.ndarray            # leg start point
-    u: np.ndarray             # unit direction
+    p0: tuple                 # leg start point, 3 floats
+    u: tuple                  # unit direction, 3 floats
     length: float
     accel: float
     t_acc: float              # acceleration phase duration, s
@@ -95,8 +95,9 @@ def _make_legs(
     legs: list[_Leg] = []
     t0 = 0.0
     for a, b in zip(points[:-1], points[1:]):
-        delta = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-        dx, dy, dz = delta.tolist()
+        ax, ay, az = np.asarray(a, dtype=float).tolist()
+        bx, by, bz = np.asarray(b, dtype=float).tolist()
+        dx, dy, dz = bx - ax, by - ay, bz - az
         length = math.sqrt(dx * dx + dy * dy + dz * dz)
         if length < MIN_LEG_LENGTH_M:
             continue
@@ -109,7 +110,7 @@ def _make_legs(
             v_peak = speed
             duration = 2.0 * t_acc + (length - accel * t_acc * t_acc) / speed
         legs.append(
-            _Leg(t0, duration, np.asarray(a, dtype=float), delta / length,
+            _Leg(t0, duration, (ax, ay, az), (dx / length, dy / length, dz / length),
                  length, accel, t_acc, v_peak)
         )
         t0 += duration + dwell
@@ -198,17 +199,16 @@ def reference(t: float, scenario: Scenario) -> Setpoint:
         )
     yaw = scenario.yaw_fixed_rad
     if scenario.kind == "hover":
-        return Setpoint(scenario.hover_pos, np.zeros(3), yaw)
+        return Setpoint(scenario.hover_pos, (0.0, 0.0, 0.0), yaw)
     if scenario.kind == "circle":
         theta = scenario.circle_rate * t
         r = scenario.circle_radius
         c, s = math.cos(theta), math.sin(theta)
-        p = scenario.circle_center + np.array([r * c, r * s, 0.0])
+        cx, cy, cz = scenario.circle_center.tolist()
         speed = scenario.circle_rate * r
-        v = np.array([-speed * s, speed * c, 0.0])
         if scenario.yaw_mode == "tangent":
             yaw = wrap_angle(theta + math.pi / 2.0)
-        return Setpoint(p, v, yaw)
+        return Setpoint((cx + r * c, cy + r * s, cz + 0.0), (-speed * s, speed * c, 0.0), yaw)
 
     # waypoint / star: locate the active leg
     legs = scenario.legs
@@ -216,16 +216,16 @@ def reference(t: float, scenario: Scenario) -> Setpoint:
     i = bisect_right(starts, t) - 1
     i = max(i, 0)
     leg = legs[i]
+    (ax, ay, az), (ux, uy, uz) = leg.p0, leg.u
     if t >= leg.t0 + leg.duration and i == len(legs) - 1:
-        p = leg.p0 + leg.length * leg.u
-        v = np.zeros(3)
+        dist = leg.length
+        v = (0.0, 0.0, 0.0)
     else:
         dist, speed = leg.sample(t - leg.t0)
-        p = leg.p0 + dist * leg.u
-        v = speed * leg.u
+        v = (speed * ux, speed * uy, speed * uz)
     if scenario.yaw_mode == "tangent":
         yaw = _leg_yaw(leg, scenario.yaw_fixed_rad)
-    return Setpoint(p, v, yaw)
+    return Setpoint((ax + dist * ux, ay + dist * uy, az + dist * uz), v, yaw)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +322,9 @@ class Metrics:
             fh.write(self.to_json())
 
 
+_SAMPLE_BLOCK = 32  # samples summed per np.add.reduce call in _correlation_lag
+
+
 def _correlation_lag(ref: np.ndarray, resp: np.ndarray, dt: float, max_lag_s: float = 2.0) -> float:
     """Delay (s, positive = response late) maximizing the cross-correlation.
 
@@ -331,17 +334,29 @@ def _correlation_lag(ref: np.ndarray, resp: np.ndarray, dt: float, max_lag_s: fl
     the raw estimate's taper bias stays under a couple of samples for
     records much longer than the lag.  A parabolic fit through the peak
     refines the estimate below the sample period.
+
+    Only the lags within ``max_lag_s`` are formed.  Each reference
+    sample times the zero-padded response at every lag is added up over
+    the samples, in sample order, a block of samples per
+    ``np.add.reduce`` call: elementwise arithmetic in a fixed order with
+    no BLAS call, so the result does not depend on the BLAS kernel or
+    the CPU.
     """
     r = ref - ref.mean()
     y = resp - resp.mean()
     n = len(r)
-    c = np.correlate(y, r, mode="full")
-    lags = np.arange(-(n - 1), n)
     max_lag = min(n - 1, int(round(max_lag_s / dt)))
-    window = (lags >= -max_lag) & (lags <= max_lag)
-    cw = c[window]
+    pad = np.zeros(max_lag)
+    # row i holds y[i + lag] for lag = -max_lag..max_lag, zero outside
+    rows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((pad, y, pad)), 2 * max_lag + 1
+    )
+    cw = np.zeros(2 * max_lag + 1)
+    for i in range(0, n, _SAMPLE_BLOCK):
+        block = slice(i, i + _SAMPLE_BLOCK)
+        cw += np.add.reduce(r[block, None] * rows[block], axis=0)
     k = int(np.argmax(cw))
-    best = float(lags[window][k])
+    best = float(k - max_lag)
     if 0 < k < len(cw) - 1:
         curvature = cw[k - 1] - 2.0 * cw[k] + cw[k + 1]
         if curvature < 0.0:
@@ -413,8 +428,8 @@ def initial_state(config: Config, scenario: Scenario) -> VehicleState:
     sp = reference(0.0, scenario)
     omega_h = config.params.hover_rotor_speed()
     return VehicleState(
-        p=sp.p_des + config.harness.start_offset,
-        v=sp.v_des.copy(),
+        p=np.add(sp.p_des, config.harness.start_offset),
+        v=sp.v_des,
         q=hover_attitude(sp.psi_des),
         omega=np.zeros(3),
         act=ActuatorState(omega_h, omega_h, 0.0, 0.0),
@@ -471,6 +486,7 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
         estimate = state.estimate_view()
 
     log = ScenarioLog(n_rows)
+    ox, oy, oz = disturbance.force_offset_world.tolist()
     command = controller.command
     setpoint = reference(0.0, scenario)
     static_reference = scenario.kind == "hover"   # setpoint is time-invariant
@@ -480,32 +496,29 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
 
         if complementary and k % imu_every == 0:
             # the accelerometer reads force only, so the torque offset is left out
-            R_wb = quat_to_matrix(state.q).T
+            r = quat_to_matrix_f(state.y[6:10])
+            R_wb = (r[0::3], r[1::3], r[2::3])      # world to body: the transpose
             wrench = total_wrench(state.act, R_wb, params)
-            wrench.force += R_wb @ disturbance.force_offset_world
+            wrench.force += [a * ox + b * oy + c * oz for a, b, c in R_wb]
             sample = sense(
                 state, wrench, params, disturbance, rng,
                 t=t, with_pose=(k % pose_every == 0),
             )
             estimator.update(sample, imu_dt)
-            estimate = None          # built when the controller or the log reads it
+            estimate = estimator.estimate()
 
         if k % ctrl_every == 0:
             if not complementary:
                 estimate = state.estimate_view()
-            elif estimate is None:
-                estimate = estimator.estimate()
             if not static_reference:
                 setpoint = reference(t, scenario)
             command = controller.update(estimate, setpoint)
 
         if k % log_every == 0 and len(log) < n_rows:
-            if estimate is None:
-                estimate = estimator.estimate()
             log.append([
                 t,
                 *setpoint.p_des, *setpoint.v_des, setpoint.psi_des,
-                *state.p, *state.v, *state.q, *state.omega,
+                *state.y,
                 *estimate.p, *estimate.v, *estimate.q, *estimate.omega,
                 *controller.f_des, *controller.omega_des, *controller.m_des,
                 command.omega_left, command.omega_right,

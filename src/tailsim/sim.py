@@ -19,13 +19,18 @@ accelerometer measuring specific force) and a 100 Hz external pose
 source, each with white Gaussian noise drawn in a fixed order (gyro,
 accel, pose position, pose attitude).  The complementary estimator
 integrates gyro rates smoothed by :class:`LowPass`, the one filter in
-the package, and blends pose corrections in.  Sensing and estimation
-run at the IMU rate, so they compute on Python floats through the float
-cores of :mod:`tailsim.rotations`; the operations and their order are
-those of the elementwise array code, so the results are bit-identical
-to it.  Samples and estimates are still handed out as arrays.  The
-perfect-state mode (:meth:`VehicleState.estimate_view`) passes the true
-state through for controller verification.
+the package, and blends pose corrections in.  The perfect-state mode
+(:meth:`VehicleState.estimate_view`) passes the true state through for
+controller verification.
+
+Everything that runs at the physics or IMU rate computes on Python
+floats: the state is one tuple of 13 floats (:class:`VehicleState`),
+:func:`step` reads and returns it without building an array, and
+:func:`sense` and the estimator work through the float cores of
+:mod:`tailsim.rotations`.  The operations and their order are those of
+the elementwise array code, so the results are bit-identical to it.
+Estimates are handed out as tuples of floats and sensor samples as
+arrays; the state's ``p``, ``v``, ``q`` and ``omega`` read as arrays.
 """
 
 from __future__ import annotations
@@ -93,31 +98,53 @@ class DisturbanceSpec:
         return cls(np.zeros(3), np.zeros(3), 0.0, 0.0, 0.0, 0.0)
 
 
-@dataclass
+class _Part:
+    """``VehicleState.p``, ``v``, ``q`` or ``omega``: a slice of ``y`` as an array."""
+
+    def __init__(self, start: int, stop: int):
+        self.start, self.stop = start, stop
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, state, owner=None):
+        return self if state is None else np.array(state.y[self.start:self.stop])
+
+    def __set__(self, state, value) -> None:
+        part = _floats(value)
+        if len(part) != self.stop - self.start:
+            raise DomainError(f"VehicleState.{self.name} needs {self.stop - self.start} entries")
+        if self.name == "q" and abs(math.hypot(*part) - 1.0) > 1e-6:
+            raise DomainError(f"attitude quaternion must be unit norm, |q| = {math.hypot(*part)!r}")
+        state.y = state.y[:self.start] + part + state.y[self.stop:]
+
+
 class VehicleState:
-    """Full simulator state."""
+    """Full simulator state.
 
-    p: np.ndarray                      # position, world frame, m
-    v: np.ndarray                      # velocity, world frame, m/s
-    q: np.ndarray                      # attitude quaternion (unit norm)
-    omega: np.ndarray                  # body rates, rad/s
-    act: ActuatorState = field(default_factory=ActuatorState)
+    ``y`` is one tuple of 13 Python floats, in the order of the run log's
+    ``px`` ... ``wz`` columns: position (world frame, m), velocity (world
+    frame, m/s), attitude quaternion (unit norm), body rates (rad/s).
+    ``p``, ``v``, ``q`` and ``omega`` read their slice of ``y`` as a new
+    array and replace it when set; the attitude must stay unit norm.
+    """
 
-    def __post_init__(self) -> None:
-        self.p = np.asarray(self.p, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        self.q = np.asarray(self.q, dtype=float)
-        self.omega = np.asarray(self.omega, dtype=float)
-        w, x, y, z = self.q
-        norm = math.sqrt(w * w + x * x + y * y + z * z)
-        if abs(norm - 1.0) > 1e-6:
-            raise DomainError(f"attitude quaternion must be unit norm, |q| = {norm!r}")
+    __slots__ = ("y", "act")
+
+    p = _Part(0, 3)
+    v = _Part(3, 6)
+    q = _Part(6, 10)
+    omega = _Part(10, 13)
+
+    def __init__(self, p, v, q, omega, act: ActuatorState | None = None):
+        self.y = (0.0,) * 13
+        self.p, self.v, self.q, self.omega = p, v, q, omega
+        self.act = ActuatorState() if act is None else act
 
     def estimate_view(self) -> StateEstimate:
-        """The state repackaged as a (perfect) estimate."""
-        return StateEstimate(
-            self.p.copy(), self.v.copy(), self.q.copy(), self.omega.copy()
-        )
+        """The state repackaged as a (perfect) estimate of float tuples."""
+        y = self.y
+        return StateEstimate(y[0:3], y[3:6], y[6:10], y[10:13])
 
 
 def _clip(x: float, lo: float, hi: float) -> float:
@@ -217,8 +244,7 @@ def step(
         dist_f = disturbance.force_offset_world.tolist()
         dist_m = disturbance.torque_offset_body.tolist()
 
-    # Python floats, not numpy scalars: same IEEE arithmetic, much cheaper
-    y0 = (*state.p.tolist(), *state.v.tolist(), *state.q.tolist(), *state.omega.tolist())
+    y0 = state.y
 
     # exact actuator trajectories across the step
     a0 = state.act
@@ -243,45 +269,30 @@ def step(
     half = 0.5 * dt
     consts = _consts(params)
     k1 = _rhs(y0, act0, consts, dist_f, dist_m)
-    k2 = _rhs(
-        tuple([y0[i] + half * k1[i] for i in range(13)]),
-        act_half, consts, dist_f, dist_m,
-    )
-    k3 = _rhs(
-        tuple([y0[i] + half * k2[i] for i in range(13)]),
-        act_half, consts, dist_f, dist_m,
-    )
-    k4 = _rhs(
-        tuple([y0[i] + dt * k3[i] for i in range(13)]),
-        act_full, consts, dist_f, dist_m,
-    )
+    k2 = _rhs([a + half * b for a, b in zip(y0, k1)], act_half, consts, dist_f, dist_m)
+    k3 = _rhs([a + half * b for a, b in zip(y0, k2)], act_half, consts, dist_f, dist_m)
+    k4 = _rhs([a + dt * b for a, b in zip(y0, k3)], act_full, consts, dist_f, dist_m)
 
     sixth = dt / 6.0
     y1 = [
-        y0[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(13)
+        a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+        for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)
     ]
-    total = 0.0
-    for v in y1:
-        total += v
-    if not math.isfinite(total):
+    if not math.isfinite(sum(y1)):
         raise SimulationDivergedError("non-finite state after integration step")
 
-    qw, qx, qy, qz = y1[6], y1[7], y1[8], y1[9]
+    qw, qx, qy, qz = y1[6:10]
     inv_n = 1.0 / math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-    q = np.array([qw * inv_n, qx * inv_n, qy * inv_n, qz * inv_n])
-    new_act = ActuatorState(
+    y1[6:10] = qw * inv_n, qx * inv_n, qy * inv_n, qz * inv_n
+    # bypass validation: q is unit by construction here
+    out = object.__new__(VehicleState)
+    out.y = tuple(y1)
+    out.act = ActuatorState(
         _clip(act_full[0], 0.0, params.omega_max),
         _clip(act_full[1], 0.0, params.omega_max),
         _clip(act_full[2], -params.delta_max, params.delta_max),
         _clip(act_full[3], -params.delta_max, params.delta_max),
     )
-    # bypass dataclass validation: q is unit by construction here
-    out = object.__new__(VehicleState)
-    out.p = np.array(y1[0:3])
-    out.v = np.array(y1[3:6])
-    out.q = q
-    out.omega = np.array(y1[10:13])
-    out.act = new_act
     return out
 
 
@@ -324,7 +335,8 @@ def sense(
         t: sample timestamp, s.
         with_pose: attach a pose fix to this sample.
     """
-    q = state.q.tolist()
+    y = state.y
+    q = y[6:10]
     r20, r21, r22 = quat_to_matrix_f(q)[6:]
     m = params.m
     mg = m * params.g_mag
@@ -332,7 +344,7 @@ def sense(
     n = rng.standard_normal(12 if with_pose else 6).tolist()
 
     s_g = disturbance.gyro_noise_std
-    wx, wy, wz = state.omega.tolist()
+    wx, wy, wz = y[10:13]
     gyro = np.array([wx + s_g * n[0], wy + s_g * n[1], wz + s_g * n[2]])
     s_a = disturbance.accel_noise_std
     accel = np.array([
@@ -343,7 +355,7 @@ def sense(
     pose_p = pose_q = None
     if with_pose:
         s_p = disturbance.pose_pos_noise_std
-        px, py, pz = state.p.tolist()
+        px, py, pz = y[0:3]
         pose_p = np.array([px + s_p * n[6], py + s_p * n[7], pz + s_p * n[8]])
         s_q = disturbance.pose_att_noise_std
         tilt = (s_q * n[9], s_q * n[10], s_q * n[11])
@@ -413,7 +425,7 @@ class ComplementaryEstimator:
     :mod:`tailsim.rotations` and :class:`LowPass` with the operations of
     the elementwise array update in the same order, so the numbers are
     bit for bit those of array code at a fraction of the cost.
-    :meth:`estimate` returns arrays.
+    :meth:`estimate` hands those tuples out.
 
     Args:
         initial: starting estimate (measured pose at deployment).
@@ -470,6 +482,4 @@ class ComplementaryEstimator:
         self.p = (px, py, pz)
 
     def estimate(self) -> StateEstimate:
-        return StateEstimate(
-            np.array(self.p), np.array(self.v), np.array(self.q), np.array(self.omega)
-        )
+        return StateEstimate(self.p, self.v, self.q, self.omega)

@@ -22,7 +22,7 @@ import numpy as np
 from tailsim.control import FORCE_FLOOR, ControllerGains, StateEstimate
 from tailsim.errors import DegenerateThrustError, DomainError
 from tailsim.model import ActuatorState, VehicleParams, Wrench, aero_wrench, prop_wrench
-from tailsim.rotations import quat_derivative, quat_to_matrix
+from tailsim.rotations import quat_to_matrix
 from tailsim.sim import SensorSample, VehicleState
 
 
@@ -34,7 +34,7 @@ def reference_wrench(act: ActuatorState, R_wb: np.ndarray, params: VehicleParams
     points ``(0, -l, 0)`` left and ``(0, +l, 0)`` right), and adds the
     weight rotated into body axes.
     """
-    total = Wrench(R_wb @ (params.m * params.gravity_world), np.zeros(3))
+    total = Wrench(R_wb @ (params.m * np.array([0.0, 0.0, -params.g_mag])), np.zeros(3))
     for side, omega, delta, arm_y in (
         ("left", act.omega_left, act.delta_left, -params.l),
         ("right", act.omega_right, act.delta_right, +params.l),
@@ -55,10 +55,24 @@ class StateDerivative:
     omega_dot: np.ndarray
 
 
+def quat_derivative(q: np.ndarray, omega_body: np.ndarray) -> np.ndarray:
+    """Kinematic derivative q_dot = 0.5 * q * (0, omega_body)."""
+    ow, ox, oy, oz = 0.0, omega_body[0], omega_body[1], omega_body[2]
+    w, x, y, z = q
+    return 0.5 * np.array(
+        [
+            w * ow - x * ox - y * oy - z * oz,
+            w * ox + x * ow + y * oz - z * oy,
+            w * oy - x * oz + y * ow + z * ox,
+            w * oz + x * oy - y * ox + z * ow,
+        ]
+    )
+
+
 def derivative(state: VehicleState, wrench: Wrench, params: VehicleParams) -> StateDerivative:
     """Newton-Euler time derivative under a given body wrench."""
     R_bw = quat_to_matrix(state.q)
-    J = params.inertia_diag
+    J = np.array([params.j_xx, params.j_yy, params.j_zz])
     return StateDerivative(
         p_dot=state.v.copy(),
         v_dot=R_bw @ wrench.force / params.m,
@@ -180,7 +194,7 @@ def quat_integrate(q: np.ndarray, omega_body: np.ndarray, dt: float) -> np.ndarr
 def array_sense(state, true_wrench, params, disturbance, rng, t=0.0, with_pose=False):
     """IMU (and optional pose) sample drawn channel by channel on arrays."""
     R_wb = quat_to_matrix(state.q).T
-    weight_body = R_wb @ (params.m * params.gravity_world)
+    weight_body = R_wb @ (params.m * np.array([0.0, 0.0, -params.g_mag]))
     specific_force = (true_wrench.force - weight_body) / params.m
     gyro = state.omega + disturbance.gyro_noise_std * rng.standard_normal(3)
     accel = specific_force + disturbance.accel_noise_std * rng.standard_normal(3)

@@ -8,6 +8,7 @@ version in the oracles module.
 """
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -158,7 +159,7 @@ def test_attitude_control_recovers_euler_angles():
     )
     q_est = hover_attitude(0.3)
     w = attitude_control(q_est, quat_multiply(q_est, err), GAINS)
-    assert np.allclose(w * GAINS.tau_att, [roll, pitch, yaw], atol=1e-12)
+    assert np.allclose(np.multiply(w, GAINS.tau_att), [roll, pitch, yaw], atol=1e-12)
 
 
 def test_attitude_control_gimbal_lock_uses_rotation_vector():
@@ -171,7 +172,7 @@ def test_attitude_control_gimbal_lock_uses_rotation_vector():
     q_est = hover_attitude(-0.6)
     w = attitude_control(q_est, quat_multiply(q_est, err), GAINS)
     assert np.isfinite(w).all()
-    assert np.allclose(w * GAINS.tau_att, quat_to_rotvec(err), atol=1e-12)
+    assert np.allclose(np.multiply(w, GAINS.tau_att), quat_to_rotvec(err), atol=1e-12)
 
 
 def _random_quat(rng):
@@ -213,7 +214,7 @@ def test_attitude_loop_matches_matrix_oracle_at_gimbal_lock():
     err = quat_multiply(quat_from_rotvec([0.0, 0.0, 0.2]), quat_from_rotvec([0.0, 0.5 * math.pi, 0.0]))
     q_est = quat_multiply(q_des, quat_conjugate(err))
     w = attitude_control(q_est, q_des, GAINS)
-    assert np.allclose(w * GAINS.tau_att, quat_to_rotvec(err), atol=1e-12)
+    assert np.allclose(np.multiply(w, GAINS.tau_att), quat_to_rotvec(err), atol=1e-12)
     _assert_matches_matrix_oracle(np.array([0.5, -0.2, 6.0]), 0.4, q_est)
 
 
@@ -331,7 +332,7 @@ def test_clamp_command_passes_valid_through():
     cmd = ActuatorCommand(600.0, 650.0, 0.3, -0.3)
     clamped, saturated = clamp_command(cmd, PARAMS)
     assert not saturated
-    assert clamped.as_array() == pytest.approx(cmd.as_array())
+    assert astuple(clamped) == pytest.approx(astuple(cmd))
 
 
 def test_clamp_command_clips_and_flags():
@@ -365,7 +366,7 @@ def test_cascade_stage_latching():
     ctrl = CascadeController(PARAMS, GAINS)
     position_ticks, attitude_ticks = [], []
     for tick in range(11):
-        f_des, omega_des = ctrl.f_des.copy(), ctrl.omega_des.copy()
+        f_des, omega_des = ctrl.f_des, ctrl.omega_des
         sp = still_setpoint(p=(0.1 * (tick + 1), 0.0, 1.5), psi=0.01 * (tick + 1))
         ctrl.update(hover_estimate(), sp)
         if not np.array_equal(ctrl.f_des, f_des):
@@ -380,11 +381,11 @@ def test_cascade_rate_loop_cadence():
     ctrl = CascadeController(PARAMS, GAINS, LoopRates(100.0, 250.0, 500.0))
     sp = still_setpoint()
     changes = 0
-    prev = ctrl.update(hover_estimate(), sp).as_array()
+    prev = astuple(ctrl.update(hover_estimate(), sp))
     for k in range(1, 20):
         est_k = hover_estimate()
         est_k.omega = np.array([0.0, 0.01 * k, 0.0])  # fresh rate error every call
-        cur = ctrl.update(est_k, sp).as_array()
+        cur = astuple(ctrl.update(est_k, sp))
         if not np.array_equal(cur, prev):
             changes += 1
         prev = cur
@@ -424,7 +425,7 @@ def test_cascade_reset_restores_initial_latches():
     ctrl.reset()
     assert np.allclose(ctrl.f_des, [0.0, 0.0, 0.65 * 9.81])
     assert np.allclose(ctrl.integral, np.zeros(3))
-    assert ctrl.command.as_array() == pytest.approx(np.zeros(4))
+    assert astuple(ctrl.command) == pytest.approx(np.zeros(4))
 
 
 def _hold_over_one_tick(cmd):
@@ -477,6 +478,32 @@ def test_gains_validation():
         LoopRates(position_rate=0.0)
     with pytest.raises(DomainError):
         LoopRates(position_rate=300.0)  # does not divide the 500 Hz rate loop
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index", range(7))
+def test_setpoint_rejects_each_non_finite_component(index, bad):
+    values = [0.0, 0.0, 1.5, 0.1, -0.2, 0.0, 0.3]
+    values[index] = bad
+    with pytest.raises(DomainError):
+        Setpoint(p_des=values[0:3], v_des=values[3:6], psi_des=values[6])
+
+
+def test_setpoint_stores_float_tuples():
+    sp = Setpoint(p_des=np.array([1.0, 2.0, 3.0]), v_des=[0, 1, 0], psi_des=np.float64(0.5))
+    assert sp.p_des == (1.0, 2.0, 3.0) and sp.v_des == (0.0, 1.0, 0.0)
+    assert all(type(c) is float for c in (*sp.p_des, *sp.v_des, sp.psi_des))
+    with pytest.raises(DomainError):
+        Setpoint(p_des=np.zeros((3, 3)), v_des=np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index", range(4))
+def test_model_inverse_rejects_each_non_finite_input(index, bad):
+    values = [0.01, -0.02, 0.005, 3.0]      # m_x, m_y, m_z, f_a
+    values[index] = bad
+    with pytest.raises(DomainError):
+        model_inverse(tuple(values[:3]), values[3], PARAMS)
 
 
 def test_setpoint_validation_and_heading_wrap():

@@ -4,9 +4,11 @@ Each run-log digest is the SHA-256 of ``ScenarioLog.to_csv()`` for a 6 s
 run at the default seed, measured on Python 3.11.7 with numpy 2.4.6 (600
 rows each).  A mismatch means the change altered the simulated
 trajectory, the controller's schedule, the noise stream or the CSV
-format.  No BLAS call produces a value that reaches the run log, so the
-log digests do not depend on which OpenBLAS kernel numpy loads;
-``test_log_digests_hold_on_every_openblas_kernel`` checks that on every
+format.  The metrics digests cover ``Metrics.to_json()`` of 12 s circle
+and star runs, whose ``latency_s`` comes from a cross-correlation summed
+in a fixed order.  No BLAS call produces a value that reaches the run log
+or the metrics, so neither depends on which OpenBLAS kernel numpy loads;
+``test_log_digests_hold_on_every_openblas_kernel`` checks both on every
 kernel this CPU can run.
 
 The sysid digests cover the bench CSV written by ``tailsim sysid synth``
@@ -48,15 +50,36 @@ GOLDEN = {
 }
 
 
+METRICS_GOLDEN = {
+    ("circle", "perfect"):
+        "18c664bafb54acedad21d0ddf088de4c7760e507e6660fe7cb3e0f57f39cdcd4",
+    ("star", "complementary"):
+        "eeb025158167686c1a1d4348b95291d57dda744631c35daee514fd8b90259be2",
+}
+
+
+def _run(scenario, estimator, duration_s="6"):
+    cfg = apply_overrides(
+        Config(), {"scenario": scenario, "estimator": estimator, "duration_s": duration_s}
+    )
+    return run_scenario(cfg)
+
+
 @pytest.mark.parametrize("scenario,estimator", sorted(GOLDEN))
 def test_log_digest_matches_golden(scenario, estimator):
-    cfg = apply_overrides(
-        Config(), {"scenario": scenario, "estimator": estimator, "duration_s": "6"}
-    )
-    log, _ = run_scenario(cfg)
+    log, _ = _run(scenario, estimator)
     assert len(log) == 600
     digest = hashlib.sha256(log.to_csv().encode()).hexdigest()
     assert digest == GOLDEN[(scenario, estimator)]
+
+
+@pytest.mark.parametrize("scenario,estimator", sorted(METRICS_GOLDEN))
+def test_metrics_json_matches_golden(scenario, estimator):
+    # 12 s: the metrics window after the 5 s transient then holds a
+    # moving star leg, so latency_s comes from a real correlation peak
+    _, metrics = _run(scenario, estimator, "12")
+    digest = hashlib.sha256(metrics.to_json().encode()).hexdigest()
+    assert digest == METRICS_GOLDEN[(scenario, estimator)]
 
 
 def _numpy_uses_openblas() -> bool:
@@ -92,8 +115,10 @@ def test_log_digests_hold_on_every_openblas_kernel():
     src = str(Path(tailsim.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     root = Path(__file__).resolve().parent.parent
+    here = Path(__file__).resolve()
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-           "-p", "no:hypothesispytest", f"{Path(__file__).resolve()}::test_log_digest_matches_golden"]
+           "-p", "no:hypothesispytest", f"{here}::test_log_digest_matches_golden",
+           f"{here}::test_metrics_json_matches_golden"]
     runs = {
         kernel: subprocess.Popen(
             cmd, cwd=root, env={**env, "OPENBLAS_CORETYPE": kernel},
@@ -110,7 +135,7 @@ def test_log_digests_hold_on_every_openblas_kernel():
             out = proc.communicate()[0] + "\ntimed out after 300 s"
         if proc.returncode != 0:
             failed[kernel] = out[-2000:]
-    assert not failed, f"log digests differ under {sorted(failed)}:\n" + "\n".join(
+    assert not failed, f"log or metrics digests differ under {sorted(failed)}:\n" + "\n".join(
         f"--- {k} ---\n{v}" for k, v in failed.items()
     )
 

@@ -20,6 +20,7 @@ from tailsim.scenarios import (
     reference,
     run_scenario,
 )
+from tailsim.sim import step
 
 import oracles
 
@@ -166,7 +167,7 @@ def test_waypoint_reference_is_continuous_with_bounded_speed():
     for t in ts[1:]:
         sp = reference(t, s)
         assert np.linalg.norm(sp.v_des) <= 1.25 + 1e-12
-        assert np.linalg.norm(sp.p_des - prev) <= 1.25 * dt + 1e-9
+        assert np.linalg.norm(np.subtract(sp.p_des, prev)) <= 1.25 * dt + 1e-9
         prev = sp.p_des
 
 
@@ -177,7 +178,7 @@ def test_star_reference_is_a_pentagram():
         assert leg.length == pytest.approx(2.8531695488854605, rel=1e-12)
     # collect the distinct vertices; all lie on the 1.5 m circle and hit
     # the every-second-point angles of a five-point star
-    vertices = [s.legs[0].p0] + [leg.p0 + leg.u * leg.length for leg in s.legs]
+    vertices = [s.legs[0].p0] + [np.add(leg.p0, np.multiply(leg.u, leg.length)) for leg in s.legs]
     angles = []
     for v in vertices:
         assert np.linalg.norm(v[:2]) == pytest.approx(1.5, rel=1e-9)
@@ -370,6 +371,29 @@ def test_noisy_complementary_hover_run_is_deterministic():
     log_c, _ = run_scenario(cfg_with(scenario="hover", duration_s=8,
                                      estimator="complementary", seed=1))
     assert log_c.to_csv() != log_a.to_csv()
+
+
+def test_log_state_columns_equal_state_y_at_logged_ticks(monkeypatch):
+    # the run steps the state it has just logged, so the input state of
+    # every step call is recorded and compared with its tick's log row
+    from tailsim import scenarios
+
+    seen = []
+
+    def recording_step(state, *args):
+        seen.append(state.y)
+        return step(state, *args)
+
+    monkeypatch.setattr(scenarios, "step", recording_step)
+    cfg = cfg_with(scenario="circle", estimator="complementary", duration_s=1,
+                   transient_window_s=0.5)
+    log, _ = run_scenario(cfg)
+    every = cfg.harness.physics_rate_hz // cfg.harness.logging_rate_hz
+    cols = log.columns("px", "py", "pz", "vx", "vy", "vz", "qw", "qx", "qy", "qz",
+                       "wx", "wy", "wz")
+    assert len(cols) == 100 and len(seen) == 100 * every
+    for row, y in zip(cols, seen[::every]):
+        assert tuple(row.tolist()) == y
 
 
 def test_logging_rate_does_not_change_physics():

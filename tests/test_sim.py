@@ -6,6 +6,7 @@ derived independently and frozen as literals.
 """
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -145,7 +146,7 @@ def test_torque_free_angular_momentum_conserved():
         omega=np.array([0.5, -0.3, 0.8]),
         act=ActuatorState(),  # no actuation -> no torque; gravity has no moment
     )
-    J = PARAMS.inertia_diag
+    J = np.array([PARAMS.j_xx, PARAMS.j_yy, PARAMS.j_zz])
     L0 = quat_to_matrix(st.q) @ (J * st.omega)
     E0 = float(st.omega @ (J * st.omega))
     for _ in range(250):  # 0.5 s
@@ -224,6 +225,49 @@ def test_vehicle_state_rejects_non_unit_quaternion():
         )
 
 
+def test_vehicle_state_setters_round_trip_through_y():
+    st = hover_state()
+    values = {
+        "p": np.array([1.0, -2.0, 3.0]),
+        "v": np.array([0.25, 0.5, -0.75]),
+        "q": np.array([0.5, -0.5, 0.5, 0.5]),
+        "omega": np.array([0.1, -0.2, 0.3]),
+    }
+    for name, value in values.items():
+        setattr(st, name, value)
+    for name, value in values.items():
+        got = getattr(st, name)
+        assert isinstance(got, np.ndarray) and np.array_equal(got, value)
+    assert st.y == (1.0, -2.0, 3.0, 0.25, 0.5, -0.75, 0.5, -0.5, 0.5, 0.5, 0.1, -0.2, 0.3)
+    assert all(type(c) is float for c in st.y)
+    # the arrays handed out are copies: writing into one leaves the state alone
+    st.p[0] = 99.0
+    assert st.y[0] == 1.0
+
+
+def test_vehicle_state_setters_validate():
+    st = hover_state()
+    with pytest.raises(DomainError):
+        st.q = np.array([1.0, 0.5, 0.0, 0.0])
+    with pytest.raises(DomainError):
+        st.p = np.zeros(2)
+    with pytest.raises(DomainError):
+        VehicleState(p=np.zeros(3), v=np.zeros(4), q=hover_attitude(0.0), omega=np.zeros(3))
+    assert np.array_equal(st.q, hover_attitude(0.0))      # rejected values leave no trace
+
+
+def test_step_leaves_its_input_state_unchanged():
+    st = hover_state()
+    st.v = np.array([0.3, -0.1, 0.2])
+    st.omega = np.array([0.2, -0.4, 0.1])
+    y, act = st.y, (st.act.omega_left, st.act.omega_right, st.act.delta_left, st.act.delta_right)
+    out = step(st, ActuatorCommand(700.0, 500.0, 0.3, -0.2), 2e-3, PARAMS, DisturbanceSpec())
+    assert st.y == y
+    assert (st.act.omega_left, st.act.omega_right, st.act.delta_left, st.act.delta_right) == act
+    assert out is not st and out.act is not st.act and out.y != y
+    assert len(out.y) == 13 and all(type(c) is float for c in out.y)
+
+
 # --------------------------------------------------------------------------
 # actuator lag
 # --------------------------------------------------------------------------
@@ -232,8 +276,8 @@ def assert_step_follows_actuator_lag(act, cmd):
     # step's actuator update over one physics step must match the oracle
     st = hover_state()
     st.act = act
-    got = step(st, cmd, 2e-3, PARAMS).act.as_array()
-    assert got == pytest.approx(actuator_step(act, cmd, 2e-3, PARAMS).as_array(), rel=1e-12)
+    got = astuple(step(st, cmd, 2e-3, PARAMS).act)
+    assert got == pytest.approx(astuple(actuator_step(act, cmd, 2e-3, PARAMS)), rel=1e-12)
 
 
 def test_actuator_step_exact_exponential():
@@ -261,7 +305,7 @@ def test_actuator_step_composition_equals_one_big_step():
     cmd = ActuatorCommand(600.0, 500.0, -0.3, 0.3)
     two_small = actuator_step(actuator_step(act, cmd, 1e-3, PARAMS), cmd, 1e-3, PARAMS)
     one_big = actuator_step(act, cmd, 2e-3, PARAMS)
-    assert np.allclose(two_small.as_array(), one_big.as_array(), rtol=1e-14)
+    assert np.allclose(astuple(two_small), astuple(one_big), rtol=1e-14)
 
 
 def test_actuator_step_clips_to_limits():
