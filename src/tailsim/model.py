@@ -164,7 +164,7 @@ def actuator_wrench(
     The sum over the two sides of the per-side model in the module
     docstring, with each side's force applied at its lever arm ``-l``
     (left) or ``+l`` (right).  Scalar arithmetic only: the integrator
-    calls it four times per physics step.
+    calls it three times per physics step.
 
     Args:
         wl, wr: left and right rotor speeds, rad/s.

@@ -5,7 +5,8 @@ The plant is a single rigid body driven by the wrench of
 integrate with a classical fixed-step fourth-order Runge-Kutta scheme at
 a default 2 kHz; rotor speeds and elevon deflections follow first-order
 lags whose exact exponential solution is evaluated at the Runge-Kutta
-substage times, so the coupled scheme keeps its fourth-order accuracy.
+substage times 0, dt/2 and dt (one actuator wrench at each, shared by
+stages 2 and 3), so the coupled scheme keeps its fourth-order accuracy.
 
 Equations of motion (body rates ``omega``, diagonal inertia ``J``)::
 
@@ -114,7 +115,9 @@ class _Part:
         part = _floats(value)
         if len(part) != self.stop - self.start:
             raise DomainError(f"VehicleState.{self.name} needs {self.stop - self.start} entries")
-        if self.name == "q" and abs(math.hypot(*part) - 1.0) > 1e-6:
+        if not all(map(math.isfinite, part)):
+            raise DomainError(f"VehicleState.{self.name} entries must be finite, got {part!r}")
+        if self.name == "q" and not abs(math.hypot(*part) - 1.0) <= 1e-6:
             raise DomainError(f"attitude quaternion must be unit norm, |q| = {math.hypot(*part)!r}")
         state.y = state.y[:self.start] + part + state.y[self.stop:]
 
@@ -126,7 +129,8 @@ class VehicleState:
     ``px`` ... ``wz`` columns: position (world frame, m), velocity (world
     frame, m/s), attitude quaternion (unit norm), body rates (rad/s).
     ``p``, ``v``, ``q`` and ``omega`` read their slice of ``y`` as a new
-    array and replace it when set; the attitude must stay unit norm.
+    array and replace it when set; every entry must be finite and the
+    attitude unit norm.
     """
 
     __slots__ = ("y", "act")
@@ -151,25 +155,24 @@ def _clip(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
 
-def _consts(params: VehicleParams) -> tuple:
-    """Flatten the constants _rhs needs into one tuple of floats."""
-    return (
-        params.k_t, params.k_m, params.k_l, params.k_d, params.k_p, params.l,
-        -params.m * params.g_mag, 1.0 / params.m,
-        params.j_xx, params.j_yy, params.j_zz,
-    )
+def _rhs(y0: tuple, k: tuple | None, h: float, fx: float, fy: float, fz: float,
+         mx: float, my: float, mz: float, mg: float, inv_m: float, jx: float, jy: float,
+         jz: float, dfx: float, dfy: float, dfz: float) -> tuple:
+    """Scalar right-hand side of the state ODE at the RK4 stage ``y0 + h * k``.
 
-
-def _rhs(y: tuple, act: tuple, consts: tuple, dist_f: tuple, dist_m: tuple) -> tuple:
-    """Scalar-arithmetic right-hand side of the full state ODE.
-
-    ``y`` packs (p, v, q, omega) as 13 floats, ``act`` the four actuator
-    values, and ``consts`` the output of :func:`_consts`.  Kept free of
-    array allocations because it runs four times per physics step.
+    ``y0`` and ``k`` pack (p, v, q, omega) as 13 floats; only the 10 stage
+    components the ODE reads (v, q, omega) are formed.  With ``k`` None the
+    stage is ``y0`` itself (``y0 + 0.0 * k`` would turn -0.0 into +0.0).
+    ``fx`` ... ``mz``: the actuator wrench at the stage's actuator sample
+    plus the torque offset; ``mg = -m g``; ``inv_m = 1 / m``; ``jx``, ``jy``,
+    ``jz``: principal inertias; ``dfx``, ``dfy``, ``dfz``: the world-frame
+    force offset.  Plain floats only: it runs four times per physics step.
     """
-    (px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz) = y
-    wl, wr, dl, dr = act
-    k_t, k_m, k_l, k_d, k_p, l, mg, inv_m, jx, jy, jz = consts
+    _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y0
+    if k is not None:
+        vx, vy, vz = vx + h * k[3], vy + h * k[4], vz + h * k[5]
+        qw, qx, qy, qz = qw + h * k[6], qx + h * k[7], qy + h * k[8], qz + h * k[9]
+        wx, wy, wz = wx + h * k[10], wy + h * k[11], wz + h * k[12]
 
     # body-to-world rotation entries
     r00 = 1.0 - 2.0 * (qy * qy + qz * qz)
@@ -182,14 +185,7 @@ def _rhs(y: tuple, act: tuple, consts: tuple, dist_f: tuple, dist_m: tuple) -> t
     r21 = 2.0 * (qy * qz + qw * qx)
     r22 = 1.0 - 2.0 * (qx * qx + qy * qy)
 
-    # actuator wrench plus the body-frame torque offset
-    fx, fy, fz, mx, my, mz = actuator_wrench(wl, wr, dl, dr, k_t, k_m, k_l, k_d, k_p, l)
-    mx += dist_m[0]
-    my += dist_m[1]
-    mz += dist_m[2]
-
     # weight and world-frame force offset rotated into body axes
-    dfx, dfy, dfz = dist_f
     fx += mg * r20 + r00 * dfx + r10 * dfy + r20 * dfz
     fy += mg * r21 + r01 * dfx + r11 * dfy + r21 * dfz
     fz += mg * r22 + r02 * dfx + r12 * dfy + r22 * dfz
@@ -220,7 +216,8 @@ def step(
 
     Actuators are evaluated on their exact exponential response to the
     (saturated) command at the substage times 0, dt/2, and dt, and the
-    attitude quaternion is renormalised afterwards.
+    attitude quaternion is renormalised afterwards.  The actuator wrench
+    is computed once per sample; stages 2 and 3 share the one at dt/2.
 
     Args:
         state: state at the start of the step.
@@ -238,40 +235,42 @@ def step(
     if not (0.0 < dt <= MAX_PHYSICS_DT):
         raise DomainError(f"physics step must satisfy 0 < dt <= {MAX_PHYSICS_DT}, got {dt!r}")
     if disturbance is None:
-        dist_f = (0.0, 0.0, 0.0)
-        dist_m = (0.0, 0.0, 0.0)
+        dfx = dfy = dfz = dmx = dmy = dmz = 0.0
     else:
-        dist_f = disturbance.force_offset_world.tolist()
-        dist_m = disturbance.torque_offset_body.tolist()
+        dfx, dfy, dfz = disturbance.force_offset_world.tolist()
+        dmx, dmy, dmz = disturbance.torque_offset_body.tolist()
+    k_t, k_m, k_l, k_d, k_p, l = params.k_t, params.k_m, params.k_l, params.k_d, params.k_p, params.l
+    mg, inv_m = -params.m * params.g_mag, 1.0 / params.m
+    jx, jy, jz = params.j_xx, params.j_yy, params.j_zz
 
-    y0 = state.y
-
-    # exact actuator trajectories across the step
+    # exact actuator trajectories across the step: samples at 0, dt/2 and dt
     a0 = state.act
     e_m2 = math.exp(-0.5 * dt / params.tau_motor)
     e_s2 = math.exp(-0.5 * dt / params.tau_servo)
     c_wl, c_wr = command.omega_left, command.omega_right
     c_dl, c_dr = command.delta_left, command.delta_right
-    act0 = (a0.omega_left, a0.omega_right, a0.delta_left, a0.delta_right)
-    act_half = (
-        c_wl + (a0.omega_left - c_wl) * e_m2,
-        c_wr + (a0.omega_right - c_wr) * e_m2,
-        c_dl + (a0.delta_left - c_dl) * e_s2,
-        c_dr + (a0.delta_right - c_dr) * e_s2,
-    )
-    act_full = (
-        c_wl + (act_half[0] - c_wl) * e_m2,
-        c_wr + (act_half[1] - c_wr) * e_m2,
-        c_dl + (act_half[2] - c_dl) * e_s2,
-        c_dr + (act_half[3] - c_dr) * e_s2,
-    )
+    wl0, wr0, dl0, dr0 = a0.omega_left, a0.omega_right, a0.delta_left, a0.delta_right
+    wl1 = c_wl + (wl0 - c_wl) * e_m2
+    wr1 = c_wr + (wr0 - c_wr) * e_m2
+    dl1 = c_dl + (dl0 - c_dl) * e_s2
+    dr1 = c_dr + (dr0 - c_dr) * e_s2
+    wl2 = c_wl + (wl1 - c_wl) * e_m2
+    wr2 = c_wr + (wr1 - c_wr) * e_m2
+    dl2 = c_dl + (dl1 - c_dl) * e_s2
+    dr2 = c_dr + (dr1 - c_dr) * e_s2
 
+    y0 = state.y
     half = 0.5 * dt
-    consts = _consts(params)
-    k1 = _rhs(y0, act0, consts, dist_f, dist_m)
-    k2 = _rhs([a + half * b for a, b in zip(y0, k1)], act_half, consts, dist_f, dist_m)
-    k3 = _rhs([a + half * b for a, b in zip(y0, k2)], act_half, consts, dist_f, dist_m)
-    k4 = _rhs([a + dt * b for a, b in zip(y0, k3)], act_full, consts, dist_f, dist_m)
+    fx, fy, fz, mx, my, mz = actuator_wrench(wl0, wr0, dl0, dr0, k_t, k_m, k_l, k_d, k_p, l)
+    k1 = _rhs(y0, None, 0.0, fx, fy, fz, mx + dmx, my + dmy, mz + dmz,
+              mg, inv_m, jx, jy, jz, dfx, dfy, dfz)
+    fx, fy, fz, mx, my, mz = actuator_wrench(wl1, wr1, dl1, dr1, k_t, k_m, k_l, k_d, k_p, l)
+    mx, my, mz = mx + dmx, my + dmy, mz + dmz
+    k2 = _rhs(y0, k1, half, fx, fy, fz, mx, my, mz, mg, inv_m, jx, jy, jz, dfx, dfy, dfz)
+    k3 = _rhs(y0, k2, half, fx, fy, fz, mx, my, mz, mg, inv_m, jx, jy, jz, dfx, dfy, dfz)
+    fx, fy, fz, mx, my, mz = actuator_wrench(wl2, wr2, dl2, dr2, k_t, k_m, k_l, k_d, k_p, l)
+    k4 = _rhs(y0, k3, dt, fx, fy, fz, mx + dmx, my + dmy, mz + dmz,
+              mg, inv_m, jx, jy, jz, dfx, dfy, dfz)
 
     sixth = dt / 6.0
     y1 = [
@@ -288,10 +287,10 @@ def step(
     out = object.__new__(VehicleState)
     out.y = tuple(y1)
     out.act = ActuatorState(
-        _clip(act_full[0], 0.0, params.omega_max),
-        _clip(act_full[1], 0.0, params.omega_max),
-        _clip(act_full[2], -params.delta_max, params.delta_max),
-        _clip(act_full[3], -params.delta_max, params.delta_max),
+        _clip(wl2, 0.0, params.omega_max),
+        _clip(wr2, 0.0, params.omega_max),
+        _clip(dl2, -params.delta_max, params.delta_max),
+        _clip(dr2, -params.delta_max, params.delta_max),
     )
     return out
 

@@ -6,6 +6,7 @@ derived independently and frozen as literals.
 """
 
 import math
+import struct
 from dataclasses import astuple
 
 import numpy as np
@@ -33,6 +34,7 @@ from oracles import (
     actuator_step,
     array_sense,
     derivative,
+    reference_step,
     reference_wrench,
 )
 
@@ -188,7 +190,8 @@ def test_step_raises_on_divergence():
 def test_fast_path_matches_reference_dynamics():
     # the integrator's scalar right-hand side and total_wrench must agree
     # with the per-side vector-algebra model (reference_wrench + derivative)
-    from tailsim.sim import _consts, _rhs
+    from tailsim.model import actuator_wrench
+    from tailsim.sim import _rhs
 
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -212,9 +215,53 @@ def test_fast_path_matches_reference_dynamics():
         ref = derivative(st, wrench, PARAMS)
         y = (*st.p, *st.v, *st.q, *st.omega)
         act = (st.act.omega_left, st.act.omega_right, st.act.delta_left, st.act.delta_right)
-        got = np.array(_rhs(y, act, _consts(PARAMS), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
+        w = actuator_wrench(*act, PARAMS.k_t, PARAMS.k_m, PARAMS.k_l, PARAMS.k_d, PARAMS.k_p, PARAMS.l)
+        got = np.array(_rhs(y, None, 0.0, *w, -PARAMS.m * PARAMS.g_mag, 1.0 / PARAMS.m,
+                            PARAMS.j_xx, PARAMS.j_yy, PARAMS.j_zz, 0.0, 0.0, 0.0))
         expect = np.concatenate([ref.p_dot, ref.v_dot, ref.q_dot, ref.omega_dot])
         assert np.allclose(got, expect, rtol=1e-11, atol=1e-12)
+
+
+def bits(values) -> bytes:
+    """The IEEE bit patterns of a float sequence (tells -0.0 from +0.0)."""
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def oracle_cases(rng):
+    """(state, command) pairs: signed-zero states, then random ones with
+    rotor commands at 0, at and above omega_max or negative, and elevon
+    commands at +/- delta_max or inside the range."""
+    w_max, d_max = PARAMS.omega_max, PARAMS.delta_max
+    for q in ([-0.0, 1.0, 0.0, 0.0], [-0.0, -0.0, 1.0, -0.0], [1.0, -0.0, -0.0, -0.0]):
+        for z in (0.0, -0.0):
+            yield (VehicleState(p=[z] * 3, v=[z] * 3, q=q, omega=[-0.0] * 3),
+                   ActuatorCommand(0.0, 0.0, z, z))
+    for i in range(60):
+        q = rng.standard_normal(4)
+        state = VehicleState(
+            p=rng.standard_normal(3), v=rng.standard_normal(3), q=q / np.linalg.norm(q),
+            omega=rng.standard_normal(3),
+            act=ActuatorState(*rng.uniform(0.0, w_max, 2), *rng.uniform(-d_max, d_max, 2)),
+        )
+        rotors = (0.0, w_max, 1.25 * w_max, -100.0, float(rng.uniform(0.0, w_max)))
+        elevons = (-d_max, d_max, float(rng.uniform(-d_max, d_max)))
+        yield state, ActuatorCommand(
+            rotors[i % 5], rotors[(i + 2) % 5], elevons[i % 3], elevons[(i + 1 + i // 3) % 3],
+        )
+
+
+@pytest.mark.parametrize("dt", [5e-4, 1e-3, 2e-3])
+@pytest.mark.parametrize("disturbed", [False, True], ids=["plain", "disturbed"])
+def test_step_is_bit_identical_to_list_oracle(dt, disturbed):
+    # the shared half-step wrench and the stage states formed inside _rhs
+    # must reproduce the per-stage list formulation bit for bit
+    rng = np.random.default_rng(11)
+    dist = DisturbanceSpec() if disturbed else None
+    for state, command in oracle_cases(rng):
+        got = step(state, command, dt, PARAMS, dist)
+        want = reference_step(state, command, dt, PARAMS, dist)
+        assert got.y == want.y and bits(got.y) == bits(want.y)
+        assert got.act == want.act and bits(astuple(got.act)) == bits(astuple(want.act))
 
 
 def test_vehicle_state_rejects_non_unit_quaternion():
@@ -254,6 +301,33 @@ def test_vehicle_state_setters_validate():
     with pytest.raises(DomainError):
         VehicleState(p=np.zeros(3), v=np.zeros(4), q=hover_attitude(0.0), omega=np.zeros(3))
     assert np.array_equal(st.q, hover_attitude(0.0))      # rejected values leave no trace
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+PART_SIZES = {"p": 3, "v": 3, "q": 4, "omega": 3}
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("name", PART_SIZES)
+def test_vehicle_state_constructor_rejects_non_finite_entries(name, bad):
+    for i in range(PART_SIZES[name]):
+        parts = {"p": np.zeros(3), "v": np.zeros(3), "q": hover_attitude(0.0), "omega": np.zeros(3)}
+        parts[name][i] = bad
+        with pytest.raises(DomainError, match="finite"):
+            VehicleState(**parts)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("name", PART_SIZES)
+def test_vehicle_state_setters_reject_non_finite_entries(name, bad):
+    st = hover_state()
+    y = st.y
+    for i in range(PART_SIZES[name]):
+        value = getattr(st, name)
+        value[i] = bad
+        with pytest.raises(DomainError, match="finite"):
+            setattr(st, name, value)
+        assert st.y == y                                  # rejected values leave no trace
 
 
 def test_step_leaves_its_input_state_unchanged():
