@@ -38,10 +38,10 @@ from dataclasses import dataclass, field
 from .errors import DegenerateThrustError, DomainError, InfeasibleRollError
 from .model import VehicleParams
 from .rotations import (
-    quat_conjugate_f,
-    quat_multiply_f,
-    quat_normalize_f,
-    quat_to_rotvec_f,
+    quat_conjugate,
+    quat_multiply,
+    quat_normalize,
+    quat_to_rotvec,
     wrap_angle,
 )
 
@@ -221,12 +221,12 @@ def attitude_setpoint(
     s2 = hx * hx + hy * hy
     if s2 >= 1e-24:
         w = 1.0 + hz if hz >= 0.0 else s2 / (1.0 - hz)
-        q_tilt = quat_normalize_f((w, -hy, hx, 0.0))
+        q_tilt = quat_normalize((w, -hy, hx, 0.0))
     elif hz > 0.0:
         q_tilt = (1.0, 0.0, 0.0, 0.0)
     else:
         q_tilt = (0.0, -math.sin(psi_des), math.cos(psi_des), 0.0)
-    return quat_multiply_f(q_tilt, heading), 0.5 * norm
+    return quat_multiply(q_tilt, heading), 0.5 * norm
 
 
 def attitude_control(q_est, q_des, gains: ControllerGains) -> tuple:
@@ -240,11 +240,11 @@ def attitude_control(q_est, q_des, gains: ControllerGains) -> tuple:
     yaw are not defined, the rotation vector of ``e`` is used instead.
     Returns three floats.
     """
-    e = quat_multiply_f(quat_conjugate_f(q_est), q_des)
+    e = quat_multiply(quat_conjugate(q_est), q_des)
     w, x, y, z = e
     sin_theta = 2.0 * (w * y - x * z)
     if abs(sin_theta) >= 1.0 - 1e-6:
-        angles = quat_to_rotvec_f(e)
+        angles = quat_to_rotvec(e)
     else:
         angles = (
             math.atan2(2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)),

@@ -24,6 +24,12 @@ body axes:
 Forces act at the per-side application points ``(0, -l, 0)`` (left) and
 ``(0, +l, 0)`` (right), so differential thrust rolls the vehicle and
 differential lift yaws it.
+
+On Python floats, :func:`actuator_wrench` sums both sides about the
+centre of mass (the integrator's wrench) and :func:`total_wrench` adds
+the weight (the force the accelerometer reads).  One side alone about
+its own hub, as on the static bench, is evaluated column-wise by
+:func:`tailsim.sysid.generate_synthetic`.
 """
 
 from __future__ import annotations
@@ -31,11 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
-
-_SIDES = ("left", "right")
 
 
 @dataclass
@@ -90,71 +92,6 @@ class ActuatorState:
     delta_right: float = 0.0
 
 
-@dataclass
-class Wrench:
-    """A force/torque pair in body axes, N and N m."""
-
-    force: np.ndarray
-    torque: np.ndarray
-
-    def __add__(self, other: "Wrench") -> "Wrench":
-        return Wrench(self.force + other.force, self.torque + other.torque)
-
-
-def _check_actuation(omega: float, delta: float | None, params: VehicleParams) -> None:
-    if not math.isfinite(omega) or omega < 0.0:
-        raise DomainError(f"rotor speed must be finite and >= 0, got {omega!r}")
-    if delta is not None:
-        if not math.isfinite(delta) or abs(delta) > params.delta_max + 1e-12:
-            raise DomainError(
-                f"elevon deflection must satisfy |delta| <= {params.delta_max}, got {delta!r}"
-            )
-
-
-def prop_wrench(omega: float, side: str, params: VehicleParams) -> Wrench:
-    """Thrust and reaction torque of one propeller about its own hub.
-
-    Args:
-        omega: rotor speed, rad/s (>= 0).
-        side: "left" or "right"; selects the reaction torque sign
-            (left spins so its reaction torque is +z, right -z).
-        params: vehicle constants.
-
-    Returns:
-        Wrench with force ``(0, 0, -k_t omega^2)`` and torque
-        ``(0, 0, +/- k_m omega^2)``.
-    """
-    if side not in _SIDES:
-        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    _check_actuation(omega, None, params)
-    w2 = omega * omega
-    sign = 1.0 if side == "left" else -1.0
-    return Wrench(
-        np.array([0.0, 0.0, -params.k_t * w2]),
-        np.array([0.0, 0.0, sign * params.k_m * w2]),
-    )
-
-
-def aero_wrench(omega: float, delta: float, params: VehicleParams) -> Wrench:
-    """Slipstream lift/drag force and elevon pitch torque of one side.
-
-    Args:
-        omega: rotor speed driving the slipstream, rad/s (>= 0).
-        delta: elevon deflection, rad, ``|delta| <= delta_max``.
-        params: vehicle constants.
-
-    Returns:
-        Wrench with force ``(-k_l omega^2 delta, 0, k_d omega^2 delta^2)``
-        and torque ``(0, -k_p omega^2 delta, 0)``.
-    """
-    _check_actuation(omega, delta, params)
-    w2 = omega * omega
-    return Wrench(
-        np.array([-params.k_l * w2 * delta, 0.0, params.k_d * w2 * delta * delta]),
-        np.array([0.0, -params.k_p * w2 * delta, 0.0]),
-    )
-
-
 def actuator_wrench(
     wl: float, wr: float, dl: float, dr: float,
     k_t: float, k_m: float, k_l: float, k_d: float, k_p: float, l: float,
@@ -187,7 +124,9 @@ def actuator_wrench(
     return fx, fy, fz, mx, my, mz
 
 
-def total_wrench(act: ActuatorState, R_wb: np.ndarray, params: VehicleParams) -> Wrench:
+def total_wrench(
+    act: ActuatorState, R_wb, params: VehicleParams,
+) -> tuple[float, float, float, float, float, float]:
     """Total body-frame wrench about the centre of mass, gravity included.
 
     The :func:`actuator_wrench` of the current actuator state plus the
@@ -196,9 +135,12 @@ def total_wrench(act: ActuatorState, R_wb: np.ndarray, params: VehicleParams) ->
 
     Args:
         act: current rotor speeds and elevon deflections.
-        R_wb: 3x3 rotation, world frame to body frame (an array or three
-            rows of floats).
+        R_wb: 3x3 rotation, world frame to body frame (three rows of
+            floats or an array).
         params: vehicle constants.
+
+    Returns:
+        ``(fx, fy, fz, mx, my, mz)`` in body axes, N and N m.
     """
     fx, fy, fz, mx, my, mz = actuator_wrench(
         act.omega_left, act.omega_right, act.delta_left, act.delta_right,
@@ -206,7 +148,4 @@ def total_wrench(act: ActuatorState, R_wb: np.ndarray, params: VehicleParams) ->
     )
     mg = params.m * params.g_mag
     rx, ry, rz = (row[2] for row in R_wb)
-    return Wrench(
-        np.array([fx - mg * rx, fy - mg * ry, fz - mg * rz]),
-        np.array([mx, my, mz]),
-    )
+    return fx - mg * rx, fy - mg * ry, fz - mg * rz, mx, my, mz

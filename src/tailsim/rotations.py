@@ -2,26 +2,27 @@
 
 Conventions used throughout the package:
 
-* Quaternions are scalar-first arrays ``(w, x, y, z)`` of unit norm using
-  the Hamilton product, rotating body vectors into the world frame.
+* Quaternions are scalar-first ``(w, x, y, z)`` of unit norm using the
+  Hamilton product, rotating body vectors into the world frame.
 * Body-rate kinematics: ``q_dot = 0.5 * q * (0, omega_body)``, so a body
   turning at constant rate integrates as a right multiplication.
 
 Quaternion multiply, conjugate, normalise, integrate, rotation vector
-to quaternion and back, and quaternion to matrix each exist once, as a
-core on tuples of Python floats (the ``*_f`` functions).  Python-float
-arithmetic is the same IEEE double arithmetic as numpy's elementwise
-operations but costs a fraction of it on 3- and 4-element values, so
-the 1 kHz sensing and estimation path and the attitude loop call the
-cores directly; the array functions of the same names without ``_f``
-are one-line wrappers over them.
+to quaternion and back, and quaternion to matrix each exist once, on
+Python floats: each takes any 3- or 4-element sequence and returns a
+tuple of floats.  Python-float arithmetic is the same IEEE double
+arithmetic as numpy's elementwise operations but costs a fraction of it
+on 3- and 4-element values, which matters on the 1 kHz sensing and
+estimation path and in the attitude loop.
 
-Rotation matrices are an output only: ``quat_to_matrix(q)`` returns the
-body-to-world direction cosine matrix (``v_world = R @ v_body``; its
-transpose maps world vectors into the body frame), and nothing converts
-a matrix back.  Every rotation that reaches the run log is computed from
-quaternion components with explicit float arithmetic, never by a BLAS
-matrix product, so the log does not depend on which BLAS kernel loads.
+Rotation matrices are an output only: ``quat_to_matrix_f(q)`` gives the
+body-to-world direction cosine matrix as 9 floats row by row
+(``v_world = R @ v_body``; its transpose maps world vectors into the body
+frame), ``quat_to_matrix(q)`` the same as a 3x3 array, and nothing
+converts a matrix back.  Every rotation that reaches the run log is
+computed from quaternion components with explicit float arithmetic,
+never by a BLAS matrix product, so the log does not depend on which
+BLAS kernel loads.
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ import math
 
 import numpy as np
 
-QUAT_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
-
-def quat_multiply_f(a, b) -> tuple:
+def quat_multiply(a, b) -> tuple:
     """Hamilton product a * b of two scalar-first quaternions, as floats."""
     aw, ax, ay, az = a
     bw, bx, by, bz = b
@@ -45,13 +44,13 @@ def quat_multiply_f(a, b) -> tuple:
     )
 
 
-def quat_conjugate_f(q) -> tuple:
+def quat_conjugate(q) -> tuple:
     """Conjugate (inverse of a unit quaternion), as floats."""
     w, x, y, z = q
     return (w, -x, -y, -z)
 
 
-def quat_normalize_f(q) -> tuple:
+def quat_normalize(q) -> tuple:
     """``q / |q|`` as floats."""
     w, x, y, z = q
     n = math.sqrt(w * w + x * x + y * y + z * z)
@@ -60,18 +59,18 @@ def quat_normalize_f(q) -> tuple:
     return (w / n, x / n, y / n, z / n)
 
 
-def quat_from_rotvec_f(r) -> tuple:
+def quat_from_rotvec(r) -> tuple:
     """Unit quaternion of a rotation vector (axis * angle), as floats."""
     rx, ry, rz = r
     angle = math.sqrt(rx * rx + ry * ry + rz * rz)
     if angle < 1e-12:
         # first-order expansion keeps the map smooth through zero
-        return quat_normalize_f((1.0, 0.5 * rx, 0.5 * ry, 0.5 * rz))
+        return quat_normalize((1.0, 0.5 * rx, 0.5 * ry, 0.5 * rz))
     s = math.sin(0.5 * angle) / angle
     return (math.cos(0.5 * angle), rx * s, ry * s, rz * s)
 
 
-def quat_to_rotvec_f(q) -> tuple:
+def quat_to_rotvec(q) -> tuple:
     """Rotation vector (angle in [0, pi]) of a unit quaternion, as floats."""
     w, x, y, z = q
     if w < 0.0:  # keep the short way around
@@ -83,27 +82,10 @@ def quat_to_rotvec_f(q) -> tuple:
     return (x * f, y * f, z * f)
 
 
-def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a * b."""
-    return np.array(quat_multiply_f(a, b))
-
-
-def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    return np.array(quat_conjugate_f(q))
-
-
-def quat_normalize(q: np.ndarray) -> np.ndarray:
-    return np.array(quat_normalize_f(q))
-
-
-def quat_from_rotvec(r: np.ndarray) -> np.ndarray:
-    """Unit quaternion for a rotation vector (axis * angle)."""
-    return np.array(quat_from_rotvec_f(r))
-
-
-def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
-    """Rotation vector (axis * angle, angle in [0, pi]) of a unit quaternion."""
-    return np.array(quat_to_rotvec_f(q))
+def quat_integrate(q, omega_body, dt: float) -> tuple:
+    """Attitude advanced by a body rate held constant over ``dt``, as floats."""
+    wx, wy, wz = omega_body
+    return quat_normalize(quat_multiply(q, quat_from_rotvec((wx * dt, wy * dt, wz * dt))))
 
 
 def quat_to_matrix_f(q) -> tuple:
@@ -116,20 +98,9 @@ def quat_to_matrix_f(q) -> tuple:
     )
 
 
-def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Body-to-world rotation matrix of a unit quaternion."""
+def quat_to_matrix(q) -> np.ndarray:
+    """Body-to-world rotation matrix of a unit quaternion, as a 3x3 array."""
     return np.array(quat_to_matrix_f(np.asarray(q, dtype=float).tolist())).reshape(3, 3)
-
-
-def quat_integrate_f(q, omega_body, dt: float) -> tuple:
-    """Attitude advanced by a body rate held constant over ``dt``, as floats."""
-    wx, wy, wz = omega_body
-    return quat_normalize_f(quat_multiply_f(q, quat_from_rotvec_f((wx * dt, wy * dt, wz * dt))))
-
-
-def quat_integrate(q: np.ndarray, omega_body: np.ndarray, dt: float) -> np.ndarray:
-    """Advance attitude by body rate held constant over ``dt`` (exact map)."""
-    return np.array(quat_integrate_f(q, omega_body, dt))
 
 
 def wrap_angle(a: float) -> float:

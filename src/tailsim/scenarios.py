@@ -146,8 +146,8 @@ class Scenario:
     legs: list[_Leg] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0.0:
-            raise DomainError(f"duration must be > 0, got {self.duration_s}")
+        if not 0.0 < self.duration_s < math.inf:
+            raise DomainError(f"duration must be finite and > 0, got {self.duration_s}")
 
 
 def make_scenario(config: Config) -> Scenario:
@@ -499,9 +499,9 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
             r = quat_to_matrix_f(state.y[6:10])
             R_wb = (r[0::3], r[1::3], r[2::3])      # world to body: the transpose
             wrench = total_wrench(state.act, R_wb, params)
-            wrench.force += [a * ox + b * oy + c * oz for a, b, c in R_wb]
+            force = [f + (a * ox + b * oy + c * oz) for f, (a, b, c) in zip(wrench[:3], R_wb)]
             sample = sense(
-                state, wrench, params, disturbance, rng,
+                state, force, params, disturbance, rng,
                 t=t, with_pose=(k % pose_every == 0),
             )
             estimator.update(sample, imu_dt)

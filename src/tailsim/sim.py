@@ -27,11 +27,11 @@ controller verification.
 Everything that runs at the physics or IMU rate computes on Python
 floats: the state is one tuple of 13 floats (:class:`VehicleState`),
 :func:`step` reads and returns it without building an array, and
-:func:`sense` and the estimator work through the float cores of
-:mod:`tailsim.rotations`.  The operations and their order are those of
-the elementwise array code, so the results are bit-identical to it.
-Estimates are handed out as tuples of floats and sensor samples as
-arrays; the state's ``p``, ``v``, ``q`` and ``omega`` read as arrays.
+:func:`sense` (which takes the body force as three floats) and the
+estimator work through :mod:`tailsim.rotations`.  The operations and
+their order are those of the elementwise array code, so the results are
+bit-identical to it.  Sensor samples and estimates are tuples of floats;
+only the state's ``p``, ``v``, ``q`` and ``omega`` read as arrays.
 """
 
 from __future__ import annotations
@@ -43,15 +43,15 @@ import numpy as np
 
 from .control import StateEstimate
 from .errors import DomainError, SimulationDivergedError
-from .model import ActuatorState, VehicleParams, Wrench, actuator_wrench
+from .model import ActuatorState, VehicleParams, actuator_wrench
 from .rotations import (
-    quat_conjugate_f,
-    quat_from_rotvec_f,
-    quat_integrate_f,
-    quat_multiply_f,
-    quat_normalize_f,
+    quat_conjugate,
+    quat_from_rotvec,
+    quat_integrate,
+    quat_multiply,
+    quat_normalize,
     quat_to_matrix_f,
-    quat_to_rotvec_f,
+    quat_to_rotvec,
 )
 
 MAX_PHYSICS_DT = 2e-3
@@ -151,10 +151,6 @@ class VehicleState:
         return StateEstimate(y[0:3], y[3:6], y[6:10], y[10:13])
 
 
-def _clip(x: float, lo: float, hi: float) -> float:
-    return lo if x < lo else hi if x > hi else x
-
-
 def _rhs(y0: tuple, k: tuple | None, h: float, fx: float, fy: float, fz: float,
          mx: float, my: float, mz: float, mg: float, inv_m: float, jx: float, jy: float,
          jz: float, dfx: float, dfy: float, dfz: float) -> tuple:
@@ -214,10 +210,12 @@ def step(
 ) -> VehicleState:
     """One fixed-step RK4 integration step of the full vehicle.
 
-    Actuators are evaluated on their exact exponential response to the
-    (saturated) command at the substage times 0, dt/2, and dt, and the
-    attitude quaternion is renormalised afterwards.  The actuator wrench
-    is computed once per sample; stages 2 and 3 share the one at dt/2.
+    The command is first saturated to ``[0, omega_max]`` and
+    ``[-delta_max, delta_max]``.  Actuators are evaluated on their exact
+    exponential response to it at the substage times 0, dt/2, and dt,
+    and the attitude quaternion is renormalised afterwards.  The actuator
+    wrench is computed once per sample; stages 2 and 3 share the one at
+    dt/2.
 
     Args:
         state: state at the start of the step.
@@ -247,8 +245,14 @@ def step(
     a0 = state.act
     e_m2 = math.exp(-0.5 * dt / params.tau_motor)
     e_s2 = math.exp(-0.5 * dt / params.tau_servo)
+    # the command saturated to the actuator limits, inline for speed
+    w_max, d_max = params.omega_max, params.delta_max
     c_wl, c_wr = command.omega_left, command.omega_right
     c_dl, c_dr = command.delta_left, command.delta_right
+    c_wl = 0.0 if c_wl < 0.0 else w_max if c_wl > w_max else c_wl
+    c_wr = 0.0 if c_wr < 0.0 else w_max if c_wr > w_max else c_wr
+    c_dl = -d_max if c_dl < -d_max else d_max if c_dl > d_max else c_dl
+    c_dr = -d_max if c_dr < -d_max else d_max if c_dr > d_max else c_dr
     wl0, wr0, dl0, dr0 = a0.omega_left, a0.omega_right, a0.delta_left, a0.delta_right
     wl1 = c_wl + (wl0 - c_wl) * e_m2
     wr1 = c_wr + (wr0 - c_wr) * e_m2
@@ -287,28 +291,31 @@ def step(
     out = object.__new__(VehicleState)
     out.y = tuple(y1)
     out.act = ActuatorState(
-        _clip(wl2, 0.0, params.omega_max),
-        _clip(wr2, 0.0, params.omega_max),
-        _clip(dl2, -params.delta_max, params.delta_max),
-        _clip(dr2, -params.delta_max, params.delta_max),
+        0.0 if wl2 < 0.0 else w_max if wl2 > w_max else wl2,
+        0.0 if wr2 < 0.0 else w_max if wr2 > w_max else wr2,
+        -d_max if dl2 < -d_max else d_max if dl2 > d_max else dl2,
+        -d_max if dr2 < -d_max else d_max if dr2 > d_max else dr2,
     )
     return out
 
 
 @dataclass
 class SensorSample:
-    """One IMU sample, optionally paired with an external pose fix."""
+    """One IMU sample, optionally paired with an external pose fix.
+
+    Each channel is a tuple of Python floats.
+    """
 
     t: float
-    gyro: np.ndarray                   # body rates, rad/s
-    accel: np.ndarray                  # specific force, body frame, m/s^2
-    pose_p: np.ndarray | None = None   # measured position, world frame, m
-    pose_q: np.ndarray | None = None   # measured attitude quaternion
+    gyro: tuple                   # body rates, rad/s
+    accel: tuple                  # specific force, body frame, m/s^2
+    pose_p: tuple | None = None   # measured position, world frame, m
+    pose_q: tuple | None = None   # measured attitude quaternion
 
 
 def sense(
     state: VehicleState,
-    true_wrench: Wrench,
+    force,
     params: VehicleParams,
     disturbance: DisturbanceSpec,
     rng: np.random.Generator,
@@ -327,7 +334,8 @@ def sense(
 
     Args:
         state: true vehicle state.
-        true_wrench: total body wrench currently acting (gravity included).
+        force: the three components of the total body force currently
+            acting (gravity included), N.
         params: vehicle constants.
         disturbance: noise standard deviations.
         rng: noise source.
@@ -339,26 +347,26 @@ def sense(
     r20, r21, r22 = quat_to_matrix_f(q)[6:]
     m = params.m
     mg = m * params.g_mag
-    fx, fy, fz = true_wrench.force.tolist()
+    fx, fy, fz = force
     n = rng.standard_normal(12 if with_pose else 6).tolist()
 
     s_g = disturbance.gyro_noise_std
     wx, wy, wz = y[10:13]
-    gyro = np.array([wx + s_g * n[0], wy + s_g * n[1], wz + s_g * n[2]])
+    gyro = (wx + s_g * n[0], wy + s_g * n[1], wz + s_g * n[2])
     s_a = disturbance.accel_noise_std
-    accel = np.array([
+    accel = (
         (fx + mg * r20) / m + s_a * n[3],
         (fy + mg * r21) / m + s_a * n[4],
         (fz + mg * r22) / m + s_a * n[5],
-    ])
+    )
     pose_p = pose_q = None
     if with_pose:
         s_p = disturbance.pose_pos_noise_std
         px, py, pz = y[0:3]
-        pose_p = np.array([px + s_p * n[6], py + s_p * n[7], pz + s_p * n[8]])
+        pose_p = (px + s_p * n[6], py + s_p * n[7], pz + s_p * n[8])
         s_q = disturbance.pose_att_noise_std
         tilt = (s_q * n[9], s_q * n[10], s_q * n[11])
-        pose_q = np.array(quat_normalize_f(quat_multiply_f(q, quat_from_rotvec_f(tilt))))
+        pose_q = quat_normalize(quat_multiply(q, quat_from_rotvec(tilt)))
     return SensorSample(t=t, gyro=gyro, accel=accel, pose_p=pose_p, pose_q=pose_q)
 
 
@@ -373,8 +381,7 @@ class LowPass:
     ``y += (1 - exp(-dt / tau)) * (x - y)`` with ``tau = 1 / (2 pi f_c)``;
     unit DC gain, amplitude ``1 / sqrt(1 + (f / f_c)^2)`` well below the
     sampling rate.  The output is held as a tuple of Python floats (the
-    same IEEE arithmetic as the elementwise array update); :meth:`advance`
-    works on float sequences, :meth:`step` on arrays.  The gain is
+    same IEEE arithmetic as the elementwise array update).  The gain is
     recomputed only when ``dt`` changes.
     """
 
@@ -401,11 +408,6 @@ class LowPass:
         self.y = tuple([yi + alpha * (xi - yi) for xi, yi in zip(x, y)])
         return self.y
 
-    def step(self, x: np.ndarray, dt: float) -> np.ndarray:
-        """Advance the filter by one sample and return the new output."""
-        shape = np.shape(x)
-        return np.array(self.advance(_floats(x), dt)).reshape(shape)
-
 
 IMU_CUTOFF_HZ = 20.0
 
@@ -420,7 +422,7 @@ class ComplementaryEstimator:
     velocity corrections (an alpha-beta observer).
 
     The estimate (``p``, ``v``, ``q``, ``omega``) and the gyro filter's
-    state are tuples of Python floats, updated by the float cores of
+    state are tuples of Python floats, updated by the functions of
     :mod:`tailsim.rotations` and :class:`LowPass` with the operations of
     the elementwise array update in the same order, so the numbers are
     bit for bit those of array code at a fraction of the cost.
@@ -460,18 +462,18 @@ class ComplementaryEstimator:
 
     def update(self, sample: SensorSample, dt: float) -> None:
         """Fuse one IMU sample (and its optional pose fix) into the estimate."""
-        self.omega = omega = self._gyro_lp.advance(sample.gyro.tolist(), dt)
-        q = quat_integrate_f(self.q, omega, dt)
+        self.omega = omega = self._gyro_lp.advance(sample.gyro, dt)
+        q = quat_integrate(self.q, omega, dt)
         px, py, pz = self.p
         vx, vy, vz = self.v
         px, py, pz = px + vx * dt, py + vy * dt, pz + vz * dt
 
         if sample.pose_p is not None and sample.pose_q is not None:
-            err = quat_multiply_f(quat_conjugate_f(q), sample.pose_q.tolist())
+            err = quat_multiply(quat_conjugate(q), sample.pose_q)
             b = self.attitude_blend
-            ex, ey, ez = quat_to_rotvec_f(err)
-            q = quat_normalize_f(quat_multiply_f(q, quat_from_rotvec_f((b * ex, b * ey, b * ez))))
-            mx, my, mz = sample.pose_p.tolist()
+            ex, ey, ez = quat_to_rotvec(err)
+            q = quat_normalize(quat_multiply(q, quat_from_rotvec((b * ex, b * ey, b * ez))))
+            mx, my, mz = sample.pose_p
             ix, iy, iz = mx - px, my - py, mz - pz
             a = self.pos_alpha
             px, py, pz = px + a * ix, py + a * iy, pz + a * iz

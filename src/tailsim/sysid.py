@@ -20,9 +20,9 @@ channel     basis                      coefficients
 ==========  =========================  ==================
 
 Noiseless synthetic data is recovered exactly (the thrust/drag channel
-is a joint two-column fit, so drag never biases thrust).  The normal
-equations are solved by singular value decomposition via
-``numpy.linalg.lstsq``.
+is a joint two-column fit, so drag never biases thrust).  Each channel
+is solved by singular value decomposition via ``numpy.linalg.lstsq``;
+``inv(X^T X)`` is formed only for the coefficients' standard errors.
 """
 
 from __future__ import annotations
@@ -164,11 +164,17 @@ def fit_params(
         FitResult covering exactly ``constants``.
 
     Raises:
-        DomainError: on an empty/underspecified dataset or unknown names.
+        DomainError: on an empty/underspecified dataset, an empty
+            ``constants``, or a repeated or unknown name in it.
         InsufficientExcitationError: if a requested coefficient's
             regressor carries no information (e.g. every record has
             ``delta == 0`` so ``k_l``, ``k_d``, ``k_p`` are invisible).
     """
+    if not constants:
+        raise DomainError("no constants requested")
+    repeated = sorted({c for c in constants if constants.count(c) > 1})
+    if repeated:
+        raise DomainError(f"constants requested more than once: {repeated}")
     unknown = [c for c in constants if c not in ALL_CONSTANTS]
     if unknown:
         raise DomainError(f"unknown constants requested: {unknown}")
@@ -235,13 +241,11 @@ def generate_synthetic(
 
     Records run over ``delta_values`` for each of ``omega_values`` in
     turn.  Wrenches come from the single-side force/moment model of
-    :func:`~tailsim.model.prop_wrench` plus
-    :func:`~tailsim.model.aero_wrench` (left-side reaction-torque sign,
-    about the unit's own hub), evaluated on the whole grid at once in the
-    same operation order.  ``relative_noise`` applies multiplicative
-    Gaussian perturbations ``x * (1 + sigma * n)`` to every measured
-    component, drawn force then torque per record and seeded for
-    reproducibility.
+    :mod:`tailsim.model` (left-side reaction-torque sign, about the
+    unit's own hub), evaluated on the whole grid at once.
+    ``relative_noise`` applies multiplicative Gaussian perturbations
+    ``x * (1 + sigma * n)`` to every measured component, drawn force then
+    torque per record and seeded for reproducibility.
 
     Raises:
         DomainError: on a negative or non-finite ``relative_noise``, a
@@ -265,9 +269,10 @@ def generate_synthetic(
             f"elevon deflection must satisfy |delta| <= {params.delta_max}, got {d!r}"
         )
 
-    # columns fx, fy, fz, mx, my, mz of prop_wrench + aero_wrench (fy and
-    # mx are 0.0); the "0.0 +" terms are that Wrench sum's, and they turn
-    # -0.0 into +0.0, which "%.17g" would print as "-0"
+    # columns fx, fy, fz, mx, my, mz of propeller plus slipstream (fy and
+    # mx are 0.0); the "0.0 +" terms add one part's zero to the other's
+    # value, as the per-side sum does, and turn -0.0 into +0.0, which
+    # "%.17g" would print as "-0"
     w2 = omega * omega
     wrench = np.zeros((len(omega), 6))
     wrench[:, 0] = 0.0 + -params.k_l * w2 * delta

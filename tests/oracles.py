@@ -2,6 +2,7 @@
 
 These are written independently of the package's fast paths: the wrench
 is assembled per side from :func:`prop_wrench` and :func:`aero_wrench`
+(the per-side model on arrays, as a :class:`Wrench` of force and torque)
 with explicit lever-arm cross products, the rigid-body derivative uses
 matrix algebra, the actuator lag is a one-shot exponential step, and the
 sensing-and-fusion path (quaternion helpers, low-pass filter,
@@ -23,16 +24,76 @@ import numpy as np
 
 from tailsim.control import FORCE_FLOOR, ControllerGains, StateEstimate
 from tailsim.errors import DegenerateThrustError, DomainError, SimulationDivergedError
-from tailsim.model import (
-    ActuatorState,
-    VehicleParams,
-    Wrench,
-    actuator_wrench,
-    aero_wrench,
-    prop_wrench,
-)
+from tailsim.model import ActuatorState, VehicleParams, actuator_wrench
 from tailsim.rotations import quat_to_matrix
 from tailsim.sim import MAX_PHYSICS_DT, DisturbanceSpec, SensorSample, VehicleState
+
+_SIDES = ("left", "right")
+
+
+@dataclass
+class Wrench:
+    """A force/torque pair in body axes, N and N m."""
+
+    force: np.ndarray
+    torque: np.ndarray
+
+    def __add__(self, other: "Wrench") -> "Wrench":
+        return Wrench(self.force + other.force, self.torque + other.torque)
+
+
+def _check_actuation(omega: float, delta: float | None, params: VehicleParams) -> None:
+    if not math.isfinite(omega) or omega < 0.0:
+        raise DomainError(f"rotor speed must be finite and >= 0, got {omega!r}")
+    if delta is not None:
+        if not math.isfinite(delta) or abs(delta) > params.delta_max + 1e-12:
+            raise DomainError(
+                f"elevon deflection must satisfy |delta| <= {params.delta_max}, got {delta!r}"
+            )
+
+
+def prop_wrench(omega: float, side: str, params: VehicleParams) -> Wrench:
+    """Thrust and reaction torque of one propeller about its own hub.
+
+    Args:
+        omega: rotor speed, rad/s (>= 0).
+        side: "left" or "right"; selects the reaction torque sign
+            (left spins so its reaction torque is +z, right -z).
+        params: vehicle constants.
+
+    Returns:
+        Wrench with force ``(0, 0, -k_t omega^2)`` and torque
+        ``(0, 0, +/- k_m omega^2)``.
+    """
+    if side not in _SIDES:
+        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
+    _check_actuation(omega, None, params)
+    w2 = omega * omega
+    sign = 1.0 if side == "left" else -1.0
+    return Wrench(
+        np.array([0.0, 0.0, -params.k_t * w2]),
+        np.array([0.0, 0.0, sign * params.k_m * w2]),
+    )
+
+
+def aero_wrench(omega: float, delta: float, params: VehicleParams) -> Wrench:
+    """Slipstream lift/drag force and elevon pitch torque of one side.
+
+    Args:
+        omega: rotor speed driving the slipstream, rad/s (>= 0).
+        delta: elevon deflection, rad, ``|delta| <= delta_max``.
+        params: vehicle constants.
+
+    Returns:
+        Wrench with force ``(-k_l omega^2 delta, 0, k_d omega^2 delta^2)``
+        and torque ``(0, -k_p omega^2 delta, 0)``.
+    """
+    _check_actuation(omega, delta, params)
+    w2 = omega * omega
+    return Wrench(
+        np.array([-params.k_l * w2 * delta, 0.0, params.k_d * w2 * delta * delta]),
+        np.array([0.0, -params.k_p * w2 * delta, 0.0]),
+    )
 
 
 def reference_wrench(act: ActuatorState, R_wb: np.ndarray, params: VehicleParams) -> Wrench:
@@ -200,11 +261,11 @@ def quat_integrate(q: np.ndarray, omega_body: np.ndarray, dt: float) -> np.ndarr
     return quat_normalize(quat_multiply(q, quat_from_rotvec(np.asarray(omega_body) * dt)))
 
 
-def array_sense(state, true_wrench, params, disturbance, rng, t=0.0, with_pose=False):
+def array_sense(state, force, params, disturbance, rng, t=0.0, with_pose=False):
     """IMU (and optional pose) sample drawn channel by channel on arrays."""
     R_wb = quat_to_matrix(state.q).T
     weight_body = R_wb @ (params.m * np.array([0.0, 0.0, -params.g_mag]))
-    specific_force = (true_wrench.force - weight_body) / params.m
+    specific_force = (np.asarray(force) - weight_body) / params.m
     gyro = state.omega + disturbance.gyro_noise_std * rng.standard_normal(3)
     accel = specific_force + disturbance.accel_noise_std * rng.standard_normal(3)
     pose_p = pose_q = None

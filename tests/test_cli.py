@@ -176,6 +176,23 @@ def test_sysid_fit_insufficient_excitation(tmp_path, capsys):
     assert "error: category=insufficient-excitation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("constants, message", [
+    (",", "no constants requested"),
+    ("k_t,k_t", "constants requested more than once: ['k_t']"),
+])
+def test_sysid_fit_rejects_empty_or_repeated_constants(tmp_path, capsys, constants, message):
+    records_path = tmp_path / "bench.csv"
+    main(["sysid", "synth", "--out", str(records_path)])
+    capsys.readouterr()
+    fitted_path = tmp_path / "fitted.cfg"
+    code = main(["sysid", "fit", "--in", str(records_path), "--out", str(fitted_path),
+                 "--constants", constants])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "error: category=domain" in captured.err and message in captured.err
+    assert captured.out == "" and not fitted_path.exists()
+
+
 @pytest.mark.parametrize("flag", ["--omega-count", "--delta-count"])
 @pytest.mark.parametrize("count", ["-1", "0"])
 def test_sysid_synth_count_below_one_is_usage_error(tmp_path, capsys, flag, count):

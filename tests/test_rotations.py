@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailsim.rotations import (
-    QUAT_IDENTITY,
     quat_conjugate,
     quat_from_rotvec,
     quat_integrate,
@@ -23,6 +22,8 @@ import oracles
 
 unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
 
+IDENTITY = (1.0, 0.0, 0.0, 0.0)
+
 
 def random_quats(n, seed=0):
     rng = np.random.default_rng(seed)
@@ -32,8 +33,8 @@ def random_quats(n, seed=0):
 
 def test_identity_is_noop():
     v = np.array([0.3, -1.2, 2.0])
-    assert np.allclose(quat_to_matrix(QUAT_IDENTITY) @ v, v)
-    assert np.allclose(quat_multiply(QUAT_IDENTITY, QUAT_IDENTITY), QUAT_IDENTITY)
+    assert np.allclose(quat_to_matrix(IDENTITY) @ v, v)
+    assert np.allclose(quat_multiply(IDENTITY, IDENTITY), IDENTITY)
 
 
 def test_axis_angle_quarter_turn_about_z():
@@ -54,7 +55,7 @@ def test_multiply_matches_matrix_product():
 def test_conjugate_inverts_unit_quaternion():
     (q,) = random_quats(1, seed=4)
     qq = quat_multiply(q, quat_conjugate(q))
-    assert np.allclose(qq, QUAT_IDENTITY, atol=1e-14)
+    assert np.allclose(qq, IDENTITY, atol=1e-14)
 
 
 def test_rotvec_round_trip_and_canonical_angle():
@@ -75,10 +76,10 @@ def test_rotvec_small_angle():
 def test_integrate_constant_rate_matches_axis_angle():
     omega = np.array([0.3, -0.2, 0.5])
     dt = 0.05
-    q = QUAT_IDENTITY
+    q = IDENTITY
     for _ in range(40):
         q = quat_integrate(q, omega, dt)
-    expected = quat_from_rotvec(omega * 2.0)   # body-frame rate: total rotvec
+    q, expected = np.array(q), np.array(quat_from_rotvec(omega * 2.0))   # body-frame rate
     assert min(np.linalg.norm(q - expected), np.linalg.norm(q + expected)) < 1e-12
 
 
@@ -139,8 +140,9 @@ def test_float_cores_match_array_helpers_bit_for_bit():
     rotvecs += [np.zeros(3), np.array([3e-13, 0.0, -1e-13])]   # first-order branch
     qs = list(qs) + [np.array([1.0, 0.0, 0.0, 0.0]), np.array([-1.0, 1e-13, 0.0, 0.0])]
     for a, b, r in zip(qs, qs[::-1], rotvecs):
-        assert np.array_equal(quat_multiply(a, b), oracles.quat_multiply(a, b))
-        assert np.array_equal(quat_normalize(3.0 * a), oracles.quat_normalize(3.0 * a))
-        assert np.array_equal(quat_from_rotvec(r), oracles.quat_from_rotvec(r))
-        assert np.array_equal(quat_to_rotvec(a), oracles.quat_to_rotvec(a))
-        assert np.array_equal(quat_integrate(a, r, 1e-3), oracles.quat_integrate(a, r, 1e-3))
+        fa, fb, fr = a.tolist(), b.tolist(), r.tolist()
+        assert np.array_equal(quat_multiply(fa, fb), oracles.quat_multiply(a, b))
+        assert np.array_equal(quat_normalize((3.0 * a).tolist()), oracles.quat_normalize(3.0 * a))
+        assert np.array_equal(quat_from_rotvec(fr), oracles.quat_from_rotvec(r))
+        assert np.array_equal(quat_to_rotvec(fa), oracles.quat_to_rotvec(a))
+        assert np.array_equal(quat_integrate(fa, fr, 1e-3), oracles.quat_integrate(a, r, 1e-3))

@@ -12,6 +12,7 @@ from tailsim.rotations import quat_to_matrix
 from tailsim.scenarios import (
     LOG_COLUMNS,
     Metrics,
+    Scenario,
     ScenarioLog,
     hover_attitude,
     initial_state,
@@ -145,6 +146,9 @@ def test_waypoint_final_hold_and_domain():
         reference(-0.1, s)
     with pytest.raises(DomainError):
         reference(10.1, s)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="duration"):
+            Scenario("hover", duration_s=bad)
 
 
 def test_waypoint_tangent_yaw_points_along_leg():

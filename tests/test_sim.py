@@ -12,7 +12,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from tailsim.control import ActuatorCommand, StateEstimate
+from tailsim.control import ActuatorCommand, StateEstimate, clamp_command
 from tailsim.errors import DomainError, SimulationDivergedError
 from tailsim.model import ActuatorState, VehicleParams, total_wrench
 from tailsim.rotations import quat_to_matrix, quat_to_rotvec, quat_multiply, quat_conjugate
@@ -210,8 +210,8 @@ def test_fast_path_matches_reference_dynamics():
         R_wb = quat_to_matrix(st.q).T
         wrench = reference_wrench(st.act, R_wb, PARAMS)
         total = total_wrench(st.act, R_wb, PARAMS)
-        assert np.allclose(total.force, wrench.force, rtol=1e-11, atol=1e-12)
-        assert np.allclose(total.torque, wrench.torque, rtol=1e-11, atol=1e-12)
+        assert np.allclose(total[:3], wrench.force, rtol=1e-11, atol=1e-12)
+        assert np.allclose(total[3:], wrench.torque, rtol=1e-11, atol=1e-12)
         ref = derivative(st, wrench, PARAMS)
         y = (*st.p, *st.v, *st.q, *st.omega)
         act = (st.act.omega_left, st.act.omega_right, st.act.delta_left, st.act.delta_right)
@@ -254,14 +254,34 @@ def oracle_cases(rng):
 @pytest.mark.parametrize("disturbed", [False, True], ids=["plain", "disturbed"])
 def test_step_is_bit_identical_to_list_oracle(dt, disturbed):
     # the shared half-step wrench and the stage states formed inside _rhs
-    # must reproduce the per-stage list formulation bit for bit
+    # must reproduce the per-stage list formulation bit for bit; step
+    # saturates its command, the oracle is handed the saturated one
     rng = np.random.default_rng(11)
     dist = DisturbanceSpec() if disturbed else None
     for state, command in oracle_cases(rng):
         got = step(state, command, dt, PARAMS, dist)
-        want = reference_step(state, command, dt, PARAMS, dist)
+        want = reference_step(state, clamp_command(command, PARAMS)[0], dt, PARAMS, dist)
         assert got.y == want.y and bits(got.y) == bits(want.y)
         assert got.act == want.act and bits(astuple(got.act)) == bits(astuple(want.act))
+
+
+def test_step_saturates_its_command():
+    # a command past the actuator limits drives every substage as the
+    # saturated command does, not just the returned actuator state
+    rng = np.random.default_rng(12)
+    w_max, d_max = PARAMS.omega_max, PARAMS.delta_max
+    commands = (
+        ActuatorCommand(1.25 * w_max, -100.0, 1.5 * d_max, -3.0),
+        ActuatorCommand(-1e-9, w_max + 1e-9, -d_max - 1e-9, d_max),
+    )
+    for state, _ in list(oracle_cases(rng))[6:26]:
+        for raw in commands:
+            saturated, clipped = clamp_command(raw, PARAMS)
+            assert clipped
+            got = step(state, raw, 2e-3, PARAMS, DisturbanceSpec())
+            want = step(state, saturated, 2e-3, PARAMS, DisturbanceSpec())
+            assert got.y == want.y and bits(got.y) == bits(want.y)
+            assert bits(astuple(got.act)) == bits(astuple(want.act))
 
 
 def test_vehicle_state_rejects_non_unit_quaternion():
@@ -348,10 +368,12 @@ def test_step_leaves_its_input_state_unchanged():
 
 def assert_step_follows_actuator_lag(act, cmd):
     # step's actuator update over one physics step must match the oracle
+    # driven by the saturated command
     st = hover_state()
     st.act = act
     got = astuple(step(st, cmd, 2e-3, PARAMS).act)
-    assert got == pytest.approx(astuple(actuator_step(act, cmd, 2e-3, PARAMS)), rel=1e-12)
+    want = actuator_step(act, clamp_command(cmd, PARAMS)[0], 2e-3, PARAMS)
+    assert got == pytest.approx(astuple(want), rel=1e-12)
 
 
 def test_actuator_step_exact_exponential():
@@ -408,8 +430,8 @@ def test_step_actuator_state_follows_motor_lag():
 
 def test_sense_noiseless_hover_reads_gravity_on_thrust_axis():
     st = hover_state()
-    wrench = total_wrench(st.act, quat_to_matrix(st.q).T, PARAMS)
-    sample = sense(st, wrench, PARAMS, DisturbanceSpec.none(), np.random.default_rng(0))
+    force = total_wrench(st.act, quat_to_matrix(st.q).T, PARAMS)[:3]
+    sample = sense(st, force, PARAMS, DisturbanceSpec.none(), np.random.default_rng(0))
     assert np.allclose(sample.gyro, np.zeros(3), atol=1e-15)
     # specific force: thrust only, along body -z at 1 g
     assert np.allclose(sample.accel, [0.0, 0.0, -9.81], atol=1e-12)
@@ -419,9 +441,9 @@ def test_sense_noiseless_hover_reads_gravity_on_thrust_axis():
 def test_sense_noiseless_pose_is_exact():
     st = hover_state()
     st.p = np.array([1.0, -2.0, 3.0])
-    wrench = total_wrench(st.act, quat_to_matrix(st.q).T, PARAMS)
+    force = total_wrench(st.act, quat_to_matrix(st.q).T, PARAMS)[:3]
     sample = sense(
-        st, wrench, PARAMS, DisturbanceSpec.none(), np.random.default_rng(0),
+        st, force, PARAMS, DisturbanceSpec.none(), np.random.default_rng(0),
         t=0.25, with_pose=True,
     )
     assert sample.t == 0.25
@@ -431,13 +453,13 @@ def test_sense_noiseless_pose_is_exact():
 
 def test_sense_is_reproducible_for_equal_seeds():
     st = hover_state()
-    wrench = total_wrench(st.act, quat_to_matrix(st.q).T, PARAMS)
+    force = total_wrench(st.act, quat_to_matrix(st.q).T, PARAMS)[:3]
     dist = DisturbanceSpec()
     out = []
     for _ in range(2):
         rng = np.random.default_rng(123)
-        s1 = sense(st, wrench, PARAMS, dist, rng, with_pose=True)
-        s2 = sense(st, wrench, PARAMS, dist, rng, with_pose=False)
+        s1 = sense(st, force, PARAMS, dist, rng, with_pose=True)
+        s2 = sense(st, force, PARAMS, dist, rng, with_pose=False)
         out.append((s1, s2))
     (a1, a2), (b1, b2) = out
     assert np.array_equal(a1.gyro, b1.gyro)
@@ -454,11 +476,11 @@ def test_sense_matches_array_formulas():
     st.q = quat_multiply(st.q, np.array([math.cos(0.2), 0.3 * math.sin(0.2),
                                          -0.4 * math.sin(0.2), math.sqrt(0.75) * math.sin(0.2)]))
     st.omega = np.array([0.3, -0.2, 0.1])
-    wrench = total_wrench(st.act, quat_to_matrix(st.q).T, PARAMS)
+    force = total_wrench(st.act, quat_to_matrix(st.q).T, PARAMS)[:3]
     rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
     for with_pose in (True, False, True):
-        new = sense(st, wrench, PARAMS, DisturbanceSpec(), rng_new, with_pose=with_pose)
-        old = array_sense(st, wrench, PARAMS, DisturbanceSpec(), rng_old, with_pose=with_pose)
+        new = sense(st, force, PARAMS, DisturbanceSpec(), rng_new, with_pose=with_pose)
+        old = array_sense(st, force, PARAMS, DisturbanceSpec(), rng_old, with_pose=with_pose)
         assert np.array_equal(new.gyro, old.gyro)
         assert np.allclose(new.accel, old.accel, rtol=1e-12, atol=0.0)
         if with_pose:
@@ -501,13 +523,13 @@ def test_lowpass_unit_dc_gain():
     lp = LowPass(20.0)
     y = None
     for _ in range(2000):
-        y = lp.step(np.array([3.0]), 1e-3)
+        y = lp.advance((3.0,), 1e-3)
     assert y[0] == pytest.approx(3.0, rel=1e-9)
 
 
 def test_lowpass_first_sample_initialises_output():
     lp = LowPass(20.0)
-    assert lp.step(np.array([5.0, -1.0]), 1e-3) == pytest.approx([5.0, -1.0])
+    assert lp.advance((5.0, -1.0), 1e-3) == (5.0, -1.0)
 
 
 def _sine_gain(f_sig, fc=20.0, dt=1e-5, t_total=0.5):
@@ -516,7 +538,7 @@ def _sine_gain(f_sig, fc=20.0, dt=1e-5, t_total=0.5):
     t = np.arange(n) * dt
     y = np.empty(n)
     for k in range(n):
-        y[k] = lp.step([math.sin(2.0 * math.pi * f_sig * t[k])], dt)[0]
+        y[k] = lp.advance((math.sin(2.0 * math.pi * f_sig * t[k]),), dt)[0]
     m = t >= t_total / 2.0  # discard the settling transient
     a = 2.0 * np.mean(y[m] * np.sin(2.0 * np.pi * f_sig * t[m]))
     b = 2.0 * np.mean(y[m] * np.cos(2.0 * np.pi * f_sig * t[m]))
@@ -537,8 +559,8 @@ def test_lowpass_matches_array_filter_bit_for_bit():
     scalar, scalar_ref = LowPass(5.0), ArrayLowPass(5.0)
     for dt in (1e-3, 1e-3, 5e-4, 2e-3, 1e-3):
         x = rng.standard_normal(3)
-        assert np.array_equal(lp.step(x, dt), ref.step(x, dt))
-        assert scalar.step(x[0], dt) == scalar_ref.step(x[0], dt)
+        assert np.array_equal(lp.advance(x.tolist(), dt), ref.step(x, dt))
+        assert scalar.advance((float(x[0]),), dt)[0] == scalar_ref.step(x[0], dt)
 
 
 def test_lowpass_validation():
@@ -549,7 +571,7 @@ def test_lowpass_validation():
             LowPass(bad)
     lp = LowPass(20.0)
     with pytest.raises(DomainError):
-        lp.step(np.zeros(3), 0.0)
+        lp.advance((0.0, 0.0, 0.0), 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -562,12 +584,12 @@ def complementary_from(truth, **kwargs):
 
 def test_complementary_estimator_stationary_lock():
     truth = hover_state()
-    wrench = total_wrench(truth.act, quat_to_matrix(truth.q).T, PARAMS)
+    force = total_wrench(truth.act, quat_to_matrix(truth.q).T, PARAMS)[:3]
     est = complementary_from(truth)
     rng = np.random.default_rng(0)
     dist = DisturbanceSpec.none()
     for k in range(1000):  # 1 s of 1 kHz IMU, 100 Hz pose
-        sample = sense(truth, wrench, PARAMS, dist, rng, t=k * 1e-3, with_pose=(k % 10 == 0))
+        sample = sense(truth, force, PARAMS, dist, rng, t=k * 1e-3, with_pose=(k % 10 == 0))
         est.update(sample, 1e-3)
     out = est.estimate()
     assert np.allclose(out.p, truth.p, atol=1e-12)
@@ -577,14 +599,14 @@ def test_complementary_estimator_stationary_lock():
 
 def test_complementary_estimator_position_offset_converges():
     truth = hover_state()
-    wrench = total_wrench(truth.act, quat_to_matrix(truth.q).T, PARAMS)
+    force = total_wrench(truth.act, quat_to_matrix(truth.q).T, PARAMS)[:3]
     start = truth.estimate_view()
     start.p = start.p + np.array([0.1, 0.0, 0.0])
     est = ComplementaryEstimator(start)
     rng = np.random.default_rng(0)
     dist = DisturbanceSpec.none()
     for k in range(2000):  # 2 s
-        sample = sense(truth, wrench, PARAMS, dist, rng, t=k * 1e-3, with_pose=(k % 10 == 0))
+        sample = sense(truth, force, PARAMS, dist, rng, t=k * 1e-3, with_pose=(k % 10 == 0))
         est.update(sample, 1e-3)
     out = est.estimate()
     assert np.linalg.norm(out.p - truth.p) < 1e-6
@@ -593,14 +615,14 @@ def test_complementary_estimator_position_offset_converges():
 
 def test_complementary_estimator_attitude_offset_converges():
     truth = hover_state()
-    wrench = total_wrench(truth.act, quat_to_matrix(truth.q).T, PARAMS)
+    force = total_wrench(truth.act, quat_to_matrix(truth.q).T, PARAMS)[:3]
     start = truth.estimate_view()
     start.q = quat_multiply(start.q, np.array([math.cos(0.05), math.sin(0.05), 0.0, 0.0]))
     est = ComplementaryEstimator(start)
     rng = np.random.default_rng(0)
     dist = DisturbanceSpec.none()
     for k in range(2000):
-        sample = sense(truth, wrench, PARAMS, dist, rng, t=k * 1e-3, with_pose=(k % 10 == 0))
+        sample = sense(truth, force, PARAMS, dist, rng, t=k * 1e-3, with_pose=(k % 10 == 0))
         est.update(sample, 1e-3)
     err = quat_to_rotvec(quat_multiply(quat_conjugate(est.estimate().q), truth.q))
     assert np.linalg.norm(err) < 1e-6
@@ -610,9 +632,9 @@ def test_complementary_estimator_integrates_gyro_between_fixes():
     truth = hover_state()
     # wide-open filter so the commanded rate passes through unattenuated
     est = complementary_from(truth, cutoff_hz=1e6)
-    rate = np.array([0.0, 0.0, 1.0])
+    rate = (0.0, 0.0, 1.0)
     for k in range(1000):  # 1 s of gyro-only dead reckoning
-        sample = SensorSample(t=k * 1e-3, gyro=rate, accel=np.zeros(3))
+        sample = SensorSample(t=k * 1e-3, gyro=rate, accel=(0.0, 0.0, 0.0))
         est.update(sample, 1e-3)
     spin = quat_to_rotvec(quat_multiply(quat_conjugate(hover_attitude(0.0)), est.estimate().q))
     assert np.linalg.norm(spin) == pytest.approx(1.0, rel=1e-6)
@@ -647,8 +669,8 @@ def test_complementary_estimator_matches_array_estimator_bit_for_bit():
     rng = np.random.default_rng(dist.seed)
     command = ActuatorCommand(1.01 * HOVER_W, 0.99 * HOVER_W, 0.04, -0.03)
     for k in range(2000):  # 2 s of 1 kHz IMU, pose at 100 Hz
-        wrench = total_wrench(truth.act, quat_to_matrix(truth.q).T, PARAMS)
-        sample = sense(truth, wrench, PARAMS, dist, rng, t=k * 1e-3, with_pose=(k % 10 == 0))
+        force = total_wrench(truth.act, quat_to_matrix(truth.q).T, PARAMS)[:3]
+        sample = sense(truth, force, PARAMS, dist, rng, t=k * 1e-3, with_pose=(k % 10 == 0))
         est.update(sample, 1e-3)
         ref.update(sample, 1e-3)
         got, want = est.estimate(), ref.estimate()
