@@ -106,8 +106,12 @@ class LoopRates:
 class Setpoint:
     """Trajectory sample handed to the controller.
 
-    Any 3-sequences are accepted for the position and velocity; they are
-    stored as tuples of Python floats.
+    Any 3-sequences of reals are accepted for the position and velocity;
+    each component is unpacked and converted with ``float`` and they are
+    stored as tuples of Python floats.  Finiteness is tested once, on the
+    sum of ``x - x`` over the seven components: that is 0.0 for every
+    finite ``x`` and nan otherwise, so the test cannot overflow and
+    rejects exactly the non-finite setpoints.
     """
 
     p_des: tuple                      # desired position, world frame, m
@@ -116,15 +120,17 @@ class Setpoint:
 
     def __post_init__(self) -> None:
         try:
-            self.p_des = p = tuple(map(float, self.p_des))
-            self.v_des = v = tuple(map(float, self.v_des))
+            (px, py, pz), (vx, vy, vz) = self.p_des, self.v_des
+            px, py, pz = float(px), float(py), float(pz)
+            vx, vy, vz = float(vx), float(vy), float(vz)
             psi = float(self.psi_des)
         except (TypeError, ValueError):
-            raise DomainError("setpoint entries must be real numbers") from None
-        if len(p) != 3 or len(v) != 3:
-            raise DomainError("setpoint position/velocity must be 3-vectors")
-        if not all(map(math.isfinite, (*p, *v, psi))):
+            raise DomainError("setpoint position/velocity must be 3-vectors of reals") from None
+        # x - x is 0.0 for every finite x and nan otherwise, and cannot overflow
+        if ((px - px) + (py - py) + (pz - pz) + (vx - vx) + (vy - vy) + (vz - vz)
+                + (psi - psi) != 0.0):
             raise DomainError("setpoint must be finite")
+        self.p_des, self.v_des = (px, py, pz), (vx, vy, vz)
         self.psi_des = wrap_angle(psi)
 
 
@@ -333,11 +339,20 @@ def model_inverse(m_des, f_a: float, params: VehicleParams) -> ActuatorCommand:
 
 
 def clamp_command(cmd: ActuatorCommand, params: VehicleParams) -> tuple[ActuatorCommand, bool]:
-    """Saturate a command to actuator limits; flags whether anything clipped."""
-    w_l = min(max(cmd.omega_left, 0.0), params.omega_max)
-    w_r = min(max(cmd.omega_right, 0.0), params.omega_max)
-    d_l = min(max(cmd.delta_left, -params.delta_max), params.delta_max)
-    d_r = min(max(cmd.delta_right, -params.delta_max), params.delta_max)
+    """Saturate a command to actuator limits; flags whether anything clipped.
+
+    Rotor speeds clip to ``[0, omega_max]`` and deflections to
+    ``[-delta_max, delta_max]`` with chained comparisons, as :func:`step`
+    does; a nan or a -0.0 passes through unchanged, as it would through
+    ``min(max(x, lo), hi)``.  ``saturated`` is true when any clipped field
+    differs from its input (a nan field counts as clipped).
+    """
+    w_max, d_max = params.omega_max, params.delta_max
+    w_l, w_r, d_l, d_r = cmd.omega_left, cmd.omega_right, cmd.delta_left, cmd.delta_right
+    w_l = 0.0 if w_l < 0.0 else w_max if w_l > w_max else w_l
+    w_r = 0.0 if w_r < 0.0 else w_max if w_r > w_max else w_r
+    d_l = -d_max if d_l < -d_max else d_max if d_l > d_max else d_l
+    d_r = -d_max if d_r < -d_max else d_max if d_r > d_max else d_r
     clamped = ActuatorCommand(w_l, w_r, d_l, d_r)
     saturated = (
         w_l != cmd.omega_left
@@ -445,8 +460,8 @@ class CascadeController:
         if not self.saturated:
             # anti-windup: hold the integral while any actuator clips
             rate = self.rates.rate_rate
-            self.integral = tuple([
-                i + (d - w) / rate
-                for i, d, w in zip(self.integral, self.omega_des, estimate.omega)
-            ])
+            ix, iy, iz = self.integral
+            dx, dy, dz = self.omega_des
+            wx, wy, wz = estimate.omega
+            self.integral = (ix + (dx - wx) / rate, iy + (dy - wy) / rate, iz + (dz - wz) / rate)
         return self.command

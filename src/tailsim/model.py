@@ -147,5 +147,5 @@ def total_wrench(
         params.k_t, params.k_m, params.k_l, params.k_d, params.k_p, params.l,
     )
     mg = params.m * params.g_mag
-    rx, ry, rz = (row[2] for row in R_wb)
+    rx, ry, rz = R_wb[0][2], R_wb[1][2], R_wb[2][2]
     return fx - mg * rx, fy - mg * ry, fz - mg * rz, mx, my, mz

@@ -133,7 +133,11 @@ def _star_vertices(center: np.ndarray, radius: float, n_points: int) -> np.ndarr
 
 @dataclass
 class Scenario:
-    """A reference trajectory definition over a fixed time horizon."""
+    """A reference trajectory definition over a fixed time horizon.
+
+    ``legs`` is stored as a tuple; ``leg_starts``, their start times, is
+    computed once here, and :func:`reference` bisects it.
+    """
 
     kind: str
     duration_s: float
@@ -143,11 +147,14 @@ class Scenario:
     circle_center: np.ndarray | None = None
     circle_radius: float = 1.5
     circle_rate: float = 1.0          # rad/s, = speed / radius
-    legs: list[_Leg] = field(default_factory=list)
+    legs: tuple[_Leg, ...] = ()
+    leg_starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.duration_s < math.inf:
             raise DomainError(f"duration must be finite and > 0, got {self.duration_s}")
+        self.legs = tuple(self.legs)
+        self.leg_starts = tuple([leg.t0 for leg in self.legs])
 
 
 def make_scenario(config: Config) -> Scenario:
@@ -212,9 +219,7 @@ def reference(t: float, scenario: Scenario) -> Setpoint:
 
     # waypoint / star: locate the active leg
     legs = scenario.legs
-    starts = [leg.t0 for leg in legs]
-    i = bisect_right(starts, t) - 1
-    i = max(i, 0)
+    i = max(bisect_right(scenario.leg_starts, t) - 1, 0)
     leg = legs[i]
     (ax, ay, az), (ux, uy, uz) = leg.p0, leg.u
     if t >= leg.t0 + leg.duration and i == len(legs) - 1:
@@ -496,10 +501,14 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
 
         if complementary and k % imu_every == 0:
             # the accelerometer reads force only, so the torque offset is left out
-            r = quat_to_matrix_f(state.y[6:10])
-            R_wb = (r[0::3], r[1::3], r[2::3])      # world to body: the transpose
-            wrench = total_wrench(state.act, R_wb, params)
-            force = [f + (a * ox + b * oy + c * oz) for f, (a, b, c) in zip(wrench[:3], R_wb)]
+            r00, r01, r02, r10, r11, r12, r20, r21, r22 = quat_to_matrix_f(state.y[6:10])
+            R_wb = ((r00, r10, r20), (r01, r11, r21), (r02, r12, r22))  # the transpose
+            fx, fy, fz, _, _, _ = total_wrench(state.act, R_wb, params)
+            force = (
+                fx + (r00 * ox + r10 * oy + r20 * oz),
+                fy + (r01 * ox + r11 * oy + r21 * oz),
+                fz + (r02 * ox + r12 * oy + r22 * oz),
+            )
             sample = sense(
                 state, force, params, disturbance, rng,
                 t=t, with_pose=(k % pose_every == 0),

@@ -26,7 +26,8 @@ controller verification.
 
 Everything that runs at the physics or IMU rate computes on Python
 floats: the state is one tuple of 13 floats (:class:`VehicleState`),
-:func:`step` reads and returns it without building an array, and
+:func:`step` reads and returns it without building an array or a list
+(the four stage derivatives are combined by 13 written-out updates), and
 :func:`sense` (which takes the body force as three floats) and the
 estimator work through :mod:`tailsim.rotations`.  The operations and
 their order are those of the elementwise array code, so the results are
@@ -65,7 +66,10 @@ class DisturbanceSpec:
     torque offset is a body-frame trim asymmetry.  Noise standard
     deviations apply per axis and per sample.  Defaults are sized so a
     disturbed hover lands in the centimetre error regime, dominated by
-    the horizontal force offset along x.
+    the horizontal force offset along x.  Each offset is stored as a float
+    array of shape (3,) and checked (shape, finite entries) on every
+    assignment, at construction or later; an entry changed in place is
+    caught by :meth:`tailsim.config.Config.scenario_problems`.
     """
 
     force_offset_world: np.ndarray = field(
@@ -80,14 +84,19 @@ class DisturbanceSpec:
     pose_att_noise_std: float = 0.00175   # rad (about 0.1 deg)
     seed: int = 0
 
+    def __setattr__(self, name: str, value) -> None:
+        if name in ("force_offset_world", "torque_offset_body"):
+            try:
+                value = np.asarray(value, dtype=float)
+            except (TypeError, ValueError):
+                raise DomainError(f"DisturbanceSpec.{name} must hold real numbers") from None
+            if value.shape != (3,):
+                raise DomainError(f"DisturbanceSpec.{name} must be a 3-vector")
+            if not np.all(np.isfinite(value)):
+                raise DomainError(f"DisturbanceSpec.{name} must be finite, got {value!r}")
+        object.__setattr__(self, name, value)
+
     def __post_init__(self) -> None:
-        self.force_offset_world = np.asarray(self.force_offset_world, dtype=float)
-        self.torque_offset_body = np.asarray(self.torque_offset_body, dtype=float)
-        if self.force_offset_world.shape != (3,) or self.torque_offset_body.shape != (3,):
-            raise DomainError("disturbance offsets must be 3-vectors")
-        if not (np.all(np.isfinite(self.force_offset_world))
-                and np.all(np.isfinite(self.torque_offset_body))):
-            raise DomainError("disturbance offsets must be finite")
         for name in ("gyro_noise_std", "accel_noise_std",
                      "pose_pos_noise_std", "pose_att_noise_std"):
             if not 0.0 <= getattr(self, name) < math.inf:
@@ -162,7 +171,9 @@ def _rhs(y0: tuple, k: tuple | None, h: float, fx: float, fy: float, fz: float,
     ``fx`` ... ``mz``: the actuator wrench at the stage's actuator sample
     plus the torque offset; ``mg = -m g``; ``inv_m = 1 / m``; ``jx``, ``jy``,
     ``jz``: principal inertias; ``dfx``, ``dfy``, ``dfz``: the world-frame
-    force offset.  Plain floats only: it runs four times per physics step.
+    force offset.  The body-to-world rotation is built from the nine
+    quaternion products (``qx*qx`` ... ``qw*qz``), each formed once.  Plain
+    floats only: it runs four times per physics step.
     """
     _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y0
     if k is not None:
@@ -171,15 +182,18 @@ def _rhs(y0: tuple, k: tuple | None, h: float, fx: float, fy: float, fz: float,
         wx, wy, wz = wx + h * k[10], wy + h * k[11], wz + h * k[12]
 
     # body-to-world rotation entries
-    r00 = 1.0 - 2.0 * (qy * qy + qz * qz)
-    r01 = 2.0 * (qx * qy - qw * qz)
-    r02 = 2.0 * (qx * qz + qw * qy)
-    r10 = 2.0 * (qx * qy + qw * qz)
-    r11 = 1.0 - 2.0 * (qx * qx + qz * qz)
-    r12 = 2.0 * (qy * qz - qw * qx)
-    r20 = 2.0 * (qx * qz - qw * qy)
-    r21 = 2.0 * (qy * qz + qw * qx)
-    r22 = 1.0 - 2.0 * (qx * qx + qy * qy)
+    qxx, qyy, qzz = qx * qx, qy * qy, qz * qz
+    qxy, qxz, qyz = qx * qy, qx * qz, qy * qz
+    qwx, qwy, qwz = qw * qx, qw * qy, qw * qz
+    r00 = 1.0 - 2.0 * (qyy + qzz)
+    r01 = 2.0 * (qxy - qwz)
+    r02 = 2.0 * (qxz + qwy)
+    r10 = 2.0 * (qxy + qwz)
+    r11 = 1.0 - 2.0 * (qxx + qzz)
+    r12 = 2.0 * (qyz - qwx)
+    r20 = 2.0 * (qxz - qwy)
+    r21 = 2.0 * (qyz + qwx)
+    r22 = 1.0 - 2.0 * (qxx + qyy)
 
     # weight and world-frame force offset rotated into body axes
     fx += mg * r20 + r00 * dfx + r10 * dfy + r20 * dfz
@@ -215,7 +229,11 @@ def step(
     exponential response to it at the substage times 0, dt/2, and dt,
     and the attitude quaternion is renormalised afterwards.  The actuator
     wrench is computed once per sample; stages 2 and 3 share the one at
-    dt/2.
+    dt/2.  Each of the 13 components is updated as
+    ``y0 + dt/6 * (k1 + 2 * (k2 + k3) + k4)``, written out per component;
+    the finiteness check reads the left-to-right sum of the 13 updated
+    components (a non-finite or overflowing sum is a divergence), and the
+    returned tuple carries the renormalised quaternion.
 
     Args:
         state: state at the start of the step.
@@ -277,19 +295,26 @@ def step(
               mg, inv_m, jx, jy, jz, dfx, dfy, dfz)
 
     sixth = dt / 6.0
-    y1 = [
-        a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
-        for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)
-    ]
-    if not math.isfinite(sum(y1)):
+    px = y0[0] + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
+    py = y0[1] + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+    pz = y0[2] + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
+    vx = y0[3] + sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
+    vy = y0[4] + sixth * (k1[4] + 2.0 * (k2[4] + k3[4]) + k4[4])
+    vz = y0[5] + sixth * (k1[5] + 2.0 * (k2[5] + k3[5]) + k4[5])
+    qw = y0[6] + sixth * (k1[6] + 2.0 * (k2[6] + k3[6]) + k4[6])
+    qx = y0[7] + sixth * (k1[7] + 2.0 * (k2[7] + k3[7]) + k4[7])
+    qy = y0[8] + sixth * (k1[8] + 2.0 * (k2[8] + k3[8]) + k4[8])
+    qz = y0[9] + sixth * (k1[9] + 2.0 * (k2[9] + k3[9]) + k4[9])
+    wx = y0[10] + sixth * (k1[10] + 2.0 * (k2[10] + k3[10]) + k4[10])
+    wy = y0[11] + sixth * (k1[11] + 2.0 * (k2[11] + k3[11]) + k4[11])
+    wz = y0[12] + sixth * (k1[12] + 2.0 * (k2[12] + k3[12]) + k4[12])
+    if not math.isfinite(px + py + pz + vx + vy + vz + qw + qx + qy + qz + wx + wy + wz):
         raise SimulationDivergedError("non-finite state after integration step")
 
-    qw, qx, qy, qz = y1[6:10]
     inv_n = 1.0 / math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-    y1[6:10] = qw * inv_n, qx * inv_n, qy * inv_n, qz * inv_n
     # bypass validation: q is unit by construction here
     out = object.__new__(VehicleState)
-    out.y = tuple(y1)
+    out.y = (px, py, pz, vx, vy, vz, qw * inv_n, qx * inv_n, qy * inv_n, qz * inv_n, wx, wy, wz)
     out.act = ActuatorState(
         0.0 if wl2 < 0.0 else w_max if wl2 > w_max else wl2,
         0.0 if wr2 < 0.0 else w_max if wr2 > w_max else wr2,

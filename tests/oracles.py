@@ -12,20 +12,25 @@ per-side wrenches.  The attitude loop is the rotation-matrix version:
 Rodrigues tilt times heading times hover flip, and Z-Y-X Euler angles
 read from the error matrix.  :func:`reference_step` is the integrator as
 first written on floats, with per-stage lists and one wrench-kernel call
-per stage.
+per stage.  :func:`reference_clamp_command`, :class:`ReferenceSetpoint`
+and :func:`reference_setpoint_at` are the saturation by builtin
+``min``/``max``, the setpoint check by ``map`` and ``all``, and the
+trajectory lookup that rebuilds its leg-start list on every call.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from tailsim.control import FORCE_FLOOR, ControllerGains, StateEstimate
+from tailsim.control import FORCE_FLOOR, ActuatorCommand, ControllerGains, StateEstimate
 from tailsim.errors import DegenerateThrustError, DomainError, SimulationDivergedError
 from tailsim.model import ActuatorState, VehicleParams, actuator_wrench
-from tailsim.rotations import quat_to_matrix
+from tailsim.rotations import quat_to_matrix, wrap_angle
+from tailsim.scenarios import Scenario, _leg_yaw
 from tailsim.sim import MAX_PHYSICS_DT, DisturbanceSpec, SensorSample, VehicleState
 
 _SIDES = ("left", "right")
@@ -654,3 +659,98 @@ def reference_step(
         _clip(act_full[3], -params.delta_max, params.delta_max),
     )
     return out
+
+
+# ---------------------------------------------------------------------------
+# The saturation, setpoint check and trajectory lookup as first written on
+# Python floats: builtin min/max per field, map/all over the setpoint
+# components, and a leg-start list rebuilt on every lookup.  The package's
+# versions use chained comparisons, one explicit finiteness sum and the
+# scenario's precomputed starts; the tests require bit-identical results.
+
+
+def reference_clamp_command(
+    cmd: ActuatorCommand, params: VehicleParams
+) -> tuple[ActuatorCommand, bool]:
+    """Saturate a command to actuator limits; flags whether anything clipped."""
+    w_l = min(max(cmd.omega_left, 0.0), params.omega_max)
+    w_r = min(max(cmd.omega_right, 0.0), params.omega_max)
+    d_l = min(max(cmd.delta_left, -params.delta_max), params.delta_max)
+    d_r = min(max(cmd.delta_right, -params.delta_max), params.delta_max)
+    clamped = ActuatorCommand(w_l, w_r, d_l, d_r)
+    saturated = (
+        w_l != cmd.omega_left
+        or w_r != cmd.omega_right
+        or d_l != cmd.delta_left
+        or d_r != cmd.delta_right
+    )
+    return clamped, saturated
+
+
+@dataclass
+class ReferenceSetpoint:
+    """Trajectory sample handed to the controller.
+
+    Any 3-sequences are accepted for the position and velocity; they are
+    stored as tuples of Python floats.
+    """
+
+    p_des: tuple                      # desired position, world frame, m
+    v_des: tuple                      # desired velocity, world frame, m/s
+    psi_des: float = 0.0              # desired heading, rad, wrapped to (-pi, pi]
+
+    def __post_init__(self) -> None:
+        try:
+            self.p_des = p = tuple(map(float, self.p_des))
+            self.v_des = v = tuple(map(float, self.v_des))
+            psi = float(self.psi_des)
+        except (TypeError, ValueError):
+            raise DomainError("setpoint entries must be real numbers") from None
+        if len(p) != 3 or len(v) != 3:
+            raise DomainError("setpoint position/velocity must be 3-vectors")
+        if not all(map(math.isfinite, (*p, *v, psi))):
+            raise DomainError("setpoint must be finite")
+        self.psi_des = wrap_angle(psi)
+
+
+def reference_setpoint_at(t: float, scenario: Scenario) -> ReferenceSetpoint:
+    """Reference setpoint at time ``t``.
+
+    Raises:
+        DomainError: if ``t`` lies outside [0, duration].
+    """
+    if not -1e-9 <= t <= scenario.duration_s + 1e-9:
+        raise DomainError(
+            f"reference time {t!r} outside [0, {scenario.duration_s}]"
+        )
+    yaw = scenario.yaw_fixed_rad
+    if scenario.kind == "hover":
+        return ReferenceSetpoint(scenario.hover_pos, (0.0, 0.0, 0.0), yaw)
+    if scenario.kind == "circle":
+        theta = scenario.circle_rate * t
+        r = scenario.circle_radius
+        c, s = math.cos(theta), math.sin(theta)
+        cx, cy, cz = scenario.circle_center.tolist()
+        speed = scenario.circle_rate * r
+        if scenario.yaw_mode == "tangent":
+            yaw = wrap_angle(theta + math.pi / 2.0)
+        return ReferenceSetpoint(
+            (cx + r * c, cy + r * s, cz + 0.0), (-speed * s, speed * c, 0.0), yaw
+        )
+
+    # waypoint / star: locate the active leg
+    legs = scenario.legs
+    starts = [leg.t0 for leg in legs]
+    i = bisect_right(starts, t) - 1
+    i = max(i, 0)
+    leg = legs[i]
+    (ax, ay, az), (ux, uy, uz) = leg.p0, leg.u
+    if t >= leg.t0 + leg.duration and i == len(legs) - 1:
+        dist = leg.length
+        v = (0.0, 0.0, 0.0)
+    else:
+        dist, speed = leg.sample(t - leg.t0)
+        v = (speed * ux, speed * uy, speed * uz)
+    if scenario.yaw_mode == "tangent":
+        yaw = _leg_yaw(leg, scenario.yaw_fixed_rad)
+    return ReferenceSetpoint((ax + dist * ux, ay + dist * uy, az + dist * uz), v, yaw)

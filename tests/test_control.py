@@ -7,7 +7,9 @@ quaternion attitude loop is also checked against the rotation-matrix
 version in the oracles module.
 """
 
+import itertools
 import math
+import struct
 from dataclasses import astuple
 
 import numpy as np
@@ -345,6 +347,26 @@ def test_clamp_command_clips_and_flags():
     assert clamped.delta_right == -0.785
 
 
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def test_clamp_command_is_bit_identical_to_min_max_oracle():
+    w_max, d_max = PARAMS.omega_max, PARAMS.delta_max
+    edges = [0.0, -0.0, math.nan, math.inf, -math.inf]
+    rotor = edges + [w_max, math.nextafter(w_max, math.inf), math.nextafter(w_max, 0.0),
+                     math.nextafter(0.0, -1.0), math.nextafter(0.0, 1.0), 400.0]
+    elevon = edges + [d_max, -d_max, math.nextafter(d_max, math.inf),
+                      math.nextafter(-d_max, -math.inf), math.nextafter(d_max, 0.0),
+                      math.nextafter(-d_max, 0.0), 0.3]
+    for w_l, w_r, d_l, d_r in itertools.product(rotor, rotor, elevon, elevon):
+        cmd = ActuatorCommand(w_l, w_r, d_l, d_r)
+        got, got_sat = clamp_command(cmd, PARAMS)
+        want, want_sat = oracles.reference_clamp_command(cmd, PARAMS)
+        assert got_sat == want_sat, cmd
+        assert [_bits(x) for x in astuple(got)] == [_bits(x) for x in astuple(want)], cmd
+
+
 # --------------------------------------------------------------------------
 # cascade wiring
 # --------------------------------------------------------------------------
@@ -513,3 +535,36 @@ def test_setpoint_validation_and_heading_wrap():
         Setpoint(p_des=np.array([0.0, 0.0, np.inf]), v_des=np.zeros(3))
     sp = Setpoint(p_des=np.zeros(3), v_des=np.zeros(3), psi_des=3.0 * math.pi)
     assert sp.psi_des == pytest.approx(math.pi)
+    # huge finite entries are accepted: the finiteness test must not overflow
+    sp = Setpoint(p_des=[1e308, 1e308, 1e308], v_des=[1e308, -1e308, 1e308], psi_des=1e308)
+    assert sp.p_des == (1e308, 1e308, 1e308) and sp.v_des == (1e308, -1e308, 1e308)
+    with pytest.raises(DomainError):
+        Setpoint(p_des=[0.0, "x", 0.0], v_des=np.zeros(3))
+    with pytest.raises(DomainError):
+        Setpoint(p_des=np.zeros(3), v_des=np.array([0.0, 0.0]))
+
+
+def test_setpoint_matches_map_all_oracle():
+    cases = [
+        ((0.0, -0.0, 1.5), (0.1, -0.2, 0.0), 0.3),
+        (np.array([1.0, 2.0, 3.0]), [0, 1, 0], np.float64(7.0)),
+        ([1e308, -1e308, 5e-324], (-5e-324, 1e308, 0.0), -1e308),
+        (("1.5", 2, True), (0.0, 0.0, 0.0), "0.25"),
+    ]
+    for p, v, psi in cases:
+        got, want = Setpoint(p, v, psi), oracles.ReferenceSetpoint(p, v, psi)
+        for g, w in zip((*got.p_des, *got.v_des, got.psi_des),
+                        (*want.p_des, *want.v_des, want.psi_des)):
+            assert type(g) is float and _bits(g) == _bits(w)
+    bad = [
+        ((0.0, 0.0), (0.0, 0.0, 0.0), 0.0),
+        ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0),
+        ((0.0, 0.0, 0.0), "xyz", 0.0),
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), None),
+        (np.zeros((3, 3)), (0.0, 0.0, 0.0), 0.0),
+    ]
+    for p, v, psi in bad:
+        with pytest.raises(DomainError):
+            oracles.ReferenceSetpoint(p, v, psi)
+        with pytest.raises(DomainError):
+            Setpoint(p, v, psi)

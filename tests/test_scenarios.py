@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -173,6 +174,25 @@ def test_waypoint_reference_is_continuous_with_bounded_speed():
         assert np.linalg.norm(sp.v_des) <= 1.25 + 1e-12
         assert np.linalg.norm(np.subtract(sp.p_des, prev)) <= 1.25 * dt + 1e-9
         prev = sp.p_des
+
+
+@pytest.mark.parametrize("yaw_mode", ["tangent", "fixed"])
+@pytest.mark.parametrize("kind", ["waypoint", "star"])
+def test_reference_is_bit_identical_to_list_oracle(kind, yaw_mode):
+    s = make_scenario(cfg_with(scenario=kind, yaw_mode=yaw_mode, duration_s=60.0))
+    assert s.leg_starts == tuple(leg.t0 for leg in s.legs)
+    times = [0.0, s.duration_s]
+    for leg, nxt in zip(s.legs, s.legs[1:] + (None,)):
+        end = leg.t0 + leg.duration
+        times += [leg.t0, end]
+        if nxt is not None:
+            times.append(0.5 * (end + nxt.t0))    # mid-dwell
+    for t in times:
+        t = min(t, s.duration_s)
+        got, want = reference(t, s), oracles.reference_setpoint_at(t, s)
+        got = (*got.p_des, *got.v_des, got.psi_des)
+        want = (*want.p_des, *want.v_des, want.psi_des)
+        assert [struct.pack("<d", x) for x in got] == [struct.pack("<d", x) for x in want], t
 
 
 def test_star_reference_is_a_pentagram():

@@ -515,6 +515,21 @@ def test_disturbance_defaults_and_validation():
             DisturbanceSpec(torque_offset_body=np.array([0.0, 0.0, -bad]))
 
 
+@pytest.mark.parametrize("name", ["force_offset_world", "torque_offset_body"])
+def test_disturbance_offsets_are_validated_on_assignment(name):
+    d = DisturbanceSpec()
+    for bad in ([0.0, 0.0, math.nan], np.array([0.0, math.inf, 0.0]), [0.0, 0.0],
+                np.zeros((3, 1)), ["x", 0.0, 0.0]):
+        with pytest.raises(DomainError):
+            setattr(d, name, bad)
+    setattr(d, name, [1, 2, 3])
+    value = getattr(d, name)
+    assert isinstance(value, np.ndarray) and value.dtype == float
+    assert value.tolist() == [1.0, 2.0, 3.0]
+    step(VehicleState(np.zeros(3), np.zeros(3), hover_attitude(0.0), np.zeros(3)),
+         ActuatorCommand(), 1e-3, PARAMS, d)
+
+
 # --------------------------------------------------------------------------
 # low-pass filter
 # --------------------------------------------------------------------------
