@@ -33,6 +33,10 @@ YAW_MODES = ("fixed", "tangent")
 # Shorter path legs are dropped; a path needs at least one longer leg.
 MIN_LEG_LENGTH_M = 1e-12
 
+# Hover trim may use at most this fraction of omega_max, so that thrust is
+# left to climb and manoeuvre (the default vehicle trims at 0.81).
+MAX_HOVER_SPEED_FRACTION = 0.9
+
 _DEFAULT_WAYPOINTS = (
     (0.0, 0.0, 1.5),
     (10.0, 0.0, 1.5),
@@ -182,11 +186,14 @@ class Config:
         ):
             problems.append("waypoints: the path has no leg of nonzero length")
         hover_speed = self.params.hover_rotor_speed()
-        if hover_speed > self.params.omega_max:
+        if hover_speed > MAX_HOVER_SPEED_FRACTION * self.params.omega_max:
             problems.append(
                 f"omega_max: hover needs a rotor speed of {hover_speed:.6g} rad/s, "
-                f"above the {self.params.omega_max:g} rad/s ceiling"
+                f"above {MAX_HOVER_SPEED_FRACTION:g} of the {self.params.omega_max:g} "
+                "rad/s ceiling, which leaves too little thrust to manoeuvre"
             )
+        if self.disturbance.seed < 0:
+            problems.append(f"seed: must be >= 0, got {self.disturbance.seed}")
         for name, sigma in (
             ("noise_gyro", self.disturbance.gyro_noise_std),
             ("noise_accel", self.disturbance.accel_noise_std),
@@ -226,7 +233,7 @@ class _Key:
             return float(raw)
         if self.kind == "int":
             value = float(raw)
-            if value != int(value):
+            if not math.isfinite(value) or value != int(value):
                 raise ValueError(f"expected an integer, got {raw!r}")
             return int(value)
         if self.kind == "str":

@@ -52,6 +52,9 @@ LOG_COLUMNS = (
 )
 
 _FLAG_COLUMNS = ("saturated", "roll_clamped")
+# Rows per block in ScenarioLog.to_csv.  64 rows wrote star-fulllog's log a
+# few per cent faster but raised perfbench's peak RSS by 1 MB (BENCH_11.json).
+_CSV_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +266,29 @@ class ScenarioLog:
     def to_csv(self) -> str:
         """The log as CSV: floats round-trip exactly (``%.17g``), flags as ints.
 
-        Rows are converted one at a time, so the text is the only large
-        allocation.
+        Rows are converted ``_CSV_BLOCK`` at a time, and within a block
+        each distinct float is formatted once: controller outputs held
+        over several logged ticks and perfect-estimator columns repeat
+        across rows and columns.  Values are told apart by their bits, so
+        ``0.0`` and ``-0.0``, and NaNs with different payloads, keep
+        their own text.  Flags are formatted per cell with ``%d``.
         """
-        template = ",".join(
-            "%d" if name in _FLAG_COLUMNS else "%.17g" for name in LOG_COLUMNS
-        )
-        lines = [",".join(LOG_COLUMNS)]
-        for row in self.data[: self._row]:
-            lines.append(template % tuple(row.tolist()))
-        return "\n".join(lines) + "\n"
+        flags = [LOG_COLUMNS.index(name) for name in _FLAG_COLUMNS]
+        parts = [",".join(LOG_COLUMNS) + "\n"]
+        for start in range(0, self._row, _CSV_BLOCK):
+            block = self.data[start : min(start + _CSV_BLOCK, self._row)]
+            bits, index = np.unique(block.view(np.int64), return_inverse=True)
+            n = len(bits)
+            values = tuple(bits.view(np.float64).tolist())
+            values += tuple(block[:, flags].ravel().tolist())
+            text = ("%.17g\n" * n + "%d\n" * (len(values) - n)) % values
+            cells = np.array(text.split("\n"), dtype=object)
+            # numpy 2 returns the inverse in the block's shape, numpy 1 flat;
+            # flag cells point past the distinct floats, at their own text
+            index = index.reshape(block.shape)
+            index[:, flags] = np.arange(n, len(values)).reshape(len(block), -1)
+            parts.append("\n".join(map(",".join, cells[index].tolist())) + "\n")
+        return "".join(parts)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -16,6 +16,8 @@ per stage.  :func:`reference_clamp_command`, :class:`ReferenceSetpoint`
 and :func:`reference_setpoint_at` are the saturation by builtin
 ``min``/``max``, the setpoint check by ``map`` and ``all``, and the
 trajectory lookup that rebuilds its leg-start list on every call.
+:func:`reference_to_csv` writes the run log with one row template per
+row, formatting every cell.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from tailsim.control import FORCE_FLOOR, ActuatorCommand, ControllerGains, State
 from tailsim.errors import DegenerateThrustError, DomainError, SimulationDivergedError
 from tailsim.model import ActuatorState, VehicleParams, actuator_wrench
 from tailsim.rotations import quat_to_matrix, wrap_angle
-from tailsim.scenarios import Scenario, _leg_yaw
+from tailsim.scenarios import _FLAG_COLUMNS, LOG_COLUMNS, Scenario, ScenarioLog, _leg_yaw
 from tailsim.sim import MAX_PHYSICS_DT, DisturbanceSpec, SensorSample, VehicleState
 
 _SIDES = ("left", "right")
@@ -754,3 +756,18 @@ def reference_setpoint_at(t: float, scenario: Scenario) -> ReferenceSetpoint:
     if scenario.yaw_mode == "tangent":
         yaw = _leg_yaw(leg, scenario.yaw_fixed_rad)
     return ReferenceSetpoint((ax + dist * ux, ay + dist * uy, az + dist * uz), v, yaw)
+
+
+def reference_to_csv(log: ScenarioLog) -> str:
+    """The log as CSV: floats round-trip exactly (``%.17g``), flags as ints.
+
+    Rows are converted one at a time, so the text is the only large
+    allocation.
+    """
+    template = ",".join(
+        "%d" if name in _FLAG_COLUMNS else "%.17g" for name in LOG_COLUMNS
+    )
+    lines = [",".join(LOG_COLUMNS)]
+    for row in log.data[: len(log)]:
+        lines.append(template % tuple(row.tolist()))
+    return "\n".join(lines) + "\n"

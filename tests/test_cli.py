@@ -202,3 +202,28 @@ def test_sysid_synth_count_below_one_is_usage_error(tmp_path, capsys, flag, coun
     assert excinfo.value.code == 2
     assert f"argument {flag}: must be at least 1, got {count}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("seed = inf", "seed: invalid value 'inf'"),
+    ("seed = 1e400", "seed: invalid value '1e400'"),
+    ("seed = -1", "seed: must be >= 0"),
+    ("m = 1.0", "omega_max: hover needs a rotor speed of 789.966 rad/s"),
+])
+def test_validate_and_run_report_bad_values_as_config_errors(tmp_path, capsys, line, message):
+    # each used to pass validation or end in a traceback
+    full = tmp_path / "full.cfg"
+    key = line.split("=")[0].strip()
+    full.write_text("".join(
+        line + "\n" if ln.split("=")[0].strip() == key else ln + "\n"
+        for ln in Config().to_text().splitlines()
+    ))
+    assert main(["validate", str(full)]) == 1
+    err = capsys.readouterr().err
+    assert "error: category=config-invalid" in err and message in err
+
+    partial = tmp_path / "partial.cfg"
+    partial.write_text(line + "\nduration_s = 6\n")
+    assert main(["run", "--config", str(partial)]) == 1
+    err = capsys.readouterr().err
+    assert "error: category=config-invalid" in err and message in err

@@ -5,6 +5,7 @@ import pytest
 
 from tailsim.config import (
     CANONICAL_KEYS,
+    MAX_HOVER_SPEED_FRACTION,
     Config,
     apply_overrides,
     load_config,
@@ -157,6 +158,45 @@ def test_non_finite_noise_offsets_and_cutoff_rejected(key, value):
     with pytest.raises(ConfigError) as excinfo:
         validate_text("\n".join(lines) + "\n")
     assert "duplicate" not in str(excinfo.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", "inf"),
+    ("seed", "1e400"),
+    ("seed", "nan"),
+    ("star_points", "-inf"),
+    ("physics_rate_hz", "inf"),
+])
+def test_integer_key_rejects_non_finite_values(key, value):
+    # int(inf) raises OverflowError, which used to escape as a traceback
+    with pytest.raises(ConfigError) as excinfo:
+        apply_overrides(Config(), {key: value})
+    assert f"{key}: invalid value" in str(excinfo.value)
+
+
+def test_negative_seed_is_rejected():
+    # np.random.default_rng(-1) raises ValueError once the run starts
+    with pytest.raises(ConfigError) as excinfo:
+        apply_overrides(Config(), {"seed": "-1"})
+    assert "seed: must be >= 0" in str(excinfo.value)
+    assert apply_overrides(Config(), {"seed": "0"}).disturbance.seed == 0
+
+
+@pytest.mark.parametrize("mass, accepted", [
+    (0.65, True), (0.7, True), (0.8, True), (0.82, False), (1.0, False),
+])
+def test_hover_trim_must_leave_thrust_margin(mass, accepted):
+    # hover trim over omega_max: 0.806 at the default 0.65 kg, 0.837 at 0.7,
+    # 0.894 at 0.8, 0.906 at 0.82 and 0.99996 at 1.0 kg
+    cfg = Config()
+    cfg.params.m = mass
+    fraction = cfg.params.hover_rotor_speed() / cfg.params.omega_max
+    assert (fraction <= MAX_HOVER_SPEED_FRACTION) == accepted
+    problems = [p for p in cfg.scenario_problems() if p.startswith("omega_max")]
+    assert bool(problems) != accepted
+    if not accepted:
+        with pytest.raises(ConfigError, match="omega_max"):
+            apply_overrides(Config(), {"m": repr(mass)})
 
 
 def test_scenario_problems_sees_non_finite_values_set_after_construction():

@@ -11,6 +11,7 @@ from tailsim.config import Config, apply_overrides
 from tailsim.errors import DomainError, MetricsWindowError, SimulationDivergedError
 from tailsim.rotations import quat_to_matrix
 from tailsim.scenarios import (
+    _CSV_BLOCK,
     LOG_COLUMNS,
     Metrics,
     Scenario,
@@ -317,6 +318,64 @@ def test_log_csv_layout(tmp_path):
     path = tmp_path / "log.csv"
     log.write_csv(path)
     assert path.read_text() == text
+
+
+def _bits_to_float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _float_to_bits(value):
+    return struct.unpack("<q", struct.pack("<d", value))[0]
+
+
+# 0.0 beside -0.0, two NaN payloads, +-inf, subnormals, +-1e308 and 1/3
+CSV_SPECIALS = (
+    0.0, -0.0, _bits_to_float(0x7FF8000000000000), _bits_to_float(0x7FF8000000000001),
+    math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+    1e308, -1e308, 1.0 / 3.0,
+)
+CSV_FLAG_VALUES = (0.0, 1.0, -0.0, 0.5, 2.0)
+
+
+def repetitive_log(n_rows, capacity):
+    """A log whose values repeat within blocks, across block edges and
+    across columns: held rows repeat the row above (so does the first row
+    of every later block), the est_* columns copy the true state, and the
+    second row of each block holds all the special values side by side."""
+    rng = np.random.default_rng(n_rows)
+    pool = list(CSV_SPECIALS) + rng.normal(size=6).tolist()
+    log = ScenarioLog(capacity)
+    row = None
+    for i in range(n_rows):
+        if i % _CSV_BLOCK == 1:
+            row = [pool[(k + i) % len(pool)] for k in range(len(LOG_COLUMNS))]
+        elif i % 3 == 1 or (i and i % _CSV_BLOCK == 0):
+            row = list(row)
+        else:
+            row = [pool[k] for k in rng.integers(len(pool), size=len(LOG_COLUMNS))]
+            row[IDX["est_px"] : IDX["est_wz"] + 1] = row[IDX["px"] : IDX["wz"] + 1]
+        row[IDX["saturated"]] = CSV_FLAG_VALUES[i % len(CSV_FLAG_VALUES)]
+        row[IDX["roll_clamped"]] = CSV_FLAG_VALUES[(i + 1) % len(CSV_FLAG_VALUES)]
+        log.append(row)
+    return log
+
+
+@pytest.mark.parametrize("n_rows, capacity", [
+    (0, 0),
+    (_CSV_BLOCK - 1, _CSV_BLOCK - 1),
+    (_CSV_BLOCK, _CSV_BLOCK),
+    (_CSV_BLOCK + 1, _CSV_BLOCK + 1),
+    (2 * _CSV_BLOCK + 5, 3 * _CSV_BLOCK),
+], ids=["empty", "block-1", "block", "block+1", "below-capacity"])
+def test_to_csv_is_byte_identical_to_row_template_oracle(n_rows, capacity):
+    log = repetitive_log(n_rows, capacity)
+    log.data[n_rows:] = 1.0 / 3.0  # capacity past the last row is not written
+    for start in range(0, n_rows - 1, _CSV_BLOCK):
+        bits = log.data[start : min(start + _CSV_BLOCK, n_rows)].view(np.int64)
+        assert all((bits == _float_to_bits(value)).any() for value in CSV_SPECIALS)
+    text = log.to_csv()
+    assert text == oracles.reference_to_csv(log)
+    assert text.count("\n") == n_rows + 1
 
 
 # --------------------------------------------------------------------------
