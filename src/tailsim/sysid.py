@@ -28,6 +28,7 @@ is solved by singular value decomposition via ``numpy.linalg.lstsq``;
 from __future__ import annotations
 
 import math
+import warnings
 from array import array
 from dataclasses import dataclass, field
 
@@ -43,8 +44,10 @@ CSV_HEADER = "omega_rad_s, delta_rad, fx, fy, fz, mx, my, mz"
 # measurement channel supplying each coefficient's residual diagnostics
 _CHANNEL_OF = {"k_t": "fz", "k_d": "fz", "k_l": "fx", "k_p": "my", "k_m": "mz"}
 
-# one CSV row; rows are formatted from lists of this many at a time
-_ROW = ", ".join(["%.17g"] * 8) + "\n"
+# one CSV row: the sweep coordinates omega and delta arrive as text, each
+# distinct value of a chunk formatted once, and the six measured channels
+# as floats; rows are formatted and written this many at a time
+_ROW = "%s, %s, " + ", ".join(["%.17g"] * 6) + "\n"
 _ROWS_PER_WRITE = 4096
 
 
@@ -249,11 +252,14 @@ def generate_synthetic(
 
     Raises:
         DomainError: on a negative or non-finite ``relative_noise``, a
-            negative or non-finite rotor speed, or a deflection outside
+            negative ``seed`` (whether or not noise is drawn), a negative
+            or non-finite rotor speed, or a deflection outside
             ``|delta| <= delta_max``.
     """
     if not 0.0 <= relative_noise < math.inf:
         raise DomainError(f"relative_noise must be finite and >= 0, got {relative_noise!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed!r}")
     deltas = np.asarray(delta_values, dtype=float)
     omegas = np.asarray(omega_values, dtype=float)
     omega = np.repeat(omegas, len(deltas))
@@ -286,13 +292,25 @@ def generate_synthetic(
 
 
 def write_records_csv(path, records: BenchRecords) -> None:
-    """Write bench records with the canonical header, one ``%.17g`` row each."""
+    """Write bench records with the canonical header, one ``%.17g`` row each.
+
+    Rows are written ``_ROWS_PER_WRITE`` at a time.  Within a chunk each
+    distinct sweep coordinate (omega or delta) is formatted once: a grid
+    sweep repeats a few hundred values over tens of thousands of cells.
+    Values are told apart by their bits, so ``0.0`` and ``-0.0`` keep
+    their own text.  The six measured channels are formatted per cell.
+    """
     table = np.column_stack((records.omega, records.delta, records.force, records.torque))
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for start in range(0, len(table), _ROWS_PER_WRITE):
+            block = table[start:start + _ROWS_PER_WRITE]
+            bits, index = np.unique(block[:, :2].view(np.int64), return_inverse=True)
+            text = ("%.17g\n" * len(bits)) % tuple(bits.view(np.float64).tolist())
+            # numpy 2 returns the inverse in the keys' shape, numpy 1 flat
+            coords = np.array(text.split("\n"), dtype=object)[index.reshape(-1, 2)]
             fh.writelines(
-                _ROW % tuple(row) for row in table[start:start + _ROWS_PER_WRITE].tolist()
+                map(_ROW.__mod__, zip(*coords.T.tolist(), *block[:, 2:].T.tolist()))
             )
 
 
@@ -300,10 +318,13 @@ def read_records_csv(path) -> BenchRecords:
     """Read bench records; the header must match the canonical schema.
 
     Blank lines are skipped.  A malformed or invalid row is reported with
-    its line number.
+    its line number.  The rows are parsed by ``numpy.loadtxt``, whose C
+    reader converts each field as ``float`` does.  When it fails, the
+    table is not 8 columns wide or a record is invalid, the file is read
+    again line by line, which names the offending line and also takes
+    what only ``float`` accepts (digit underscores, non-ASCII digits,
+    whitespace-only lines).
     """
-    values = array("d")
-    line_numbers = array("q")
     with open(path, "r", newline="") as fh:
         header = fh.readline().strip()
         if [c.strip() for c in header.split(",")] != [
@@ -312,21 +333,42 @@ def read_records_csv(path) -> BenchRecords:
             raise DomainError(
                 f"unexpected CSV header {header!r}; expected {CSV_HEADER!r}"
             )
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise DomainError(f"line {line_no}: expected 8 columns, got {len(parts)}")
-            try:
-                values.extend(map(float, parts))
-            except ValueError as exc:
-                raise DomainError(f"line {line_no}: {exc}") from exc
-            line_numbers.append(line_no)
-    table = np.frombuffer(values, dtype=float).reshape(-1, 8)
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is an empty table, not a warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            if table.shape[1] == 8:
+                return _records_of(table)
+        except (ValueError, _InvalidRecord):
+            pass
+        fh.seek(0)
+        fh.readline()
+        return _read_records_lines(fh)
+
+
+def _records_of(table: np.ndarray) -> BenchRecords:
+    return BenchRecords(table[:, 0], table[:, 1], table[:, 2:5], table[:, 5:])
+
+
+def _read_records_lines(fh) -> BenchRecords:
+    """The rows after the header, one ``float`` per field, naming bad lines."""
+    values = array("d")
+    line_numbers = array("q")
+    for line_no, line in enumerate(fh, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 8:
+            raise DomainError(f"line {line_no}: expected 8 columns, got {len(parts)}")
+        try:
+            values.extend(map(float, parts))
+        except ValueError as exc:
+            raise DomainError(f"line {line_no}: {exc}") from exc
+        line_numbers.append(line_no)
     try:
-        return BenchRecords(table[:, 0], table[:, 1], table[:, 2:5], table[:, 5:])
+        return _records_of(np.frombuffer(values, dtype=float).reshape(-1, 8))
     except _InvalidRecord as exc:
         raise DomainError(f"line {line_numbers[exc.row]}: {exc.reason}") from None
 

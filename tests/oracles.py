@@ -17,12 +17,16 @@ and :func:`reference_setpoint_at` are the saturation by builtin
 ``min``/``max``, the setpoint check by ``map`` and ``all``, and the
 trajectory lookup that rebuilds its leg-start list on every call.
 :func:`reference_to_csv` writes the run log with one row template per
-row, formatting every cell.
+row, formatting every cell.  :func:`reference_write_records_csv` and
+:func:`reference_read_records_csv` are the bench-record CSV writer that
+formats every cell and the reader that parses line by line with
+``float``.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -34,6 +38,7 @@ from tailsim.model import ActuatorState, VehicleParams, actuator_wrench
 from tailsim.rotations import quat_to_matrix, wrap_angle
 from tailsim.scenarios import _FLAG_COLUMNS, LOG_COLUMNS, Scenario, ScenarioLog, _leg_yaw
 from tailsim.sim import MAX_PHYSICS_DT, DisturbanceSpec, SensorSample, VehicleState
+from tailsim.sysid import CSV_HEADER, BenchRecords, _InvalidRecord
 
 _SIDES = ("left", "right")
 
@@ -771,3 +776,54 @@ def reference_to_csv(log: ScenarioLog) -> str:
     for row in log.data[: len(log)]:
         lines.append(template % tuple(row.tolist()))
     return "\n".join(lines) + "\n"
+
+
+# one CSV row; rows are formatted from lists of this many at a time
+_ROW = ", ".join(["%.17g"] * 8) + "\n"
+_ROWS_PER_WRITE = 4096
+
+
+def reference_write_records_csv(path, records: BenchRecords) -> None:
+    """Write bench records with the canonical header, one ``%.17g`` row each."""
+    table = np.column_stack((records.omega, records.delta, records.force, records.torque))
+    with open(path, "w", newline="") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for start in range(0, len(table), _ROWS_PER_WRITE):
+            fh.writelines(
+                _ROW % tuple(row) for row in table[start:start + _ROWS_PER_WRITE].tolist()
+            )
+
+
+def reference_read_records_csv(path) -> BenchRecords:
+    """Read bench records; the header must match the canonical schema.
+
+    Blank lines are skipped.  A malformed or invalid row is reported with
+    its line number.
+    """
+    values = array("d")
+    line_numbers = array("q")
+    with open(path, "r", newline="") as fh:
+        header = fh.readline().strip()
+        if [c.strip() for c in header.split(",")] != [
+            c.strip() for c in CSV_HEADER.split(",")
+        ]:
+            raise DomainError(
+                f"unexpected CSV header {header!r}; expected {CSV_HEADER!r}"
+            )
+        for line_no, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 8:
+                raise DomainError(f"line {line_no}: expected 8 columns, got {len(parts)}")
+            try:
+                values.extend(map(float, parts))
+            except ValueError as exc:
+                raise DomainError(f"line {line_no}: {exc}") from exc
+            line_numbers.append(line_no)
+    table = np.frombuffer(values, dtype=float).reshape(-1, 8)
+    try:
+        return BenchRecords(table[:, 0], table[:, 1], table[:, 2:5], table[:, 5:])
+    except _InvalidRecord as exc:
+        raise DomainError(f"line {line_numbers[exc.row]}: {exc.reason}") from None

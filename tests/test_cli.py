@@ -204,6 +204,19 @@ def test_sysid_synth_count_below_one_is_usage_error(tmp_path, capsys, flag, coun
     assert not out.exists()
 
 
+@pytest.mark.parametrize("noise", ["0", "0.05"])
+def test_sysid_synth_negative_seed_is_domain_error(tmp_path, capsys, noise):
+    # with noise this used to end in numpy's ValueError traceback, and
+    # without noise the seed was silently accepted
+    out = tmp_path / "bench.csv"
+    code = main(["sysid", "synth", "--out", str(out), "--noise", noise, "--seed", "-1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "error: category=domain" in captured.err
+    assert "seed must be >= 0, got -1" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("seed = inf", "seed: invalid value 'inf'"),
     ("seed = 1e400", "seed: invalid value '1e400'"),

@@ -1,9 +1,12 @@
 """Static-test parameter identification: fits, excitation checks, CSV I/O."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from oracles import synthetic_bench_rows
+from oracles import reference_read_records_csv, reference_write_records_csv, synthetic_bench_rows
+from tailsim import sysid
 from tailsim.cli import main
 from tailsim.errors import DomainError, InsufficientExcitationError
 from tailsim.model import VehicleParams
@@ -158,6 +161,12 @@ def test_generate_synthetic_rejects_bad_noise_level(noise):
         generate_synthetic(PARAMS, OMEGAS, DELTAS, relative_noise=noise)
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_generate_synthetic_rejects_negative_seed(noise):
+    with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+        generate_synthetic(PARAMS, OMEGAS, DELTAS, relative_noise=noise, seed=-1)
+
+
 @pytest.mark.parametrize("noise", ["nan", "inf", "-0.05"])
 def test_sysid_synth_cli_rejects_bad_noise_level(tmp_path, capsys, noise):
     out = tmp_path / "bench.csv"
@@ -257,3 +266,125 @@ def test_write_fit_params_emits_config_compatible_keys(tmp_path):
         values[key.strip()] = float(text)
     for name in ALL_CONSTANTS:
         assert values[name] == pytest.approx(TRUE[name], rel=1e-9)
+
+
+N_CHUNK = sysid._ROWS_PER_WRITE
+# coordinates whose texts a writer must keep apart: 0.0 and -0.0 are equal
+# as floats but print as "0" and "-0"
+SPECIAL_OMEGAS = [0.0, -0.0, 5e-324, 1e308, 1 / 3, 300.0]
+SPECIAL_DELTAS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3, -0.3]
+
+
+def pooled_records(n: int, seed: int) -> BenchRecords:
+    """Records whose coordinates repeat, drawn from the special values,
+    with the first rows holding ``0.0`` next to ``-0.0`` in both columns."""
+    rng = np.random.default_rng(seed)
+    omega = rng.choice(SPECIAL_OMEGAS, n)
+    delta = rng.choice(SPECIAL_DELTAS, n)
+    head = min(n, 2)
+    omega[:head] = [0.0, -0.0][:head]
+    delta[:head] = [-0.0, 0.0][:head]
+    return BenchRecords(omega, delta, rng.standard_normal((n, 3)), rng.standard_normal((n, 3)))
+
+
+def distinct_records(n: int, seed: int) -> BenchRecords:
+    rng = np.random.default_rng(seed)
+    return BenchRecords(
+        rng.uniform(0.0, 800.0, n), rng.uniform(-1.0, 1.0, n),
+        rng.standard_normal((n, 3)), rng.standard_normal((n, 3)),
+    )
+
+
+WRITER_CASES = {
+    "sysid-bench-grid": lambda: generate_synthetic(
+        PARAMS, np.linspace(150.0, 790.0, 100), np.linspace(-0.785, 0.785, 201), 0.05, 1
+    ),
+    "all-distinct": lambda: distinct_records(2 * N_CHUNK + 7, 2),
+    "0-rows": lambda: pooled_records(0, 3),
+    "chunk-1-rows": lambda: pooled_records(N_CHUNK - 1, 4),
+    "chunk-rows": lambda: pooled_records(N_CHUNK, 5),
+    "chunk+1-rows": lambda: pooled_records(N_CHUNK + 1, 6),
+    "special-coordinates": lambda: pooled_records(40, 7),
+}
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_write_records_csv_is_byte_identical_to_row_template_oracle(tmp_path, case):
+    records = WRITER_CASES[case]()
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_records_csv(got, records)
+    reference_write_records_csv(want, records)
+    assert got.read_bytes() == want.read_bytes()
+    if case.startswith(("chunk", "special")):
+        # every special coordinate is present, 0.0 and -0.0 in one chunk
+        omega_bits = set(records.omega[:N_CHUNK].view(np.int64).tolist())
+        delta_bits = set(records.delta[:N_CHUNK].view(np.int64).tolist())
+        assert omega_bits == set(np.array(SPECIAL_OMEGAS).view(np.int64).tolist())
+        assert delta_bits == set(np.array(SPECIAL_DELTAS).view(np.int64).tolist())
+
+
+def _table(records: BenchRecords) -> np.ndarray:
+    return np.column_stack((records.omega, records.delta, records.force, records.torque))
+
+
+ROW_B = "636.9, -0.3, -0.25, 0, 1.5, 0, 1e-3, -2.5e-5"
+READER_CASES = {
+    "crlf": "\r\n".join([CSV_HEADER, GOOD_ROW, ROW_B, GOOD_ROW]) + "\r\n",
+    "blank-lines": "\n".join([CSV_HEADER, "", GOOD_ROW, "", "", ROW_B, ""]) + "\n",
+    "whitespace-lines": "\n".join([CSV_HEADER, GOOD_ROW, "   ", "\t", ROW_B]) + "\n",
+    "digit-underscore": "\n".join([CSV_HEADER, GOOD_ROW, ROW_B.replace("636.9", "6_36.9")]) + "\n",
+    "non-ascii-digit": "\n".join([CSV_HEADER, GOOD_ROW.replace("300", "\u0663\u0660\u0660")]) + "\n",
+    "trailing-comma": "\n".join([CSV_HEADER, GOOD_ROW, ROW_B + ","]) + "\n",
+    "7-columns": "\n".join([CSV_HEADER, GOOD_ROW, ROW_B.rsplit(",", 1)[0]]) + "\n",
+    "9-columns": "\n".join([CSV_HEADER, GOOD_ROW, ROW_B + ", 1"]) + "\n",
+    "7-columns-only": "\n".join([CSV_HEADER, GOOD_ROW.rsplit(",", 1)[0]]) + "\n",
+    "comment-line": "\n".join([CSV_HEADER, GOOD_ROW, "# " + ROW_B]) + "\n",
+    "nan-row": "\n".join([CSV_HEADER, GOOD_ROW, ROW_B.replace("1.5", "nan")]) + "\n",
+    "inf-row": "\n".join([CSV_HEADER, ROW_B.replace("-0.25", "-inf"), GOOD_ROW]) + "\n",
+    "1e400-row": "\n".join([CSV_HEADER, GOOD_ROW, "", ROW_B.replace("0.3", "1e400")]) + "\n",
+    "negative-speed": "\n".join([CSV_HEADER, GOOD_ROW, "-" + ROW_B]) + "\n",
+    "one-row": CSV_HEADER + "\n" + ROW_B + "\n",
+    "no-final-newline": CSV_HEADER + "\n" + GOOD_ROW + "\n" + ROW_B,
+    "header-only": CSV_HEADER + "\n",
+}
+
+
+@pytest.mark.parametrize("case", READER_CASES)
+def test_read_records_csv_agrees_with_line_by_line_oracle(tmp_path, case):
+    path = tmp_path / "records.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(READER_CASES[case])
+
+    def outcome(reader):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return _table(reader(path)).view(np.int64)
+        except DomainError as exc:
+            return str(exc)
+
+    got, want = outcome(read_records_csv), outcome(reference_read_records_csv)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert np.array_equal(got, want)
+    if case == "header-only":
+        assert want.shape == (0, 8)
+
+
+def test_read_records_csv_parses_well_formed_files_in_one_call(tmp_path, monkeypatch):
+    # the line-by-line reader is only the fallback: a well-formed file,
+    # blank lines and CRLF included, never reaches it
+    records = generate_synthetic(PARAMS, OMEGAS, DELTAS, relative_noise=0.05, seed=2)
+    path = tmp_path / "records.csv"
+    write_records_csv(path, records)
+    text = path.read_text().replace("\n", "\r\n\r\n")
+    path.write_bytes(text.encode())
+
+    def no_fallback(fh):
+        raise AssertionError("fell back to the line-by-line reader")
+
+    monkeypatch.setattr(sysid, "_read_records_lines", no_fallback)
+    assert np.array_equal(_table(read_records_csv(path)).view(np.int64),
+                          _table(records).view(np.int64))
