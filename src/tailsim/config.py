@@ -192,8 +192,11 @@ class Config:
                 f"above {MAX_HOVER_SPEED_FRACTION:g} of the {self.params.omega_max:g} "
                 "rad/s ceiling, which leaves too little thrust to manoeuvre"
             )
-        if self.disturbance.seed < 0:
-            problems.append(f"seed: must be >= 0, got {self.disturbance.seed}")
+        seed = self.disturbance.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            problems.append(f"seed: must be an integer, got {seed!r}")
+        elif seed < 0:
+            problems.append(f"seed: must be >= 0, got {seed}")
         for name, sigma in (
             ("noise_gyro", self.disturbance.gyro_noise_std),
             ("noise_accel", self.disturbance.accel_noise_std),

@@ -385,6 +385,24 @@ def _correlation_lag(ref: np.ndarray, resp: np.ndarray, dt: float, max_lag_s: fl
     return best * dt
 
 
+def _window_start(t: np.ndarray, transient_window_s: float) -> int:
+    """Index of the first sample time at or after the transient window.
+
+    Raises:
+        MetricsWindowError: fewer than two samples in ``t``, or fewer than
+            two at or after ``transient_window_s``.
+    """
+    if len(t) < 2:
+        raise MetricsWindowError("log needs at least two rows")
+    i0 = int(np.searchsorted(t, transient_window_s - 1e-12))
+    if i0 >= len(t) - 1:
+        raise MetricsWindowError(
+            f"log ends at {t[-1]:.3f} s, inside the {transient_window_s:.3f} s "
+            "transient window"
+        )
+    return i0
+
+
 def metrics(log: ScenarioLog, transient_window_s: float = 5.0) -> Metrics:
     """Compute tracking metrics from a run log.
 
@@ -392,17 +410,10 @@ def metrics(log: ScenarioLog, transient_window_s: float = 5.0) -> Metrics:
         MetricsWindowError: empty log, or nothing left after the
             transient window.
     """
-    if len(log) < 2:
-        raise MetricsWindowError("log needs at least two rows")
     t = log.column("t")
+    i0 = _window_start(t, transient_window_s)
     ref_p = log.columns("ref_px", "ref_py", "ref_pz")
     p = log.columns("px", "py", "pz")
-    i0 = int(np.searchsorted(t, transient_window_s - 1e-12))
-    if i0 >= len(t) - 1:
-        raise MetricsWindowError(
-            f"log ends at {t[-1]:.3f} s, inside the {transient_window_s:.3f} s "
-            "transient window"
-        )
 
     err = ref_p - p
     rms = np.sqrt(np.mean(err[i0:] ** 2, axis=0))
@@ -466,9 +477,15 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
     fixes at the pose rate) are fused as they arrive.  The log captures
     the state at each logging tick before it is stepped.
 
+    Only the complementary estimator's sensing draws noise, so only then
+    is the random generator seeded (and ``numpy.random`` imported): a
+    perfect-estimator run loads no random generator.
+
     Raises:
         SimulationDivergedError: with the failure timestamp attached.
         ConfigError: via configuration validation at entry.
+        MetricsWindowError: before the first step, when fewer than two
+            logged samples would fall at or after the transient window.
     """
     problems = config.scenario_problems()
     if problems:
@@ -489,13 +506,15 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
     pose_every = physics_rate // h.pose_rate_hz
     log_every = physics_rate // h.logging_rate_hz
     n_rows = int(round(scenario.duration_s * h.logging_rate_hz))
+    # the logged sample times, with the bits of the loop's k * dt
+    _window_start(np.arange(0, n_steps, log_every)[:n_rows] * dt, h.transient_window_s)
 
     state = initial_state(config, scenario)
     controller = CascadeController(params, config.gains, config.rates)
-    rng = np.random.default_rng(disturbance.seed)
 
     complementary = h.estimator == "complementary"
     if complementary:
+        rng = np.random.default_rng(disturbance.seed)
         estimator = ComplementaryEstimator(
             state.estimate_view(),
             pose_rate=float(h.pose_rate_hz),

@@ -352,10 +352,11 @@ def sense(
     The accelerometer reports specific force: the total body force minus
     weight, divided by mass, so a hovering vehicle reads ``g`` along its
     thrust axis.  The weight in body axes is ``-m g`` times the third row
-    of the body-to-world matrix, so only that row is formed.  All channels
-    draw independent Gaussian noise from ``rng`` in a fixed order (gyro,
-    accel, pose position, pose attitude; one call, which yields the same
-    stream as one call per channel) to keep runs reproducible.
+    of the body-to-world matrix, so only that row of the full matrix is
+    used.  All channels draw independent Gaussian noise from ``rng`` in a
+    fixed order (gyro, accel, pose position, pose attitude; one call,
+    which yields the same stream as one call per channel) to keep runs
+    reproducible.
 
     Args:
         state: true vehicle state.

@@ -252,12 +252,14 @@ def generate_synthetic(
 
     Raises:
         DomainError: on a negative or non-finite ``relative_noise``, a
-            negative ``seed`` (whether or not noise is drawn), a negative
-            or non-finite rotor speed, or a deflection outside
-            ``|delta| <= delta_max``.
+            ``seed`` that is not an integer >= 0 (whether or not noise is
+            drawn), a negative or non-finite rotor speed, or a deflection
+            outside ``|delta| <= delta_max``.
     """
     if not 0.0 <= relative_noise < math.inf:
         raise DomainError(f"relative_noise must be finite and >= 0, got {relative_noise!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed!r}")
     deltas = np.asarray(delta_values, dtype=float)

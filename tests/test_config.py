@@ -182,6 +182,21 @@ def test_negative_seed_is_rejected():
     assert apply_overrides(Config(), {"seed": "0"}).disturbance.seed == 0
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None])
+def test_non_integer_seed_is_rejected(seed):
+    # numpy's SeedSequence rejected these only once a generator was made
+    cfg = Config()
+    cfg.disturbance.seed = seed
+    assert f"seed: must be an integer, got {seed!r}" in cfg.scenario_problems()
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint32(7)])
+def test_integer_seed_is_accepted(seed):
+    cfg = Config()
+    cfg.disturbance.seed = seed
+    assert cfg.scenario_problems() == []
+
+
 @pytest.mark.parametrize("mass, accepted", [
     (0.65, True), (0.7, True), (0.8, True), (0.82, False), (1.0, False),
 ])

@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tailsim
 from tailsim.config import Config, apply_overrides
-from tailsim.errors import DomainError, MetricsWindowError, SimulationDivergedError
+from tailsim.errors import ConfigError, DomainError, MetricsWindowError, SimulationDivergedError
 from tailsim.rotations import quat_to_matrix
 from tailsim.scenarios import (
     _CSV_BLOCK,
@@ -477,6 +482,75 @@ def test_log_state_columns_equal_state_y_at_logged_ticks(monkeypatch):
     assert len(cols) == 100 and len(seen) == 100 * every
     for row, y in zip(cols, seen[::every]):
         assert tuple(row.tolist()) == y
+
+
+@pytest.mark.parametrize("estimator", ["perfect", "complementary"])
+def test_non_integer_seed_is_a_config_error_under_both_estimators(estimator):
+    # a perfect run makes no generator, so validation must catch the seed
+    cfg = cfg_with(scenario="hover", duration_s=2, transient_window_s=1,
+                   estimator=estimator)
+    cfg.disturbance.seed = 1.5
+    with pytest.raises(ConfigError) as excinfo:
+        run_scenario(cfg)
+    assert excinfo.value.category == "config-invalid"
+    assert "seed: must be an integer, got 1.5" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("estimator", ["perfect", "complementary"])
+@pytest.mark.parametrize("duration, window", [(2, 2), (1, 0.995), (1, 0.99)])
+def test_unreachable_metrics_window_fails_before_the_first_step(
+    monkeypatch, estimator, duration, window
+):
+    from tailsim import scenarios
+
+    calls = []
+
+    def counting_step(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(scenarios, "step", counting_step)
+    cfg = cfg_with(scenario="hover", estimator=estimator, duration_s=duration,
+                   transient_window_s=window)
+    with pytest.raises(MetricsWindowError) as excinfo:
+        run_scenario(cfg)
+    assert calls == []
+    # the message the metrics of the full log would have given
+    h = cfg.harness
+    every = h.physics_rate_hz // h.logging_rate_hz
+    rows = int(round(duration * h.logging_rate_hz))
+    log = synth_log(np.arange(rows) * every * (1.0 / h.physics_rate_hz))
+    with pytest.raises(MetricsWindowError) as want:
+        metrics(log, window)
+    assert str(excinfo.value) == str(want.value)
+
+
+def test_metrics_window_reaching_the_last_two_rows_runs():
+    # 100 Hz rows at 0.00 .. 0.99 s: a 0.98 s window keeps the last two
+    log, m = run_scenario(quiet_hover(duration_s=1, transient_window_s=0.98))
+    assert len(log) == 100
+    assert m.latency_s == 0.0
+
+
+def test_perfect_run_loads_no_random_generator():
+    # pytest's own process already holds numpy.random, so a fresh one runs
+    code = (
+        "import sys\n"
+        "from tailsim.config import Config, apply_overrides\n"
+        "from tailsim.scenarios import run_scenario\n"
+        "def run(**kw):\n"
+        "    run_scenario(apply_overrides(Config(), {k: str(v) for k, v in kw.items()}))\n"
+        "    print('numpy.random' in sys.modules)\n"
+        "run(scenario='circle', estimator='perfect', duration_s=6)\n"
+        "run(scenario='hover', estimator='complementary', duration_s=2,"
+        " transient_window_s=1)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(tailsim.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_logging_rate_does_not_change_physics():

@@ -167,6 +167,13 @@ def test_generate_synthetic_rejects_negative_seed(noise):
         generate_synthetic(PARAMS, OMEGAS, DELTAS, relative_noise=noise, seed=-1)
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_generate_synthetic_rejects_non_integer_seed(noise, seed):
+    with pytest.raises(DomainError, match=f"seed must be an integer, got {seed!r}"):
+        generate_synthetic(PARAMS, OMEGAS, DELTAS, relative_noise=noise, seed=seed)
+
+
 @pytest.mark.parametrize("noise", ["nan", "inf", "-0.05"])
 def test_sysid_synth_cli_rejects_bad_noise_level(tmp_path, capsys, noise):
     out = tmp_path / "bench.csv"
