@@ -108,7 +108,7 @@ class Config:
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(self.to_text())
 
     def scenario_problems(self) -> list[str]:
@@ -443,11 +443,25 @@ def apply_overrides(base: Config, pairs: dict[str, str]) -> Config:
     return config
 
 
+def _read_text(path) -> str:
+    """A config file's text, decoded as UTF-8 whatever the locale.
+
+    Raises:
+        ConfigError: naming the line of the first byte that is not UTF-8.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line count of parse_pairs, which splits with splitlines
+        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ConfigError([f"line {line_no}: not valid UTF-8"]) from None
+
+
 def load_config(path, base: Config | None = None) -> Config:
     """Config from a file of overrides applied to ``base`` (or defaults)."""
-    with open(path, "r") as fh:
-        text = fh.read()
-    return apply_overrides(base if base is not None else Config(), parse_pairs(text))
+    return apply_overrides(base if base is not None else Config(), parse_pairs(_read_text(path)))
 
 
 def validate_text(text: str) -> Config:
@@ -481,5 +495,4 @@ def validate_text(text: str) -> Config:
 
 def validate_file(path) -> Config:
     """Strict validation of a config file; see :func:`validate_text`."""
-    with open(path, "r") as fh:
-        return validate_text(fh.read())
+    return validate_text(_read_text(path))

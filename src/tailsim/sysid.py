@@ -27,7 +27,10 @@ is solved by singular value decomposition via ``numpy.linalg.lstsq``;
 
 from __future__ import annotations
 
+import io
 import math
+import os
+import threading
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -49,6 +52,13 @@ _CHANNEL_OF = {"k_t": "fz", "k_d": "fz", "k_l": "fx", "k_p": "my", "k_m": "mz"}
 # as floats; rows are formatted and written this many at a time
 _ROW = "%s, %s, " + ", ".join(["%.17g"] * 6) + "\n"
 _ROWS_PER_WRITE = 4096
+# a file from two chunks of rows on is written, and one from two chunks of
+# 128-byte rows on (a sysid-bench row is 133 bytes) is read, by two
+# processes; see _can_fork
+_SPLIT_BYTES = _ROWS_PER_WRITE * 128
+# bytes per read from a forked helper's pipe; a reader's split point is the
+# first line feed within this many bytes of its middle
+_PIPE_BUFFER = 1 << 16
 
 
 class _InvalidRecord(DomainError):
@@ -293,64 +303,202 @@ def generate_synthetic(
     return BenchRecords(omega, delta, wrench[:, :3], wrench[:, 3:])
 
 
+def _rows(records: BenchRecords, lo: int, hi: int):
+    """An iterator over the CSV rows ``lo`` to ``hi`` of ``records``.
+
+    Each distinct sweep coordinate (omega or delta) among them is formatted
+    once: a grid sweep repeats a few hundred values over tens of thousands
+    of cells.  Values are told apart by their bits, so ``0.0`` and ``-0.0``
+    keep their own text.  The six measured channels are formatted per cell.
+    A row's text depends only on its own values.
+    """
+    coords = np.column_stack((records.omega[lo:hi], records.delta[lo:hi]))
+    bits, index = np.unique(coords.view(np.int64), return_inverse=True)
+    text = ("%.17g\n" * len(bits)) % tuple(bits.view(np.float64).tolist())
+    # numpy 2 returns the inverse in the keys' shape, numpy 1 flat
+    cells = np.array(text.split("\n"), dtype=object)[index.reshape(-1, 2)]
+    return map(_ROW.__mod__, zip(
+        *cells.T.tolist(),
+        *records.force[lo:hi].T.tolist(),
+        *records.torque[lo:hi].T.tolist(),
+    ))
+
+
+def _write_rows(fh, records: BenchRecords, start: int, stop: int) -> None:
+    """Write rows ``start`` to ``stop`` to the text file ``fh``,
+    ``_ROWS_PER_WRITE`` at a time, each chunk freed before the next."""
+    for lo in range(start, stop, _ROWS_PER_WRITE):
+        fh.writelines(_rows(records, lo, min(lo + _ROWS_PER_WRITE, stop)))
+
+
+def _encoded_rows(records: BenchRecords, start: int, stop: int) -> list[bytes]:
+    """Rows ``start`` to ``stop`` as UTF-8, one bytes object per chunk."""
+    return [
+        "".join(_rows(records, lo, min(lo + _ROWS_PER_WRITE, stop))).encode()
+        for lo in range(start, stop, _ROWS_PER_WRITE)
+    ]
+
+
 def write_records_csv(path, records: BenchRecords) -> None:
     """Write bench records with the canonical header, one ``%.17g`` row each.
 
-    Rows are written ``_ROWS_PER_WRITE`` at a time.  Within a chunk each
-    distinct sweep coordinate (omega or delta) is formatted once: a grid
-    sweep repeats a few hundred values over tens of thousands of cells.
-    Values are told apart by their bits, so ``0.0`` and ``-0.0`` keep
-    their own text.  The six measured channels are formatted per cell.
+    Rows are formatted and written ``_ROWS_PER_WRITE`` at a time (see
+    :func:`_rows`).  From two such chunks on, when the file is seekable and
+    a second process can run (see :func:`_can_fork`), a forked child
+    formats the second half of the rows while this process writes the
+    first, and its text is copied in after it.  The bytes are the same
+    either way; if the child fails, its half is formatted here instead.
     """
-    table = np.column_stack((records.omega, records.delta, records.force, records.torque))
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for start in range(0, len(table), _ROWS_PER_WRITE):
-            block = table[start:start + _ROWS_PER_WRITE]
-            bits, index = np.unique(block[:, :2].view(np.int64), return_inverse=True)
-            text = ("%.17g\n" * len(bits)) % tuple(bits.view(np.float64).tolist())
-            # numpy 2 returns the inverse in the keys' shape, numpy 1 flat
-            coords = np.array(text.split("\n"), dtype=object)[index.reshape(-1, 2)]
-            fh.writelines(
-                map(_ROW.__mod__, zip(*coords.T.tolist(), *block[:, 2:].T.tolist()))
-            )
+    n = len(records)
+    half = n // 2
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        child = None
+        if half >= _ROWS_PER_WRITE and fh.seekable() and _can_fork():
+            # the child formats all of its half before it writes to the
+            # pipe, so it never waits on this process with work left to do
+            child = _fork(lambda out: out.writelines(_encoded_rows(records, half, n)))
+        try:
+            fh.write(CSV_HEADER + "\n")
+            _write_rows(fh, records, 0, n if child is None else half)
+            if child is not None:
+                fh.flush()
+                mark = fh.buffer.tell()
+                child.copy_to(fh.buffer)
+                if not child.join():
+                    # what arrived may be partial: drop it, format it here
+                    fh.buffer.seek(mark)
+                    fh.buffer.truncate()
+                    _write_rows(fh, records, half, n)
+        finally:
+            if child is not None:
+                child.join()
 
 
 def read_records_csv(path) -> BenchRecords:
     """Read bench records; the header must match the canonical schema.
 
-    Blank lines are skipped.  A malformed or invalid row is reported with
-    its line number.  The rows are parsed by ``numpy.loadtxt``, whose C
-    reader converts each field as ``float`` does.  When it fails, the
-    table is not 8 columns wide or a record is invalid, the file is read
-    again line by line, which names the offending line and also takes
-    what only ``float`` accepts (digit underscores, non-ASCII digits,
-    whitespace-only lines).
+    Blank lines are skipped.  A malformed or invalid row, or one that is
+    not UTF-8, is reported with its line number.  The rows are parsed by
+    ``numpy.loadtxt``, whose C reader converts each field as ``float``
+    does.  From ``2 * _SPLIT_BYTES`` bytes of rows on, when a second
+    process can run (see :func:`_can_fork`), the rows are cut at the line
+    feed after their middle byte: a forked child parses the first part
+    while this process parses the rest, and each field gets the same value
+    either way.  When a parse fails (in either process, or the child
+    fails), the table is not 8 columns wide or a record is invalid, the
+    file is read again line by line, which names the offending line and
+    also takes what only ``float`` accepts (digit underscores, non-ASCII
+    digits, whitespace-only lines).
     """
-    with open(path, "r", newline="") as fh:
-        header = fh.readline().strip()
+    # bytes that are not UTF-8 decode to lone surrogates, which no parser
+    # takes, so such a line fails both and the line loop names it
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        header = fh.readline()
+        if _undecodable(header):
+            raise DomainError("line 1: not valid UTF-8")
+        header = header.strip()
         if [c.strip() for c in header.split(",")] != [
             c.strip() for c in CSV_HEADER.split(",")
         ]:
             raise DomainError(
                 f"unexpected CSV header {header!r}; expected {CSV_HEADER!r}"
             )
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is an empty table, not a warning
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            if table.shape[1] == 8:
+        body = fh.tell()
+        table = _load_rows(fh, body)
+        if table is not None:
+            try:
                 return _records_of(table)
-        except (ValueError, _InvalidRecord):
-            pass
-        fh.seek(0)
-        fh.readline()
+            except _InvalidRecord:
+                pass
+        fh.seek(body)
         return _read_records_lines(fh)
 
 
 def _records_of(table: np.ndarray) -> BenchRecords:
     return BenchRecords(table[:, 0], table[:, 1], table[:, 2:5], table[:, 5:])
+
+
+def _undecodable(line: str) -> bool:
+    """True if ``line`` holds bytes that were not UTF-8 (surrogate escapes)."""
+    if line.isascii():
+        return False
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
+def _loadtxt(lines) -> np.ndarray | None:
+    """``lines`` parsed by ``numpy.loadtxt``: a table 8 columns wide (no
+    rows if they are all blank), or None where it fails or is not."""
+    try:
+        with warnings.catch_warnings():
+            # a file without rows is an empty table, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[0] == 0:
+        return table.reshape(0, 8)
+    return table if table.shape[1] == 8 else None
+
+
+def _load_head(fd: int, start: int, stop: int) -> np.ndarray | None:
+    """:func:`_loadtxt` of the bytes ``start`` to ``stop`` of the open file
+    ``fd``, read whole with ``pread`` (the file's offset does not move)."""
+    data = os.pread(fd, stop - start, start)
+    if len(data) != stop - start:
+        raise OSError("short read")
+    return _loadtxt(io.StringIO(data.decode("utf-8", "surrogateescape"), newline=""))
+
+
+def _load_rows(fh, body: int) -> np.ndarray | None:
+    """:func:`_loadtxt` of the rows of ``fh`` from byte ``body`` on; from
+    ``2 * _SPLIT_BYTES`` bytes on, a forked child parses those before the
+    line feed after the middle byte while this process parses the rest."""
+    fd = fh.fileno()
+    size = os.fstat(fd).st_size
+    split = None
+    if size - body >= 2 * _SPLIT_BYTES and _can_fork():
+        split = _line_start(fd, (body + size) // 2, size)
+    child = None if split is None else _fork(
+        lambda out: _send_table(out, _load_head(fd, body, split))
+    )
+    if child is None:
+        return _loadtxt(fh)
+    try:
+        fh.seek(split)
+        tail = _loadtxt(fh)
+        count = np.zeros(1, dtype=np.int64)
+        if tail is None or not child.read_into(count.view(np.uint8)):
+            return None
+        rows = int(count[0])
+        table = np.empty((rows + len(tail), 8))
+        table[rows:] = tail
+        if child.read_into(table[:rows].reshape(-1).view(np.uint8)) and child.join():
+            return table
+        return None
+    finally:
+        child.join()
+
+
+def _send_table(out, table: np.ndarray | None) -> None:
+    """Write a table for :func:`_load_rows`: its row count, then its
+    float64 values; a failed parse raises, so the child exits non-zero."""
+    if table is None:
+        raise ValueError("rows do not parse as 8 columns")
+    out.write(np.int64(len(table)).tobytes())
+    out.write(table.data)
+
+
+def _line_start(fd: int, pos: int, stop: int) -> int | None:
+    """The offset just past the first line feed at or after ``pos``, if one
+    lies within ``_PIPE_BUFFER`` bytes and before ``stop``."""
+    found = os.pread(fd, _PIPE_BUFFER, pos).find(b"\n")
+    if found < 0 or pos + found + 1 >= stop:
+        return None
+    return pos + found + 1
 
 
 def _read_records_lines(fh) -> BenchRecords:
@@ -361,6 +509,8 @@ def _read_records_lines(fh) -> BenchRecords:
         line = line.strip()
         if not line:
             continue
+        if _undecodable(line):
+            raise DomainError(f"line {line_no}: not valid UTF-8")
         parts = line.split(",")
         if len(parts) != 8:
             raise DomainError(f"line {line_no}: expected 8 columns, got {len(parts)}")
@@ -373,6 +523,85 @@ def _read_records_lines(fh) -> BenchRecords:
         return _records_of(np.frombuffer(values, dtype=float).reshape(-1, 8))
     except _InvalidRecord as exc:
         raise DomainError(f"line {line_numbers[exc.row]}: {exc.reason}") from None
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _can_fork() -> bool:
+    """Whether a forked helper can share the CSV work: ``os.fork`` exists,
+    two CPUs are usable, and no other thread runs (a forked child holds
+    only the calling thread, so a lock another thread held stays taken)."""
+    return hasattr(os, "fork") and threading.active_count() == 1 and _usable_cpus() >= 2
+
+
+class _Child:
+    """A forked helper process; what it writes arrives on the pipe ``fd``."""
+
+    def __init__(self, pid: int, fd: int):
+        self.pid = pid
+        self.fd = fd
+        self.ok: bool | None = None
+
+    def read_into(self, buffer) -> bool:
+        """Fill the bytes ``buffer`` from the pipe; False if it ends first."""
+        view = memoryview(buffer)
+        while view:
+            got = os.readv(self.fd, [view])
+            if not got:
+                return False
+            view = view[got:]
+        return True
+
+    def copy_to(self, out) -> None:
+        """Copy all that the child writes to the binary file ``out`` through one
+        fixed-size buffer."""
+        buffer = bytearray(_PIPE_BUFFER)
+        view = memoryview(buffer)
+        while got := os.readv(self.fd, [buffer]):
+            out.write(view[:got])
+
+    def join(self) -> bool:
+        """Close the pipe and reap the child, once; True if it exited 0.
+
+        A child still writing gets a broken pipe and exits non-zero.
+        """
+        if self.ok is None:
+            os.close(self.fd)
+            self.ok = os.waitpid(self.pid, 0)[1] == 0
+        return self.ok
+
+
+def _fork(work) -> _Child | None:
+    """Fork a child that runs ``work(out)``, ``out`` a binary file on a
+    pipe to this process; None if the fork fails.
+
+    The child never returns into its caller: it leaves through ``os._exit``,
+    with status 0 once ``work`` has returned and ``out`` is flushed and
+    closed, and 1 on any exception.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as out:
+                work(out)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return _Child(pid, read_fd)
 
 
 def write_fit_params(path, fit: FitResult) -> None:
@@ -390,5 +619,5 @@ def write_fit_params(path, fit: FitResult) -> None:
         )
     for channel, bias in fit.intercepts.items():
         lines.append(f"# intercept[{channel}] = {bias:.6g}")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -240,3 +240,39 @@ def test_validate_and_run_report_bad_values_as_config_errors(tmp_path, capsys, l
     assert main(["run", "--config", str(partial)]) == 1
     err = capsys.readouterr().err
     assert "error: category=config-invalid" in err and message in err
+
+
+# a byte 0xff is never UTF-8; each of these used to end in a
+# UnicodeDecodeError traceback instead of an error line
+def test_run_reports_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"duration_s = 6\r\nseed = 1\xff\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "error: category=config-invalid" in captured.err
+    assert "line 2: not valid UTF-8" in captured.err and captured.out == ""
+
+
+def test_validate_reports_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(Config().to_text().encode() + b"# \xff\n")
+    assert main(["validate", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    line_no = Config().to_text().count("\n") + 1
+    assert "error: category=config-invalid" in err
+    assert f"line {line_no}: not valid UTF-8" in err
+
+
+def test_sysid_fit_reports_a_bench_csv_that_is_not_utf8(tmp_path, capsys):
+    records_path = tmp_path / "bench.csv"
+    main(["sysid", "synth", "--out", str(records_path)])
+    capsys.readouterr()
+    lines = records_path.read_bytes().splitlines(keepends=True)
+    lines[5] = lines[5].replace(b", ", b"\xff, ", 1)
+    records_path.write_bytes(b"".join(lines))
+    fitted_path = tmp_path / "fitted.cfg"
+    assert main(["sysid", "fit", "--in", str(records_path), "--out", str(fitted_path)]) == 1
+    captured = capsys.readouterr()
+    assert "error: category=domain" in captured.err
+    assert "line 6: not valid UTF-8" in captured.err
+    assert captured.out == "" and not fitted_path.exists()

@@ -259,6 +259,27 @@ def test_load_config_is_override_mode(tmp_path):
     assert cfg.params.m == 0.65  # defaults fill the rest
 
 
+@pytest.mark.parametrize("text, line_no", [
+    (b"\xffm = 0.65\n", 1),
+    (b"# caf\xc3\xa9\r\nduration_s = 12\rseed = 1\xff\n", 3),
+    (b"duration_s = 12\n\n# \xc3\n", 3),
+])
+def test_config_files_that_are_not_utf8_name_their_line(tmp_path, text, line_no):
+    # lines are counted as parse_pairs counts them, CR and CRLF included
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(text)
+    for load in (load_config, validate_file):
+        with pytest.raises(ConfigError) as excinfo:
+            load(path)
+        assert f"line {line_no}: not valid UTF-8" in excinfo.value.problems
+
+
+def test_config_files_are_read_as_utf8(tmp_path):
+    path = tmp_path / "partial.cfg"
+    path.write_bytes("# réglage\nduration_s = 12\n".encode("utf-8"))
+    assert load_config(path).harness.duration_s == 12.0
+
+
 def test_validate_file_accepts_full_dump(tmp_path):
     path = tmp_path / "full.cfg"
     Config().write(path)

@@ -1,6 +1,11 @@
 """Static-test parameter identification: fits, excitation checks, CSV I/O."""
 
+import os
+import subprocess
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,3 +400,300 @@ def test_read_records_csv_parses_well_formed_files_in_one_call(tmp_path, monkeyp
     monkeypatch.setattr(sysid, "_read_records_lines", no_fallback)
     assert np.array_equal(_table(read_records_csv(path)).view(np.int64),
                           _table(records).view(np.int64))
+
+
+# --- the two-process round trip ---------------------------------------------
+# From two chunks of rows the writer, and from 2 * _SPLIT_BYTES bytes of rows
+# the reader, hand half of the work to a forked child.  These tests pin that
+# path to the same oracles as the one-process path, which they also run by
+# reporting a single usable CPU.
+
+SPLIT_ROWS = 2 * N_CHUNK
+bench_records = WRITER_CASES["sysid-bench-grid"]  # its 20,100 records
+
+
+@pytest.fixture(scope="module")
+def bench_lines(tmp_path_factory) -> list[bytes]:
+    """The lines of sysid-bench's CSV as the oracle writes it, header first."""
+    path = tmp_path_factory.mktemp("bench") / "bench.csv"
+    reference_write_records_csv(path, bench_records())
+    return path.read_bytes().splitlines(keepends=True)
+
+
+def use_cpus(monkeypatch, cpus: int) -> list[int]:
+    """Report ``cpus`` usable CPUs; return a list that grows by one per fork."""
+    monkeypatch.setattr(sysid, "_usable_cpus", lambda: cpus)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def outcome(reader, path):
+    """The bits of what ``reader`` reads from ``path``, or its DomainError text."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return _table(reader(path)).view(np.int64)
+    except DomainError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+@pytest.mark.parametrize("n", [SPLIT_ROWS - 1, SPLIT_ROWS, SPLIT_ROWS + 1, 20100])
+def test_write_records_csv_matches_oracle_across_the_split(tmp_path, monkeypatch, n, cpus):
+    forks = use_cpus(monkeypatch, cpus)
+    records = bench_records() if n == 20100 else pooled_records(n, n)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_records_csv(got, records)
+    reference_write_records_csv(want, records)
+    assert got.read_bytes() == want.read_bytes()
+    assert len(forks) == (cpus == 2 and n >= SPLIT_ROWS)
+    assert_no_child_left()
+
+
+BAD_ROW = "300, 0.1, 1, 0, -0.5, 0, 0.01, 0.02"
+SPLIT_READER_CASES = {
+    "bad-field": BAD_ROW.replace("0.5", "one"),
+    "7-columns": BAD_ROW.rsplit(",", 1)[0],
+    "9-columns": BAD_ROW + ", 1",
+    "digit-underscore": BAD_ROW.replace("300", "3_00"),
+    "whitespace-line": " \t ",
+    "nan-row": BAD_ROW.replace("0.1", "nan"),
+    "inf-row": BAD_ROW.replace("0.01", "inf"),
+    "1e400-row": BAD_ROW.replace("300", "1e400"),
+    "negative-speed": "-" + BAD_ROW,
+}
+
+
+@pytest.mark.parametrize("row", [5000, 15000], ids=["first-half", "second-half"])
+@pytest.mark.parametrize("case", SPLIT_READER_CASES)
+def test_read_records_csv_matches_oracle_across_the_split(
+    tmp_path, monkeypatch, bench_lines, case, row
+):
+    # one odd line among sysid-bench's 20,100 rows, on either side of the split
+    lines = list(bench_lines)
+    lines[1 + row] = SPLIT_READER_CASES[case].encode() + b"\n"
+    path = tmp_path / "records.csv"
+    path.write_bytes(b"".join(lines))
+    want = outcome(reference_read_records_csv, path)
+    for cpus in (2, 1):
+        forks = use_cpus(monkeypatch, cpus)
+        assert_same_outcome(outcome(read_records_csv, path), want)
+        assert len(forks) == (cpus == 2)
+        assert_no_child_left()
+
+
+def crlf_with_blanks(bench_lines, blank_rows, blank=b"\r\n") -> bytes:
+    """sysid-bench's file with CRLF line ends and a blank line before each
+    row index in ``blank_rows``."""
+    out = [bench_lines[0]]
+    for i, line in enumerate(bench_lines[1:]):
+        if i in blank_rows:
+            out.append(blank)
+        out.append(line[:-1] + b"\r\n")
+    return b"".join(out)
+
+
+def spy_split_points(monkeypatch) -> list:
+    """Record each offset the reader picks to cut the rows at."""
+    points = []
+    real = sysid._line_start
+
+    def line_start(*args):
+        points.append(real(*args))
+        return points[-1]
+
+    monkeypatch.setattr(sysid, "_line_start", line_start)
+    return points
+
+
+@pytest.mark.parametrize("layout", ["crlf-blanks-both-sides", "split-on-blank-run"])
+def test_read_records_csv_splits_blank_and_crlf_files_like_the_oracle(
+    tmp_path, monkeypatch, bench_lines, layout
+):
+    if layout == "crlf-blanks-both-sides":
+        data = crlf_with_blanks(bench_lines, {0, 1, 5000, 10049, 10050, 10051, 15000, 20099})
+    else:
+        # the same rows on both sides of 301 blank lines: the middle byte is
+        # a blank line, so the cut lands on one
+        rows = b"".join(bench_lines[1:10051])
+        data = bench_lines[0] + rows + b"\n" * 150 + b"\r\n" * 151 + rows
+    path = tmp_path / "records.csv"
+    path.write_bytes(data)
+    want = outcome(reference_read_records_csv, path)
+    assert not isinstance(want, str)
+    for cpus in (2, 1):
+        forks = use_cpus(monkeypatch, cpus)
+        points = spy_split_points(monkeypatch)
+
+        def no_fallback(fh):
+            raise AssertionError("fell back to the line-by-line reader")
+
+        monkeypatch.setattr(sysid, "_read_records_lines", no_fallback)
+        assert_same_outcome(outcome(read_records_csv, path), want)
+        assert len(forks) == len(points) == (cpus == 2)
+        assert_no_child_left()
+        monkeypatch.undo()
+        if cpus == 2 and layout == "split-on-blank-run":
+            # the child's part ends, and this process's begins, with a blank line
+            cut = points[0]
+            assert data[:cut].splitlines()[-1] == data[cut:].splitlines()[0] == b""
+
+
+@pytest.mark.parametrize("row", [None, 5000, 15000], ids=["header", "first-half", "second-half"])
+def test_read_records_csv_names_a_line_that_is_not_utf8(tmp_path, monkeypatch, bench_lines, row):
+    lines = list(bench_lines)
+    if row is None:
+        lines[0] = lines[0].replace(b"fx", b"f\xff")
+    else:
+        lines[1 + row] = lines[1 + row].replace(b",", b"\xff,", 1)
+    path = tmp_path / "records.csv"
+    path.write_bytes(b"".join(lines))
+    line_no = 1 if row is None else row + 2
+    for cpus in (2, 1):
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(DomainError, match=f"^line {line_no}: not valid UTF-8$"):
+            read_records_csv(path)
+        assert_no_child_left()
+
+
+def failing_in(pid_test, real, error):
+    """``real``, raising ``error`` in any process where ``pid_test(pid)`` holds."""
+    def wrapper(*args):
+        if pid_test(os.getpid()):
+            raise error("injected failure")
+        return real(*args)
+    return wrapper
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt, SystemExit])
+def test_a_failing_child_leaves_through_os_exit_and_its_half_is_redone(
+    tmp_path, monkeypatch, bench_lines, error
+):
+    parent = os.getpid()
+    forks = use_cpus(monkeypatch, 2)
+    exits = tmp_path / "exits"
+    exits.mkdir()
+    real_exit = os._exit
+
+    def recording_exit(status):
+        (exits / str(os.getpid())).write_text(str(status))
+        real_exit(status)
+
+    monkeypatch.setattr(os, "_exit", recording_exit)
+    in_child = lambda pid: pid != parent  # noqa: E731
+    monkeypatch.setattr(sysid, "_rows", failing_in(in_child, sysid._rows, error))
+    monkeypatch.setattr(sysid, "_load_head", failing_in(in_child, sysid._load_head, error))
+    line_loops = []
+    real_lines = sysid._read_records_lines
+
+    def counted_lines(fh):
+        line_loops.append(1)
+        return real_lines(fh)
+
+    monkeypatch.setattr(sysid, "_read_records_lines", counted_lines)
+    path = tmp_path / "records.csv"
+    try:
+        write_records_csv(path, bench_records())
+        loaded = read_records_csv(path)
+    finally:
+        if os.getpid() != parent:
+            # a child came back into the caller: leave before pytest runs on in it
+            (tmp_path / "returned").touch()
+            real_exit(0)
+    assert not (tmp_path / "returned").exists()
+    assert path.read_bytes() == b"".join(bench_lines)
+    assert np.array_equal(_table(loaded), _table(bench_records()))
+    assert len(forks) == 2 and line_loops == [1]
+    assert sorted(p.read_text() for p in exits.iterdir()) == ["1", "1"]
+    assert_no_child_left()
+
+
+def test_the_parent_reaps_its_child_when_its_own_part_fails(tmp_path, monkeypatch):
+    parent = os.getpid()
+    forks = use_cpus(monkeypatch, 2)
+    in_parent = lambda pid: pid == parent  # noqa: E731
+    path = tmp_path / "records.csv"
+    write_records_csv(path, bench_records())
+    with monkeypatch.context() as m:
+        m.setattr(sysid, "_rows", failing_in(in_parent, sysid._rows, OSError))
+        with pytest.raises(OSError, match="injected failure"):
+            write_records_csv(tmp_path / "other.csv", bench_records())
+    assert_no_child_left()
+    with monkeypatch.context() as m:
+        m.setattr(sysid, "_loadtxt", failing_in(in_parent, sysid._loadtxt, RuntimeError))
+        with pytest.raises(RuntimeError, match="injected failure"):
+            read_records_csv(path)
+    assert_no_child_left()
+    assert len(forks) == 3
+
+
+def test_no_child_is_forked_beside_another_thread_or_without_fork(
+    tmp_path, monkeypatch, bench_lines
+):
+    forks = use_cpus(monkeypatch, 2)
+    path = tmp_path / "records.csv"
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        write_records_csv(path, bench_records())
+        assert path.read_bytes() == b"".join(bench_lines)
+        assert np.array_equal(_table(read_records_csv(path)), _table(bench_records()))
+    finally:
+        release.set()
+        other.join()
+    assert forks == []
+    monkeypatch.delattr(os, "fork")
+    write_records_csv(path, bench_records())
+    assert path.read_bytes() == b"".join(bench_lines)
+    assert np.array_equal(_table(read_records_csv(path)), _table(bench_records()))
+
+
+def test_write_records_csv_to_an_unseekable_file_does_not_fork(tmp_path, monkeypatch, bench_lines):
+    forks = use_cpus(monkeypatch, 2)
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    chunks = []
+    reader = threading.Thread(target=lambda: chunks.append(path.read_bytes()))
+    reader.start()
+    # the thread reading the FIFO also rules out a fork; take it out of the count
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    write_records_csv(path, bench_records())
+    reader.join()
+    assert chunks == [b"".join(bench_lines)]
+    assert forks == []
+
+
+def test_the_split_adds_no_module_to_the_import():
+    # the helper is os.fork and a pipe, which numpy's import has loaded;
+    # multiprocessing alone would add a few tens of milliseconds of set-up
+    code = (
+        "import sys, numpy; before = set(sys.modules); import tailsim.cli; "
+        "print({'io', 'os', 'threading'} <= before, "
+        "any(m.split('.')[0] in ('multiprocessing', 'concurrent', 'subprocess') "
+        "for m in sys.modules))"
+    )
+    src = str(Path(sysid.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.split() == ["True", "False"]
