@@ -1,0 +1,123 @@
+"""One forked helper process that shares a CSV writer's or reader's work,
+through ``os.fork`` and a pipe (loaded with numpy's import, so no module is
+added); :func:`write_csv` is the writer both CSV writers use."""
+
+from __future__ import annotations
+
+import os
+import threading
+
+# bytes per read from a forked helper's pipe
+PIPE_BUFFER = 1 << 16
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def can_fork() -> bool:
+    """Whether a forked helper can share the CSV work: ``os.fork`` exists, two
+    CPUs are usable and the Python thread count is 1 (a forked child holds
+    only the calling thread, so a lock another Python thread held stays taken).
+    OS threads that Python does not count are not seen: with numpy's default
+    OpenBLAS threading a process has 2 while ``threading.active_count()`` is
+    1.  Neither child calls BLAS, so OpenBLAS's locks are not needed there."""
+    return hasattr(os, "fork") and threading.active_count() == 1 and usable_cpus() >= 2
+
+
+class Child:
+    """A forked helper process; what it writes arrives on the pipe ``fd``."""
+
+    def __init__(self, pid: int, fd: int):
+        self.pid = pid
+        self.fd = fd
+        self.ok: bool | None = None
+
+    def read_into(self, buffer) -> bool:
+        """Fill the bytes ``buffer`` from the pipe; False if it ends first."""
+        view = memoryview(buffer)
+        while view:
+            got = os.readv(self.fd, [view])
+            if not got:
+                return False
+            view = view[got:]
+        return True
+
+    def copy_to(self, out) -> None:
+        """Copy all that the child writes to the binary file ``out`` through one
+        fixed-size buffer."""
+        buffer = bytearray(PIPE_BUFFER)
+        view = memoryview(buffer)
+        while got := os.readv(self.fd, [buffer]):
+            out.write(view[:got])
+
+    def join(self) -> bool:
+        """Close the pipe and reap the child, once; True if it exited 0 (a
+        child still writing gets a broken pipe and exits non-zero)."""
+        if self.ok is None:
+            os.close(self.fd)
+            self.ok = os.waitpid(self.pid, 0)[1] == 0
+        return self.ok
+
+
+def fork(work) -> Child | None:
+    """Fork a child that runs ``work(out)``, ``out`` a binary file on a pipe to
+    this process; None if the fork fails.  The child never returns into its
+    caller: it leaves through ``os._exit``, with status 0 once ``work`` has
+    returned and ``out`` is flushed and closed, and 1 on any exception."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as out:
+                work(out)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return Child(pid, read_fd)
+
+
+def write_csv(path, header: str, rows, n: int, chunk: int) -> None:
+    """Write ``header`` and rows ``0`` to ``n`` to ``path`` as UTF-8, ``chunk``
+    rows at a time; ``rows(lo, hi)`` gives rows ``lo`` to ``hi`` as strings to
+    join.  From two chunks on, when the file is seekable and :func:`can_fork`,
+    a forked child formats the second half (a row's text must depend only on
+    its own values) while this process writes the first, and its bytes are
+    copied in after them; if the child fails, its half is formatted here."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        def write(start: int, stop: int) -> None:
+            for lo in range(start, stop, chunk):
+                fh.writelines(rows(lo, min(lo + chunk, stop)))
+
+        fh.write(header)
+        half = n // 2
+        child = None
+        if n >= 2 * chunk and fh.seekable() and can_fork():
+            # the child formats all of its half before it writes to the pipe,
+            # so it never waits on this process with work left to do
+            child = fork(lambda out: out.write("".join(rows(half, n)).encode()))
+        try:
+            write(0, n if child is None else half)
+            if child is not None:
+                fh.flush()
+                mark = fh.buffer.tell()
+                child.copy_to(fh.buffer)
+                if not child.join():
+                    # what arrived may be partial: drop it, format it here
+                    fh.buffer.seek(mark)
+                    fh.buffer.truncate()
+                    write(half, n)
+        finally:
+            if child is not None:
+                child.join()

@@ -141,8 +141,8 @@ class Config:
                 ("logging_rate_hz", h.logging_rate_hz),
                 ("rate_loop (rate_rate_hz)", self.rates.rate_rate),
             ):
-                if rate <= 0:
-                    problems.append(f"{name}: must be > 0, got {rate}")
+                if not (math.isfinite(rate) and round(rate) >= 1):
+                    problems.append(f"{name}: must be finite and >= 1 Hz when rounded, got {rate}")
                 elif h.physics_rate_hz % int(round(rate)) != 0:
                     problems.append(
                         f"{name}: {rate:g} Hz must divide physics_rate_hz "

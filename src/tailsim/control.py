@@ -91,11 +91,12 @@ class LoopRates:
 
     def __post_init__(self) -> None:
         rates = (self.position_rate, self.attitude_rate, self.rate_rate)
-        if not all(math.isfinite(r) and r > 0 for r in rates):
-            raise DomainError("loop rates must be finite and positive")
+        # the run harness divides the physics rate by int(round(rate_rate))
+        if not all(math.isfinite(r) and round(r) >= 1 for r in rates):
+            raise DomainError("loop rates must be finite and >= 1 Hz when rounded")
         for name in ("position_rate", "attitude_rate"):
             ticks = self.rate_rate / getattr(self, name)
-            if ticks != round(ticks):
+            if not float(ticks).is_integer():
                 raise DomainError(
                     f"LoopRates.{name} {getattr(self, name):g} Hz must divide "
                     f"the rate loop {self.rate_rate:g} Hz evenly"

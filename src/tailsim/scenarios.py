@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _forked
 from .config import MIN_LEG_LENGTH_M, Config
 from .control import CascadeController, Setpoint
 from .errors import DomainError, MetricsWindowError, SimulationDivergedError
@@ -52,9 +53,11 @@ LOG_COLUMNS = (
 )
 
 _FLAG_COLUMNS = ("saturated", "roll_clamped")
-# Rows per block in ScenarioLog.to_csv.  64 rows wrote star-fulllog's log a
-# few per cent faster but raised perfbench's peak RSS by 1 MB (BENCH_11.json).
+# Rows per block in ScenarioLog._rows_csv.  64 rows wrote star-fulllog's log
+# a few per cent faster but raised perfbench's peak RSS by 1 MB (BENCH_11.json).
 _CSV_BLOCK = 32
+# rows per write in ScenarioLog.write_csv, on two processes from two chunks on
+_ROWS_PER_WRITE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +267,24 @@ class ScenarioLog:
         return self.data[: self._row, idx]
 
     def to_csv(self) -> str:
-        """The log as CSV: floats round-trip exactly (``%.17g``), flags as ints.
+        """The log as CSV: floats round-trip exactly (``%.17g``), flags as ints."""
+        return "".join([",".join(LOG_COLUMNS) + "\n", *self._rows_csv(0, self._row)])
+
+    def _rows_csv(self, start: int, stop: int) -> list[str]:
+        """The CSV text of rows ``start`` to ``stop``, one string per block.
 
         Rows are converted ``_CSV_BLOCK`` at a time, and within a block
         each distinct float is formatted once: controller outputs held
         over several logged ticks and perfect-estimator columns repeat
         across rows and columns.  Values are told apart by their bits, so
         ``0.0`` and ``-0.0``, and NaNs with different payloads, keep
-        their own text.  Flags are formatted per cell with ``%d``.
+        their own text.  Flags are formatted per cell with ``%d``.  A
+        row's text depends only on its own values.
         """
         flags = [LOG_COLUMNS.index(name) for name in _FLAG_COLUMNS]
-        parts = [",".join(LOG_COLUMNS) + "\n"]
-        for start in range(0, self._row, _CSV_BLOCK):
-            block = self.data[start : min(start + _CSV_BLOCK, self._row)]
+        parts = []
+        for lo in range(start, stop, _CSV_BLOCK):
+            block = self.data[lo : min(lo + _CSV_BLOCK, stop)]
             bits, index = np.unique(block.view(np.int64), return_inverse=True)
             n = len(bits)
             values = tuple(bits.view(np.float64).tolist())
@@ -288,11 +296,13 @@ class ScenarioLog:
             index = index.reshape(block.shape)
             index[:, flags] = np.arange(n, len(values)).reshape(len(block), -1)
             parts.append("\n".join(map(",".join, cells[index].tolist())) + "\n")
-        return "".join(parts)
+        return parts
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
+        """Write :meth:`to_csv`'s text to ``path``, ``_ROWS_PER_WRITE`` rows at
+        a time, on two processes from two chunks on (:func:`_forked.write_csv`)."""
+        header = ",".join(LOG_COLUMNS) + "\n"
+        _forked.write_csv(path, header, self._rows_csv, self._row, _ROWS_PER_WRITE)
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,13 @@ from __future__ import annotations
 import io
 import math
 import os
-import threading
 import warnings
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _forked
 from .errors import DomainError, InsufficientExcitationError
 from .model import VehicleParams
 
@@ -53,12 +53,9 @@ _CHANNEL_OF = {"k_t": "fz", "k_d": "fz", "k_l": "fx", "k_p": "my", "k_m": "mz"}
 _ROW = "%s, %s, " + ", ".join(["%.17g"] * 6) + "\n"
 _ROWS_PER_WRITE = 4096
 # a file from two chunks of rows on is written, and one from two chunks of
-# 128-byte rows on (a sysid-bench row is 133 bytes) is read, by two
-# processes; see _can_fork
+# 128-byte rows on (a sysid-bench row is 133 bytes) is read, by two processes;
+# the reader cuts at the first line feed within _forked.PIPE_BUFFER of its middle
 _SPLIT_BYTES = _ROWS_PER_WRITE * 128
-# bytes per read from a forked helper's pipe; a reader's split point is the
-# first line feed within this many bytes of its middle
-_PIPE_BUFFER = 1 << 16
 
 
 class _InvalidRecord(DomainError):
@@ -324,54 +321,14 @@ def _rows(records: BenchRecords, lo: int, hi: int):
     ))
 
 
-def _write_rows(fh, records: BenchRecords, start: int, stop: int) -> None:
-    """Write rows ``start`` to ``stop`` to the text file ``fh``,
-    ``_ROWS_PER_WRITE`` at a time, each chunk freed before the next."""
-    for lo in range(start, stop, _ROWS_PER_WRITE):
-        fh.writelines(_rows(records, lo, min(lo + _ROWS_PER_WRITE, stop)))
-
-
-def _encoded_rows(records: BenchRecords, start: int, stop: int) -> list[bytes]:
-    """Rows ``start`` to ``stop`` as UTF-8, one bytes object per chunk."""
-    return [
-        "".join(_rows(records, lo, min(lo + _ROWS_PER_WRITE, stop))).encode()
-        for lo in range(start, stop, _ROWS_PER_WRITE)
-    ]
-
-
 def write_records_csv(path, records: BenchRecords) -> None:
     """Write bench records with the canonical header, one ``%.17g`` row each.
 
-    Rows are formatted and written ``_ROWS_PER_WRITE`` at a time (see
-    :func:`_rows`).  From two such chunks on, when the file is seekable and
-    a second process can run (see :func:`_can_fork`), a forked child
-    formats the second half of the rows while this process writes the
-    first, and its text is copied in after it.  The bytes are the same
-    either way; if the child fails, its half is formatted here instead.
+    Rows are formatted by :func:`_rows` and written ``_ROWS_PER_WRITE`` at a
+    time by :func:`_forked.write_csv`, on two processes from two chunks on.
     """
-    n = len(records)
-    half = n // 2
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        child = None
-        if half >= _ROWS_PER_WRITE and fh.seekable() and _can_fork():
-            # the child formats all of its half before it writes to the
-            # pipe, so it never waits on this process with work left to do
-            child = _fork(lambda out: out.writelines(_encoded_rows(records, half, n)))
-        try:
-            fh.write(CSV_HEADER + "\n")
-            _write_rows(fh, records, 0, n if child is None else half)
-            if child is not None:
-                fh.flush()
-                mark = fh.buffer.tell()
-                child.copy_to(fh.buffer)
-                if not child.join():
-                    # what arrived may be partial: drop it, format it here
-                    fh.buffer.seek(mark)
-                    fh.buffer.truncate()
-                    _write_rows(fh, records, half, n)
-        finally:
-            if child is not None:
-                child.join()
+    _forked.write_csv(path, CSV_HEADER + "\n", lambda lo, hi: _rows(records, lo, hi),
+                      len(records), _ROWS_PER_WRITE)
 
 
 def read_records_csv(path) -> BenchRecords:
@@ -381,7 +338,7 @@ def read_records_csv(path) -> BenchRecords:
     not UTF-8, is reported with its line number.  The rows are parsed by
     ``numpy.loadtxt``, whose C reader converts each field as ``float``
     does.  From ``2 * _SPLIT_BYTES`` bytes of rows on, when a second
-    process can run (see :func:`_can_fork`), the rows are cut at the line
+    process can run (see :func:`_forked.can_fork`), the rows are cut at the line
     feed after their middle byte: a forked child parses the first part
     while this process parses the rest, and each field gets the same value
     either way.  When a parse fails (in either process, or the child
@@ -460,9 +417,9 @@ def _load_rows(fh, body: int) -> np.ndarray | None:
     fd = fh.fileno()
     size = os.fstat(fd).st_size
     split = None
-    if size - body >= 2 * _SPLIT_BYTES and _can_fork():
+    if size - body >= 2 * _SPLIT_BYTES and _forked.can_fork():
         split = _line_start(fd, (body + size) // 2, size)
-    child = None if split is None else _fork(
+    child = None if split is None else _forked.fork(
         lambda out: _send_table(out, _load_head(fd, body, split))
     )
     if child is None:
@@ -494,8 +451,8 @@ def _send_table(out, table: np.ndarray | None) -> None:
 
 def _line_start(fd: int, pos: int, stop: int) -> int | None:
     """The offset just past the first line feed at or after ``pos``, if one
-    lies within ``_PIPE_BUFFER`` bytes and before ``stop``."""
-    found = os.pread(fd, _PIPE_BUFFER, pos).find(b"\n")
+    lies within ``_forked.PIPE_BUFFER`` bytes and before ``stop``."""
+    found = os.pread(fd, _forked.PIPE_BUFFER, pos).find(b"\n")
     if found < 0 or pos + found + 1 >= stop:
         return None
     return pos + found + 1
@@ -523,85 +480,6 @@ def _read_records_lines(fh) -> BenchRecords:
         return _records_of(np.frombuffer(values, dtype=float).reshape(-1, 8))
     except _InvalidRecord as exc:
         raise DomainError(f"line {line_numbers[exc.row]}: {exc.reason}") from None
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _can_fork() -> bool:
-    """Whether a forked helper can share the CSV work: ``os.fork`` exists,
-    two CPUs are usable, and no other thread runs (a forked child holds
-    only the calling thread, so a lock another thread held stays taken)."""
-    return hasattr(os, "fork") and threading.active_count() == 1 and _usable_cpus() >= 2
-
-
-class _Child:
-    """A forked helper process; what it writes arrives on the pipe ``fd``."""
-
-    def __init__(self, pid: int, fd: int):
-        self.pid = pid
-        self.fd = fd
-        self.ok: bool | None = None
-
-    def read_into(self, buffer) -> bool:
-        """Fill the bytes ``buffer`` from the pipe; False if it ends first."""
-        view = memoryview(buffer)
-        while view:
-            got = os.readv(self.fd, [view])
-            if not got:
-                return False
-            view = view[got:]
-        return True
-
-    def copy_to(self, out) -> None:
-        """Copy all that the child writes to the binary file ``out`` through one
-        fixed-size buffer."""
-        buffer = bytearray(_PIPE_BUFFER)
-        view = memoryview(buffer)
-        while got := os.readv(self.fd, [buffer]):
-            out.write(view[:got])
-
-    def join(self) -> bool:
-        """Close the pipe and reap the child, once; True if it exited 0.
-
-        A child still writing gets a broken pipe and exits non-zero.
-        """
-        if self.ok is None:
-            os.close(self.fd)
-            self.ok = os.waitpid(self.pid, 0)[1] == 0
-        return self.ok
-
-
-def _fork(work) -> _Child | None:
-    """Fork a child that runs ``work(out)``, ``out`` a binary file on a
-    pipe to this process; None if the fork fails.
-
-    The child never returns into its caller: it leaves through ``os._exit``,
-    with status 0 once ``work`` has returned and ``out`` is flushed and
-    closed, and 1 on any exception.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as out:
-                work(out)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return _Child(pid, read_fd)
 
 
 def write_fit_params(path, fit: FitResult) -> None:

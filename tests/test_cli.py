@@ -222,6 +222,9 @@ def test_sysid_synth_negative_seed_is_domain_error(tmp_path, capsys, noise):
     ("seed = 1e400", "seed: invalid value '1e400'"),
     ("seed = -1", "seed: must be >= 0"),
     ("m = 1.0", "omega_max: hover needs a rotor speed of 789.966 rad/s"),
+    ("attitude_rate_hz = 5e-324", "loop rates must be finite and >= 1 Hz when rounded"),
+    ("position_rate_hz = 5e-324", "loop rates must be finite and >= 1 Hz when rounded"),
+    ("rate_rate_hz = 5e-324", "loop rates must be finite and >= 1 Hz when rounded"),
 ])
 def test_validate_and_run_report_bad_values_as_config_errors(tmp_path, capsys, line, message):
     # each used to pass validation or end in a traceback

@@ -6,12 +6,14 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tailsim
+from tailsim import scenarios
 from tailsim.config import Config, apply_overrides
 from tailsim.errors import ConfigError, DomainError, MetricsWindowError, SimulationDivergedError
 from tailsim.rotations import quat_to_matrix
@@ -31,6 +33,7 @@ from tailsim.scenarios import (
 from tailsim.sim import step
 
 import oracles
+from forks import assert_no_child_left, failing_in, use_cpus
 
 IDX = {name: i for i, name in enumerate(LOG_COLUMNS)}
 
@@ -383,6 +386,128 @@ def test_to_csv_is_byte_identical_to_row_template_oracle(n_rows, capacity):
     assert text.count("\n") == n_rows + 1
 
 
+# From two chunks of _ROWS_PER_WRITE rows on, write_csv hands the second half
+# of the rows to a forked helper.  These tests pin it to the same oracle as
+# to_csv, on small logs with the chunk patched down and on one real run log at
+# the real threshold; reporting a single usable CPU runs the one-process path.
+SMALL_ROWS_PER_WRITE = 40   # not a whole number of blocks
+SMALL_SPLIT_ROWS = 2 * SMALL_ROWS_PER_WRITE
+SPLIT_ROWS = 2 * scenarios._ROWS_PER_WRITE
+
+
+def small_split(monkeypatch) -> None:
+    monkeypatch.setattr(scenarios, "_ROWS_PER_WRITE", SMALL_ROWS_PER_WRITE)
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+@pytest.mark.parametrize("n_rows", [SMALL_SPLIT_ROWS - 1, SMALL_SPLIT_ROWS,
+                                    SMALL_SPLIT_ROWS + 1, 5 * SMALL_SPLIT_ROWS + 7])
+def test_write_csv_matches_oracle_across_the_split(tmp_path, monkeypatch, n_rows, cpus):
+    small_split(monkeypatch)
+    forks = use_cpus(monkeypatch, cpus)
+    log = repetitive_log(n_rows, n_rows + 3)
+    log.write_csv(tmp_path / "log.csv")
+    assert (tmp_path / "log.csv").read_bytes() == oracles.reference_to_csv(log).encode()
+    assert len(forks) == (cpus == 2 and n_rows >= SMALL_SPLIT_ROWS)
+    assert_no_child_left()
+
+
+def test_write_csv_splits_a_star_log_at_the_real_threshold(tmp_path, monkeypatch):
+    forks = use_cpus(monkeypatch, 2)
+    rate = 1000
+    log, _ = run_scenario(cfg_with(
+        scenario="star", logging_rate_hz=rate, transient_window_s=1,
+        duration_s=SPLIT_ROWS / rate,
+    ))
+    assert len(log) == SPLIT_ROWS
+    log.write_csv(tmp_path / "log.csv")
+    assert (tmp_path / "log.csv").read_bytes() == oracles.reference_to_csv(log).encode()
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt, SystemExit])
+def test_a_failing_log_helper_leaves_through_os_exit_and_its_half_is_redone(
+    tmp_path, monkeypatch, error
+):
+    parent = os.getpid()
+    small_split(monkeypatch)
+    forks = use_cpus(monkeypatch, 2)
+    exits = tmp_path / "exits"
+    exits.mkdir()
+    real_exit = os._exit
+
+    def recording_exit(status):
+        (exits / str(os.getpid())).write_text(str(status))
+        real_exit(status)
+
+    monkeypatch.setattr(os, "_exit", recording_exit)
+    in_child = lambda pid: pid != parent  # noqa: E731
+    monkeypatch.setattr(ScenarioLog, "_rows_csv",
+                        failing_in(in_child, ScenarioLog._rows_csv, error))
+    log = repetitive_log(3 * SMALL_SPLIT_ROWS, 3 * SMALL_SPLIT_ROWS)
+    try:
+        log.write_csv(tmp_path / "log.csv")
+    finally:
+        if os.getpid() != parent:
+            # a child came back into the caller: leave before pytest runs on in it
+            (tmp_path / "returned").touch()
+            real_exit(0)
+    assert not (tmp_path / "returned").exists()
+    assert (tmp_path / "log.csv").read_bytes() == oracles.reference_to_csv(log).encode()
+    assert len(forks) == 1
+    assert [p.read_text() for p in exits.iterdir()] == ["1"]
+    assert_no_child_left()
+
+
+def test_the_log_writer_reaps_its_helper_when_its_own_part_fails(tmp_path, monkeypatch):
+    parent = os.getpid()
+    small_split(monkeypatch)
+    forks = use_cpus(monkeypatch, 2)
+    in_parent = lambda pid: pid == parent  # noqa: E731
+    monkeypatch.setattr(ScenarioLog, "_rows_csv",
+                        failing_in(in_parent, ScenarioLog._rows_csv, OSError))
+    log = repetitive_log(3 * SMALL_SPLIT_ROWS, 3 * SMALL_SPLIT_ROWS)
+    with pytest.raises(OSError, match="injected failure"):
+        log.write_csv(tmp_path / "log.csv")
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_no_log_helper_is_forked_beside_another_thread_without_fork_or_into_a_fifo(
+    tmp_path, monkeypatch
+):
+    small_split(monkeypatch)
+    forks = use_cpus(monkeypatch, 2)
+    log = repetitive_log(3 * SMALL_SPLIT_ROWS, 3 * SMALL_SPLIT_ROWS)
+    want = oracles.reference_to_csv(log).encode()
+    path = tmp_path / "log.csv"
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        log.write_csv(path)
+    finally:
+        release.set()
+        other.join()
+    assert path.read_bytes() == want
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    chunks = []
+    reader = threading.Thread(target=lambda: chunks.append(fifo.read_bytes()))
+    reader.start()
+    with monkeypatch.context() as m:
+        # the thread reading the FIFO also rules out a fork; take it out of the count
+        m.setattr(threading, "active_count", lambda: 1)
+        log.write_csv(fifo)
+    reader.join()
+    assert chunks == [want]
+    assert forks == []
+    monkeypatch.delattr(os, "fork")
+    log.write_csv(path)
+    assert path.read_bytes() == want
+
+
 # --------------------------------------------------------------------------
 # closed-loop harness
 # --------------------------------------------------------------------------
@@ -464,8 +589,6 @@ def test_noisy_complementary_hover_run_is_deterministic():
 def test_log_state_columns_equal_state_y_at_logged_ticks(monkeypatch):
     # the run steps the state it has just logged, so the input state of
     # every step call is recorded and compared with its tick's log row
-    from tailsim import scenarios
-
     seen = []
 
     def recording_step(state, *args):
@@ -501,8 +624,6 @@ def test_non_integer_seed_is_a_config_error_under_both_estimators(estimator):
 def test_unreachable_metrics_window_fails_before_the_first_step(
     monkeypatch, estimator, duration, window
 ):
-    from tailsim import scenarios
-
     calls = []
 
     def counting_step(*args):

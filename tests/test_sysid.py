@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from forks import assert_no_child_left, failing_in, use_cpus
 from oracles import reference_read_records_csv, reference_write_records_csv, synthetic_bench_rows
 from tailsim import sysid
 from tailsim.cli import main
@@ -406,37 +407,45 @@ def test_read_records_csv_parses_well_formed_files_in_one_call(tmp_path, monkeyp
 # From two chunks of rows the writer, and from 2 * _SPLIT_BYTES bytes of rows
 # the reader, hand half of the work to a forked child.  These tests pin that
 # path to the same oracles as the one-process path, which they also run by
-# reporting a single usable CPU.
+# reporting a single usable CPU.  Most of them run on 500-row files with
+# the thresholds patched down (small_split); a few cases run on sysid-bench's
+# 20,100 rows at the real thresholds.
 
 SPLIT_ROWS = 2 * N_CHUNK
 bench_records = WRITER_CASES["sysid-bench-grid"]  # its 20,100 records
+SMALL_CHUNK = 64
+SMALL_SPLIT_BYTES = 16 * 1024
+
+
+def small_records() -> BenchRecords:
+    """500 records of a 10 x 50 grid: 66 kB of rows, over 2 * SMALL_SPLIT_BYTES."""
+    return generate_synthetic(
+        PARAMS, np.linspace(150.0, 790.0, 10), np.linspace(-0.785, 0.785, 50), 0.05, 1
+    )
+
+
+def oracle_lines(tmp_path_factory, records) -> list[bytes]:
+    path = tmp_path_factory.mktemp("bench") / "bench.csv"
+    reference_write_records_csv(path, records)
+    return path.read_bytes().splitlines(keepends=True)
 
 
 @pytest.fixture(scope="module")
 def bench_lines(tmp_path_factory) -> list[bytes]:
     """The lines of sysid-bench's CSV as the oracle writes it, header first."""
-    path = tmp_path_factory.mktemp("bench") / "bench.csv"
-    reference_write_records_csv(path, bench_records())
-    return path.read_bytes().splitlines(keepends=True)
+    return oracle_lines(tmp_path_factory, bench_records())
 
 
-def use_cpus(monkeypatch, cpus: int) -> list[int]:
-    """Report ``cpus`` usable CPUs; return a list that grows by one per fork."""
-    monkeypatch.setattr(sysid, "_usable_cpus", lambda: cpus)
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
+@pytest.fixture(scope="module")
+def small_lines(tmp_path_factory) -> list[bytes]:
+    """The lines of :func:`small_records`' CSV as the oracle writes it."""
+    return oracle_lines(tmp_path_factory, small_records())
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def small_split(monkeypatch) -> None:
+    """Patch the split thresholds down, so that 500-row files cross them."""
+    monkeypatch.setattr(sysid, "_ROWS_PER_WRITE", SMALL_CHUNK)
+    monkeypatch.setattr(sysid, "_SPLIT_BYTES", SMALL_SPLIT_BYTES)
 
 
 def outcome(reader, path):
@@ -459,12 +468,21 @@ def assert_same_outcome(got, want):
 
 @pytest.mark.parametrize("cpus", [2, 1])
 @pytest.mark.parametrize("n", [SPLIT_ROWS - 1, SPLIT_ROWS, SPLIT_ROWS + 1, 20100])
-def test_write_records_csv_matches_oracle_across_the_split(tmp_path, monkeypatch, n, cpus):
+def test_write_records_csv_matches_oracle_across_the_split(
+    tmp_path, monkeypatch, bench_lines, n, cpus
+):
+    # n names the case at the real thresholds; all but sysid-bench's 20,100
+    # rows run at SMALL_CHUNK rows per chunk, as far from the split
     forks = use_cpus(monkeypatch, cpus)
-    records = bench_records() if n == 20100 else pooled_records(n, n)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    if n == 20100:
+        records = bench_records()
+        want.write_bytes(b"".join(bench_lines))
+    else:
+        small_split(monkeypatch)
+        records = pooled_records(n - SPLIT_ROWS + 2 * SMALL_CHUNK, n)
+        reference_write_records_csv(want, records)
     write_records_csv(got, records)
-    reference_write_records_csv(want, records)
     assert got.read_bytes() == want.read_bytes()
     assert len(forks) == (cpus == 2 and n >= SPLIT_ROWS)
     assert_no_child_left()
@@ -484,14 +502,20 @@ SPLIT_READER_CASES = {
 }
 
 
-@pytest.mark.parametrize("row", [5000, 15000], ids=["first-half", "second-half"])
+@pytest.mark.parametrize("row", [0.25, 0.75], ids=["first-half", "second-half"])
 @pytest.mark.parametrize("case", SPLIT_READER_CASES)
 def test_read_records_csv_matches_oracle_across_the_split(
-    tmp_path, monkeypatch, bench_lines, case, row
+    tmp_path, monkeypatch, bench_lines, small_lines, case, row
 ):
-    # one odd line among sysid-bench's 20,100 rows, on either side of the split
-    lines = list(bench_lines)
-    lines[1 + row] = SPLIT_READER_CASES[case].encode() + b"\n"
+    # one odd line at a quarter or three quarters of the rows, on either side
+    # of the split: among sysid-bench's 20,100 rows at the real threshold for
+    # one case, among 500 rows with the threshold patched down for the rest
+    if case == "bad-field" and row < 0.5:
+        lines = list(bench_lines)
+    else:
+        small_split(monkeypatch)
+        lines = list(small_lines)
+    lines[1 + int(row * (len(lines) - 1))] = SPLIT_READER_CASES[case].encode() + b"\n"
     path = tmp_path / "records.csv"
     path.write_bytes(b"".join(lines))
     want = outcome(reference_read_records_csv, path)
@@ -528,20 +552,21 @@ def spy_split_points(monkeypatch) -> list:
 
 @pytest.mark.parametrize("layout", ["crlf-blanks-both-sides", "split-on-blank-run"])
 def test_read_records_csv_splits_blank_and_crlf_files_like_the_oracle(
-    tmp_path, monkeypatch, bench_lines, layout
+    tmp_path, monkeypatch, small_lines, layout
 ):
     if layout == "crlf-blanks-both-sides":
-        data = crlf_with_blanks(bench_lines, {0, 1, 5000, 10049, 10050, 10051, 15000, 20099})
+        data = crlf_with_blanks(small_lines, {0, 1, 125, 249, 250, 251, 375, 499})
     else:
         # the same rows on both sides of 301 blank lines: the middle byte is
         # a blank line, so the cut lands on one
-        rows = b"".join(bench_lines[1:10051])
-        data = bench_lines[0] + rows + b"\n" * 150 + b"\r\n" * 151 + rows
+        rows = b"".join(small_lines[1:251])
+        data = small_lines[0] + rows + b"\n" * 150 + b"\r\n" * 151 + rows
     path = tmp_path / "records.csv"
     path.write_bytes(data)
     want = outcome(reference_read_records_csv, path)
     assert not isinstance(want, str)
     for cpus in (2, 1):
+        small_split(monkeypatch)
         forks = use_cpus(monkeypatch, cpus)
         points = spy_split_points(monkeypatch)
 
@@ -559,9 +584,10 @@ def test_read_records_csv_splits_blank_and_crlf_files_like_the_oracle(
             assert data[:cut].splitlines()[-1] == data[cut:].splitlines()[0] == b""
 
 
-@pytest.mark.parametrize("row", [None, 5000, 15000], ids=["header", "first-half", "second-half"])
-def test_read_records_csv_names_a_line_that_is_not_utf8(tmp_path, monkeypatch, bench_lines, row):
-    lines = list(bench_lines)
+@pytest.mark.parametrize("row", [None, 125, 375], ids=["header", "first-half", "second-half"])
+def test_read_records_csv_names_a_line_that_is_not_utf8(tmp_path, monkeypatch, small_lines, row):
+    small_split(monkeypatch)
+    lines = list(small_lines)
     if row is None:
         lines[0] = lines[0].replace(b"fx", b"f\xff")
     else:
@@ -576,20 +602,12 @@ def test_read_records_csv_names_a_line_that_is_not_utf8(tmp_path, monkeypatch, b
         assert_no_child_left()
 
 
-def failing_in(pid_test, real, error):
-    """``real``, raising ``error`` in any process where ``pid_test(pid)`` holds."""
-    def wrapper(*args):
-        if pid_test(os.getpid()):
-            raise error("injected failure")
-        return real(*args)
-    return wrapper
-
-
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt, SystemExit])
 def test_a_failing_child_leaves_through_os_exit_and_its_half_is_redone(
-    tmp_path, monkeypatch, bench_lines, error
+    tmp_path, monkeypatch, small_lines, error
 ):
     parent = os.getpid()
+    small_split(monkeypatch)
     forks = use_cpus(monkeypatch, 2)
     exits = tmp_path / "exits"
     exits.mkdir()
@@ -613,7 +631,7 @@ def test_a_failing_child_leaves_through_os_exit_and_its_half_is_redone(
     monkeypatch.setattr(sysid, "_read_records_lines", counted_lines)
     path = tmp_path / "records.csv"
     try:
-        write_records_csv(path, bench_records())
+        write_records_csv(path, small_records())
         loaded = read_records_csv(path)
     finally:
         if os.getpid() != parent:
@@ -621,8 +639,8 @@ def test_a_failing_child_leaves_through_os_exit_and_its_half_is_redone(
             (tmp_path / "returned").touch()
             real_exit(0)
     assert not (tmp_path / "returned").exists()
-    assert path.read_bytes() == b"".join(bench_lines)
-    assert np.array_equal(_table(loaded), _table(bench_records()))
+    assert path.read_bytes() == b"".join(small_lines)
+    assert np.array_equal(_table(loaded), _table(small_records()))
     assert len(forks) == 2 and line_loops == [1]
     assert sorted(p.read_text() for p in exits.iterdir()) == ["1", "1"]
     assert_no_child_left()
@@ -630,14 +648,15 @@ def test_a_failing_child_leaves_through_os_exit_and_its_half_is_redone(
 
 def test_the_parent_reaps_its_child_when_its_own_part_fails(tmp_path, monkeypatch):
     parent = os.getpid()
+    small_split(monkeypatch)
     forks = use_cpus(monkeypatch, 2)
     in_parent = lambda pid: pid == parent  # noqa: E731
     path = tmp_path / "records.csv"
-    write_records_csv(path, bench_records())
+    write_records_csv(path, small_records())
     with monkeypatch.context() as m:
         m.setattr(sysid, "_rows", failing_in(in_parent, sysid._rows, OSError))
         with pytest.raises(OSError, match="injected failure"):
-            write_records_csv(tmp_path / "other.csv", bench_records())
+            write_records_csv(tmp_path / "other.csv", small_records())
     assert_no_child_left()
     with monkeypatch.context() as m:
         m.setattr(sysid, "_loadtxt", failing_in(in_parent, sysid._loadtxt, RuntimeError))
@@ -648,28 +667,30 @@ def test_the_parent_reaps_its_child_when_its_own_part_fails(tmp_path, monkeypatc
 
 
 def test_no_child_is_forked_beside_another_thread_or_without_fork(
-    tmp_path, monkeypatch, bench_lines
+    tmp_path, monkeypatch, small_lines
 ):
+    small_split(monkeypatch)
     forks = use_cpus(monkeypatch, 2)
     path = tmp_path / "records.csv"
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        write_records_csv(path, bench_records())
-        assert path.read_bytes() == b"".join(bench_lines)
-        assert np.array_equal(_table(read_records_csv(path)), _table(bench_records()))
+        write_records_csv(path, small_records())
+        assert path.read_bytes() == b"".join(small_lines)
+        assert np.array_equal(_table(read_records_csv(path)), _table(small_records()))
     finally:
         release.set()
         other.join()
     assert forks == []
     monkeypatch.delattr(os, "fork")
-    write_records_csv(path, bench_records())
-    assert path.read_bytes() == b"".join(bench_lines)
-    assert np.array_equal(_table(read_records_csv(path)), _table(bench_records()))
+    write_records_csv(path, small_records())
+    assert path.read_bytes() == b"".join(small_lines)
+    assert np.array_equal(_table(read_records_csv(path)), _table(small_records()))
 
 
-def test_write_records_csv_to_an_unseekable_file_does_not_fork(tmp_path, monkeypatch, bench_lines):
+def test_write_records_csv_to_an_unseekable_file_does_not_fork(tmp_path, monkeypatch, small_lines):
+    small_split(monkeypatch)
     forks = use_cpus(monkeypatch, 2)
     path = tmp_path / "fifo"
     os.mkfifo(path)
@@ -678,22 +699,38 @@ def test_write_records_csv_to_an_unseekable_file_does_not_fork(tmp_path, monkeyp
     reader.start()
     # the thread reading the FIFO also rules out a fork; take it out of the count
     monkeypatch.setattr(threading, "active_count", lambda: 1)
-    write_records_csv(path, bench_records())
+    write_records_csv(path, small_records())
     reader.join()
-    assert chunks == [b"".join(bench_lines)]
+    assert chunks == [b"".join(small_lines)]
     assert forks == []
 
 
-def test_the_split_adds_no_module_to_the_import():
+def test_the_split_adds_no_module_to_the_import(tmp_path):
     # the helper is os.fork and a pipe, which numpy's import has loaded;
-    # multiprocessing alone would add a few tens of milliseconds of set-up
-    code = (
-        "import sys, numpy; before = set(sys.modules); import tailsim.cli; "
-        "print({'io', 'os', 'threading'} <= before, "
-        "any(m.split('.')[0] in ('multiprocessing', 'concurrent', 'subprocess') "
-        "for m in sys.modules))"
-    )
+    # multiprocessing alone would add a few tens of milliseconds of set-up.
+    # Splitting a bench CSV and a run log loads no module either.
+    code = f"""
+import sys, numpy
+before = set(sys.modules)
+import tailsim.cli
+from tailsim import _forked, scenarios, sysid
+print({{'io', 'os', 'threading'}} <= before,
+      any(m.split('.')[0] in ('multiprocessing', 'concurrent', 'subprocess')
+          for m in sys.modules))
+loaded = set(sys.modules)
+_forked.usable_cpus = lambda: 2
+forks = []
+fork = _forked.os.fork
+_forked.os.fork = lambda: forks.append(1) or fork()
+zeros = numpy.zeros((2 * sysid._ROWS_PER_WRITE, 3))
+sysid.write_records_csv({str(tmp_path / "bench.csv")!r}, sysid.BenchRecords(zeros[:, 0], zeros[:, 1], zeros, zeros))
+log = scenarios.ScenarioLog(2 * scenarios._ROWS_PER_WRITE)
+for _ in range(2 * scenarios._ROWS_PER_WRITE):
+    log.append([0.0] * len(scenarios.LOG_COLUMNS))
+log.write_csv({str(tmp_path / "log.csv")!r})
+print(len(forks), sorted(set(sys.modules) - loaded))
+"""
     src = str(Path(sysid.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.split() == ["True", "False"]
+    assert done.stdout.split() == ["True", "False", "2", "[]"]
