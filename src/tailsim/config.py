@@ -37,6 +37,14 @@ MIN_LEG_LENGTH_M = 1e-12
 # left to climb and manoeuvre (the default vehicle trims at 0.81).
 MAX_HOVER_SPEED_FRACTION = 0.9
 
+# The float domains a key may declare, each named by its message text.
+FINITE, NONNEGATIVE, POSITIVE = "finite", "finite and >= 0", "finite and > 0"
+_IN_DOMAIN = {
+    FINITE: lambda v: -math.inf < v < math.inf,
+    NONNEGATIVE: lambda v: 0 <= v < math.inf,
+    POSITIVE: lambda v: 0 < v < math.inf,
+}
+
 _DEFAULT_WAYPOINTS = (
     (0.0, 0.0, 1.5),
     (10.0, 0.0, 1.5),
@@ -112,21 +120,21 @@ class Config:
             fh.write(self.to_text())
 
     def scenario_problems(self) -> list[str]:
-        """Cross-field consistency problems (empty when the config is sound)."""
-        problems: list[str] = []
+        """Every problem of the config (empty when it is sound).
+
+        Each key's own domain is declared on its ``_KEYS`` entry, and the
+        vehicle, gain and loop-rate sections check their own fields; what
+        is checked here by hand relates several fields or, for ``seed``,
+        checks a type.
+        """
+        params_problems = self.params.problems()
+        problems = params_problems + self.gains.problems() + self.rates.problems()
+        for key, spec in _KEYS.items():
+            if spec.domain is not None:
+                problem = spec.problem(key, spec.get(self))
+                if problem is not None:
+                    problems.append(problem)
         h = self.harness
-        if h.scenario not in SCENARIO_KINDS:
-            problems.append(f"scenario: must be one of {SCENARIO_KINDS}, got {h.scenario!r}")
-        if h.estimator not in ESTIMATOR_KINDS:
-            problems.append(f"estimator: must be one of {ESTIMATOR_KINDS}, got {h.estimator!r}")
-        if h.yaw_mode not in YAW_MODES:
-            problems.append(f"yaw_mode: must be one of {YAW_MODES}, got {h.yaw_mode!r}")
-        if not 0 < h.duration_s < math.inf:
-            problems.append(f"duration_s: must be finite and > 0, got {h.duration_s}")
-        if not 0 <= h.transient_window_s < math.inf:
-            problems.append(
-                f"transient_window_s: must be finite and >= 0, got {h.transient_window_s}"
-            )
         if h.physics_rate_hz <= 0:
             problems.append(f"physics_rate_hz: must be > 0, got {h.physics_rate_hz}")
         else:
@@ -148,34 +156,6 @@ class Config:
                         f"{name}: {rate:g} Hz must divide physics_rate_hz "
                         f"{h.physics_rate_hz} Hz evenly"
                     )
-        if not 0 < h.imu_cutoff_hz < math.inf:
-            problems.append(f"imu_cutoff_hz: must be finite and > 0, got {h.imu_cutoff_hz}")
-        for name, value in (
-            ("waypoint_speed_mps", h.waypoint_speed_mps),
-            ("waypoint_accel_mps2", h.waypoint_accel_mps2),
-            ("circle_radius_m", h.circle_radius_m),
-            ("circle_speed_mps", h.circle_speed_mps),
-            ("star_radius_m", h.star_radius_m),
-            ("star_speed_mps", h.star_speed_mps),
-            ("star_accel_mps2", h.star_accel_mps2),
-        ):
-            if not 0 < value < math.inf:
-                problems.append(f"{name}: must be finite and > 0, got {value}")
-        if h.star_points < 3:
-            problems.append(f"star_points: must be >= 3, got {h.star_points}")
-        if not 0 <= h.waypoint_dwell_s < math.inf:
-            problems.append(f"waypoint_dwell_s: must be finite and >= 0, got {h.waypoint_dwell_s}")
-        if not math.isfinite(h.yaw_fixed_rad):
-            problems.append(f"yaw_fixed_rad: must be finite, got {h.yaw_fixed_rad}")
-        for prefix, point in (
-            ("start_offset_", h.start_offset),
-            ("hover_", h.hover_pos),
-            ("circle_", h.circle_center),
-            ("star_", h.star_center),
-        ):
-            for axis, value in zip("xyz", point):
-                if not math.isfinite(value):
-                    problems.append(f"{prefix}{axis}: must be finite, got {value}")
         if h.waypoints.ndim != 2 or h.waypoints.shape[0] < 2 or h.waypoints.shape[1] != 3:
             problems.append("waypoints: need at least two x,y,z triples")
         elif not np.isfinite(h.waypoints).all():
@@ -185,50 +165,61 @@ class Config:
             for a, b in zip(h.waypoints[:-1], h.waypoints[1:])
         ):
             problems.append("waypoints: the path has no leg of nonzero length")
-        hover_speed = self.params.hover_rotor_speed()
-        if hover_speed > MAX_HOVER_SPEED_FRACTION * self.params.omega_max:
-            problems.append(
-                f"omega_max: hover needs a rotor speed of {hover_speed:.6g} rad/s, "
-                f"above {MAX_HOVER_SPEED_FRACTION:g} of the {self.params.omega_max:g} "
-                "rad/s ceiling, which leaves too little thrust to manoeuvre"
-            )
+        if not params_problems:
+            hover_speed = self.params.hover_rotor_speed()
+            if hover_speed > MAX_HOVER_SPEED_FRACTION * self.params.omega_max:
+                problems.append(
+                    f"omega_max: hover needs a rotor speed of {hover_speed:.6g} rad/s, "
+                    f"above {MAX_HOVER_SPEED_FRACTION:g} of the {self.params.omega_max:g} "
+                    "rad/s ceiling, which leaves too little thrust to manoeuvre"
+                )
         seed = self.disturbance.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        if not _is_integer(seed):
             problems.append(f"seed: must be an integer, got {seed!r}")
         elif seed < 0:
             problems.append(f"seed: must be >= 0, got {seed}")
-        for name, sigma in (
-            ("noise_gyro", self.disturbance.gyro_noise_std),
-            ("noise_accel", self.disturbance.accel_noise_std),
-            ("noise_pose_pos", self.disturbance.pose_pos_noise_std),
-            ("noise_pose_att", self.disturbance.pose_att_noise_std),
-        ):
-            if not 0 <= sigma < math.inf:
-                problems.append(f"{name}: must be finite and >= 0, got {sigma}")
-        for name, offset in (
-            ("dist_force", self.disturbance.force_offset_world),
-            ("dist_torque", self.disturbance.torque_offset_body),
-        ):
-            for axis, value in zip("xyz", offset):
-                if not math.isfinite(value):
-                    problems.append(f"{name}_{axis}: must be finite, got {value}")
         return problems
 
 
-class _Key:
-    """One canonical configuration key bound to a config attribute."""
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
-    def __init__(self, section: str, attr: str, kind: str = "float", index: int | None = None):
+
+class _Key:
+    """One canonical configuration key bound to a config attribute.
+
+    ``domain`` declares the key's own rule, checked by
+    :meth:`Config.scenario_problems`: ``FINITE``, ``NONNEGATIVE`` or
+    ``POSITIVE`` for a float, a tuple of the allowed strings, or an int
+    for an integer with that lower bound (the bound is checked first).
+    None leaves the value to its section's own checks or to the rules
+    that relate several keys.
+    """
+
+    def __init__(self, section: str, attr: str, kind: str = "float", index: int | None = None,
+                 domain=None):
         self.section = section
         self.attr = attr
         self.kind = kind
         self.index = index
+        self.domain = domain
 
     def get(self, cfg: Config):
         value = getattr(getattr(cfg, self.section), self.attr)
         if self.index is not None:
             return value[self.index]
         return value
+
+    def problem(self, key: str, value) -> str | None:
+        """The message for ``value`` outside this key's domain, None inside it."""
+        domain = self.domain
+        if isinstance(domain, tuple):
+            return None if value in domain else f"{key}: must be one of {domain}, got {value!r}"
+        if isinstance(domain, int):
+            if not value >= domain:
+                return f"{key}: must be >= {domain}, got {value}"
+            return None if _is_integer(value) else f"{key}: must be an integer, got {value!r}"
+        return None if _IN_DOMAIN[domain](value) else f"{key}: must be {domain}, got {value}"
 
     def parse(self, raw: str):
         raw = raw.strip()
@@ -292,51 +283,51 @@ _KEYS: dict[str, _Key] = {
     "attitude_rate_hz": _Key("rates", "attitude_rate"),
     "rate_rate_hz": _Key("rates", "rate_rate"),
     # disturbance / noise
-    "dist_force_x": _Key("disturbance", "force_offset_world", index=0),
-    "dist_force_y": _Key("disturbance", "force_offset_world", index=1),
-    "dist_force_z": _Key("disturbance", "force_offset_world", index=2),
-    "dist_torque_x": _Key("disturbance", "torque_offset_body", index=0),
-    "dist_torque_y": _Key("disturbance", "torque_offset_body", index=1),
-    "dist_torque_z": _Key("disturbance", "torque_offset_body", index=2),
-    "noise_gyro": _Key("disturbance", "gyro_noise_std"),
-    "noise_accel": _Key("disturbance", "accel_noise_std"),
-    "noise_pose_pos": _Key("disturbance", "pose_pos_noise_std"),
-    "noise_pose_att": _Key("disturbance", "pose_att_noise_std"),
+    "dist_force_x": _Key("disturbance", "force_offset_world", index=0, domain=FINITE),
+    "dist_force_y": _Key("disturbance", "force_offset_world", index=1, domain=FINITE),
+    "dist_force_z": _Key("disturbance", "force_offset_world", index=2, domain=FINITE),
+    "dist_torque_x": _Key("disturbance", "torque_offset_body", index=0, domain=FINITE),
+    "dist_torque_y": _Key("disturbance", "torque_offset_body", index=1, domain=FINITE),
+    "dist_torque_z": _Key("disturbance", "torque_offset_body", index=2, domain=FINITE),
+    "noise_gyro": _Key("disturbance", "gyro_noise_std", domain=NONNEGATIVE),
+    "noise_accel": _Key("disturbance", "accel_noise_std", domain=NONNEGATIVE),
+    "noise_pose_pos": _Key("disturbance", "pose_pos_noise_std", domain=NONNEGATIVE),
+    "noise_pose_att": _Key("disturbance", "pose_att_noise_std", domain=NONNEGATIVE),
     "seed": _Key("disturbance", "seed", kind="int"),
     # harness
-    "scenario": _Key("harness", "scenario", kind="str"),
-    "duration_s": _Key("harness", "duration_s"),
+    "scenario": _Key("harness", "scenario", kind="str", domain=SCENARIO_KINDS),
+    "duration_s": _Key("harness", "duration_s", domain=POSITIVE),
     "physics_rate_hz": _Key("harness", "physics_rate_hz", kind="int"),
     "imu_rate_hz": _Key("harness", "imu_rate_hz", kind="int"),
     "pose_rate_hz": _Key("harness", "pose_rate_hz", kind="int"),
     "logging_rate_hz": _Key("harness", "logging_rate_hz", kind="int"),
-    "imu_cutoff_hz": _Key("harness", "imu_cutoff_hz"),
-    "estimator": _Key("harness", "estimator", kind="str"),
-    "transient_window_s": _Key("harness", "transient_window_s"),
-    "start_offset_x": _Key("harness", "start_offset", index=0),
-    "start_offset_y": _Key("harness", "start_offset", index=1),
-    "start_offset_z": _Key("harness", "start_offset", index=2),
-    "hover_x": _Key("harness", "hover_pos", index=0),
-    "hover_y": _Key("harness", "hover_pos", index=1),
-    "hover_z": _Key("harness", "hover_pos", index=2),
+    "imu_cutoff_hz": _Key("harness", "imu_cutoff_hz", domain=POSITIVE),
+    "estimator": _Key("harness", "estimator", kind="str", domain=ESTIMATOR_KINDS),
+    "transient_window_s": _Key("harness", "transient_window_s", domain=NONNEGATIVE),
+    "start_offset_x": _Key("harness", "start_offset", index=0, domain=FINITE),
+    "start_offset_y": _Key("harness", "start_offset", index=1, domain=FINITE),
+    "start_offset_z": _Key("harness", "start_offset", index=2, domain=FINITE),
+    "hover_x": _Key("harness", "hover_pos", index=0, domain=FINITE),
+    "hover_y": _Key("harness", "hover_pos", index=1, domain=FINITE),
+    "hover_z": _Key("harness", "hover_pos", index=2, domain=FINITE),
     "waypoints": _Key("harness", "waypoints", kind="vec3list"),
-    "waypoint_speed_mps": _Key("harness", "waypoint_speed_mps"),
-    "waypoint_accel_mps2": _Key("harness", "waypoint_accel_mps2"),
-    "waypoint_dwell_s": _Key("harness", "waypoint_dwell_s"),
-    "circle_x": _Key("harness", "circle_center", index=0),
-    "circle_y": _Key("harness", "circle_center", index=1),
-    "circle_z": _Key("harness", "circle_center", index=2),
-    "circle_radius_m": _Key("harness", "circle_radius_m"),
-    "circle_speed_mps": _Key("harness", "circle_speed_mps"),
-    "star_x": _Key("harness", "star_center", index=0),
-    "star_y": _Key("harness", "star_center", index=1),
-    "star_z": _Key("harness", "star_center", index=2),
-    "star_points": _Key("harness", "star_points", kind="int"),
-    "star_radius_m": _Key("harness", "star_radius_m"),
-    "star_speed_mps": _Key("harness", "star_speed_mps"),
-    "star_accel_mps2": _Key("harness", "star_accel_mps2"),
-    "yaw_mode": _Key("harness", "yaw_mode", kind="str"),
-    "yaw_fixed_rad": _Key("harness", "yaw_fixed_rad"),
+    "waypoint_speed_mps": _Key("harness", "waypoint_speed_mps", domain=POSITIVE),
+    "waypoint_accel_mps2": _Key("harness", "waypoint_accel_mps2", domain=POSITIVE),
+    "waypoint_dwell_s": _Key("harness", "waypoint_dwell_s", domain=NONNEGATIVE),
+    "circle_x": _Key("harness", "circle_center", index=0, domain=FINITE),
+    "circle_y": _Key("harness", "circle_center", index=1, domain=FINITE),
+    "circle_z": _Key("harness", "circle_center", index=2, domain=FINITE),
+    "circle_radius_m": _Key("harness", "circle_radius_m", domain=POSITIVE),
+    "circle_speed_mps": _Key("harness", "circle_speed_mps", domain=POSITIVE),
+    "star_x": _Key("harness", "star_center", index=0, domain=FINITE),
+    "star_y": _Key("harness", "star_center", index=1, domain=FINITE),
+    "star_z": _Key("harness", "star_center", index=2, domain=FINITE),
+    "star_points": _Key("harness", "star_points", kind="int", domain=3),
+    "star_radius_m": _Key("harness", "star_radius_m", domain=POSITIVE),
+    "star_speed_mps": _Key("harness", "star_speed_mps", domain=POSITIVE),
+    "star_accel_mps2": _Key("harness", "star_accel_mps2", domain=POSITIVE),
+    "yaw_mode": _Key("harness", "yaw_mode", kind="str", domain=YAW_MODES),
+    "yaw_fixed_rad": _Key("harness", "yaw_fixed_rad", domain=FINITE),
 }
 
 CANONICAL_KEYS = tuple(_KEYS)
@@ -345,7 +336,7 @@ CANONICAL_KEYS = tuple(_KEYS)
 def _format_value(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if _is_integer(value):
         return str(int(value))
     if isinstance(value, np.ndarray):
         return "; ".join(",".join(f"{c:.17g}" for c in row) for row in value)

@@ -33,7 +33,7 @@ run on the floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import DegenerateThrustError, DomainError, InfeasibleRollError
 from .model import VehicleParams
@@ -70,15 +70,22 @@ class ControllerGains:
     k_i_omega_z: float = 0.0   # yaw rate integral gain, 1/s
 
     def __post_init__(self) -> None:
-        for name in ("tau_p_xy", "tau_p_z", "zeta_p_xy", "zeta_p_z", "tau_att",
-                     "tau_omega_x", "tau_omega_y", "tau_omega_z"):
+        problems = self.problems()
+        if problems:
+            raise DomainError(problems[0])
+
+    def problems(self) -> list[str]:
+        """One message per gain outside its domain (integral gains >= 0, the rest > 0)."""
+        problems = []
+        for name in (f.name for f in fields(self)):  # not vars(self): see VehicleParams
             value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise DomainError(f"ControllerGains.{name} must be finite and > 0, got {value!r}")
-        for name in ("k_i_omega_x", "k_i_omega_y", "k_i_omega_z"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise DomainError(f"ControllerGains.{name} must be finite and >= 0, got {value!r}")
+            if name.startswith("k_i_"):
+                bound, sound = ">= 0", 0.0 <= value < math.inf
+            else:
+                bound, sound = "> 0", 0.0 < value < math.inf
+            if not sound:
+                problems.append(f"ControllerGains.{name} must be finite and {bound}, got {value!r}")
+        return problems
 
 
 @dataclass
@@ -90,17 +97,22 @@ class LoopRates:
     rate_rate: float = 500.0
 
     def __post_init__(self) -> None:
+        problems = self.problems()
+        if problems:
+            raise DomainError(problems[0])
+
+    def problems(self) -> list[str]:
+        """Every problem of the rates (empty when sound); the divisions run on sound rates only."""
         rates = (self.position_rate, self.attitude_rate, self.rate_rate)
         # the run harness divides the physics rate by int(round(rate_rate))
         if not all(math.isfinite(r) and round(r) >= 1 for r in rates):
-            raise DomainError("loop rates must be finite and >= 1 Hz when rounded")
-        for name in ("position_rate", "attitude_rate"):
-            ticks = self.rate_rate / getattr(self, name)
-            if not float(ticks).is_integer():
-                raise DomainError(
-                    f"LoopRates.{name} {getattr(self, name):g} Hz must divide "
-                    f"the rate loop {self.rate_rate:g} Hz evenly"
-                )
+            return ["loop rates must be finite and >= 1 Hz when rounded"]
+        return [
+            f"LoopRates.{name} {getattr(self, name):g} Hz must divide "
+            f"the rate loop {self.rate_rate:g} Hz evenly"
+            for name in ("position_rate", "attitude_rate")
+            if not float(self.rate_rate / getattr(self, name)).is_integer()
+        ]
 
 
 @dataclass

@@ -35,7 +35,7 @@ its own hub, as on the static bench, is evaluated column-wise by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DomainError
 
@@ -67,15 +67,20 @@ class VehicleParams:
     tau_servo: float = 0.020   # elevon deflection first-order lag, s
 
     def __post_init__(self) -> None:
-        positive = (
-            "m", "l", "b", "j_xx", "j_yy", "j_zz",
-            "k_t", "k_m", "k_l", "k_d", "k_p",
-            "omega_max", "delta_max", "g_mag", "tau_motor", "tau_servo",
-        )
-        for name in positive:
+        problems = self.problems()
+        if problems:
+            raise DomainError(problems[0])
+
+    def problems(self) -> list[str]:
+        """One message per constant that is not finite and > 0 (empty when sound)."""
+        # getattr, not vars(self): a materialised instance dict makes every
+        # later attribute read slower, and the integrator reads these per step
+        problems = []
+        for name in (f.name for f in fields(self)):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0.0:
-                raise DomainError(f"VehicleParams.{name} must be finite and > 0, got {value!r}")
+                problems.append(f"VehicleParams.{name} must be finite and > 0, got {value!r}")
+        return problems
 
     def hover_rotor_speed(self) -> float:
         """Rotor speed at which two propellers carry the full weight."""

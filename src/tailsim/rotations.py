@@ -18,18 +18,15 @@ estimation path and in the attitude loop.
 Rotation matrices are an output only: ``quat_to_matrix_f(q)`` gives the
 body-to-world direction cosine matrix as 9 floats row by row
 (``v_world = R @ v_body``; its transpose maps world vectors into the body
-frame), ``quat_to_matrix(q)`` the same as a 3x3 array, and nothing
-converts a matrix back.  Every rotation that reaches the run log is
-computed from quaternion components with explicit float arithmetic,
-never by a BLAS matrix product, so the log does not depend on which
-BLAS kernel loads.
+frame), and nothing converts a matrix back.  The module imports no
+numpy.  Every rotation that reaches the run log is computed from
+quaternion components with explicit float arithmetic, never by a BLAS
+matrix product, so the log does not depend on which BLAS kernel loads.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 
 def quat_multiply(a, b) -> tuple:
@@ -96,11 +93,6 @@ def quat_to_matrix_f(q) -> tuple:
         2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
         2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
     )
-
-
-def quat_to_matrix(q) -> np.ndarray:
-    """Body-to-world rotation matrix of a unit quaternion, as a 3x3 array."""
-    return np.array(quat_to_matrix_f(np.asarray(q, dtype=float).tolist())).reshape(3, 3)
 
 
 def wrap_angle(a: float) -> float:

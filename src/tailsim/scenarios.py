@@ -25,7 +25,7 @@ import numpy as np
 from . import _forked
 from .config import MIN_LEG_LENGTH_M, Config
 from .control import CascadeController, Setpoint
-from .errors import DomainError, MetricsWindowError, SimulationDivergedError
+from .errors import ConfigError, DomainError, MetricsWindowError, SimulationDivergedError
 from .model import VehicleParams, total_wrench
 from .rotations import quat_to_matrix_f, wrap_angle
 from .sim import (
@@ -499,8 +499,6 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
     """
     problems = config.scenario_problems()
     if problems:
-        from .errors import ConfigError
-
         raise ConfigError(problems)
 
     params = config.params

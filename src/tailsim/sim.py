@@ -38,7 +38,7 @@ only the state's ``p``, ``v``, ``q`` and ``omega`` read as arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -139,7 +139,8 @@ class VehicleState:
     frame, m/s), attitude quaternion (unit norm), body rates (rad/s).
     ``p``, ``v``, ``q`` and ``omega`` read their slice of ``y`` as a new
     array and replace it when set; every entry must be finite and the
-    attitude unit norm.
+    attitude unit norm.  ``act`` is a copy of the given actuator state in
+    Python floats, so that stepping keeps ``y`` and ``act`` in floats.
     """
 
     __slots__ = ("y", "act")
@@ -152,7 +153,7 @@ class VehicleState:
     def __init__(self, p, v, q, omega, act: ActuatorState | None = None):
         self.y = (0.0,) * 13
         self.p, self.v, self.q, self.omega = p, v, q, omega
-        self.act = ActuatorState() if act is None else act
+        self.act = ActuatorState(*map(float, astuple(act))) if act is not None else ActuatorState()
 
     def estimate_view(self) -> StateEstimate:
         """The state repackaged as a (perfect) estimate of float tuples."""

@@ -7,6 +7,8 @@ with explicit lever-arm cross products, the rigid-body derivative uses
 matrix algebra, the actuator lag is a one-shot exponential step, and the
 sensing-and-fusion path (quaternion helpers, low-pass filter,
 complementary estimator, accelerometer formula) works on numpy arrays.
+:func:`quat_to_matrix` gives the package's float rotation matrix as the
+3x3 array these models use.
 Synthetic bench records are built one record at a time from the same
 per-side wrenches.  The attitude loop is the rotation-matrix version:
 Rodrigues tilt times heading times hover flip, and Z-Y-X Euler angles
@@ -35,7 +37,7 @@ import numpy as np
 from tailsim.control import FORCE_FLOOR, ActuatorCommand, ControllerGains, StateEstimate
 from tailsim.errors import DegenerateThrustError, DomainError, SimulationDivergedError
 from tailsim.model import ActuatorState, VehicleParams, actuator_wrench
-from tailsim.rotations import quat_to_matrix, wrap_angle
+from tailsim.rotations import quat_to_matrix_f, wrap_angle
 from tailsim.scenarios import _FLAG_COLUMNS, LOG_COLUMNS, Scenario, ScenarioLog, _leg_yaw
 from tailsim.sim import MAX_PHYSICS_DT, DisturbanceSpec, SensorSample, VehicleState
 from tailsim.sysid import CSV_HEADER, BenchRecords, _InvalidRecord
@@ -224,6 +226,11 @@ def _clip(x: float, lo: float, hi: float) -> float:
 # complementary estimator and accelerometer formula as written on 3- and
 # 4-element numpy arrays.  The package computes the same operations on
 # Python floats; the tests require bit-identical results.
+
+
+def quat_to_matrix(q) -> np.ndarray:
+    """Body-to-world rotation matrix of a unit quaternion, as a 3x3 array."""
+    return np.array(quat_to_matrix_f(np.asarray(q, dtype=float).tolist())).reshape(3, 3)
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:

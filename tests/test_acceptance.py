@@ -22,10 +22,12 @@ from conftest import record_criterion
 from tailsim.config import Config, apply_overrides
 from tailsim.control import model_inverse
 from tailsim.model import ActuatorState, VehicleParams
-from tailsim.rotations import quat_from_rotvec, quat_normalize, quat_to_matrix, wrap_angle
+from tailsim.rotations import quat_from_rotvec, quat_normalize, wrap_angle
 from tailsim.scenarios import run_scenario
 from tailsim.sim import VehicleState, step
 from tailsim.sysid import fit_params, generate_synthetic
+
+from oracles import quat_to_matrix
 
 
 def cfg_with(**overrides) -> Config:

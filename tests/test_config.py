@@ -1,11 +1,19 @@
 """Flat key=value configuration: parsing, overrides, strict validation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tailsim.config import (
+    _KEYS,
     CANONICAL_KEYS,
+    FINITE,
     MAX_HOVER_SPEED_FRACTION,
+    NONNEGATIVE,
+    POSITIVE,
     Config,
     apply_overrides,
     load_config,
@@ -14,6 +22,7 @@ from tailsim.config import (
     validate_text,
 )
 from tailsim.errors import ConfigError
+from tailsim.scenarios import run_scenario
 
 
 def test_default_round_trip_through_text():
@@ -312,3 +321,158 @@ def test_default_harness_settings():
     assert h.yaw_mode == "tangent"
     assert np.allclose(h.hover_pos, [0.0, 0.0, 1.5])
     assert len(h.waypoints) == 5 and np.allclose(h.waypoints[0], h.waypoints[-1])
+
+
+# --------------------------------------------------------------------------
+# sections changed after construction
+# --------------------------------------------------------------------------
+
+def test_scenario_problems_reports_a_negative_thrust_coefficient_set_later():
+    # the hover trim took the square root of a negative number
+    cfg = Config()
+    cfg.params.k_t = -1.0
+    assert cfg.scenario_problems() == ["VehicleParams.k_t must be finite and > 0, got -1.0"]
+
+
+def test_scenario_problems_reports_a_nan_mass_set_later():
+    cfg = Config()
+    cfg.params.m = math.nan
+    assert cfg.scenario_problems() == ["VehicleParams.m must be finite and > 0, got nan"]
+
+
+def test_run_rejects_a_zero_attitude_time_constant_set_later():
+    # the attitude loop divided by it
+    cfg = Config()
+    cfg.gains.tau_att = 0.0
+    with pytest.raises(ConfigError) as excinfo:
+        run_scenario(cfg)
+    assert excinfo.value.problems == ["ControllerGains.tau_att must be finite and > 0, got 0.0"]
+
+
+def test_run_rejects_a_position_rate_set_later_that_does_not_divide_the_rate_loop():
+    cfg = Config()
+    cfg.rates.position_rate = 3.0
+    with pytest.raises(ConfigError) as excinfo:
+        run_scenario(cfg)
+    assert excinfo.value.problems == [
+        "LoopRates.position_rate 3 Hz must divide the rate loop 500 Hz evenly"
+    ]
+
+
+# --------------------------------------------------------------------------
+# the validation contract: every config validates or is a ConfigError
+# --------------------------------------------------------------------------
+
+EDGE_VALUES = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1, 1e308, -1e308, 5e-324, 1e-300,
+               3, 1e6)
+EDGE_TEXTS = ("nan", "inf", "-inf", "0", "-0", "-1", "1e308", "-1e308", "5e-324", "1e-300",
+              "3", "1e6")
+DOMAIN_KEYS = tuple(key for key, spec in _KEYS.items() if spec.domain is not None)
+CONTRACT = settings(derandomize=True, deadline=None, max_examples=120)
+
+
+def set_directly(cfg, key, value):
+    """Store ``value`` at ``key``'s attribute, past every constructor check."""
+    spec = _KEYS[key]
+    section = getattr(cfg, spec.section)
+    if spec.index is not None:
+        getattr(section, spec.attr)[spec.index] = value
+    elif spec.kind == "vec3list":  # every coordinate of every waypoint
+        setattr(section, spec.attr, np.full_like(getattr(section, spec.attr), value))
+    else:
+        setattr(section, spec.attr, value)
+
+
+def in_domain(domain, value) -> bool:
+    if isinstance(domain, tuple):
+        return value in domain
+    if isinstance(domain, int):
+        return type(value) is int and value >= domain
+    lower = {FINITE: -math.inf < value, NONNEGATIVE: 0 <= value, POSITIVE: 0 < value}[domain]
+    return lower and value < math.inf
+
+
+def test_only_harness_and_disturbance_keys_declare_a_domain():
+    # the vehicle, gain and loop-rate keys are checked by their sections
+    assert len(DOMAIN_KEYS) == 38
+    assert {_KEYS[key].section for key in DOMAIN_KEYS} == {"disturbance", "harness"}
+    keyed = {key for key, spec in _KEYS.items() if spec.section in ("disturbance", "harness")}
+    assert keyed - set(DOMAIN_KEYS) == {
+        "seed", "physics_rate_hz", "imu_rate_hz", "pose_rate_hz", "logging_rate_hz",
+        "waypoints",
+    }
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("circle_radius_m", math.nan, "circle_radius_m: must be finite and > 0, got nan"),
+    ("scenario", "x", "scenario: must be one of ('hover', 'waypoint', 'circle', 'star'), got 'x'"),
+    ("noise_gyro", -1.0, "noise_gyro: must be finite and >= 0, got -1.0"),
+    ("dist_torque_y", -math.inf, "dist_torque_y: must be finite, got -inf"),
+    ("star_points", 2, "star_points: must be >= 3, got 2"),
+    ("star_points", math.nan, "star_points: must be >= 3, got nan"),
+    ("star_points", 1e6, "star_points: must be an integer, got 1000000.0"),
+])
+def test_declared_domain_messages(key, value, message):
+    cfg = Config()
+    set_directly(cfg, key, value)
+    assert cfg.scenario_problems() == [message]
+
+
+@CONTRACT
+@given(st.dictionaries(st.sampled_from(CANONICAL_KEYS),
+                       st.sampled_from((None,) + EDGE_TEXTS), max_size=6))
+def test_full_dump_with_edge_values_validates_or_raises_config_error(overrides):
+    # None keeps the key's default
+    pairs = parse_pairs(Config().to_text())
+    pairs.update({key: text for key, text in overrides.items() if text is not None})
+    text = "".join(f"{key} = {value}\n" for key, value in pairs.items())
+    try:
+        validate_text(text)
+    except ConfigError as exc:
+        assert exc.problems and all(isinstance(p, str) for p in exc.problems)
+
+
+@CONTRACT
+@given(st.dictionaries(st.sampled_from(CANONICAL_KEYS), st.sampled_from(EDGE_VALUES),
+                       min_size=1, max_size=4))
+@example({"k_t": -1})
+def test_scenario_problems_never_raises_on_edge_values_set_directly(values):
+    cfg = Config()
+    for key, value in values.items():
+        set_directly(cfg, key, value)
+    problems = cfg.scenario_problems()
+    assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
+
+
+@CONTRACT
+@given(st.dictionaries(st.sampled_from(DOMAIN_KEYS), st.sampled_from(EDGE_VALUES),
+                       min_size=1, max_size=4))
+@example({"star_points": math.nan})
+def test_every_value_outside_a_declared_domain_names_its_key(values):
+    cfg = Config()
+    for key, value in values.items():
+        set_directly(cfg, key, value)
+    problems = cfg.scenario_problems()
+    for key in values:
+        stored = _KEYS[key].get(cfg)
+        if not in_domain(_KEYS[key].domain, stored):
+            assert any(p.startswith(f"{key}:") for p in problems), (key, stored, problems)
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+def test_scenario_problems_never_raises_on_any_key_at_an_edge_value(value):
+    for key in CANONICAL_KEYS:
+        cfg = Config()
+        set_directly(cfg, key, value)
+        problems = cfg.scenario_problems()
+        assert all(isinstance(p, str) for p in problems), key
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+def test_any_key_outside_its_declared_domain_names_itself(value):
+    for key in DOMAIN_KEYS:
+        cfg = Config()
+        set_directly(cfg, key, value)
+        stored = _KEYS[key].get(cfg)
+        if not in_domain(_KEYS[key].domain, stored):
+            assert any(p.startswith(f"{key}:") for p in cfg.scenario_problems()), key

@@ -39,13 +39,13 @@ from tailsim.rotations import (
     quat_conjugate,
     quat_from_rotvec,
     quat_multiply,
-    quat_to_matrix,
     quat_to_rotvec,
 )
 from tailsim.scenarios import hover_attitude
 from tailsim.sim import VehicleState, step
 
 import oracles
+from oracles import quat_to_matrix
 
 PARAMS = VehicleParams()
 GAINS = ControllerGains()

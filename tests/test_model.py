@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 
 import tailsim.control
 import tailsim.model
+import tailsim.rotations
 from tailsim.errors import DomainError
 from tailsim.model import ActuatorState, VehicleParams, actuator_wrench, total_wrench
-from tailsim.rotations import quat_to_matrix
 from tailsim.scenarios import hover_attitude
 from tailsim.sysid import generate_synthetic
+
+from oracles import quat_to_matrix
 
 PARAMS = VehicleParams()
 COEFFS = (PARAMS.k_t, PARAMS.k_m, PARAMS.k_l, PARAMS.k_d, PARAMS.k_p, PARAMS.l)
@@ -181,9 +183,10 @@ def test_total_wrench_differential_deflection_yields_yaw():
     assert total[0] == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("module", [tailsim.control, tailsim.model], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [tailsim.control, tailsim.model, tailsim.rotations],
+                         ids=lambda m: m.__name__)
 def test_closed_loop_laws_import_no_numpy(module):
-    # the control laws and the wrench model run on Python floats
+    # the control laws, the wrench model and the quaternion helpers run on Python floats
     tree = ast.parse(inspect.getsource(module))
     imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                 for alias in node.names]

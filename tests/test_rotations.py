@@ -13,12 +13,12 @@ from tailsim.rotations import (
     quat_integrate,
     quat_multiply,
     quat_normalize,
-    quat_to_matrix,
     quat_to_rotvec,
     wrap_angle,
 )
 
 import oracles
+from oracles import quat_to_matrix
 
 unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
 

@@ -16,7 +16,6 @@ import tailsim
 from tailsim import scenarios
 from tailsim.config import Config, apply_overrides
 from tailsim.errors import ConfigError, DomainError, MetricsWindowError, SimulationDivergedError
-from tailsim.rotations import quat_to_matrix
 from tailsim.scenarios import (
     _CSV_BLOCK,
     LOG_COLUMNS,
@@ -34,6 +33,7 @@ from tailsim.sim import step
 
 import oracles
 from forks import assert_no_child_left, failing_in, use_cpus
+from oracles import quat_to_matrix
 
 IDX = {name: i for i, name in enumerate(LOG_COLUMNS)}
 

@@ -15,7 +15,7 @@ import pytest
 from tailsim.control import ActuatorCommand, StateEstimate, clamp_command
 from tailsim.errors import DomainError, SimulationDivergedError
 from tailsim.model import ActuatorState, VehicleParams, total_wrench
-from tailsim.rotations import quat_to_matrix, quat_to_rotvec, quat_multiply, quat_conjugate
+from tailsim.rotations import quat_to_rotvec, quat_multiply, quat_conjugate
 from tailsim.scenarios import hover_attitude
 from tailsim.sim import (
     MAX_PHYSICS_DT,
@@ -34,6 +34,7 @@ from oracles import (
     actuator_step,
     array_sense,
     derivative,
+    quat_to_matrix,
     reference_step,
     reference_wrench,
 )
@@ -360,6 +361,16 @@ def test_step_leaves_its_input_state_unchanged():
     assert (st.act.omega_left, st.act.omega_right, st.act.delta_left, st.act.delta_right) == act
     assert out is not st and out.act is not st.act and out.y != y
     assert len(out.y) == 13 and all(type(c) is float for c in out.y)
+
+
+def test_step_keeps_python_floats_from_numpy_actuator_fields():
+    act = ActuatorState(*np.array([600.0, 600.0, 0.0, 0.0]))
+    st = VehicleState(np.array([0.0, 0.0, 1.5]), np.zeros(3), hover_attitude(0.0), np.zeros(3),
+                      act=act)
+    out = step(st, hover_command(), 2e-3, PARAMS)
+    assert all(type(c) is float for c in out.y)
+    assert all(type(c) is float for c in astuple(out.act))
+    assert astuple(st.act) == (600.0, 600.0, 0.0, 0.0)
 
 
 # --------------------------------------------------------------------------
