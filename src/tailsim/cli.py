@@ -108,9 +108,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if overrides:
         cfg = config_mod.apply_overrides(cfg, overrides)
 
-    log, metrics = scenarios.run_scenario(cfg)
-    if args.out_log:
-        log.write_csv(args.out_log)
+    _, metrics = scenarios.run_scenario(cfg, out_log=args.out_log or None)
     if args.out_metrics:
         metrics.write_json(args.out_metrics)
     for key, value in metrics.to_dict().items():

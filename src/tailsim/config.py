@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Real
 
 import numpy as np
 
@@ -36,6 +37,12 @@ MIN_LEG_LENGTH_M = 1e-12
 # Hover trim may use at most this fraction of omega_max, so that thrust is
 # left to climb and manoeuvre (the default vehicle trims at 0.81).
 MAX_HOVER_SPEED_FRACTION = 0.9
+
+# A star of more points traces its circle (at 1000 points its legs are
+# 0.72 degrees of arc apart, 19 mm on the default 1.5 m radius), while the
+# vertices and legs are built in Python, about 8 us per point, before the
+# first step: 1e6 points would take seconds and 1e308 would never finish.
+MAX_STAR_POINTS = 1000
 
 # The float domains a key may declare, each named by its message text.
 FINITE, NONNEGATIVE, POSITIVE = "finite", "finite and >= 0", "finite and > 0"
@@ -149,7 +156,7 @@ class Config:
                 ("logging_rate_hz", h.logging_rate_hz),
                 ("rate_loop (rate_rate_hz)", self.rates.rate_rate),
             ):
-                if not (math.isfinite(rate) and round(rate) >= 1):
+                if not (isinstance(rate, Real) and math.isfinite(rate) and round(rate) >= 1):
                     problems.append(f"{name}: must be finite and >= 1 Hz when rounded, got {rate}")
                 elif h.physics_rate_hz % int(round(rate)) != 0:
                     problems.append(
@@ -190,8 +197,9 @@ class _Key:
 
     ``domain`` declares the key's own rule, checked by
     :meth:`Config.scenario_problems`: ``FINITE``, ``NONNEGATIVE`` or
-    ``POSITIVE`` for a float, a tuple of the allowed strings, or an int
-    for an integer with that lower bound (the bound is checked first).
+    ``POSITIVE`` for a float, a tuple of the allowed strings, or a range
+    for an integer within it (the lower bound is checked first, then the
+    type, then the upper bound).
     None leaves the value to its section's own checks or to the rules
     that relate several keys.
     """
@@ -215,10 +223,12 @@ class _Key:
         domain = self.domain
         if isinstance(domain, tuple):
             return None if value in domain else f"{key}: must be one of {domain}, got {value!r}"
-        if isinstance(domain, int):
-            if not value >= domain:
-                return f"{key}: must be >= {domain}, got {value}"
-            return None if _is_integer(value) else f"{key}: must be an integer, got {value!r}"
+        if isinstance(domain, range):
+            if not value >= domain.start:
+                return f"{key}: must be >= {domain.start}, got {value}"
+            if not _is_integer(value):
+                return f"{key}: must be an integer, got {value!r}"
+            return None if value < domain.stop else f"{key}: must be <= {domain[-1]}, got {value}"
         return None if _IN_DOMAIN[domain](value) else f"{key}: must be {domain}, got {value}"
 
     def parse(self, raw: str):
@@ -322,7 +332,8 @@ _KEYS: dict[str, _Key] = {
     "star_x": _Key("harness", "star_center", index=0, domain=FINITE),
     "star_y": _Key("harness", "star_center", index=1, domain=FINITE),
     "star_z": _Key("harness", "star_center", index=2, domain=FINITE),
-    "star_points": _Key("harness", "star_points", kind="int", domain=3),
+    "star_points": _Key("harness", "star_points", kind="int",
+                        domain=range(3, MAX_STAR_POINTS + 1)),
     "star_radius_m": _Key("harness", "star_radius_m", domain=POSITIVE),
     "star_speed_mps": _Key("harness", "star_speed_mps", domain=POSITIVE),
     "star_accel_mps2": _Key("harness", "star_accel_mps2", domain=POSITIVE),

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from numbers import Real
 
 from .errors import DegenerateThrustError, DomainError, InfeasibleRollError
 from .model import VehicleParams
@@ -79,10 +80,11 @@ class ControllerGains:
         problems = []
         for name in (f.name for f in fields(self)):  # not vars(self): see VehicleParams
             value = getattr(self, name)
+            real = isinstance(value, Real)
             if name.startswith("k_i_"):
-                bound, sound = ">= 0", 0.0 <= value < math.inf
+                bound, sound = ">= 0", real and 0.0 <= value < math.inf
             else:
-                bound, sound = "> 0", 0.0 < value < math.inf
+                bound, sound = "> 0", real and 0.0 < value < math.inf
             if not sound:
                 problems.append(f"ControllerGains.{name} must be finite and {bound}, got {value!r}")
         return problems
@@ -103,7 +105,12 @@ class LoopRates:
 
     def problems(self) -> list[str]:
         """Every problem of the rates (empty when sound); the divisions run on sound rates only."""
-        rates = (self.position_rate, self.attitude_rate, self.rate_rate)
+        names = ("position_rate", "attitude_rate", "rate_rate")
+        rates = [getattr(self, name) for name in names]
+        unreal = [f"LoopRates.{name} must be a real number, got {rate!r}"
+                  for name, rate in zip(names, rates) if not isinstance(rate, Real)]
+        if unreal:
+            return unreal
         # the run harness divides the physics rate by int(round(rate_rate))
         if not all(math.isfinite(r) and round(r) >= 1 for r in rates):
             return ["loop rates must be finite and >= 1 Hz when rounded"]

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Real
 
 from .errors import DomainError
 
@@ -72,13 +73,13 @@ class VehicleParams:
             raise DomainError(problems[0])
 
     def problems(self) -> list[str]:
-        """One message per constant that is not finite and > 0 (empty when sound)."""
+        """One message per constant that is not a finite real > 0 (empty when sound)."""
         # getattr, not vars(self): a materialised instance dict makes every
         # later attribute read slower, and the integrator reads these per step
         problems = []
         for name in (f.name for f in fields(self)):
             value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
+            if not (isinstance(value, Real) and math.isfinite(value) and value > 0.0):
                 problems.append(f"VehicleParams.{name} must be finite and > 0, got {value!r}")
         return problems
 

@@ -26,6 +26,20 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def record_exits(monkeypatch, directory):
+    """Make ``os._exit`` first write its status to a file in ``directory``
+    named by the exiting pid; return the real ``os._exit``."""
+    directory.mkdir()
+    real_exit = os._exit
+
+    def recording_exit(status):
+        (directory / str(os.getpid())).write_text(str(status))
+        real_exit(status)
+
+    monkeypatch.setattr(os, "_exit", recording_exit)
+    return real_exit
+
+
 def failing_in(pid_test, real, error):
     """``real``, raising ``error`` in any process where ``pid_test(pid)`` holds."""
     def wrapper(*args):

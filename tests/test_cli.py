@@ -245,6 +245,18 @@ def test_validate_and_run_report_bad_values_as_config_errors(tmp_path, capsys, l
     assert "error: category=config-invalid" in err and message in err
 
 
+@pytest.mark.parametrize("text", ["1e308", "1e6"])
+def test_validate_rejects_a_star_of_too_many_points(tmp_path, capsys, text):
+    # both used to validate; a run would build the vertex list in Python,
+    # and at 1e308 points never reach the first step
+    full = tmp_path / "full.cfg"
+    full.write_text(Config().to_text().replace("star_points = 5\n", f"star_points = {text}\n"))
+    assert main(["validate", str(full)]) == 1
+    err = capsys.readouterr().err
+    assert "error: category=config-invalid" in err
+    assert "star_points: must be <= 1000, got " in err
+
+
 # a byte 0xff is never UTF-8; each of these used to end in a
 # UnicodeDecodeError traceback instead of an error line
 def test_run_reports_a_config_that_is_not_utf8(tmp_path, capsys):

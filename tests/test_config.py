@@ -349,6 +349,21 @@ def test_run_rejects_a_zero_attitude_time_constant_set_later():
     assert excinfo.value.problems == ["ControllerGains.tau_att must be finite and > 0, got 0.0"]
 
 
+@pytest.mark.parametrize("section, attr, message", [
+    ("params", "l", "VehicleParams.l must be finite and > 0, got 'x'"),
+    ("gains", "tau_att", "ControllerGains.tau_att must be finite and > 0, got 'x'"),
+    ("rates", "rate_rate", "LoopRates.rate_rate must be a real number, got 'x'"),
+])
+def test_a_field_set_later_to_a_non_number_is_a_line_naming_it(section, attr, message):
+    # each comparison used to raise TypeError out of scenario_problems
+    cfg = Config()
+    setattr(getattr(cfg, section), attr, "x")
+    assert message in cfg.scenario_problems()
+    with pytest.raises(ConfigError) as excinfo:
+        run_scenario(cfg)
+    assert message in excinfo.value.problems
+
+
 def test_run_rejects_a_position_rate_set_later_that_does_not_divide_the_rate_loop():
     cfg = Config()
     cfg.rates.position_rate = 3.0
@@ -386,8 +401,8 @@ def set_directly(cfg, key, value):
 def in_domain(domain, value) -> bool:
     if isinstance(domain, tuple):
         return value in domain
-    if isinstance(domain, int):
-        return type(value) is int and value >= domain
+    if isinstance(domain, range):
+        return type(value) is int and domain.start <= value < domain.stop
     lower = {FINITE: -math.inf < value, NONNEGATIVE: 0 <= value, POSITIVE: 0 < value}[domain]
     return lower and value < math.inf
 
@@ -411,6 +426,7 @@ def test_only_harness_and_disturbance_keys_declare_a_domain():
     ("star_points", 2, "star_points: must be >= 3, got 2"),
     ("star_points", math.nan, "star_points: must be >= 3, got nan"),
     ("star_points", 1e6, "star_points: must be an integer, got 1000000.0"),
+    ("star_points", 1001, "star_points: must be <= 1000, got 1001"),
 ])
 def test_declared_domain_messages(key, value, message):
     cfg = Config()

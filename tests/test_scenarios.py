@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import tailsim
-from tailsim import scenarios
+from tailsim import _forked, scenarios
 from tailsim.config import Config, apply_overrides
 from tailsim.errors import ConfigError, DomainError, MetricsWindowError, SimulationDivergedError
 from tailsim.scenarios import (
@@ -32,7 +32,7 @@ from tailsim.scenarios import (
 from tailsim.sim import step
 
 import oracles
-from forks import assert_no_child_left, failing_in, use_cpus
+from forks import assert_no_child_left, failing_in, record_exits, use_cpus
 from oracles import quat_to_matrix
 
 IDX = {name: i for i, name in enumerate(LOG_COLUMNS)}
@@ -505,6 +505,165 @@ def test_no_log_helper_is_forked_beside_another_thread_without_fork_or_into_a_fi
     assert forks == []
     monkeypatch.delattr(os, "fork")
     log.write_csv(path)
+    assert path.read_bytes() == want
+
+
+# Given the log's destination, run_scenario streams a log of two chunks or
+# more: a helper forked before the loop formats each block of rows while the
+# loop runs.  Each case runs with 2 and with 1 usable CPUs and counts forks.
+STREAM_ROWS_PER_WRITE = 48  # two chunks are a whole number of blocks
+STREAM_SPLIT_ROWS = 2 * STREAM_ROWS_PER_WRITE
+
+
+def star_run_of(n_rows, **extra):
+    """A perfect-estimator star run that logs ``n_rows`` rows at 1 kHz."""
+    return cfg_with(scenario="star", logging_rate_hz=1000, duration_s=n_rows / 1000,
+                    transient_window_s=min(1, n_rows / 2000), **extra)
+
+
+def run_to(cfg, path):
+    """Run ``cfg`` with ``path`` as the log destination; the log's oracle text."""
+    log, _ = run_scenario(cfg, out_log=path)
+    return oracles.reference_to_csv(log).encode()
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_streamed_log_matches_oracle_at_the_real_threshold(tmp_path, monkeypatch, cpus):
+    forks = use_cpus(monkeypatch, cpus)
+    path = tmp_path / "log.csv"
+    want = run_to(star_run_of(SPLIT_ROWS), path)
+    assert want.count(b"\n") == SPLIT_ROWS + 1
+    assert path.read_bytes() == want
+    assert len(forks) == (cpus == 2)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+@pytest.mark.parametrize("n_rows", [STREAM_SPLIT_ROWS - 1, STREAM_SPLIT_ROWS,
+                                    STREAM_SPLIT_ROWS + 1, 5 * STREAM_SPLIT_ROWS + 7])
+def test_streamed_log_matches_oracle_across_the_threshold(tmp_path, monkeypatch, n_rows, cpus):
+    monkeypatch.setattr(scenarios, "_ROWS_PER_WRITE", STREAM_ROWS_PER_WRITE)
+    forks = use_cpus(monkeypatch, cpus)
+    path = tmp_path / "log.csv"
+    want = run_to(star_run_of(n_rows), path)
+    assert want.count(b"\n") == n_rows + 1
+    assert path.read_bytes() == want
+    assert len(forks) == (cpus == 2 and n_rows >= STREAM_SPLIT_ROWS)
+    assert_no_child_left()
+
+
+def test_the_loop_announces_each_complete_block_to_its_stream_helper(tmp_path, monkeypatch):
+    monkeypatch.setattr(scenarios, "_ROWS_PER_WRITE", STREAM_ROWS_PER_WRITE)
+    use_cpus(monkeypatch, 2)
+    sent = []
+    real_send = _forked.Child.send
+
+    def recording_send(self, count):
+        sent.append(count)
+        real_send(self, count)
+
+    monkeypatch.setattr(_forked.Child, "send", recording_send)
+    n_rows = 5 * STREAM_SPLIT_ROWS + 7
+    path = tmp_path / "log.csv"
+    assert run_to(star_run_of(n_rows), path) == path.read_bytes()
+    # one count per block during the loop, then the last count from end_feed
+    assert sent == [*range(_CSV_BLOCK, n_rows, _CSV_BLOCK), n_rows]
+
+
+def test_a_run_without_a_log_destination_maps_and_forks_nothing(monkeypatch):
+    forks = use_cpus(monkeypatch, 2)
+    maps = []
+    monkeypatch.setattr(_forked, "shared_buffer", lambda n: maps.append(n))
+    log, _ = run_scenario(star_run_of(SPLIT_ROWS))
+    assert len(log) == SPLIT_ROWS and maps == [] and forks == []
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt, SystemExit])
+def test_a_failing_stream_helper_leaves_through_os_exit_and_its_rows_are_redone(
+    tmp_path, monkeypatch, error
+):
+    parent = os.getpid()
+    monkeypatch.setattr(scenarios, "_ROWS_PER_WRITE", STREAM_ROWS_PER_WRITE)
+    forks = use_cpus(monkeypatch, 2)
+    exits = tmp_path / "exits"
+    real_exit = record_exits(monkeypatch, exits)
+    in_child = lambda pid: pid != parent  # noqa: E731
+    monkeypatch.setattr(ScenarioLog, "_rows_csv",
+                        failing_in(in_child, ScenarioLog._rows_csv, error))
+    path = tmp_path / "log.csv"
+    try:
+        want = run_to(star_run_of(3 * STREAM_SPLIT_ROWS), path)
+    finally:
+        if os.getpid() != parent:
+            # a child came back into the caller: leave before pytest runs on in it
+            (tmp_path / "returned").touch()
+            real_exit(0)
+    assert not (tmp_path / "returned").exists()
+    assert path.read_bytes() == want
+    assert len(forks) == 1
+    assert [p.read_text() for p in exits.iterdir()] == ["1"]
+    assert_no_child_left()
+
+
+def test_a_run_that_raises_mid_loop_kills_its_stream_helper_and_writes_no_log(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(scenarios, "_ROWS_PER_WRITE", STREAM_ROWS_PER_WRITE)
+    forks = use_cpus(monkeypatch, 2)
+    exits = tmp_path / "exits"
+    record_exits(monkeypatch, exits)
+    calls = []
+
+    def diverging_step(*args):
+        calls.append(1)
+        if len(calls) > 3 * STREAM_SPLIT_ROWS:  # past a few announced blocks
+            raise SimulationDivergedError("injected divergence")
+        return step(*args)
+
+    monkeypatch.setattr(scenarios, "step", diverging_step)
+    path = tmp_path / "log.csv"
+    with pytest.raises(SimulationDivergedError, match="injected divergence at t = "):
+        run_scenario(star_run_of(3 * STREAM_SPLIT_ROWS), out_log=path)
+    assert not path.exists()
+    assert len(forks) == 1
+    # killed, not left to finish: a helper that saw its feed end would exit
+    assert list(exits.iterdir()) == []
+    assert_no_child_left()
+
+
+def test_streamed_log_into_a_fifo_or_beside_a_thread_or_without_fork(tmp_path, monkeypatch):
+    monkeypatch.setattr(scenarios, "_ROWS_PER_WRITE", STREAM_ROWS_PER_WRITE)
+    forks = use_cpus(monkeypatch, 2)
+    cfg = star_run_of(3 * STREAM_SPLIT_ROWS + 5)
+    path = tmp_path / "log.csv"
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        want = run_to(cfg, path)
+    finally:
+        release.set()
+        other.join()
+    assert path.read_bytes() == want
+    assert forks == []
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    chunks = []
+    reader = threading.Thread(target=lambda: chunks.append(fifo.read_bytes()))
+    reader.start()
+    with monkeypatch.context() as m:
+        # the thread reading the FIFO also rules out a fork; take it out of the count
+        m.setattr(threading, "active_count", lambda: 1)
+        run_scenario(cfg, out_log=fifo)
+    reader.join()
+    # the helper streamed, but a FIFO cannot take back a failed helper's
+    # bytes: it is killed and the rows are written here
+    assert chunks == [want]
+    assert len(forks) == 1
+    assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    path.unlink()
+    run_to(cfg, path)
     assert path.read_bytes() == want
 
 
