@@ -142,7 +142,9 @@ class Config:
                 if problem is not None:
                     problems.append(problem)
         h = self.harness
-        if h.physics_rate_hz <= 0:
+        if not isinstance(h.physics_rate_hz, Real):
+            problems.append(f"physics_rate_hz: must be a real number, got {h.physics_rate_hz!r}")
+        elif h.physics_rate_hz <= 0:
             problems.append(f"physics_rate_hz: must be > 0, got {h.physics_rate_hz}")
         else:
             if 1.0 / h.physics_rate_hz > MAX_PHYSICS_DT + 1e-12:
@@ -197,9 +199,9 @@ class _Key:
 
     ``domain`` declares the key's own rule, checked by
     :meth:`Config.scenario_problems`: ``FINITE``, ``NONNEGATIVE`` or
-    ``POSITIVE`` for a float, a tuple of the allowed strings, or a range
-    for an integer within it (the lower bound is checked first, then the
-    type, then the upper bound).
+    ``POSITIVE`` for a real number, a tuple of the allowed strings, or a
+    range for an integer within it (a non-number is named first, then the
+    lower bound is checked, then the type, then the upper bound).
     None leaves the value to its section's own checks or to the rules
     that relate several keys.
     """
@@ -223,6 +225,8 @@ class _Key:
         domain = self.domain
         if isinstance(domain, tuple):
             return None if value in domain else f"{key}: must be one of {domain}, got {value!r}"
+        if not isinstance(value, Real):
+            return f"{key}: must be a real number, got {value!r}"
         if isinstance(domain, range):
             if not value >= domain.start:
                 return f"{key}: must be >= {domain.start}, got {value}"

@@ -18,24 +18,20 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from . import _forked
 from .config import MIN_LEG_LENGTH_M, Config
-from .control import CascadeController, Setpoint
+from .control import CascadeController, Setpoint, StateEstimate
 from .errors import ConfigError, DomainError, MetricsWindowError, SimulationDivergedError
-from .model import VehicleParams, total_wrench
+from .model import ActuatorState, total_wrench
 from .rotations import quat_to_matrix_f, wrap_angle
-from .sim import (
-    ComplementaryEstimator,
-    DisturbanceSpec,
-    VehicleState,
-    ActuatorState,
-    sense,
-    step,
-)
+from .sim import ComplementaryEstimator, VehicleState, advance, plant, sense
+
+# the per-step call; perfbench's tracer wraps this binding as the ``sim.step`` span
+step = advance
 
 LOG_COLUMNS = (
     "t",
@@ -502,11 +498,14 @@ def run_scenario(config: Config, out_log=None) -> tuple[ScenarioLog, Metrics]:
     """Execute one closed-loop scenario, and write its log CSV to ``out_log``
     when that is given.
 
-    Physics advances at the configured rate; the controller cascade is
-    ticked at the rate-loop frequency (the outer stages fire on every
-    n-th tick); with the complementary estimator, IMU samples (and pose
-    fixes at the pose rate) are fused as they arrive.  The log captures
-    the state at each logging tick before it is stepped.
+    Physics advances at the configured rate by one kernel,
+    :func:`tailsim.sim.advance`, on the state and actuator floats the loop
+    carries, with the constants of :func:`tailsim.sim.plant` built once
+    per call.  The controller cascade is ticked at the rate-loop frequency
+    (the outer stages fire on every n-th tick; each tick's command is read
+    as four floats); with the complementary estimator, IMU samples (and
+    pose fixes at the pose rate) are fused as they arrive.  The log
+    captures the state at each logging tick before it is stepped.
 
     Only the complementary estimator's sensing draws noise, so only then
     is the random generator seeded (and ``numpy.random`` imported): a
@@ -548,23 +547,21 @@ def run_scenario(config: Config, out_log=None) -> tuple[ScenarioLog, Metrics]:
     _window_start(np.arange(0, n_steps, log_every)[:n_rows] * dt, h.transient_window_s)
 
     state = initial_state(config, scenario)
+    y, act = state.y, astuple(state.act)
+    consts = plant(dt, params, disturbance)
     controller = CascadeController(params, config.gains, config.rates)
 
     complementary = h.estimator == "complementary"
     if complementary:
         rng = np.random.default_rng(disturbance.seed)
         estimator = ComplementaryEstimator(
-            state.estimate_view(),
+            StateEstimate(y[0:3], y[3:6], y[6:10], y[10:13]),
             pose_rate=float(h.pose_rate_hz),
             cutoff_hz=h.imu_cutoff_hz,
         )
         imu_dt = 1.0 / h.imu_rate_hz
-        estimate = estimator.estimate()
-    else:
-        estimate = state.estimate_view()
 
     ox, oy, oz = disturbance.force_offset_world.tolist()
-    command = controller.command
     setpoint = reference(0.0, scenario)
     static_reference = scenario.kind == "hover"   # setpoint is time-invariant
 
@@ -575,14 +572,16 @@ def run_scenario(config: Config, out_log=None) -> tuple[ScenarioLog, Metrics]:
     else:
         log = ScenarioLog(n_rows)
     try:
+        # every loop ticks at k = 0, so estimate and c_wl ... c_dr are set before use
         for k in range(n_steps):
             t = k * dt
 
             if complementary and k % imu_every == 0:
                 # the accelerometer reads force only, so the torque offset is left out
-                r00, r01, r02, r10, r11, r12, r20, r21, r22 = quat_to_matrix_f(state.y[6:10])
+                r00, r01, r02, r10, r11, r12, r20, r21, r22 = quat_to_matrix_f(y[6:10])
                 R_wb = ((r00, r10, r20), (r01, r11, r21), (r02, r12, r22))  # the transpose
-                fx, fy, fz, _, _, _ = total_wrench(state.act, R_wb, params)
+                fx, fy, fz, _, _, _ = total_wrench(ActuatorState(*act), R_wb, params)
+                state.y = y   # sense reads the state's y only
                 force = (
                     fx + (r00 * ox + r10 * oy + r20 * oz),
                     fy + (r01 * ox + r11 * oy + r21 * oz),
@@ -597,29 +596,29 @@ def run_scenario(config: Config, out_log=None) -> tuple[ScenarioLog, Metrics]:
 
             if k % ctrl_every == 0:
                 if not complementary:
-                    estimate = state.estimate_view()
+                    estimate = StateEstimate(y[0:3], y[3:6], y[6:10], y[10:13])
                 if not static_reference:
                     setpoint = reference(t, scenario)
                 command = controller.update(estimate, setpoint)
+                c_wl, c_wr = command.omega_left, command.omega_right
+                c_dl, c_dr = command.delta_left, command.delta_right
 
             if k % log_every == 0 and len(log) < n_rows:
                 log.append([
                     t,
                     *setpoint.p_des, *setpoint.v_des, setpoint.psi_des,
-                    *state.y,
+                    *y,
                     *estimate.p, *estimate.v, *estimate.q, *estimate.omega,
                     *controller.f_des, *controller.omega_des, *controller.m_des,
-                    command.omega_left, command.omega_right,
-                    command.delta_left, command.delta_right,
-                    state.act.omega_left, state.act.omega_right,
-                    state.act.delta_left, state.act.delta_right,
+                    c_wl, c_wr, c_dl, c_dr,
+                    *act,
                     float(controller.saturated), float(controller.roll_clamped),
                 ])
                 if helper is not None and len(log) % _CSV_BLOCK == 0:
                     helper.send(len(log))
 
             try:
-                state = step(state, command, dt, params, disturbance)
+                y, act = step(consts, y, act, c_wl, c_wr, c_dl, c_dr)
             except SimulationDivergedError as exc:
                 raise SimulationDivergedError(f"{exc} at t = {t + dt:.6f} s") from None
 

@@ -20,14 +20,14 @@ accelerometer measuring specific force) and a 100 Hz external pose
 source, each with white Gaussian noise drawn in a fixed order (gyro,
 accel, pose position, pose attitude).  The complementary estimator
 integrates gyro rates smoothed by :class:`LowPass`, the one filter in
-the package, and blends pose corrections in.  The perfect-state mode
-(:meth:`VehicleState.estimate_view`) passes the true state through for
-controller verification.
+the package, and blends pose corrections in.
 
 Everything that runs at the physics or IMU rate computes on Python
-floats: the state is one tuple of 13 floats (:class:`VehicleState`),
-:func:`step` reads and returns it without building an array or a list
-(the four stage derivatives are combined by 13 written-out updates), and
+floats: the state is one tuple of 13 floats (:class:`VehicleState`).  A
+run builds its constants once (:func:`plant`) and carries the state and
+actuator floats through one kernel, :func:`advance`, which builds no
+array or list (the four stage derivatives are combined by 13 written-out
+updates); :func:`step` is the single-step API on a :class:`VehicleState`.
 :func:`sense` (which takes the body force as three floats) and the
 estimator work through :mod:`tailsim.rotations`.  The operations and
 their order are those of the elementwise array code, so the results are
@@ -155,11 +155,6 @@ class VehicleState:
         self.p, self.v, self.q, self.omega = p, v, q, omega
         self.act = ActuatorState(*map(float, astuple(act))) if act is not None else ActuatorState()
 
-    def estimate_view(self) -> StateEstimate:
-        """The state repackaged as a (perfect) estimate of float tuples."""
-        y = self.y
-        return StateEstimate(y[0:3], y[3:6], y[6:10], y[10:13])
-
 
 def _rhs(y0: tuple, k: tuple | None, h: float, fx: float, fy: float, fz: float,
          mx: float, my: float, mz: float, mg: float, inv_m: float, jx: float, jy: float,
@@ -170,9 +165,9 @@ def _rhs(y0: tuple, k: tuple | None, h: float, fx: float, fy: float, fz: float,
     components the ODE reads (v, q, omega) are formed.  With ``k`` None the
     stage is ``y0`` itself (``y0 + 0.0 * k`` would turn -0.0 into +0.0).
     ``fx`` ... ``mz``: the actuator wrench at the stage's actuator sample
-    plus the torque offset; ``mg = -m g``; ``inv_m = 1 / m``; ``jx``, ``jy``,
-    ``jz``: principal inertias; ``dfx``, ``dfy``, ``dfz``: the world-frame
-    force offset.  The body-to-world rotation is built from the nine
+    plus the torque offset; ``mg`` ... ``dfz``: the :func:`plant` constants
+    ``-m g``, ``1 / m``, the inertias and the world-frame force offset.
+    The body-to-world rotation is built from the nine
     quaternion products (``qx*qx`` ... ``qw*qz``), each formed once.  Plain
     floats only: it runs four times per physics step.
     """
@@ -216,63 +211,52 @@ def _rhs(y0: tuple, k: tuple | None, h: float, fx: float, fy: float, fz: float,
     )
 
 
-def step(
-    state: VehicleState,
-    command,
-    dt: float,
-    params: VehicleParams,
-    disturbance: DisturbanceSpec | None = None,
-) -> VehicleState:
-    """One fixed-step RK4 integration step of the full vehicle.
+def plant(dt: float, params: VehicleParams, disturbance: DisturbanceSpec | None = None) -> tuple:
+    """The constants :func:`advance` reads, built once per run of step ``dt``.
 
-    The command is first saturated to ``[0, omega_max]`` and
-    ``[-delta_max, delta_max]``.  Actuators are evaluated on their exact
-    exponential response to it at the substage times 0, dt/2, and dt,
-    and the attitude quaternion is renormalised afterwards.  The actuator
-    wrench is computed once per sample; stages 2 and 3 share the one at
-    dt/2.  Each of the 13 components is updated as
-    ``y0 + dt/6 * (k1 + 2 * (k2 + k3) + k4)``, written out per component;
-    the finiteness check reads the left-to-right sum of the 13 updated
-    components (a non-finite or overflowing sum is a divergence), and the
-    returned tuple carries the renormalised quaternion.
-
-    Args:
-        state: state at the start of the step.
-        command: actuator command held constant over the step (any object
-            with the four actuator fields).
-        dt: step size, s; must satisfy ``0 < dt <= 2e-3``.
-        params: vehicle constants.
-        disturbance: optional constant force/torque offsets.
-
-    Raises:
-        DomainError: on an invalid step size.
-        SimulationDivergedError: if any state component leaves the
-            finite range.
+    ``k_t`` ... ``l``, ``-m g``, ``1 / m``, the principal inertias, the
+    force and torque offsets (zero without ``disturbance``), both lags'
+    decay over ``dt / 2``, ``omega_max``, ``delta_max``, ``dt``, ``dt / 2``
+    and ``dt / 6``: a snapshot, which later changes to ``params`` or
+    ``disturbance`` do not reach.  Raises DomainError unless
+    ``0 < dt <= 2e-3``.
     """
     if not (0.0 < dt <= MAX_PHYSICS_DT):
         raise DomainError(f"physics step must satisfy 0 < dt <= {MAX_PHYSICS_DT}, got {dt!r}")
-    if disturbance is None:
-        dfx = dfy = dfz = dmx = dmy = dmz = 0.0
-    else:
-        dfx, dfy, dfz = disturbance.force_offset_world.tolist()
-        dmx, dmy, dmz = disturbance.torque_offset_body.tolist()
-    k_t, k_m, k_l, k_d, k_p, l = params.k_t, params.k_m, params.k_l, params.k_d, params.k_p, params.l
-    mg, inv_m = -params.m * params.g_mag, 1.0 / params.m
-    jx, jy, jz = params.j_xx, params.j_yy, params.j_zz
+    offsets = ([0.0] * 6 if disturbance is None else
+               disturbance.force_offset_world.tolist() + disturbance.torque_offset_body.tolist())
+    p = params
+    return (p.k_t, p.k_m, p.k_l, p.k_d, p.k_p, p.l, -p.m * p.g_mag, 1.0 / p.m,
+            p.j_xx, p.j_yy, p.j_zz, *offsets,
+            math.exp(-0.5 * dt / p.tau_motor), math.exp(-0.5 * dt / p.tau_servo),
+            p.omega_max, p.delta_max, dt, 0.5 * dt, dt / 6.0)
 
-    # exact actuator trajectories across the step: samples at 0, dt/2 and dt
-    a0 = state.act
-    e_m2 = math.exp(-0.5 * dt / params.tau_motor)
-    e_s2 = math.exp(-0.5 * dt / params.tau_servo)
-    # the command saturated to the actuator limits, inline for speed
-    w_max, d_max = params.omega_max, params.delta_max
-    c_wl, c_wr = command.omega_left, command.omega_right
-    c_dl, c_dr = command.delta_left, command.delta_right
+
+def advance(c: tuple, y0: tuple, act: tuple, c_wl: float, c_wr: float, c_dl: float,
+            c_dr: float) -> tuple[tuple, tuple]:
+    """One fixed-step RK4 step of the full vehicle on floats: ``(y, act)`` after ``dt``.
+
+    ``c`` is the run's :func:`plant` tuple, ``y0`` the 13 state floats
+    (:attr:`VehicleState.y`) and ``act`` the four actuator floats.  The
+    command ``c_wl`` ... ``c_dr``, held over the step, is first saturated to
+    ``[0, omega_max]`` and ``[-delta_max, delta_max]``.  The actuators follow
+    their exact exponential response to it, with one actuator wrench at each
+    substage time 0, dt/2 and dt (stages 2 and 3 share the one at dt/2).
+    Each of the 13 components is updated as
+    ``y0 + dt/6 * (k1 + 2 * (k2 + k3) + k4)``, written out per component;
+    the finiteness check reads the left-to-right sum of the 13 updated
+    components (a non-finite or overflowing sum raises
+    SimulationDivergedError), and the quaternion is renormalised.
+    """
+    (k_t, k_m, k_l, k_d, k_p, l, mg, inv_m, jx, jy, jz, dfx, dfy, dfz, dmx, dmy, dmz,
+     e_m2, e_s2, w_max, d_max, dt, half, sixth) = c
+
+    # the command saturated (inline for speed), then exact actuator samples at 0, dt/2, dt
     c_wl = 0.0 if c_wl < 0.0 else w_max if c_wl > w_max else c_wl
     c_wr = 0.0 if c_wr < 0.0 else w_max if c_wr > w_max else c_wr
     c_dl = -d_max if c_dl < -d_max else d_max if c_dl > d_max else c_dl
     c_dr = -d_max if c_dr < -d_max else d_max if c_dr > d_max else c_dr
-    wl0, wr0, dl0, dr0 = a0.omega_left, a0.omega_right, a0.delta_left, a0.delta_right
+    wl0, wr0, dl0, dr0 = act
     wl1 = c_wl + (wl0 - c_wl) * e_m2
     wr1 = c_wr + (wr0 - c_wr) * e_m2
     dl1 = c_dl + (dl0 - c_dl) * e_s2
@@ -282,8 +266,6 @@ def step(
     dl2 = c_dl + (dl1 - c_dl) * e_s2
     dr2 = c_dr + (dr1 - c_dr) * e_s2
 
-    y0 = state.y
-    half = 0.5 * dt
     fx, fy, fz, mx, my, mz = actuator_wrench(wl0, wr0, dl0, dr0, k_t, k_m, k_l, k_d, k_p, l)
     k1 = _rhs(y0, None, 0.0, fx, fy, fz, mx + dmx, my + dmy, mz + dmz,
               mg, inv_m, jx, jy, jz, dfx, dfy, dfz)
@@ -295,7 +277,6 @@ def step(
     k4 = _rhs(y0, k3, dt, fx, fy, fz, mx + dmx, my + dmy, mz + dmz,
               mg, inv_m, jx, jy, jz, dfx, dfy, dfz)
 
-    sixth = dt / 6.0
     px = y0[0] + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
     py = y0[1] + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
     pz = y0[2] + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
@@ -313,15 +294,30 @@ def step(
         raise SimulationDivergedError("non-finite state after integration step")
 
     inv_n = 1.0 / math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-    # bypass validation: q is unit by construction here
-    out = object.__new__(VehicleState)
-    out.y = (px, py, pz, vx, vy, vz, qw * inv_n, qx * inv_n, qy * inv_n, qz * inv_n, wx, wy, wz)
-    out.act = ActuatorState(
+    return (px, py, pz, vx, vy, vz, qw * inv_n, qx * inv_n, qy * inv_n, qz * inv_n, wx, wy, wz), (
         0.0 if wl2 < 0.0 else w_max if wl2 > w_max else wl2,
         0.0 if wr2 < 0.0 else w_max if wr2 > w_max else wr2,
         -d_max if dl2 < -d_max else d_max if dl2 > d_max else dl2,
         -d_max if dr2 < -d_max else d_max if dr2 > d_max else dr2,
     )
+
+
+def step(state: VehicleState, command, dt: float, params: VehicleParams,
+         disturbance: DisturbanceSpec | None = None) -> VehicleState:
+    """The state one :func:`advance` of ``dt`` after ``state``: the single-step API.
+
+    ``command`` is any object with the four actuator fields, held over the
+    step.  Raises what :func:`plant` (a step size outside
+    ``0 < dt <= 2e-3``) and :func:`advance` (a divergence) raise.
+    """
+    a = state.act
+    y, act = advance(
+        plant(dt, params, disturbance), state.y,
+        (a.omega_left, a.omega_right, a.delta_left, a.delta_right),
+        command.omega_left, command.omega_right, command.delta_left, command.delta_right,
+    )
+    out = object.__new__(VehicleState)   # no validation: q is unit by construction
+    out.y, out.act = y, ActuatorState(*act)
     return out
 
 

@@ -364,6 +364,22 @@ def test_a_field_set_later_to_a_non_number_is_a_line_naming_it(section, attr, me
     assert message in excinfo.value.problems
 
 
+@pytest.mark.parametrize("section, attr, key", [
+    ("harness", "duration_s", "duration_s"),
+    ("harness", "star_points", "star_points"),
+    ("disturbance", "gyro_noise_std", "noise_gyro"),
+    ("harness", "physics_rate_hz", "physics_rate_hz"),
+])
+def test_a_keyed_field_set_later_to_a_non_number_is_a_line_naming_its_key(section, attr, key):
+    # each comparison with a number used to raise TypeError out of scenario_problems
+    cfg = Config()
+    setattr(getattr(cfg, section), attr, "x")
+    assert cfg.scenario_problems() == [f"{key}: must be a real number, got 'x'"]
+    with pytest.raises(ConfigError) as excinfo:
+        run_scenario(cfg)
+    assert excinfo.value.problems == [f"{key}: must be a real number, got 'x'"]
+
+
 def test_run_rejects_a_position_rate_set_later_that_does_not_divide_the_rate_loop():
     cfg = Config()
     cfg.rates.position_rate = 3.0

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import threading
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,9 @@ import pytest
 import tailsim
 from tailsim import _forked, scenarios
 from tailsim.config import Config, apply_overrides
+from tailsim.control import ActuatorCommand
 from tailsim.errors import ConfigError, DomainError, MetricsWindowError, SimulationDivergedError
+from tailsim.model import ActuatorState
 from tailsim.scenarios import (
     _CSV_BLOCK,
     LOG_COLUMNS,
@@ -29,7 +32,7 @@ from tailsim.scenarios import (
     reference,
     run_scenario,
 )
-from tailsim.sim import step
+from tailsim.sim import VehicleState, advance, step
 
 import oracles
 from forks import assert_no_child_left, failing_in, record_exits, use_cpus
@@ -618,7 +621,7 @@ def test_a_run_that_raises_mid_loop_kills_its_stream_helper_and_writes_no_log(
         calls.append(1)
         if len(calls) > 3 * STREAM_SPLIT_ROWS:  # past a few announced blocks
             raise SimulationDivergedError("injected divergence")
-        return step(*args)
+        return advance(*args)
 
     monkeypatch.setattr(scenarios, "step", diverging_step)
     path = tmp_path / "log.csv"
@@ -746,13 +749,13 @@ def test_noisy_complementary_hover_run_is_deterministic():
 
 
 def test_log_state_columns_equal_state_y_at_logged_ticks(monkeypatch):
-    # the run steps the state it has just logged, so the input state of
-    # every step call is recorded and compared with its tick's log row
+    # the run steps the state it has just logged, so the input state floats
+    # of every kernel call are recorded and compared with its tick's log row
     seen = []
 
-    def recording_step(state, *args):
-        seen.append(state.y)
-        return step(state, *args)
+    def recording_step(consts, y, *args):
+        seen.append(y)
+        return advance(consts, y, *args)
 
     monkeypatch.setattr(scenarios, "step", recording_step)
     cfg = cfg_with(scenario="circle", estimator="complementary", duration_s=1,
@@ -764,6 +767,31 @@ def test_log_state_columns_equal_state_y_at_logged_ticks(monkeypatch):
     assert len(cols) == 100 and len(seen) == 100 * every
     for row, y in zip(cols, seen[::every]):
         assert tuple(row.tolist()) == y
+
+
+def test_plant_constants_are_bound_per_run_not_cached():
+    # a run builds its kernel constants from the config it is given, so a
+    # change made in place between two runs reaches the second one
+    short = dict(scenario="circle", duration_s=1, transient_window_s=0.5, logging_rate_hz=2000)
+    cfg = cfg_with(**short)
+    first, _ = run_scenario(cfg)
+    cfg.params.m = 0.7
+    cfg.disturbance.force_offset_world[0] = 0.3
+    second, _ = run_scenario(cfg)
+    fresh, _ = run_scenario(cfg_with(m=0.7, dist_force_x=0.3, **short))
+    assert second.to_csv() == fresh.to_csv()
+    assert second.to_csv() != first.to_csv()
+    # and against step, which builds its constants on every call: each
+    # logged physics tick steps to the next one
+    state = ["px", "py", "pz", "vx", "vy", "vz", "qw", "qx", "qy", "qz", "wx", "wy", "wz"]
+    act = ["act_omega_left", "act_omega_right", "act_delta_left", "act_delta_right"]
+    rows = second.columns(*state, *act, "cmd_omega_left", "cmd_omega_right",
+                          "cmd_delta_left", "cmd_delta_right").tolist()
+    for now, after in zip(rows, rows[1:]):
+        y = now[:13]
+        start = VehicleState(y[0:3], y[3:6], y[6:10], y[10:13], ActuatorState(*now[13:17]))
+        out = step(start, ActuatorCommand(*now[17:]), 1 / 2000, cfg.params, cfg.disturbance)
+        assert out.y + astuple(out.act) == tuple(after[:17])
 
 
 @pytest.mark.parametrize("estimator", ["perfect", "complementary"])
@@ -787,7 +815,7 @@ def test_unreachable_metrics_window_fails_before_the_first_step(
 
     def counting_step(*args):
         calls.append(1)
-        return step(*args)
+        return advance(*args)
 
     monkeypatch.setattr(scenarios, "step", counting_step)
     cfg = cfg_with(scenario="hover", estimator=estimator, duration_s=duration,
