@@ -131,14 +131,14 @@ class Config:
 
         Each key's own domain is declared on its ``_KEYS`` entry, and the
         vehicle, gain and loop-rate sections check their own fields; what
-        is checked here by hand relates several fields or, for ``seed``,
-        checks a type.
+        is checked here by hand relates several fields or checks a type
+        (``physics_rate_hz``, ``waypoints`` and ``seed``).
         """
         params_problems = self.params.problems()
         problems = params_problems + self.gains.problems() + self.rates.problems()
         for key, spec in _KEYS.items():
             if spec.domain is not None:
-                problem = spec.problem(key, spec.get(self))
+                problem = spec.problem(key, self)
                 if problem is not None:
                     problems.append(problem)
         h = self.harness
@@ -146,6 +146,8 @@ class Config:
             problems.append(f"physics_rate_hz: must be a real number, got {h.physics_rate_hz!r}")
         elif h.physics_rate_hz <= 0:
             problems.append(f"physics_rate_hz: must be > 0, got {h.physics_rate_hz}")
+        elif not _is_integer(h.physics_rate_hz):
+            problems.append(f"physics_rate_hz: must be an integer, got {h.physics_rate_hz!r}")
         else:
             if 1.0 / h.physics_rate_hz > MAX_PHYSICS_DT + 1e-12:
                 problems.append(
@@ -165,13 +167,15 @@ class Config:
                         f"{name}: {rate:g} Hz must divide physics_rate_hz "
                         f"{h.physics_rate_hz} Hz evenly"
                     )
-        if h.waypoints.ndim != 2 or h.waypoints.shape[0] < 2 or h.waypoints.shape[1] != 3:
+        w = h.waypoints
+        if not isinstance(w, np.ndarray) or w.dtype.kind not in "iuf":
+            problems.append(f"waypoints: must be an array of real numbers, got {w!r}")
+        elif w.ndim != 2 or w.shape[0] < 2 or w.shape[1] != 3:
             problems.append("waypoints: need at least two x,y,z triples")
-        elif not np.isfinite(h.waypoints).all():
+        elif not np.isfinite(w).all():
             problems.append("waypoints: every coordinate must be finite")
         elif h.scenario == "waypoint" and all(
-            np.linalg.norm(b - a) < MIN_LEG_LENGTH_M
-            for a, b in zip(h.waypoints[:-1], h.waypoints[1:])
+            np.linalg.norm(b - a) < MIN_LEG_LENGTH_M for a, b in zip(w[:-1], w[1:])
         ):
             problems.append("waypoints: the path has no leg of nonzero length")
         if not params_problems:
@@ -220,8 +224,14 @@ class _Key:
             return value[self.index]
         return value
 
-    def problem(self, key: str, value) -> str | None:
-        """The message for ``value`` outside this key's domain, None inside it."""
+    def problem(self, key: str, cfg: Config) -> str | None:
+        """The message for this key's value in ``cfg`` outside its domain, None
+        inside it; an indexed key's vector must first be an array of 3."""
+        value = getattr(getattr(cfg, self.section), self.attr)
+        if self.index is not None:
+            if not (isinstance(value, np.ndarray) and value.shape == (3,)):
+                return f"{key}: {self.attr} must be an array of 3 numbers, got {value!r}"
+            value = value[self.index]
         domain = self.domain
         if isinstance(domain, tuple):
             return None if value in domain else f"{key}: must be one of {domain}, got {value!r}"

@@ -49,8 +49,11 @@ LOG_COLUMNS = (
 )
 
 _FLAG_COLUMNS = ("saturated", "roll_clamped")
-# Rows per block in ScenarioLog._rows_csv.  64 rows wrote star-fulllog's log
-# a few per cent faster but raised perfbench's peak RSS by 1 MB (BENCH_11.json).
+# one log row: floats round-trip exactly (``%.17g``), flags as ints
+_ROW = ",".join("%d" if name in _FLAG_COLUMNS else "%.17g" for name in LOG_COLUMNS) + "\n"
+# Rows per block in ScenarioLog._rows_csv.  A streaming helper formats the
+# rows a block at a time as the run announces them, so it lags the loop by
+# at most one block.
 _CSV_BLOCK = 32
 # rows per write in ScenarioLog.write_csv, on two processes from two chunks on
 _ROWS_PER_WRITE = 1024
@@ -274,31 +277,13 @@ class ScenarioLog:
         return "".join([",".join(LOG_COLUMNS) + "\n", *self._rows_csv(0, self._row)])
 
     def _rows_csv(self, start: int, stop: int) -> list[str]:
-        """The CSV text of rows ``start`` to ``stop``, one string per block.
-
-        Rows are converted ``_CSV_BLOCK`` at a time, and within a block
-        each distinct float is formatted once: controller outputs held
-        over several logged ticks and perfect-estimator columns repeat
-        across rows and columns.  Values are told apart by their bits, so
-        ``0.0`` and ``-0.0``, and NaNs with different payloads, keep
-        their own text.  Flags are formatted per cell with ``%d``.  A
-        row's text depends only on its own values.
-        """
-        flags = [LOG_COLUMNS.index(name) for name in _FLAG_COLUMNS]
+        """The CSV text of rows ``start`` to ``stop``, one string per
+        ``_CSV_BLOCK`` rows, each from one ``%`` of the row template repeated
+        over the block.  A row's text depends only on its own values."""
         parts = []
         for lo in range(start, stop, _CSV_BLOCK):
             block = self.data[lo : min(lo + _CSV_BLOCK, stop)]
-            bits, index = np.unique(block.view(np.int64), return_inverse=True)
-            n = len(bits)
-            values = tuple(bits.view(np.float64).tolist())
-            values += tuple(block[:, flags].ravel().tolist())
-            text = ("%.17g\n" * n + "%d\n" * (len(values) - n)) % values
-            cells = np.array(text.split("\n"), dtype=object)
-            # numpy 2 returns the inverse in the block's shape, numpy 1 flat;
-            # flag cells point past the distinct floats, at their own text
-            index = index.reshape(block.shape)
-            index[:, flags] = np.arange(n, len(values)).reshape(len(block), -1)
-            parts.append("\n".join(map(",".join, cells[index].tolist())) + "\n")
+            parts.append((_ROW * len(block)) % tuple(block.ravel().tolist()))
         return parts
 
     def write_csv(self, path, helper: _forked.Child | None = None) -> None:

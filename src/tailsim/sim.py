@@ -458,7 +458,7 @@ class ComplementaryEstimator:
         pos_alpha: per-fix fraction of the position innovation applied.
         vel_beta: per-fix velocity correction, units of innovation / s
             after division by the pose period.
-        cutoff_hz: IMU low-pass cutoff frequency, Hz.
+        cutoff_hz: IMU low-pass cutoff frequency, Hz, checked by :class:`LowPass`.
     """
 
     def __init__(
@@ -472,8 +472,6 @@ class ComplementaryEstimator:
     ):
         if not 0.0 < attitude_blend <= 1.0 or not 0.0 < pos_alpha <= 1.0:
             raise DomainError("blend fractions must lie in (0, 1]")
-        if not 0.0 < cutoff_hz < math.inf:
-            raise DomainError("cutoff frequency must be finite and positive")
         self.q = _floats(initial.q)
         self.p = _floats(initial.p)
         self.v = _floats(initial.v)

@@ -47,10 +47,9 @@ CSV_HEADER = "omega_rad_s, delta_rad, fx, fy, fz, mx, my, mz"
 # measurement channel supplying each coefficient's residual diagnostics
 _CHANNEL_OF = {"k_t": "fz", "k_d": "fz", "k_l": "fx", "k_p": "my", "k_m": "mz"}
 
-# one CSV row: the sweep coordinates omega and delta arrive as text, each
-# distinct value of a chunk formatted once, and the six measured channels
-# as floats; rows are formatted and written this many at a time
-_ROW = "%s, %s, " + ", ".join(["%.17g"] * 6) + "\n"
+# one CSV row, every value round-tripping exactly; rows are formatted and
+# written this many at a time
+_ROW = ", ".join(["%.17g"] * 8) + "\n"
 _ROWS_PER_WRITE = 4096
 # a file from two chunks of rows on is written, and one from two chunks of
 # 128-byte rows on (a sysid-bench row is 133 bytes) is read, by two processes;
@@ -300,25 +299,12 @@ def generate_synthetic(
     return BenchRecords(omega, delta, wrench[:, :3], wrench[:, 3:])
 
 
-def _rows(records: BenchRecords, lo: int, hi: int):
-    """An iterator over the CSV rows ``lo`` to ``hi`` of ``records``.
-
-    Each distinct sweep coordinate (omega or delta) among them is formatted
-    once: a grid sweep repeats a few hundred values over tens of thousands
-    of cells.  Values are told apart by their bits, so ``0.0`` and ``-0.0``
-    keep their own text.  The six measured channels are formatted per cell.
-    A row's text depends only on its own values.
-    """
-    coords = np.column_stack((records.omega[lo:hi], records.delta[lo:hi]))
-    bits, index = np.unique(coords.view(np.int64), return_inverse=True)
-    text = ("%.17g\n" * len(bits)) % tuple(bits.view(np.float64).tolist())
-    # numpy 2 returns the inverse in the keys' shape, numpy 1 flat
-    cells = np.array(text.split("\n"), dtype=object)[index.reshape(-1, 2)]
-    return map(_ROW.__mod__, zip(
-        *cells.T.tolist(),
-        *records.force[lo:hi].T.tolist(),
-        *records.torque[lo:hi].T.tolist(),
-    ))
+def _rows(records: BenchRecords, lo: int, hi: int) -> list[str]:
+    """The CSV text of rows ``lo`` to ``hi`` of ``records``, as one string
+    from one ``%`` of the row template repeated over them."""
+    table = np.column_stack((records.omega[lo:hi], records.delta[lo:hi],
+                             records.force[lo:hi], records.torque[lo:hi]))
+    return [(_ROW * len(table)) % tuple(table.ravel().tolist())]
 
 
 def write_records_csv(path, records: BenchRecords) -> None:

@@ -380,6 +380,30 @@ def test_a_keyed_field_set_later_to_a_non_number_is_a_line_naming_its_key(sectio
     assert excinfo.value.problems == [f"{key}: must be a real number, got 'x'"]
 
 
+@pytest.mark.parametrize("attr, value, line", [
+    ("waypoints", "x", "waypoints: must be an array of real numbers, got 'x'"),
+    ("hover_pos", 5.0, "hover_x: hover_pos must be an array of 3 numbers, got 5.0"),
+    ("start_offset", [1.0],
+     "start_offset_y: start_offset must be an array of 3 numbers, got [1.0]"),
+    ("circle_center", None, "circle_z: circle_center must be an array of 3 numbers, got None"),
+], ids=["waypoints", "hover_pos", "start_offset", "circle_center"])
+def test_a_vector_field_set_later_to_a_non_array_is_a_line_naming_its_key(attr, value, line):
+    # reading the field as an array used to raise out of scenario_problems
+    cfg = Config()
+    setattr(cfg.harness, attr, value)
+    assert line in cfg.scenario_problems()
+    with pytest.raises(ConfigError) as excinfo:
+        run_scenario(cfg)
+    assert line in excinfo.value.problems
+
+
+def test_a_fractional_physics_rate_set_later_is_named_once():
+    # the divisibility of the other rates by it is not checked
+    cfg = Config()
+    cfg.harness.physics_rate_hz = 2000.5
+    assert cfg.scenario_problems() == ["physics_rate_hz: must be an integer, got 2000.5"]
+
+
 def test_run_rejects_a_position_rate_set_later_that_does_not_divide_the_rate_loop():
     cfg = Config()
     cfg.rates.position_rate = 3.0
