@@ -112,14 +112,18 @@ class Config:
     harness: HarnessSettings = field(default_factory=HarnessSettings)
 
     def to_text(self) -> str:
-        """Serialize every canonical key (a full, round-trippable file)."""
+        """Serialize every canonical key (a full, round-trippable file).
+
+        Raises ConfigError, with the line :meth:`scenario_problems` gives,
+        when an indexed key's vector is not an array of 3 numbers.
+        """
         lines = ["# tailsim configuration (all keys)"]
         section = None
         for key, spec in _KEYS.items():
             if spec.section != section:
                 section = spec.section
                 lines.append(f"\n# --- {section} ---")
-            lines.append(f"{key} = {_format_value(spec.get(self))}")
+            lines.append(f"{key} = {_format_value(spec.get(key, self))}")
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> None:
@@ -218,20 +222,23 @@ class _Key:
         self.index = index
         self.domain = domain
 
-    def get(self, cfg: Config):
+    def get(self, key: str, cfg: Config):
+        """The value of ``key`` in ``cfg``; ConfigError when it is indexed and its
+        vector is not an array of 3."""
         value = getattr(getattr(cfg, self.section), self.attr)
-        if self.index is not None:
-            return value[self.index]
-        return value
+        if self.index is None:
+            return value
+        if not (isinstance(value, np.ndarray) and value.shape == (3,)):
+            raise ConfigError([f"{key}: {self.attr} must be an array of 3 numbers, got {value!r}"])
+        return value[self.index]
 
     def problem(self, key: str, cfg: Config) -> str | None:
         """The message for this key's value in ``cfg`` outside its domain, None
         inside it; an indexed key's vector must first be an array of 3."""
-        value = getattr(getattr(cfg, self.section), self.attr)
-        if self.index is not None:
-            if not (isinstance(value, np.ndarray) and value.shape == (3,)):
-                return f"{key}: {self.attr} must be an array of 3 numbers, got {value!r}"
-            value = value[self.index]
+        try:
+            value = self.get(key, cfg)
+        except ConfigError as exc:
+            return exc.problems[0]
         domain = self.domain
         if isinstance(domain, tuple):
             return None if value in domain else f"{key}: must be one of {domain}, got {value!r}"

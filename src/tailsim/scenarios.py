@@ -28,10 +28,11 @@ from .control import CascadeController, Setpoint, StateEstimate
 from .errors import ConfigError, DomainError, MetricsWindowError, SimulationDivergedError
 from .model import ActuatorState, total_wrench
 from .rotations import quat_to_matrix_f, wrap_angle
-from .sim import ComplementaryEstimator, VehicleState, advance, plant, sense
+from .sim import ComplementaryEstimator, VehicleState, plant, rk4, sense
 
-# the per-step call; perfbench's tracer wraps this binding as the ``sim.step`` span
-step = advance
+# the per-step call, compiled or Python (see tailsim.sim.KERNEL); perfbench's
+# tracer wraps this binding as the ``sim.step`` span
+step = rk4
 
 LOG_COLUMNS = (
     "t",
@@ -484,11 +485,12 @@ def run_scenario(config: Config, out_log=None) -> tuple[ScenarioLog, Metrics]:
     when that is given.
 
     Physics advances at the configured rate by one kernel,
-    :func:`tailsim.sim.advance`, on the state and actuator floats the loop
-    carries, with the constants of :func:`tailsim.sim.plant` built once
-    per call.  The controller cascade is ticked at the rate-loop frequency
-    (the outer stages fire on every n-th tick; each tick's command is read
-    as four floats); with the complementary estimator, IMU samples (and
+    :data:`tailsim.sim.rk4` (the compiled twin of :func:`tailsim.sim.advance`
+    when it loaded), on the state and actuator floats the loop carries,
+    with the constants of :func:`tailsim.sim.plant` built once per call.
+    The controller cascade is ticked at the rate-loop frequency (the outer
+    stages fire on every n-th tick; each tick's command is read as four
+    floats); with the complementary estimator, IMU samples (and
     pose fixes at the pose rate) are fused as they arrive.  The log
     captures the state at each logging tick before it is stepped.
 

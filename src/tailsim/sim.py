@@ -28,6 +28,14 @@ run builds its constants once (:func:`plant`) and carries the state and
 actuator floats through one kernel, :func:`advance`, which builds no
 array or list (the four stage derivatives are combined by 13 written-out
 updates); :func:`step` is the single-step API on a :class:`VehicleState`.
+:func:`advance` also exists compiled: on import this module builds (once
+per user, into a cache) and loads ``_rk4.c``, a line-by-line C
+transcription of :func:`advance` and its two helpers whose results have
+the same bits, and :data:`rk4` is that kernel, or :func:`advance` itself
+when it could not be built (:data:`KERNEL` says which, and why).  So the
+vehicle's physics is written twice, once in Python (the definition, the
+fallback and the test oracle) and once in C (the speed: 0.5-1 us per
+step against 12-19 us); :func:`plant` stays in Python only.
 :func:`sense` (which takes the body force as three floats) and the
 estimator work through :mod:`tailsim.rotations`.  The operations and
 their order are those of the elementwise array code, so the results are
@@ -42,6 +50,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
+from . import _build
 from .control import StateEstimate
 from .errors import DomainError, SimulationDivergedError
 from .model import ActuatorState, VehicleParams, actuator_wrench
@@ -302,16 +311,25 @@ def advance(c: tuple, y0: tuple, act: tuple, c_wl: float, c_wr: float, c_dl: flo
     )
 
 
+_compiled, KERNEL = _build.load()
+#: The RK4 step that :func:`step` and the run loop call: ``_rk4.advance``, the
+#: compiled twin of :func:`advance` (positional arguments only), or
+#: :func:`advance` when that did not load.  Chosen once, at import.
+rk4 = advance if _compiled is None else _compiled.advance
+del _compiled
+
+
 def step(state: VehicleState, command, dt: float, params: VehicleParams,
          disturbance: DisturbanceSpec | None = None) -> VehicleState:
     """The state one :func:`advance` of ``dt`` after ``state``: the single-step API.
 
     ``command`` is any object with the four actuator fields, held over the
     step.  Raises what :func:`plant` (a step size outside
-    ``0 < dt <= 2e-3``) and :func:`advance` (a divergence) raise.
+    ``0 < dt <= 2e-3``) and :func:`advance` (a divergence) raise.  The step
+    is taken by :data:`rk4`.
     """
     a = state.act
-    y, act = advance(
+    y, act = rk4(
         plant(dt, params, disturbance), state.y,
         (a.omega_left, a.omega_right, a.delta_left, a.delta_right),
         command.omega_left, command.omega_right, command.delta_left, command.delta_right,

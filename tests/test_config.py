@@ -397,6 +397,22 @@ def test_a_vector_field_set_later_to_a_non_array_is_a_line_naming_its_key(attr, 
     assert line in excinfo.value.problems
 
 
+@pytest.mark.parametrize("attr, value, line", [
+    ("hover_pos", 5.0, "hover_x: hover_pos must be an array of 3 numbers, got 5.0"),
+    ("start_offset", [1.0],
+     "start_offset_x: start_offset must be an array of 3 numbers, got [1.0]"),
+    ("circle_center", None, "circle_x: circle_center must be an array of 3 numbers, got None"),
+], ids=["hover_pos", "start_offset", "circle_center"])
+def test_to_text_of_a_vector_field_set_later_to_a_non_array_is_a_config_error(attr, value, line):
+    # indexing the field used to raise TypeError out of to_text
+    cfg = Config()
+    setattr(cfg.harness, attr, value)
+    with pytest.raises(ConfigError) as excinfo:
+        cfg.to_text()
+    assert excinfo.value.problems == [line]
+    assert line in cfg.scenario_problems()
+
+
 def test_a_fractional_physics_rate_set_later_is_named_once():
     # the divisibility of the other rates by it is not checked
     cfg = Config()
@@ -510,7 +526,7 @@ def test_every_value_outside_a_declared_domain_names_its_key(values):
         set_directly(cfg, key, value)
     problems = cfg.scenario_problems()
     for key in values:
-        stored = _KEYS[key].get(cfg)
+        stored = _KEYS[key].get(key, cfg)
         if not in_domain(_KEYS[key].domain, stored):
             assert any(p.startswith(f"{key}:") for p in problems), (key, stored, problems)
 
@@ -529,6 +545,6 @@ def test_any_key_outside_its_declared_domain_names_itself(value):
     for key in DOMAIN_KEYS:
         cfg = Config()
         set_directly(cfg, key, value)
-        stored = _KEYS[key].get(cfg)
+        stored = _KEYS[key].get(key, cfg)
         if not in_domain(_KEYS[key].domain, stored):
             assert any(p.startswith(f"{key}:") for p in cfg.scenario_problems()), key

@@ -18,8 +18,11 @@ format and the least-squares fit.  The fit goes through LAPACK, so the
 fit-file digest holds only on the OpenBLAS kernel it was measured on
 (SkylakeX).
 
-A deliberate change to the closed loop re-pins the digests; the reason
-and each old and new digest are recorded in CHANGES.md.
+The digests are pinned per Python and numpy version.  They are the same
+under both RK4 kernels, the compiled ``_rk4.c`` and the Python
+``sim.advance``: each run-log and metrics test has a twin on the Python
+kernel.  A deliberate change to the closed loop re-pins the digests; the
+reason and each old and new digest are recorded in CHANGES.md.
 """
 
 import hashlib
@@ -80,6 +83,18 @@ def test_metrics_json_matches_golden(scenario, estimator):
     _, metrics = _run(scenario, estimator, "12")
     digest = hashlib.sha256(metrics.to_json().encode()).hexdigest()
     assert digest == METRICS_GOLDEN[(scenario, estimator)]
+
+
+# the tests above run on the RK4 kernel that import loaded (the compiled one
+# where it builds); these run them on the Python fallback
+@pytest.mark.parametrize("scenario,estimator", sorted(GOLDEN))
+def test_log_digest_matches_golden_on_the_python_kernel(python_kernel, scenario, estimator):
+    test_log_digest_matches_golden(scenario, estimator)
+
+
+@pytest.mark.parametrize("scenario,estimator", sorted(METRICS_GOLDEN))
+def test_metrics_json_matches_golden_on_the_python_kernel(python_kernel, scenario, estimator):
+    test_metrics_json_matches_golden(scenario, estimator)
 
 
 def _numpy_uses_openblas() -> bool:

@@ -882,6 +882,10 @@ def test_divergence_is_reported_with_timestamp():
     assert "at t = " in str(excinfo.value)
 
 
+def test_divergence_is_reported_with_timestamp_on_the_python_kernel(python_kernel):
+    test_divergence_is_reported_with_timestamp()
+
+
 def test_start_offset_realises_a_step_response():
     log, m = run_scenario(quiet_hover(start_offset_z=-0.3))
     z_err = log.column("ref_pz") - log.column("pz")

@@ -125,6 +125,10 @@ def test_convergence_order_is_fourth():
     assert order >= 3.8
 
 
+def test_convergence_order_is_fourth_on_the_python_kernel(python_kernel):
+    test_convergence_order_is_fourth()
+
+
 def test_quaternion_stays_unit_norm():
     st = VehicleState(
         p=np.zeros(3),
