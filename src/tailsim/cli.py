@@ -108,7 +108,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if overrides:
         cfg = config_mod.apply_overrides(cfg, overrides)
 
-    _, metrics = scenarios.run_scenario(cfg, out_log=args.out_log or None)
+    log, metrics = scenarios.run_scenario(cfg)
+    if args.out_log:
+        log.write_csv(args.out_log)
     if args.out_metrics:
         metrics.write_json(args.out_metrics)
     for key, value in metrics.to_dict().items():

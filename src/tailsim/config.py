@@ -44,12 +44,20 @@ MAX_HOVER_SPEED_FRACTION = 0.9
 # first step: 1e6 points would take seconds and 1e308 would never finish.
 MAX_STAR_POINTS = 1000
 
+# A position coordinate (a hover point, circle or star centre, start offset or
+# waypoint) may lie at most this far from 0.  Its ulp there is 1.2e-10 m, so a
+# 0.5 ms step at 1 mm/s still moves it; at 1e308 no step does, and the state
+# stays frozen while the metrics overflow.
+MAX_POSITION_M = 1e6
+
 # The float domains a key may declare, each named by its message text.
 FINITE, NONNEGATIVE, POSITIVE = "finite", "finite and >= 0", "finite and > 0"
+POSITION = f"finite and at most {MAX_POSITION_M:g} m from 0"
 _IN_DOMAIN = {
     FINITE: lambda v: -math.inf < v < math.inf,
     NONNEGATIVE: lambda v: 0 <= v < math.inf,
     POSITIVE: lambda v: 0 < v < math.inf,
+    POSITION: lambda v: abs(v) <= MAX_POSITION_M,
 }
 
 _DEFAULT_WAYPOINTS = (
@@ -115,7 +123,8 @@ class Config:
         """Serialize every canonical key (a full, round-trippable file).
 
         Raises ConfigError, with the line :meth:`scenario_problems` gives,
-        when an indexed key's vector is not an array of 3 numbers.
+        when an indexed key's vector is not an array of 3 numbers or
+        ``waypoints`` is not an array of two or more triples of numbers.
         """
         lines = ["# tailsim configuration (all keys)"]
         section = None
@@ -171,17 +180,17 @@ class Config:
                         f"{name}: {rate:g} Hz must divide physics_rate_hz "
                         f"{h.physics_rate_hz} Hz evenly"
                     )
-        w = h.waypoints
-        if not isinstance(w, np.ndarray) or w.dtype.kind not in "iuf":
-            problems.append(f"waypoints: must be an array of real numbers, got {w!r}")
-        elif w.ndim != 2 or w.shape[0] < 2 or w.shape[1] != 3:
-            problems.append("waypoints: need at least two x,y,z triples")
-        elif not np.isfinite(w).all():
-            problems.append("waypoints: every coordinate must be finite")
-        elif h.scenario == "waypoint" and all(
-            np.linalg.norm(b - a) < MIN_LEG_LENGTH_M for a, b in zip(w[:-1], w[1:])
-        ):
-            problems.append("waypoints: the path has no leg of nonzero length")
+        try:
+            w = _KEYS["waypoints"].get("waypoints", self)
+        except ConfigError as exc:
+            problems += exc.problems
+        else:
+            if not _IN_DOMAIN[POSITION](w).all():
+                problems.append(f"waypoints: every coordinate must be {POSITION}")
+            elif h.scenario == "waypoint" and all(
+                np.linalg.norm(b - a) < MIN_LEG_LENGTH_M for a, b in zip(w[:-1], w[1:])
+            ):
+                problems.append("waypoints: the path has no leg of nonzero length")
         if not params_problems:
             hover_speed = self.params.hover_rotor_speed()
             if hover_speed > MAX_HOVER_SPEED_FRACTION * self.params.omega_max:
@@ -206,10 +215,11 @@ class _Key:
     """One canonical configuration key bound to a config attribute.
 
     ``domain`` declares the key's own rule, checked by
-    :meth:`Config.scenario_problems`: ``FINITE``, ``NONNEGATIVE`` or
-    ``POSITIVE`` for a real number, a tuple of the allowed strings, or a
-    range for an integer within it (a non-number is named first, then the
-    lower bound is checked, then the type, then the upper bound).
+    :meth:`Config.scenario_problems`: ``FINITE``, ``NONNEGATIVE``,
+    ``POSITIVE`` or ``POSITION`` for a real number, a tuple of the allowed
+    strings, or a range for an integer within it (a non-number is named
+    first, then the lower bound is checked, then the type, then the upper
+    bound).
     None leaves the value to its section's own checks or to the rules
     that relate several keys.
     """
@@ -224,8 +234,14 @@ class _Key:
 
     def get(self, key: str, cfg: Config):
         """The value of ``key`` in ``cfg``; ConfigError when it is indexed and its
-        vector is not an array of 3."""
+        vector is not an array of 3, or it is a ``vec3list`` and not an array of
+        two or more triples of real numbers."""
         value = getattr(getattr(cfg, self.section), self.attr)
+        if self.kind == "vec3list":
+            if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
+                raise ConfigError([f"{key}: must be an array of real numbers, got {value!r}"])
+            if value.ndim != 2 or value.shape[0] < 2 or value.shape[1] != 3:
+                raise ConfigError([f"{key}: need at least two x,y,z triples"])
         if self.index is None:
             return value
         if not (isinstance(value, np.ndarray) and value.shape == (3,)):
@@ -335,24 +351,24 @@ _KEYS: dict[str, _Key] = {
     "imu_cutoff_hz": _Key("harness", "imu_cutoff_hz", domain=POSITIVE),
     "estimator": _Key("harness", "estimator", kind="str", domain=ESTIMATOR_KINDS),
     "transient_window_s": _Key("harness", "transient_window_s", domain=NONNEGATIVE),
-    "start_offset_x": _Key("harness", "start_offset", index=0, domain=FINITE),
-    "start_offset_y": _Key("harness", "start_offset", index=1, domain=FINITE),
-    "start_offset_z": _Key("harness", "start_offset", index=2, domain=FINITE),
-    "hover_x": _Key("harness", "hover_pos", index=0, domain=FINITE),
-    "hover_y": _Key("harness", "hover_pos", index=1, domain=FINITE),
-    "hover_z": _Key("harness", "hover_pos", index=2, domain=FINITE),
+    "start_offset_x": _Key("harness", "start_offset", index=0, domain=POSITION),
+    "start_offset_y": _Key("harness", "start_offset", index=1, domain=POSITION),
+    "start_offset_z": _Key("harness", "start_offset", index=2, domain=POSITION),
+    "hover_x": _Key("harness", "hover_pos", index=0, domain=POSITION),
+    "hover_y": _Key("harness", "hover_pos", index=1, domain=POSITION),
+    "hover_z": _Key("harness", "hover_pos", index=2, domain=POSITION),
     "waypoints": _Key("harness", "waypoints", kind="vec3list"),
     "waypoint_speed_mps": _Key("harness", "waypoint_speed_mps", domain=POSITIVE),
     "waypoint_accel_mps2": _Key("harness", "waypoint_accel_mps2", domain=POSITIVE),
     "waypoint_dwell_s": _Key("harness", "waypoint_dwell_s", domain=NONNEGATIVE),
-    "circle_x": _Key("harness", "circle_center", index=0, domain=FINITE),
-    "circle_y": _Key("harness", "circle_center", index=1, domain=FINITE),
-    "circle_z": _Key("harness", "circle_center", index=2, domain=FINITE),
+    "circle_x": _Key("harness", "circle_center", index=0, domain=POSITION),
+    "circle_y": _Key("harness", "circle_center", index=1, domain=POSITION),
+    "circle_z": _Key("harness", "circle_center", index=2, domain=POSITION),
     "circle_radius_m": _Key("harness", "circle_radius_m", domain=POSITIVE),
     "circle_speed_mps": _Key("harness", "circle_speed_mps", domain=POSITIVE),
-    "star_x": _Key("harness", "star_center", index=0, domain=FINITE),
-    "star_y": _Key("harness", "star_center", index=1, domain=FINITE),
-    "star_z": _Key("harness", "star_center", index=2, domain=FINITE),
+    "star_x": _Key("harness", "star_center", index=0, domain=POSITION),
+    "star_y": _Key("harness", "star_center", index=1, domain=POSITION),
+    "star_z": _Key("harness", "star_center", index=2, domain=POSITION),
     "star_points": _Key("harness", "star_points", kind="int",
                         domain=range(3, MAX_STAR_POINTS + 1)),
     "star_radius_m": _Key("harness", "star_radius_m", domain=POSITIVE),

@@ -52,9 +52,7 @@ LOG_COLUMNS = (
 _FLAG_COLUMNS = ("saturated", "roll_clamped")
 # one log row: floats round-trip exactly (``%.17g``), flags as ints
 _ROW = ",".join("%d" if name in _FLAG_COLUMNS else "%.17g" for name in LOG_COLUMNS) + "\n"
-# Rows per block in ScenarioLog._rows_csv.  A streaming helper formats the
-# rows a block at a time as the run announces them, so it lags the loop by
-# at most one block.
+# rows per ``%`` of the row template in ScenarioLog._rows_csv
 _CSV_BLOCK = 32
 # rows per write in ScenarioLog.write_csv, on two processes from two chunks on
 _ROWS_PER_WRITE = 1024
@@ -246,15 +244,8 @@ def reference(t: float, scenario: Scenario) -> Setpoint:
 class ScenarioLog:
     """Fixed-rate log of one scenario run (one row per logging tick)."""
 
-    def __init__(self, n_rows: int, shared: bool = False):
-        """``shared`` puts the rows in shared memory (:func:`_forked.shared_buffer`),
-        where a helper forked after this reads them."""
-        shape = (n_rows, len(LOG_COLUMNS))
-        if shared:
-            buffer = _forked.shared_buffer(8 * n_rows * len(LOG_COLUMNS))
-            self.data = np.frombuffer(buffer, dtype=np.float64).reshape(shape)
-        else:
-            self.data = np.zeros(shape)
+    def __init__(self, n_rows: int):
+        self.data = np.zeros((n_rows, len(LOG_COLUMNS)))
         self._row = 0
 
     def append(self, row: list[float]) -> None:
@@ -287,24 +278,11 @@ class ScenarioLog:
             parts.append((_ROW * len(block)) % tuple(block.ravel().tolist()))
         return parts
 
-    def write_csv(self, path, helper: _forked.Child | None = None) -> None:
+    def write_csv(self, path) -> None:
         """Write :meth:`to_csv`'s text to ``path``, ``_ROWS_PER_WRITE`` rows at
-        a time, on two processes from two chunks on (:func:`_forked.write_csv`).
-        ``helper`` is a helper already formatting every row (:meth:`_stream_csv`),
-        as :func:`run_scenario` forks when it is given the log's destination."""
+        a time, on two processes from two chunks on (:func:`_forked.write_csv`)."""
         header = ",".join(LOG_COLUMNS) + "\n"
-        _forked.write_csv(path, header, self._rows_csv, self._row, _ROWS_PER_WRITE, helper)
-
-    def _stream_csv(self, out, feed) -> None:
-        """A streaming helper's work: format the rows of a shared log as their
-        counts arrive on ``feed`` (8 bytes each, see :meth:`_forked.Child.send`),
-        then send all of their text to ``out`` once ``feed`` ends."""
-        parts, done = [], 0
-        while len(message := feed.read(8)) == 8:
-            stop = int.from_bytes(message, "little")
-            parts += [text.encode() for text in self._rows_csv(done, stop)]
-            done = stop
-        out.writelines(parts)
+        _forked.write_csv(path, header, self._rows_csv, self._row, _ROWS_PER_WRITE)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +458,8 @@ def initial_state(config: Config, scenario: Scenario) -> VehicleState:
     )
 
 
-def run_scenario(config: Config, out_log=None) -> tuple[ScenarioLog, Metrics]:
-    """Execute one closed-loop scenario, and write its log CSV to ``out_log``
-    when that is given.
+def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
+    """Execute one closed-loop scenario; return its log and metrics.
 
     Physics advances at the configured rate by one kernel,
     :data:`tailsim.sim.rk4` (the compiled twin of :func:`tailsim.sim.advance`
@@ -497,15 +474,6 @@ def run_scenario(config: Config, out_log=None) -> tuple[ScenarioLog, Metrics]:
     Only the complementary estimator's sensing draws noise, so only then
     is the random generator seeded (and ``numpy.random`` imported): a
     perfect-estimator run loads no random generator.
-
-    With ``out_log`` and at least two ``_ROWS_PER_WRITE`` chunks of rows,
-    when :func:`_forked.can_fork`, the log lives in shared memory and a
-    helper forked before the loop formats it while the loop runs: each
-    complete ``_CSV_BLOCK`` of rows is announced to it, never waiting on
-    it, and the metrics are computed while it finishes.  Its text then
-    follows the header; if it fails, the rows are formatted here.  Otherwise
-    the log is written by :meth:`ScenarioLog.write_csv` after the metrics.
-    A run that raises writes no file, and no helper outlives the call.
 
     Raises:
         SimulationDivergedError: with the failure timestamp attached.
@@ -552,69 +520,53 @@ def run_scenario(config: Config, out_log=None) -> tuple[ScenarioLog, Metrics]:
     setpoint = reference(0.0, scenario)
     static_reference = scenario.kind == "hover"   # setpoint is time-invariant
 
-    helper = None
-    if out_log is not None and n_rows >= 2 * _ROWS_PER_WRITE and _forked.can_fork():
-        log = ScenarioLog(n_rows, shared=True)
-        helper = _forked.fork(log._stream_csv, feed=True)
-    else:
-        log = ScenarioLog(n_rows)
-    try:
-        # every loop ticks at k = 0, so estimate and c_wl ... c_dr are set before use
-        for k in range(n_steps):
-            t = k * dt
+    log = ScenarioLog(n_rows)
+    # every loop ticks at k = 0, so estimate and c_wl ... c_dr are set before use
+    for k in range(n_steps):
+        t = k * dt
 
-            if complementary and k % imu_every == 0:
-                # the accelerometer reads force only, so the torque offset is left out
-                r00, r01, r02, r10, r11, r12, r20, r21, r22 = quat_to_matrix_f(y[6:10])
-                R_wb = ((r00, r10, r20), (r01, r11, r21), (r02, r12, r22))  # the transpose
-                fx, fy, fz, _, _, _ = total_wrench(ActuatorState(*act), R_wb, params)
-                state.y = y   # sense reads the state's y only
-                force = (
-                    fx + (r00 * ox + r10 * oy + r20 * oz),
-                    fy + (r01 * ox + r11 * oy + r21 * oz),
-                    fz + (r02 * ox + r12 * oy + r22 * oz),
-                )
-                sample = sense(
-                    state, force, params, disturbance, rng,
-                    t=t, with_pose=(k % pose_every == 0),
-                )
-                estimator.update(sample, imu_dt)
-                estimate = estimator.estimate()
+        if complementary and k % imu_every == 0:
+            # the accelerometer reads force only, so the torque offset is left out
+            r00, r01, r02, r10, r11, r12, r20, r21, r22 = quat_to_matrix_f(y[6:10])
+            R_wb = ((r00, r10, r20), (r01, r11, r21), (r02, r12, r22))  # the transpose
+            fx, fy, fz, _, _, _ = total_wrench(ActuatorState(*act), R_wb, params)
+            state.y = y   # sense reads the state's y only
+            force = (
+                fx + (r00 * ox + r10 * oy + r20 * oz),
+                fy + (r01 * ox + r11 * oy + r21 * oz),
+                fz + (r02 * ox + r12 * oy + r22 * oz),
+            )
+            sample = sense(
+                state, force, params, disturbance, rng,
+                t=t, with_pose=(k % pose_every == 0),
+            )
+            estimator.update(sample, imu_dt)
+            estimate = estimator.estimate()
 
-            if k % ctrl_every == 0:
-                if not complementary:
-                    estimate = StateEstimate(y[0:3], y[3:6], y[6:10], y[10:13])
-                if not static_reference:
-                    setpoint = reference(t, scenario)
-                command = controller.update(estimate, setpoint)
-                c_wl, c_wr = command.omega_left, command.omega_right
-                c_dl, c_dr = command.delta_left, command.delta_right
+        if k % ctrl_every == 0:
+            if not complementary:
+                estimate = StateEstimate(y[0:3], y[3:6], y[6:10], y[10:13])
+            if not static_reference:
+                setpoint = reference(t, scenario)
+            command = controller.update(estimate, setpoint)
+            c_wl, c_wr = command.omega_left, command.omega_right
+            c_dl, c_dr = command.delta_left, command.delta_right
 
-            if k % log_every == 0 and len(log) < n_rows:
-                log.append([
-                    t,
-                    *setpoint.p_des, *setpoint.v_des, setpoint.psi_des,
-                    *y,
-                    *estimate.p, *estimate.v, *estimate.q, *estimate.omega,
-                    *controller.f_des, *controller.omega_des, *controller.m_des,
-                    c_wl, c_wr, c_dl, c_dr,
-                    *act,
-                    float(controller.saturated), float(controller.roll_clamped),
-                ])
-                if helper is not None and len(log) % _CSV_BLOCK == 0:
-                    helper.send(len(log))
+        if k % log_every == 0 and len(log) < n_rows:
+            log.append([
+                t,
+                *setpoint.p_des, *setpoint.v_des, setpoint.psi_des,
+                *y,
+                *estimate.p, *estimate.v, *estimate.q, *estimate.omega,
+                *controller.f_des, *controller.omega_des, *controller.m_des,
+                c_wl, c_wr, c_dl, c_dr,
+                *act,
+                float(controller.saturated), float(controller.roll_clamped),
+            ])
 
-            try:
-                y, act = step(consts, y, act, c_wl, c_wr, c_dl, c_dr)
-            except SimulationDivergedError as exc:
-                raise SimulationDivergedError(f"{exc} at t = {t + dt:.6f} s") from None
+        try:
+            y, act = step(consts, y, act, c_wl, c_wr, c_dl, c_dr)
+        except SimulationDivergedError as exc:
+            raise SimulationDivergedError(f"{exc} at t = {t + dt:.6f} s") from None
 
-        if helper is not None:
-            helper.end_feed(len(log))
-        result = metrics(log, h.transient_window_s)
-        if out_log is not None:
-            log.write_csv(out_log, helper)
-    finally:
-        if helper is not None:
-            helper.join(kill=True)
-    return log, result
+    return log, metrics(log, h.transient_window_s)

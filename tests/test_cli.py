@@ -1,14 +1,21 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
+import oracles
+from forks import assert_no_child_left, use_cpus
+from tailsim import scenarios
 from tailsim.cli import main
-from tailsim.config import Config
+from tailsim.config import Config, load_config
+from tailsim.errors import SimulationDivergedError
 from tailsim.model import VehicleParams
-from tailsim.scenarios import LOG_COLUMNS
+from tailsim.scenarios import LOG_COLUMNS, run_scenario
+from tailsim.sim import advance
 from tailsim.sysid import ALL_CONSTANTS
 
 QUIET_HOVER = """\
@@ -73,6 +80,92 @@ def test_run_logs_are_reproducible(tmp_path):
           "--estimator", "complementary", "--seed", "8",
           "--out-log", str(other_seed)])
     assert other_seed.read_bytes() != paths[0].read_bytes()
+
+
+# ``tailsim run --out-log`` writes the log after the run, through
+# ScenarioLog.write_csv: from two chunks of _ROWS_PER_WRITE rows on, a forked
+# helper formats the second half while this process writes the first.
+SPLIT_ROWS = 2 * scenarios._ROWS_PER_WRITE
+
+
+def star_at_the_threshold(tmp_path):
+    """A config file for a star run that logs ``SPLIT_ROWS`` rows at 1 kHz,
+    and the oracle bytes of its log."""
+    path = tmp_path / "star.cfg"
+    path.write_text("scenario = star\nlogging_rate_hz = 1000\ntransient_window_s = 1\n"
+                    f"duration_s = {SPLIT_ROWS / 1000}\n")
+    log, _ = run_scenario(load_config(path))
+    want = oracles.reference_to_csv(log).encode()
+    assert want.count(b"\n") == SPLIT_ROWS + 1
+    return path, want
+
+
+def run_logging_to(cfg, out) -> int:
+    return main(["run", "--config", str(cfg), "--out-log", str(out)])
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_run_writes_a_star_log_at_the_real_threshold(tmp_path, monkeypatch, cpus):
+    cfg, want = star_at_the_threshold(tmp_path)
+    forks = use_cpus(monkeypatch, cpus)
+    path = tmp_path / "log.csv"
+    assert run_logging_to(cfg, path) == 0
+    assert path.read_bytes() == want
+    assert len(forks) == (cpus == 2)
+    assert_no_child_left()
+
+
+def test_run_writes_its_log_into_a_fifo_beside_a_thread_or_without_fork(tmp_path, monkeypatch):
+    cfg, want = star_at_the_threshold(tmp_path)
+    forks = use_cpus(monkeypatch, 2)
+    path = tmp_path / "log.csv"
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert run_logging_to(cfg, path) == 0
+    finally:
+        release.set()
+        other.join()
+    assert path.read_bytes() == want
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    chunks = []
+    reader = threading.Thread(target=lambda: chunks.append(fifo.read_bytes()))
+    reader.start()
+    with monkeypatch.context() as m:
+        # the thread reading the FIFO also rules out a fork; take it out of the count
+        m.setattr(threading, "active_count", lambda: 1)
+        assert run_logging_to(cfg, fifo) == 0
+    reader.join()
+    assert chunks == [want]
+    assert forks == []
+    monkeypatch.delattr(os, "fork")
+    path.unlink()
+    assert run_logging_to(cfg, path) == 0
+    assert path.read_bytes() == want
+
+
+def test_a_run_that_raises_writes_no_log(tmp_path, monkeypatch, capsys):
+    cfg, _ = star_at_the_threshold(tmp_path)
+    forks = use_cpus(monkeypatch, 2)
+    calls = []
+
+    def diverging_step(*args):
+        calls.append(1)
+        if len(calls) > SPLIT_ROWS:  # about half way through the run
+            raise SimulationDivergedError("injected divergence")
+        return advance(*args)
+
+    monkeypatch.setattr(scenarios, "step", diverging_step)
+    path = tmp_path / "log.csv"
+    assert run_logging_to(cfg, path) == 1
+    err = capsys.readouterr().err
+    assert "error: category=simulation-diverged" in err
+    assert "injected divergence at t = " in err
+    assert not path.exists()
+    assert forks == []
+    assert_no_child_left()
 
 
 def test_run_too_short_for_metrics_window_fails_cleanly(capsys):

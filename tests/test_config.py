@@ -12,7 +12,9 @@ from tailsim.config import (
     CANONICAL_KEYS,
     FINITE,
     MAX_HOVER_SPEED_FRACTION,
+    MAX_POSITION_M,
     NONNEGATIVE,
+    POSITION,
     POSITIVE,
     Config,
     apply_overrides,
@@ -413,6 +415,56 @@ def test_to_text_of_a_vector_field_set_later_to_a_non_array_is_a_config_error(at
     assert line in cfg.scenario_problems()
 
 
+@pytest.mark.parametrize("value, line", [
+    (None, "waypoints: must be an array of real numbers, got None"),
+    ([[1, 2, 3]], "waypoints: must be an array of real numbers, got [[1, 2, 3]]"),
+    ("x", "waypoints: must be an array of real numbers, got 'x'"),
+    (5.0, "waypoints: must be an array of real numbers, got 5.0"),
+    (np.array([1.0, 2.0, 3.0]), "waypoints: need at least two x,y,z triples"),
+], ids=["None", "list", "str", "float", "one-triple"])
+def test_to_text_of_waypoints_set_later_to_a_non_array_is_a_config_error(value, line):
+    # None and the list used to raise TypeError out of to_text, while the
+    # string and the float were written out as "waypoints = x" and "= 5"
+    cfg = Config()
+    cfg.harness.waypoints = value
+    with pytest.raises(ConfigError) as excinfo:
+        cfg.to_text()
+    assert excinfo.value.problems == [line]
+    assert line in cfg.scenario_problems()
+
+
+POSITION_KEYS = tuple(key for key, spec in _KEYS.items() if spec.domain == POSITION)
+
+
+def test_every_position_key_declares_the_position_domain():
+    assert POSITION_KEYS == tuple(
+        f"{name}_{axis}" for name in ("start_offset", "hover", "circle", "star")
+        for axis in "xyz"
+    )
+
+
+@pytest.mark.parametrize("key", POSITION_KEYS)
+def test_a_position_the_float_loop_cannot_move_is_rejected(key):
+    # hover_z = 1e308 used to run with z frozen, and metrics overflowed
+    for text in ("1e308", "-1.000001e6", "inf"):
+        with pytest.raises(ConfigError) as excinfo:
+            apply_overrides(Config(), {key: text})
+        assert excinfo.value.problems == [
+            f"{key}: must be finite and at most 1e+06 m from 0, got {float(text)}"
+        ]
+    for text in ("1e6", "-1e6"):
+        apply_overrides(Config(), {key: text})
+
+
+def test_a_waypoint_coordinate_the_float_loop_cannot_move_is_rejected():
+    line = "waypoints: every coordinate must be finite and at most 1e+06 m from 0"
+    for text in ("0,0,1.5; 1e308,0,1.5", "0,0,1.5; 0,0,-1.000001e6", "0,0,nan; 1,1,1.5"):
+        with pytest.raises(ConfigError) as excinfo:
+            apply_overrides(Config(), {"waypoints": text})
+        assert excinfo.value.problems == [line]
+    apply_overrides(Config(), {"scenario": "waypoint", "waypoints": "0,0,1.5; 1e6,-1e6,1.5"})
+
+
 def test_a_fractional_physics_rate_set_later_is_named_once():
     # the divisibility of the other rates by it is not checked
     cfg = Config()
@@ -459,6 +511,8 @@ def in_domain(domain, value) -> bool:
         return value in domain
     if isinstance(domain, range):
         return type(value) is int and domain.start <= value < domain.stop
+    if domain == POSITION:
+        return -MAX_POSITION_M <= value <= MAX_POSITION_M
     lower = {FINITE: -math.inf < value, NONNEGATIVE: 0 <= value, POSITIVE: 0 < value}[domain]
     return lower and value < math.inf
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from forks import assert_no_child_left, failing_in, use_cpus
+from forks import assert_no_child_left, failing_in, record_exits, use_cpus
 from oracles import reference_read_records_csv, reference_write_records_csv, synthetic_bench_rows
 from tailsim import sysid
 from tailsim.cli import main
@@ -610,14 +610,7 @@ def test_a_failing_child_leaves_through_os_exit_and_its_half_is_redone(
     small_split(monkeypatch)
     forks = use_cpus(monkeypatch, 2)
     exits = tmp_path / "exits"
-    exits.mkdir()
-    real_exit = os._exit
-
-    def recording_exit(status):
-        (exits / str(os.getpid())).write_text(str(status))
-        real_exit(status)
-
-    monkeypatch.setattr(os, "_exit", recording_exit)
+    real_exit = record_exits(monkeypatch, exits)
     in_child = lambda pid: pid != parent  # noqa: E731
     monkeypatch.setattr(sysid, "_rows", failing_in(in_child, sysid._rows, error))
     monkeypatch.setattr(sysid, "_load_head", failing_in(in_child, sysid._load_head, error))
