@@ -517,6 +517,67 @@ def test_a_run_without_a_log_destination_maps_and_forks_nothing(monkeypatch):
     assert len(log) == SPLIT_ROWS and maps == [] and forks == []
 
 
+# Real star runs written to their destination as `tailsim run --out-log` does:
+# the run first, then write_csv.  The "streamed" names are kept from when the
+# log was written during the loop; the cases and the oracle are the same.
+STREAM_ROWS_PER_WRITE = 48  # two chunks are a whole number of blocks
+STREAM_SPLIT_ROWS = 2 * STREAM_ROWS_PER_WRITE
+
+
+def star_run_of(n_rows):
+    """A perfect-estimator star run that logs ``n_rows`` rows at 1 kHz."""
+    return cfg_with(scenario="star", logging_rate_hz=1000, duration_s=n_rows / 1000,
+                    transient_window_s=min(1, n_rows / 2000))
+
+
+def run_to(cfg, path):
+    """Run ``cfg`` and write its log to ``path``; the log's oracle text."""
+    log, _ = run_scenario(cfg)
+    log.write_csv(path)
+    return oracles.reference_to_csv(log).encode()
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+@pytest.mark.parametrize("n_rows", [STREAM_SPLIT_ROWS - 1, STREAM_SPLIT_ROWS,
+                                    STREAM_SPLIT_ROWS + 1, 5 * STREAM_SPLIT_ROWS + 7])
+def test_streamed_log_matches_oracle_across_the_threshold(tmp_path, monkeypatch, n_rows, cpus):
+    monkeypatch.setattr(scenarios, "_ROWS_PER_WRITE", STREAM_ROWS_PER_WRITE)
+    forks = use_cpus(monkeypatch, cpus)
+    path = tmp_path / "log.csv"
+    want = run_to(star_run_of(n_rows), path)
+    assert want.count(b"\n") == n_rows + 1
+    assert path.read_bytes() == want
+    assert len(forks) == (cpus == 2 and n_rows >= STREAM_SPLIT_ROWS)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt, SystemExit])
+def test_a_failing_stream_helper_leaves_through_os_exit_and_its_rows_are_redone(
+    tmp_path, monkeypatch, error
+):
+    parent = os.getpid()
+    monkeypatch.setattr(scenarios, "_ROWS_PER_WRITE", STREAM_ROWS_PER_WRITE)
+    forks = use_cpus(monkeypatch, 2)
+    exits = tmp_path / "exits"
+    real_exit = record_exits(monkeypatch, exits)
+    in_child = lambda pid: pid != parent  # noqa: E731
+    monkeypatch.setattr(ScenarioLog, "_rows_csv",
+                        failing_in(in_child, ScenarioLog._rows_csv, error))
+    path = tmp_path / "log.csv"
+    try:
+        want = run_to(star_run_of(3 * STREAM_SPLIT_ROWS), path)
+    finally:
+        if os.getpid() != parent:
+            # a child came back into the caller: leave before pytest runs on in it
+            (tmp_path / "returned").touch()
+            real_exit(0)
+    assert not (tmp_path / "returned").exists()
+    assert path.read_bytes() == want
+    assert len(forks) == 1
+    assert [p.read_text() for p in exits.iterdir()] == ["1"]
+    assert_no_child_left()
+
+
 # --------------------------------------------------------------------------
 # closed-loop harness
 # --------------------------------------------------------------------------
