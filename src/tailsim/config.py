@@ -45,19 +45,22 @@ MAX_HOVER_SPEED_FRACTION = 0.9
 MAX_STAR_POINTS = 1000
 
 # A position coordinate (a hover point, circle or star centre, start offset or
-# waypoint) may lie at most this far from 0.  Its ulp there is 1.2e-10 m, so a
-# 0.5 ms step at 1 mm/s still moves it; at 1e308 no step does, and the state
-# stays frozen while the metrics overflow.
+# waypoint) may lie at most this far from 0, and a circle or star radius may be
+# at most this long.  Its ulp there is 1.2e-10 m, so a 0.5 ms step at 1 mm/s
+# still moves it; at 1e308 no step does, and the state stays frozen while the
+# metrics overflow.
 MAX_POSITION_M = 1e6
 
 # The float domains a key may declare, each named by its message text.
 FINITE, NONNEGATIVE, POSITIVE = "finite", "finite and >= 0", "finite and > 0"
 POSITION = f"finite and at most {MAX_POSITION_M:g} m from 0"
+RADIUS = f"> 0 and at most {MAX_POSITION_M:g} m"
 _IN_DOMAIN = {
     FINITE: lambda v: -math.inf < v < math.inf,
     NONNEGATIVE: lambda v: 0 <= v < math.inf,
     POSITIVE: lambda v: 0 < v < math.inf,
     POSITION: lambda v: abs(v) <= MAX_POSITION_M,
+    RADIUS: lambda v: 0 < v <= MAX_POSITION_M,
 }
 
 _DEFAULT_WAYPOINTS = (
@@ -216,10 +219,10 @@ class _Key:
 
     ``domain`` declares the key's own rule, checked by
     :meth:`Config.scenario_problems`: ``FINITE``, ``NONNEGATIVE``,
-    ``POSITIVE`` or ``POSITION`` for a real number, a tuple of the allowed
-    strings, or a range for an integer within it (a non-number is named
-    first, then the lower bound is checked, then the type, then the upper
-    bound).
+    ``POSITIVE``, ``POSITION`` or ``RADIUS`` for a real number, a tuple of
+    the allowed strings, or a range for an integer within it (a non-number
+    is named first, then the lower bound is checked, then the type, then
+    the upper bound).
     None leaves the value to its section's own checks or to the rules
     that relate several keys.
     """
@@ -364,14 +367,14 @@ _KEYS: dict[str, _Key] = {
     "circle_x": _Key("harness", "circle_center", index=0, domain=POSITION),
     "circle_y": _Key("harness", "circle_center", index=1, domain=POSITION),
     "circle_z": _Key("harness", "circle_center", index=2, domain=POSITION),
-    "circle_radius_m": _Key("harness", "circle_radius_m", domain=POSITIVE),
+    "circle_radius_m": _Key("harness", "circle_radius_m", domain=RADIUS),
     "circle_speed_mps": _Key("harness", "circle_speed_mps", domain=POSITIVE),
     "star_x": _Key("harness", "star_center", index=0, domain=POSITION),
     "star_y": _Key("harness", "star_center", index=1, domain=POSITION),
     "star_z": _Key("harness", "star_center", index=2, domain=POSITION),
     "star_points": _Key("harness", "star_points", kind="int",
                         domain=range(3, MAX_STAR_POINTS + 1)),
-    "star_radius_m": _Key("harness", "star_radius_m", domain=POSITIVE),
+    "star_radius_m": _Key("harness", "star_radius_m", domain=RADIUS),
     "star_speed_mps": _Key("harness", "star_speed_mps", domain=POSITIVE),
     "star_accel_mps2": _Key("harness", "star_accel_mps2", domain=POSITIVE),
     "yaw_mode": _Key("harness", "yaw_mode", kind="str", domain=YAW_MODES),

@@ -22,12 +22,16 @@ lag inversion is exact as long as nothing clips; loop tuning therefore
 reduces to the time constants in :class:`ControllerGains`.  Elevon lag
 is not compensated.
 
-Every stage computes on Python floats: setpoints and estimates carry
-tuples of floats, and each control law returns its vector output as a
-tuple.  The laws also accept arrays (their entries are unpacked), and
-numpy's elementwise arithmetic is the same IEEE arithmetic, so the
-numbers do not depend on which is passed.  Finiteness and domain checks
-run on the floats.
+Every stage computes on Python floats.  :meth:`CascadeController.update`
+takes the fed-back position, velocity, attitude and body rates and the
+setpoint of :func:`tailsim.scenarios.reference` as tuples of floats and
+a heading, and returns the clamped command as four floats.  Each control
+law returns its vector output as a tuple, and :func:`clamp_command`
+returns four floats and the saturation flag; only :func:`model_inverse`
+builds an :class:`ActuatorCommand`, one per tick.  The laws also accept
+arrays (their entries are unpacked), and numpy's elementwise arithmetic
+is the same IEEE arithmetic, so the numbers do not depend on which is
+passed.  Finiteness and domain checks run on the floats.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .rotations import (
     quat_multiply,
     quat_normalize,
     quat_to_rotvec,
-    wrap_angle,
 )
 
 # Desired-force magnitudes below this cannot define a thrust direction.
@@ -123,40 +126,8 @@ class LoopRates:
 
 
 @dataclass
-class Setpoint:
-    """Trajectory sample handed to the controller.
-
-    Any 3-sequences of reals are accepted for the position and velocity;
-    each component is unpacked and converted with ``float`` and they are
-    stored as tuples of Python floats.  Finiteness is tested once, on the
-    sum of ``x - x`` over the seven components: that is 0.0 for every
-    finite ``x`` and nan otherwise, so the test cannot overflow and
-    rejects exactly the non-finite setpoints.
-    """
-
-    p_des: tuple                      # desired position, world frame, m
-    v_des: tuple                      # desired velocity, world frame, m/s
-    psi_des: float = 0.0              # desired heading, rad, wrapped to (-pi, pi]
-
-    def __post_init__(self) -> None:
-        try:
-            (px, py, pz), (vx, vy, vz) = self.p_des, self.v_des
-            px, py, pz = float(px), float(py), float(pz)
-            vx, vy, vz = float(vx), float(vy), float(vz)
-            psi = float(self.psi_des)
-        except (TypeError, ValueError):
-            raise DomainError("setpoint position/velocity must be 3-vectors of reals") from None
-        # x - x is 0.0 for every finite x and nan otherwise, and cannot overflow
-        if ((px - px) + (py - py) + (pz - pz) + (vx - vx) + (vy - vy) + (vz - vz)
-                + (psi - psi) != 0.0):
-            raise DomainError("setpoint must be finite")
-        self.p_des, self.v_des = (px, py, pz), (vx, vy, vz)
-        self.psi_des = wrap_angle(psi)
-
-
-@dataclass
 class StateEstimate:
-    """State fed back to the controller (true or estimated).
+    """A state estimate: the four fields :meth:`CascadeController.update` takes.
 
     Each field is a sequence of floats; the simulator hands out tuples.
     """
@@ -178,7 +149,8 @@ class ActuatorCommand:
 
 
 def position_control(
-    setpoint: Setpoint,
+    p_des,
+    v_des,
     p_est,
     v_est,
     gains: ControllerGains,
@@ -195,8 +167,8 @@ def position_control(
     """
     px, py, pz = p_est
     vx, vy, vz = v_est
-    rx, ry, rz = setpoint.p_des
-    ux, uy, uz = setpoint.v_des
+    rx, ry, rz = p_des
+    ux, uy, uz = v_des
     k_xy, k_z = 1.0 / gains.tau_p_xy**2, 1.0 / gains.tau_p_z**2
     d_xy = 2.0 * gains.zeta_p_xy / gains.tau_p_xy
     d_z = 2.0 * gains.zeta_p_z / gains.tau_p_z
@@ -350,37 +322,27 @@ def model_inverse(m_des, f_a: float, params: VehicleParams) -> ActuatorCommand:
     delta_right = (k_l * k_t * m_y * l * l - k_p * k_t * m_z * l + coupling) / (
         k_l * k_p * l * (m_x - lever)
     )
-    return ActuatorCommand(
-        omega_left=math.sqrt(rad_left),
-        omega_right=math.sqrt(rad_right),
-        delta_left=delta_left,
-        delta_right=delta_right,
-    )
+    return ActuatorCommand(math.sqrt(rad_left), math.sqrt(rad_right), delta_left, delta_right)
 
 
-def clamp_command(cmd: ActuatorCommand, params: VehicleParams) -> tuple[ActuatorCommand, bool]:
+def clamp_command(w_l: float, w_r: float, d_l: float, d_r: float,
+                  params: VehicleParams) -> tuple:
     """Saturate a command to actuator limits; flags whether anything clipped.
 
     Rotor speeds clip to ``[0, omega_max]`` and deflections to
     ``[-delta_max, delta_max]`` with chained comparisons, as :func:`step`
     does; a nan or a -0.0 passes through unchanged, as it would through
-    ``min(max(x, lo), hi)``.  ``saturated`` is true when any clipped field
-    differs from its input (a nan field counts as clipped).
+    ``min(max(x, lo), hi)``.  Returns the four clipped floats and
+    ``saturated``, true when any of them differs from its input (a nan
+    counts as clipped).
     """
     w_max, d_max = params.omega_max, params.delta_max
-    w_l, w_r, d_l, d_r = cmd.omega_left, cmd.omega_right, cmd.delta_left, cmd.delta_right
-    w_l = 0.0 if w_l < 0.0 else w_max if w_l > w_max else w_l
-    w_r = 0.0 if w_r < 0.0 else w_max if w_r > w_max else w_r
-    d_l = -d_max if d_l < -d_max else d_max if d_l > d_max else d_l
-    d_r = -d_max if d_r < -d_max else d_max if d_r > d_max else d_r
-    clamped = ActuatorCommand(w_l, w_r, d_l, d_r)
-    saturated = (
-        w_l != cmd.omega_left
-        or w_r != cmd.omega_right
-        or d_l != cmd.delta_left
-        or d_r != cmd.delta_right
-    )
-    return clamped, saturated
+    c_wl = 0.0 if w_l < 0.0 else w_max if w_l > w_max else w_l
+    c_wr = 0.0 if w_r < 0.0 else w_max if w_r > w_max else w_r
+    c_dl = -d_max if d_l < -d_max else d_max if d_l > d_max else d_l
+    c_dr = -d_max if d_r < -d_max else d_max if d_r > d_max else d_r
+    saturated = c_wl != w_l or c_wr != w_r or c_dl != d_l or c_dr != d_r
+    return c_wl, c_wr, c_dl, c_dr, saturated
 
 
 @dataclass
@@ -419,6 +381,7 @@ class CascadeController:
         self._lag = lag
         self._lead = 1.0 / (1.0 - lag)
         self._settle = 1.0 - lag
+        self._rate = self.rates.rate_rate
         self.reset()
 
     def reset(self) -> None:
@@ -429,59 +392,60 @@ class CascadeController:
         self.f_des = (0.0, 0.0, self.params.m * self.params.g_mag)
         self.q_des, self.f_a = attitude_setpoint(self.f_des, 0.0, self.params)
         self.omega_des = self.m_des = self.integral = (0.0, 0.0, 0.0)
-        self.command = ActuatorCommand()
         self.saturated = False
         self.roll_clamped = False
         trim = self.params.hover_rotor_speed()
         self.omega_hat = (trim, trim)
         self._tick = 0
 
-    def update(self, estimate: StateEstimate, setpoint: Setpoint) -> ActuatorCommand:
-        """Run one rate-loop tick and return the actuator command.
+    def update(self, p, v, q, omega, p_des, v_des, psi_des: float) -> tuple:
+        """Run one rate-loop tick; return the clamped command as four floats.
 
         Args:
-            estimate: fed-back vehicle state.
-            setpoint: current trajectory sample.
+            p, v, q, omega: fed-back position, velocity, attitude quaternion
+                and body rates, each a sequence of floats.
+            p_des, v_des, psi_des: the trajectory sample, as
+                :func:`tailsim.scenarios.reference` returns it.
+
+        Returns:
+            ``(omega_left, omega_right, delta_left, delta_right)``.
         """
+        params, gains = self.params, self.gains
         tick = self._tick
         self._tick = tick + 1
         if tick % self._position_every == 0:
-            self.f_des = position_control(
-                setpoint, estimate.p, estimate.v, self.gains, self.params
-            )
+            self.f_des = position_control(p_des, v_des, p, v, gains, params)
 
         if tick % self._attitude_every == 0:
-            self.q_des, self.f_a = attitude_setpoint(
-                self.f_des, setpoint.psi_des, self.params
-            )
-            self.omega_des = attitude_control(estimate.q, self.q_des, self.gains)
+            self.q_des, self.f_a = attitude_setpoint(self.f_des, psi_des, params)
+            self.omega_des = attitude_control(q, self.q_des, gains)
 
-        m_des = rate_control(
-            estimate.omega, self.omega_des, self.integral, self.gains, self.params
-        )
-        self.roll_clamped = False
-        roll_limit = (1.0 - ROLL_CLAMP_MARGIN) * 2.0 * self.f_a * self.params.l
-        if abs(m_des[0]) > roll_limit:
-            m_des = (math.copysign(roll_limit, m_des[0]), m_des[1], m_des[2])
-            self.roll_clamped = True
-        self.m_des = m_des
-        raw = model_inverse(m_des, self.f_a, self.params)
+        omega_des = self.omega_des
+        m_x, m_y, m_z = rate_control(omega, omega_des, self.integral, gains, params)
+        f_a = self.f_a
+        roll_limit = (1.0 - ROLL_CLAMP_MARGIN) * 2.0 * f_a * params.l
+        self.roll_clamped = clamped = abs(m_x) > roll_limit
+        if clamped:
+            m_x = math.copysign(roll_limit, m_x)
+        self.m_des = m_des = (m_x, m_y, m_z)
+        raw = model_inverse(m_des, f_a, params)
         # invert the rotor lag against the rotor model, then advance the
         # model with what is actually sent
-        lag, lead, settle = self._lag, self._lead, self._settle
+        lag, lead = self._lag, self._lead
         hat_l, hat_r = self.omega_hat
-        raw.omega_left = (raw.omega_left - lag * hat_l) * lead
-        raw.omega_right = (raw.omega_right - lag * hat_r) * lead
-        self.command, self.saturated = clamp_command(raw, self.params)
-        self.omega_hat = (
-            lag * hat_l + settle * self.command.omega_left,
-            lag * hat_r + settle * self.command.omega_right,
+        w_l, w_r, d_l, d_r, saturated = clamp_command(
+            (raw.omega_left - lag * hat_l) * lead,
+            (raw.omega_right - lag * hat_r) * lead,
+            raw.delta_left, raw.delta_right, params,
         )
-        if not self.saturated:
+        self.saturated = saturated
+        settle = self._settle
+        self.omega_hat = (lag * hat_l + settle * w_l, lag * hat_r + settle * w_r)
+        if not saturated:
             # anti-windup: hold the integral while any actuator clips
-            rate = self.rates.rate_rate
+            rate = self._rate
             ix, iy, iz = self.integral
-            dx, dy, dz = self.omega_des
-            wx, wy, wz = estimate.omega
+            dx, dy, dz = omega_des
+            wx, wy, wz = omega
             self.integral = (ix + (dx - wx) / rate, iy + (dy - wy) / rate, iz + (dz - wz) / rate)
-        return self.command
+        return w_l, w_r, d_l, d_r

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _forked
 from .config import MIN_LEG_LENGTH_M, Config
-from .control import CascadeController, Setpoint, StateEstimate
+from .control import CascadeController, StateEstimate
 from .errors import ConfigError, DomainError, MetricsWindowError, SimulationDivergedError
 from .model import ActuatorState, total_wrench
 from .rotations import quat_to_matrix_f, wrap_angle
@@ -139,8 +139,11 @@ def _star_vertices(center: np.ndarray, radius: float, n_points: int) -> np.ndarr
 class Scenario:
     """A reference trajectory definition over a fixed time horizon.
 
-    ``legs`` is stored as a tuple; ``leg_starts``, their start times, is
-    computed once here, and :func:`reference` bisects it.
+    ``legs`` is stored as a tuple.  What :func:`reference` needs on every
+    call is computed once here: the legs' start times, which it bisects,
+    the held point (hover) or the circle's rate, centre, radius, speed and
+    yaw mode, and the heading of each leg (or the fixed one), wrapped to
+    (-pi, pi].
     """
 
     kind: str
@@ -153,12 +156,31 @@ class Scenario:
     circle_rate: float = 1.0          # rad/s, = speed / radius
     legs: tuple[_Leg, ...] = ()
     leg_starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _point: tuple = field(init=False, repr=False, compare=False)
+    _yaw: float = field(init=False, repr=False, compare=False)
+    _leg_yaws: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.duration_s < math.inf:
             raise DomainError(f"duration must be finite and > 0, got {self.duration_s}")
+        if not math.isfinite(self.yaw_fixed_rad):
+            raise DomainError(f"fixed yaw must be finite, got {self.yaw_fixed_rad}")
         self.legs = tuple(self.legs)
         self.leg_starts = tuple([leg.t0 for leg in self.legs])
+        # wrap_angle is idempotent, so each heading is wrapped once, here
+        self._yaw = wrap_angle(self.yaw_fixed_rad)
+        self._leg_yaws = tuple([
+            wrap_angle(_leg_yaw(leg, self.yaw_fixed_rad)) if self.yaw_mode == "tangent"
+            else self._yaw
+            for leg in self.legs
+        ])
+        if self.kind == "hover":
+            px, py, pz = self.hover_pos
+            self._point = (float(px), float(py), float(pz))
+        elif self.kind == "circle":
+            rate, r = float(self.circle_rate), float(self.circle_radius)
+            tangent = self.yaw_mode == "tangent"
+            self._point = (rate, *self.circle_center.tolist(), r, rate * r, tangent)
 
 
 def make_scenario(config: Config) -> Scenario:
@@ -198,43 +220,51 @@ def _leg_yaw(leg: _Leg, fallback: float) -> float:
     return math.atan2(leg.u[1], leg.u[0])
 
 
-def reference(t: float, scenario: Scenario) -> Setpoint:
-    """Reference setpoint at time ``t``.
+def reference(t: float, scenario: Scenario) -> tuple[tuple, tuple, float]:
+    """Reference sample at time ``t``: ``(p_des, v_des, psi_des)``.
+
+    The desired position and velocity (world frame) are 3-tuples of
+    floats, and the desired heading is a float in (-pi, pi].
 
     Raises:
-        DomainError: if ``t`` lies outside [0, duration].
+        DomainError: if ``t`` lies outside [0, duration], or the sample is
+            not finite.
     """
     if not -1e-9 <= t <= scenario.duration_s + 1e-9:
         raise DomainError(
             f"reference time {t!r} outside [0, {scenario.duration_s}]"
         )
-    yaw = scenario.yaw_fixed_rad
-    if scenario.kind == "hover":
-        return Setpoint(scenario.hover_pos, (0.0, 0.0, 0.0), yaw)
-    if scenario.kind == "circle":
-        theta = scenario.circle_rate * t
-        r = scenario.circle_radius
+    kind = scenario.kind
+    if kind == "circle":
+        rate, cx, cy, cz, r, speed, tangent = scenario._point
+        theta = rate * t
         c, s = math.cos(theta), math.sin(theta)
-        cx, cy, cz = scenario.circle_center.tolist()
-        speed = scenario.circle_rate * r
-        if scenario.yaw_mode == "tangent":
-            yaw = wrap_angle(theta + math.pi / 2.0)
-        return Setpoint((cx + r * c, cy + r * s, cz + 0.0), (-speed * s, speed * c, 0.0), yaw)
-
-    # waypoint / star: locate the active leg
-    legs = scenario.legs
-    i = max(bisect_right(scenario.leg_starts, t) - 1, 0)
-    leg = legs[i]
-    (ax, ay, az), (ux, uy, uz) = leg.p0, leg.u
-    if t >= leg.t0 + leg.duration and i == len(legs) - 1:
-        dist = leg.length
-        v = (0.0, 0.0, 0.0)
+        px, py, pz = cx + r * c, cy + r * s, cz + 0.0
+        vx, vy, vz = -speed * s, speed * c, 0.0
+        yaw = wrap_angle(theta + math.pi / 2.0) if tangent else scenario._yaw
+    elif kind == "hover":
+        px, py, pz = scenario._point
+        vx = vy = vz = 0.0
+        yaw = scenario._yaw
     else:
-        dist, speed = leg.sample(t - leg.t0)
-        v = (speed * ux, speed * uy, speed * uz)
-    if scenario.yaw_mode == "tangent":
-        yaw = _leg_yaw(leg, scenario.yaw_fixed_rad)
-    return Setpoint((ax + dist * ux, ay + dist * uy, az + dist * uz), v, yaw)
+        # waypoint / star: locate the active leg
+        legs = scenario.legs
+        i = max(bisect_right(scenario.leg_starts, t) - 1, 0)
+        leg = legs[i]
+        (ax, ay, az), (ux, uy, uz) = leg.p0, leg.u
+        if t >= leg.t0 + leg.duration and i == len(legs) - 1:
+            dist = leg.length
+            vx = vy = vz = 0.0
+        else:
+            dist, speed = leg.sample(t - leg.t0)
+            vx, vy, vz = speed * ux, speed * uy, speed * uz
+        px, py, pz = ax + dist * ux, ay + dist * uy, az + dist * uz
+        yaw = scenario._leg_yaws[i]
+    # x - x is 0.0 for every finite x and nan otherwise, and cannot overflow
+    if ((px - px) + (py - py) + (pz - pz) + (vx - vx) + (vy - vy) + (vz - vz)
+            + (yaw - yaw) != 0.0):
+        raise DomainError("setpoint must be finite")
+    return (px, py, pz), (vx, vy, vz), yaw
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +477,12 @@ def hover_attitude(yaw: float) -> np.ndarray:
 
 def initial_state(config: Config, scenario: Scenario) -> VehicleState:
     """Start on the reference (plus configured offset) with trimmed actuators."""
-    sp = reference(0.0, scenario)
+    p_des, v_des, psi_des = reference(0.0, scenario)
     omega_h = config.params.hover_rotor_speed()
     return VehicleState(
-        p=np.add(sp.p_des, config.harness.start_offset),
-        v=sp.v_des,
-        q=hover_attitude(sp.psi_des),
+        p=np.add(p_des, config.harness.start_offset),
+        v=v_des,
+        q=hover_attitude(psi_des),
         omega=np.zeros(3),
         act=ActuatorState(omega_h, omega_h, 0.0, 0.0),
     )
@@ -517,11 +547,12 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
         imu_dt = 1.0 / h.imu_rate_hz
 
     ox, oy, oz = disturbance.force_offset_world.tolist()
-    setpoint = reference(0.0, scenario)
     static_reference = scenario.kind == "hover"   # setpoint is time-invariant
+    if static_reference:
+        p_des, v_des, psi_des = reference(0.0, scenario)
 
     log = ScenarioLog(n_rows)
-    # every loop ticks at k = 0, so estimate and c_wl ... c_dr are set before use
+    # every loop ticks at k = 0, so each e_*, *_des and c_* is set before use
     for k in range(n_steps):
         t = k * dt
 
@@ -541,23 +572,21 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
                 t=t, with_pose=(k % pose_every == 0),
             )
             estimator.update(sample, imu_dt)
-            estimate = estimator.estimate()
+            e_p, e_v, e_q, e_w = estimator.p, estimator.v, estimator.q, estimator.omega
 
         if k % ctrl_every == 0:
             if not complementary:
-                estimate = StateEstimate(y[0:3], y[3:6], y[6:10], y[10:13])
+                e_p, e_v, e_q, e_w = y[0:3], y[3:6], y[6:10], y[10:13]
             if not static_reference:
-                setpoint = reference(t, scenario)
-            command = controller.update(estimate, setpoint)
-            c_wl, c_wr = command.omega_left, command.omega_right
-            c_dl, c_dr = command.delta_left, command.delta_right
+                p_des, v_des, psi_des = reference(t, scenario)
+            c_wl, c_wr, c_dl, c_dr = controller.update(e_p, e_v, e_q, e_w, p_des, v_des, psi_des)
 
         if k % log_every == 0 and len(log) < n_rows:
             log.append([
                 t,
-                *setpoint.p_des, *setpoint.v_des, setpoint.psi_des,
+                *p_des, *v_des, psi_des,
                 *y,
-                *estimate.p, *estimate.v, *estimate.q, *estimate.omega,
+                *e_p, *e_v, *e_q, *e_w,
                 *controller.f_des, *controller.omega_des, *controller.m_des,
                 c_wl, c_wr, c_dl, c_dr,
                 *act,

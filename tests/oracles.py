@@ -14,10 +14,11 @@ per-side wrenches.  The attitude loop is the rotation-matrix version:
 Rodrigues tilt times heading times hover flip, and Z-Y-X Euler angles
 read from the error matrix.  :func:`reference_step` is the integrator as
 first written on floats, with per-stage lists and one wrench-kernel call
-per stage.  :func:`reference_clamp_command`, :class:`ReferenceSetpoint`
-and :func:`reference_setpoint_at` are the saturation by builtin
-``min``/``max``, the setpoint check by ``map`` and ``all``, and the
-trajectory lookup that rebuilds its leg-start list on every call.
+per stage.  :func:`reference_clamp_command` is the saturation by builtin
+``min``/``max``.  :class:`Setpoint` and :func:`reference_setpoint_at` are
+the validated setpoint object and the trajectory lookup that builds one,
+rebuilding its leg-start list on every call.  :class:`ObjectCascade` is
+the cascade on those objects, with two :class:`ActuatorCommand` per tick.
 :func:`reference_to_csv` writes the run log with one row template per
 row, formatting every cell.  :func:`reference_write_records_csv` and
 :func:`reference_read_records_csv` are the bench-record CSV writer that
@@ -34,7 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tailsim.control import FORCE_FLOOR, ActuatorCommand, ControllerGains, StateEstimate
+from tailsim import control
+from tailsim.control import (
+    FORCE_FLOOR,
+    ActuatorCommand,
+    CascadeController,
+    ControllerGains,
+    StateEstimate,
+)
 from tailsim.errors import DegenerateThrustError, DomainError, SimulationDivergedError
 from tailsim.model import ActuatorState, VehicleParams, actuator_wrench
 from tailsim.rotations import quat_to_matrix_f, wrap_angle
@@ -676,11 +684,10 @@ def reference_step(
 
 
 # ---------------------------------------------------------------------------
-# The saturation, setpoint check and trajectory lookup as first written on
-# Python floats: builtin min/max per field, map/all over the setpoint
-# components, and a leg-start list rebuilt on every lookup.  The package's
-# versions use chained comparisons, one explicit finiteness sum and the
-# scenario's precomputed starts; the tests require bit-identical results.
+# The saturation, setpoint and trajectory lookup as first written on Python
+# floats: builtin min/max per field, and a leg-start list rebuilt on every
+# lookup.  The package's versions use chained comparisons and the scenario's
+# precomputed starts; the tests require bit-identical results.
 
 
 def reference_clamp_command(
@@ -702,11 +709,15 @@ def reference_clamp_command(
 
 
 @dataclass
-class ReferenceSetpoint:
+class Setpoint:
     """Trajectory sample handed to the controller.
 
-    Any 3-sequences are accepted for the position and velocity; they are
-    stored as tuples of Python floats.
+    Any 3-sequences of reals are accepted for the position and velocity;
+    each component is unpacked and converted with ``float`` and they are
+    stored as tuples of Python floats.  Finiteness is tested once, on the
+    sum of ``x - x`` over the seven components: that is 0.0 for every
+    finite ``x`` and nan otherwise, so the test cannot overflow and
+    rejects exactly the non-finite setpoints.
     """
 
     p_des: tuple                      # desired position, world frame, m
@@ -715,19 +726,21 @@ class ReferenceSetpoint:
 
     def __post_init__(self) -> None:
         try:
-            self.p_des = p = tuple(map(float, self.p_des))
-            self.v_des = v = tuple(map(float, self.v_des))
+            (px, py, pz), (vx, vy, vz) = self.p_des, self.v_des
+            px, py, pz = float(px), float(py), float(pz)
+            vx, vy, vz = float(vx), float(vy), float(vz)
             psi = float(self.psi_des)
         except (TypeError, ValueError):
-            raise DomainError("setpoint entries must be real numbers") from None
-        if len(p) != 3 or len(v) != 3:
-            raise DomainError("setpoint position/velocity must be 3-vectors")
-        if not all(map(math.isfinite, (*p, *v, psi))):
+            raise DomainError("setpoint position/velocity must be 3-vectors of reals") from None
+        # x - x is 0.0 for every finite x and nan otherwise, and cannot overflow
+        if ((px - px) + (py - py) + (pz - pz) + (vx - vx) + (vy - vy) + (vz - vz)
+                + (psi - psi) != 0.0):
             raise DomainError("setpoint must be finite")
+        self.p_des, self.v_des = (px, py, pz), (vx, vy, vz)
         self.psi_des = wrap_angle(psi)
 
 
-def reference_setpoint_at(t: float, scenario: Scenario) -> ReferenceSetpoint:
+def reference_setpoint_at(t: float, scenario: Scenario) -> Setpoint:
     """Reference setpoint at time ``t``.
 
     Raises:
@@ -739,7 +752,7 @@ def reference_setpoint_at(t: float, scenario: Scenario) -> ReferenceSetpoint:
         )
     yaw = scenario.yaw_fixed_rad
     if scenario.kind == "hover":
-        return ReferenceSetpoint(scenario.hover_pos, (0.0, 0.0, 0.0), yaw)
+        return Setpoint(scenario.hover_pos, (0.0, 0.0, 0.0), yaw)
     if scenario.kind == "circle":
         theta = scenario.circle_rate * t
         r = scenario.circle_radius
@@ -748,7 +761,7 @@ def reference_setpoint_at(t: float, scenario: Scenario) -> ReferenceSetpoint:
         speed = scenario.circle_rate * r
         if scenario.yaw_mode == "tangent":
             yaw = wrap_angle(theta + math.pi / 2.0)
-        return ReferenceSetpoint(
+        return Setpoint(
             (cx + r * c, cy + r * s, cz + 0.0), (-speed * s, speed * c, 0.0), yaw
         )
 
@@ -767,7 +780,81 @@ def reference_setpoint_at(t: float, scenario: Scenario) -> ReferenceSetpoint:
         v = (speed * ux, speed * uy, speed * uz)
     if scenario.yaw_mode == "tangent":
         yaw = _leg_yaw(leg, scenario.yaw_fixed_rad)
-    return ReferenceSetpoint((ax + dist * ux, ay + dist * uy, az + dist * uz), v, yaw)
+    return Setpoint((ax + dist * ux, ay + dist * uy, az + dist * uz), v, yaw)
+
+
+def setpoint_position_control(setpoint: Setpoint, p_est, v_est, gains: ControllerGains,
+                              params: VehicleParams) -> tuple:
+    """The position law reading its reference from a :class:`Setpoint`."""
+    px, py, pz = p_est
+    vx, vy, vz = v_est
+    rx, ry, rz = setpoint.p_des
+    ux, uy, uz = setpoint.v_des
+    k_xy, k_z = 1.0 / gains.tau_p_xy**2, 1.0 / gains.tau_p_z**2
+    d_xy = 2.0 * gains.zeta_p_xy / gains.tau_p_xy
+    d_z = 2.0 * gains.zeta_p_z / gains.tau_p_z
+    m = params.m
+    return (
+        m * (k_xy * (rx - px) + d_xy * (ux - vx)),
+        m * (k_xy * (ry - py) + d_xy * (uy - vy)),
+        m * (params.g_mag + k_z * (rz - pz) + d_z * (uz - vz)),
+    )
+
+
+class ObjectCascade(CascadeController):
+    """The cascade as it was written on objects.
+
+    :meth:`update` takes a :class:`StateEstimate` and a :class:`Setpoint`
+    and returns the clamped command as an :class:`ActuatorCommand`: the
+    model-inverse command is mutated for the rotor-lag inversion and
+    clamped into a second one, kept as ``command``.  The attitude, rate
+    and model-inverse stages are the package's.
+    """
+
+    def reset(self) -> None:
+        super().reset()
+        self.command = ActuatorCommand()
+
+    def update(self, estimate: StateEstimate, setpoint: Setpoint) -> ActuatorCommand:
+        tick = self._tick
+        self._tick = tick + 1
+        if tick % self._position_every == 0:
+            self.f_des = setpoint_position_control(
+                setpoint, estimate.p, estimate.v, self.gains, self.params
+            )
+
+        if tick % self._attitude_every == 0:
+            self.q_des, self.f_a = control.attitude_setpoint(
+                self.f_des, setpoint.psi_des, self.params
+            )
+            self.omega_des = control.attitude_control(estimate.q, self.q_des, self.gains)
+
+        m_des = control.rate_control(
+            estimate.omega, self.omega_des, self.integral, self.gains, self.params
+        )
+        self.roll_clamped = False
+        roll_limit = (1.0 - control.ROLL_CLAMP_MARGIN) * 2.0 * self.f_a * self.params.l
+        if abs(m_des[0]) > roll_limit:
+            m_des = (math.copysign(roll_limit, m_des[0]), m_des[1], m_des[2])
+            self.roll_clamped = True
+        self.m_des = m_des
+        raw = control.model_inverse(m_des, self.f_a, self.params)
+        lag, lead, settle = self._lag, self._lead, self._settle
+        hat_l, hat_r = self.omega_hat
+        raw.omega_left = (raw.omega_left - lag * hat_l) * lead
+        raw.omega_right = (raw.omega_right - lag * hat_r) * lead
+        self.command, self.saturated = reference_clamp_command(raw, self.params)
+        self.omega_hat = (
+            lag * hat_l + settle * self.command.omega_left,
+            lag * hat_r + settle * self.command.omega_right,
+        )
+        if not self.saturated:
+            rate = self.rates.rate_rate
+            ix, iy, iz = self.integral
+            dx, dy, dz = self.omega_des
+            wx, wy, wz = estimate.omega
+            self.integral = (ix + (dx - wx) / rate, iy + (dy - wy) / rate, iz + (dz - wz) / rate)
+        return self.command
 
 
 def reference_to_csv(log: ScenarioLog) -> str:

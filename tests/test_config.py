@@ -16,6 +16,7 @@ from tailsim.config import (
     NONNEGATIVE,
     POSITION,
     POSITIVE,
+    RADIUS,
     Config,
     apply_overrides,
     load_config,
@@ -456,6 +457,21 @@ def test_a_position_the_float_loop_cannot_move_is_rejected(key):
         apply_overrides(Config(), {key: text})
 
 
+@pytest.mark.parametrize("key", ["circle_radius_m", "star_radius_m"])
+def test_a_radius_the_float_loop_cannot_move_is_rejected(key):
+    # circle_radius_m = 1e308 used to run, and the metrics raised numpy
+    # RuntimeWarnings on reference positions near 1e308
+    assert _KEYS[key].domain == RADIUS
+    for text in ("1e308", "1.000001e6", "inf", "0", "-1.5"):
+        with pytest.raises(ConfigError) as excinfo:
+            apply_overrides(Config(), {key: text})
+        assert excinfo.value.problems == [
+            f"{key}: must be > 0 and at most 1e+06 m, got {float(text)}"
+        ]
+    for text in ("1e6", "1e-300"):
+        apply_overrides(Config(), {key: text})
+
+
 def test_a_waypoint_coordinate_the_float_loop_cannot_move_is_rejected():
     line = "waypoints: every coordinate must be finite and at most 1e+06 m from 0"
     for text in ("0,0,1.5; 1e308,0,1.5", "0,0,1.5; 0,0,-1.000001e6", "0,0,nan; 1,1,1.5"):
@@ -513,6 +529,8 @@ def in_domain(domain, value) -> bool:
         return type(value) is int and domain.start <= value < domain.stop
     if domain == POSITION:
         return -MAX_POSITION_M <= value <= MAX_POSITION_M
+    if domain == RADIUS:
+        return 0 < value <= MAX_POSITION_M
     lower = {FINITE: -math.inf < value, NONNEGATIVE: 0 <= value, POSITIVE: 0 < value}[domain]
     return lower and value < math.inf
 
@@ -529,7 +547,7 @@ def test_only_harness_and_disturbance_keys_declare_a_domain():
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("circle_radius_m", math.nan, "circle_radius_m: must be finite and > 0, got nan"),
+    ("circle_radius_m", math.nan, "circle_radius_m: must be > 0 and at most 1e+06 m, got nan"),
     ("scenario", "x", "scenario: must be one of ('hover', 'waypoint', 'circle', 'star'), got 'x'"),
     ("noise_gyro", -1.0, "noise_gyro: must be finite and >= 0, got -1.0"),
     ("dist_torque_y", -math.inf, "dist_torque_y: must be finite, got -inf"),

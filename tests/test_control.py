@@ -4,7 +4,10 @@ Expected numbers were computed independently from the stated control
 laws (PD position law, per-axis first-order rate law with gyroscopic
 feedforward, closed-form actuator inverse) and frozen as literals.  The
 quaternion attitude loop is also checked against the rotation-matrix
-version in the oracles module.
+version in the oracles module, and the float cascade, bit for bit,
+against the cascade on ``StateEstimate``, ``Setpoint`` and
+``ActuatorCommand`` objects that it replaced.  The setpoint tests check
+the sample that ``scenarios.reference`` hands the cascade.
 """
 
 import itertools
@@ -17,6 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tailsim import control
+from tailsim.config import Config, apply_overrides
 from tailsim.control import (
     FORCE_FLOOR,
     ROLL_CLAMP_MARGIN,
@@ -24,7 +29,6 @@ from tailsim.control import (
     CascadeController,
     ControllerGains,
     LoopRates,
-    Setpoint,
     StateEstimate,
     attitude_control,
     attitude_setpoint,
@@ -40,8 +44,9 @@ from tailsim.rotations import (
     quat_from_rotvec,
     quat_multiply,
     quat_to_rotvec,
+    wrap_angle,
 )
-from tailsim.scenarios import hover_attitude
+from tailsim.scenarios import Scenario, _Leg, hover_attitude, make_scenario, reference
 from tailsim.sim import VehicleState, step
 
 import oracles
@@ -51,17 +56,15 @@ PARAMS = VehicleParams()
 GAINS = ControllerGains()
 
 
-def hover_estimate(p=(0.0, 0.0, 1.5), yaw=0.0):
-    return StateEstimate(
-        p=np.array(p, dtype=float),
-        v=np.zeros(3),
-        q=hover_attitude(yaw),
-        omega=np.zeros(3),
-    )
+def hover_estimate(p=(0.0, 0.0, 1.5), yaw=0.0, omega=(0.0, 0.0, 0.0)):
+    """Position, velocity, attitude and body rates at level hover, as
+    :meth:`CascadeController.update` takes them."""
+    return tuple(p), (0.0, 0.0, 0.0), tuple(hover_attitude(yaw).tolist()), tuple(omega)
 
 
 def still_setpoint(p=(0.0, 0.0, 1.5), psi=0.0):
-    return Setpoint(p_des=np.array(p, dtype=float), v_des=np.zeros(3), psi_des=psi)
+    """A reference sample at rest, as :func:`tailsim.scenarios.reference` returns one."""
+    return tuple(p), (0.0, 0.0, 0.0), psi
 
 
 # --------------------------------------------------------------------------
@@ -69,13 +72,15 @@ def still_setpoint(p=(0.0, 0.0, 1.5), psi=0.0):
 # --------------------------------------------------------------------------
 
 def test_position_control_zero_error_gives_hover_force():
-    f = position_control(still_setpoint(), np.array([0.0, 0.0, 1.5]), np.zeros(3), GAINS, PARAMS)
+    p_des, v_des, _ = still_setpoint()
+    f = position_control(p_des, v_des, np.array([0.0, 0.0, 1.5]), np.zeros(3), GAINS, PARAMS)
     assert np.allclose(f, [0.0, 0.0, 0.65 * 9.81], rtol=1e-15)
 
 
 def test_position_control_vertical_step():
     # 0.3 m below the setpoint: a_z = g + 0.3 / tau_z^2 = 9.81 + 3.3333...
-    f = position_control(still_setpoint(), np.array([0.0, 0.0, 1.2]), np.zeros(3), GAINS, PARAMS)
+    p_des, v_des, _ = still_setpoint()
+    f = position_control(p_des, v_des, np.array([0.0, 0.0, 1.2]), np.zeros(3), GAINS, PARAMS)
     assert f[2] == pytest.approx(8.543166666666667, rel=1e-12)
     assert f[0] == 0.0 and f[1] == 0.0
 
@@ -83,11 +88,12 @@ def test_position_control_vertical_step():
 def test_position_control_horizontal_gains():
     # 1 m position error: a = 1 / tau_xy^2 = 4; 1 m/s velocity error: a = 2 zeta / tau = 2.4
     f_p = position_control(
-        still_setpoint(p=(1.0, 0.0, 1.5)), np.array([0.0, 0.0, 1.5]), np.zeros(3), GAINS, PARAMS
+        (1.0, 0.0, 1.5), (0.0, 0.0, 0.0), np.array([0.0, 0.0, 1.5]), np.zeros(3), GAINS, PARAMS
     )
     assert f_p[0] == pytest.approx(0.65 * 4.0, rel=1e-12)
-    sp = Setpoint(p_des=np.array([0.0, 0.0, 1.5]), v_des=np.array([1.0, 0.0, 0.0]))
-    f_v = position_control(sp, np.array([0.0, 0.0, 1.5]), np.zeros(3), GAINS, PARAMS)
+    f_v = position_control(
+        (0.0, 0.0, 1.5), (1.0, 0.0, 0.0), np.array([0.0, 0.0, 1.5]), np.zeros(3), GAINS, PARAMS
+    )
     assert f_v[0] == pytest.approx(0.65 * 2.4, rel=1e-12)
 
 
@@ -331,20 +337,15 @@ def test_model_inverse_rejects_nonpositive_thrust():
 # --------------------------------------------------------------------------
 
 def test_clamp_command_passes_valid_through():
-    cmd = ActuatorCommand(600.0, 650.0, 0.3, -0.3)
-    clamped, saturated = clamp_command(cmd, PARAMS)
+    *clamped, saturated = clamp_command(600.0, 650.0, 0.3, -0.3, PARAMS)
     assert not saturated
-    assert astuple(clamped) == pytest.approx(astuple(cmd))
+    assert clamped == [600.0, 650.0, 0.3, -0.3]
 
 
 def test_clamp_command_clips_and_flags():
-    cmd = ActuatorCommand(900.0, -5.0, 1.0, -1.0)
-    clamped, saturated = clamp_command(cmd, PARAMS)
+    *clamped, saturated = clamp_command(900.0, -5.0, 1.0, -1.0, PARAMS)
     assert saturated
-    assert clamped.omega_left == 790.0
-    assert clamped.omega_right == 0.0
-    assert clamped.delta_left == 0.785
-    assert clamped.delta_right == -0.785
+    assert clamped == [790.0, 0.0, 0.785, -0.785]
 
 
 def _bits(x: float) -> bytes:
@@ -360,11 +361,11 @@ def test_clamp_command_is_bit_identical_to_min_max_oracle():
                       math.nextafter(-d_max, -math.inf), math.nextafter(d_max, 0.0),
                       math.nextafter(-d_max, 0.0), 0.3]
     for w_l, w_r, d_l, d_r in itertools.product(rotor, rotor, elevon, elevon):
-        cmd = ActuatorCommand(w_l, w_r, d_l, d_r)
-        got, got_sat = clamp_command(cmd, PARAMS)
-        want, want_sat = oracles.reference_clamp_command(cmd, PARAMS)
-        assert got_sat == want_sat, cmd
-        assert [_bits(x) for x in astuple(got)] == [_bits(x) for x in astuple(want)], cmd
+        *got, got_sat = clamp_command(w_l, w_r, d_l, d_r, PARAMS)
+        want, want_sat = oracles.reference_clamp_command(
+            ActuatorCommand(w_l, w_r, d_l, d_r), PARAMS)
+        assert type(got_sat) is bool and got_sat == want_sat, (w_l, w_r, d_l, d_r)
+        assert [_bits(x) for x in got] == [_bits(x) for x in astuple(want)], (w_l, w_r, d_l, d_r)
 
 
 # --------------------------------------------------------------------------
@@ -373,11 +374,11 @@ def test_clamp_command_is_bit_identical_to_min_max_oracle():
 
 def test_cascade_hover_equilibrium_command():
     ctrl = CascadeController(PARAMS, GAINS)
-    cmd = ctrl.update(hover_estimate(), still_setpoint())
-    assert cmd.omega_left == pytest.approx(636.8907056884772, rel=1e-9)
-    assert cmd.omega_right == pytest.approx(636.8907056884772, rel=1e-9)
-    assert cmd.delta_left == pytest.approx(0.0, abs=1e-9)
-    assert cmd.delta_right == pytest.approx(0.0, abs=1e-9)
+    w_l, w_r, d_l, d_r = ctrl.update(*hover_estimate(), *still_setpoint())
+    assert w_l == pytest.approx(636.8907056884772, rel=1e-9)
+    assert w_r == pytest.approx(636.8907056884772, rel=1e-9)
+    assert d_l == pytest.approx(0.0, abs=1e-9)
+    assert d_r == pytest.approx(0.0, abs=1e-9)
     assert not ctrl.saturated and not ctrl.roll_clamped
 
 
@@ -390,7 +391,7 @@ def test_cascade_stage_latching():
     for tick in range(11):
         f_des, omega_des = ctrl.f_des, ctrl.omega_des
         sp = still_setpoint(p=(0.1 * (tick + 1), 0.0, 1.5), psi=0.01 * (tick + 1))
-        ctrl.update(hover_estimate(), sp)
+        ctrl.update(*hover_estimate(), *sp)
         if not np.array_equal(ctrl.f_des, f_des):
             position_ticks.append(tick)
         if not np.array_equal(ctrl.omega_des, omega_des):
@@ -403,12 +404,11 @@ def test_cascade_rate_loop_cadence():
     ctrl = CascadeController(PARAMS, GAINS, LoopRates(100.0, 250.0, 500.0))
     sp = still_setpoint()
     changes = 0
-    prev = astuple(ctrl.update(hover_estimate(), sp))
+    prev = ctrl.update(*hover_estimate(), *sp)
     for k in range(1, 20):
-        est_k = hover_estimate()
-        est_k.omega = np.array([0.0, 0.01 * k, 0.0])  # fresh rate error every call
-        cur = astuple(ctrl.update(est_k, sp))
-        if not np.array_equal(cur, prev):
+        est_k = hover_estimate(omega=(0.0, 0.01 * k, 0.0))  # fresh rate error every call
+        cur = ctrl.update(*est_k, *sp)
+        if cur != prev:
             changes += 1
         prev = cur
     # the rate loop fires on every update: 19 changes after the first
@@ -417,9 +417,8 @@ def test_cascade_rate_loop_cadence():
 
 def test_cascade_roll_clamp_keeps_command_feasible():
     ctrl = CascadeController(PARAMS, GAINS)
-    est = hover_estimate()
-    est.omega = np.array([-40.0, 0.0, 0.0])  # violent roll rate error
-    ctrl.update(est, still_setpoint())
+    est = hover_estimate(omega=(-40.0, 0.0, 0.0))  # violent roll rate error
+    ctrl.update(*est, *still_setpoint())
     assert ctrl.roll_clamped
     limit = (1.0 - ROLL_CLAMP_MARGIN) * 2.0 * ctrl.f_a * PARAMS.l
     assert abs(ctrl.m_des[0]) == pytest.approx(limit, rel=1e-12)
@@ -427,27 +426,28 @@ def test_cascade_roll_clamp_keeps_command_feasible():
 
 def test_cascade_integral_freezes_while_saturated():
     ctrl = CascadeController(PARAMS, GAINS)
-    est = hover_estimate()
-    est.omega = np.array([0.0, -80.0, 0.0])  # forces elevon saturation
-    ctrl.update(est, still_setpoint())
+    est = hover_estimate(omega=(0.0, -80.0, 0.0))  # forces elevon saturation
+    ctrl.update(*est, *still_setpoint())
     assert ctrl.saturated
     assert np.allclose(ctrl.integral, np.zeros(3))
     # once the error is sane again the integral accumulates
     ctrl2 = CascadeController(PARAMS, GAINS)
-    est2 = hover_estimate()
-    est2.omega = np.array([0.0, 0.1, 0.0])
-    ctrl2.update(est2, still_setpoint())
+    est2 = hover_estimate(omega=(0.0, 0.1, 0.0))
+    ctrl2.update(*est2, *still_setpoint())
     assert not ctrl2.saturated
     assert ctrl2.integral[1] == pytest.approx(-0.1 / 500.0, rel=1e-12)
 
 
 def test_cascade_reset_restores_initial_latches():
     ctrl = CascadeController(PARAMS, GAINS)
-    ctrl.update(hover_estimate(p=(1.0, 2.0, 3.0)), still_setpoint())
+    ctrl.update(*hover_estimate(p=(1.0, 2.0, 3.0)), *still_setpoint())
     ctrl.reset()
     assert np.allclose(ctrl.f_des, [0.0, 0.0, 0.65 * 9.81])
     assert np.allclose(ctrl.integral, np.zeros(3))
-    assert astuple(ctrl.command) == pytest.approx(np.zeros(4))
+    # the next tick is a fresh controller's first
+    est = hover_estimate(p=(0.1, 0.0, 1.4), omega=(0.01, 0.0, 0.0))
+    fresh = CascadeController(PARAMS, GAINS)
+    assert ctrl.update(*est, *still_setpoint()) == fresh.update(*est, *still_setpoint())
 
 
 def _hold_over_one_tick(cmd):
@@ -467,9 +467,8 @@ def test_cascade_rotor_lag_inversion_reaches_model_inverse_speeds():
     # two rotors for different speeds; holding the returned command over
     # one tick must land each rotor on the uncompensated model inverse
     ctrl = CascadeController(PARAMS, GAINS)
-    est = hover_estimate()
-    est.omega = np.array([0.02, 0.0, 0.0])
-    cmd = ctrl.update(est, still_setpoint(p=(0.0, 0.0, 1.52)))
+    est = hover_estimate(omega=(0.02, 0.0, 0.0))
+    cmd = ActuatorCommand(*ctrl.update(*est, *still_setpoint(p=(0.0, 0.0, 1.52))))
     assert not ctrl.saturated
     want = model_inverse(ctrl.m_des, ctrl.f_a, PARAMS)
     assert want.omega_left != pytest.approx(want.omega_right, rel=1e-6)
@@ -481,7 +480,7 @@ def test_cascade_rotor_lag_inversion_reaches_model_inverse_speeds():
 def test_cascade_rotor_lag_inversion_clips_and_tracks_sent_command():
     # a 0.3 m climb demand asks for more than omega_max through the lead
     ctrl = CascadeController(PARAMS, GAINS)
-    cmd = ctrl.update(hover_estimate(p=(0.0, 0.0, 1.2)), still_setpoint())
+    cmd = ActuatorCommand(*ctrl.update(*hover_estimate(p=(0.0, 0.0, 1.2)), *still_setpoint()))
     assert ctrl.saturated
     for w in (cmd.omega_left, cmd.omega_right):
         assert 0.0 <= w <= PARAMS.omega_max
@@ -502,21 +501,46 @@ def test_gains_validation():
         LoopRates(position_rate=300.0)  # does not divide the 500 Hz rate loop
 
 
+# --------------------------------------------------------------------------
+# the setpoint that scenarios.reference hands the cascade
+# --------------------------------------------------------------------------
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("index", range(7))
 def test_setpoint_rejects_each_non_finite_component(index, bad):
-    values = [0.0, 0.0, 1.5, 0.1, -0.2, 0.0, 0.3]
-    values[index] = bad
-    with pytest.raises(DomainError):
-        Setpoint(p_des=values[0:3], v_des=values[3:6], psi_des=values[6])
+    # a hover point (index 0-2) and a leg direction (3-5, which also makes
+    # that position component non-finite) reach reference's finiteness test;
+    # a fixed heading (6) is checked when the scenario is built
+    with pytest.raises(DomainError, match="must be finite"):
+        if index < 3:
+            hover = [0.0, 0.0, 1.5]
+            hover[index] = bad
+            s = Scenario("hover", duration_s=1.0, hover_pos=np.array(hover))
+        elif index < 6:
+            u = [0.0, 0.0, 0.0]
+            u[index - 3] = bad
+            leg = _Leg(0.0, 1.0, (0.0, 0.0, 1.5), tuple(u), 1.0, 2.0, 0.5, 1.0)
+            s = Scenario("waypoint", duration_s=1.0, legs=(leg,))
+        else:
+            s = Scenario("hover", duration_s=1.0, yaw_fixed_rad=bad)
+        reference(0.5, s)
 
 
 def test_setpoint_stores_float_tuples():
-    sp = Setpoint(p_des=np.array([1.0, 2.0, 3.0]), v_des=[0, 1, 0], psi_des=np.float64(0.5))
-    assert sp.p_des == (1.0, 2.0, 3.0) and sp.v_des == (0.0, 1.0, 0.0)
-    assert all(type(c) is float for c in (*sp.p_des, *sp.v_des, sp.psi_des))
-    with pytest.raises(DomainError):
-        Setpoint(p_des=np.zeros((3, 3)), v_des=np.zeros(3))
+    # reference hands out tuples of Python floats, whatever types the
+    # scenario was built from
+    scenarios = [
+        Scenario("hover", duration_s=1.0, hover_pos=np.array([1.0, 2.0, 3.0]),
+                 yaw_fixed_rad=np.float64(0.5)),
+        Scenario("circle", duration_s=1.0, circle_center=np.array([1.0, 0.0, 2.0]),
+                 circle_radius=np.float64(2.0), circle_rate=np.float64(0.5), yaw_mode="tangent"),
+        make_scenario(apply_overrides(Config(), {"scenario": "star"})),
+    ]
+    for s in scenarios:
+        p_des, v_des, psi_des = reference(0.5, s)
+        assert type(p_des) is tuple and type(v_des) is tuple
+        assert all(type(c) is float for c in (*p_des, *v_des, psi_des))
+    assert reference(0.5, scenarios[0])[:2] == ((1.0, 2.0, 3.0), (0.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -529,42 +553,111 @@ def test_model_inverse_rejects_each_non_finite_input(index, bad):
 
 
 def test_setpoint_validation_and_heading_wrap():
-    with pytest.raises(DomainError):
-        Setpoint(p_des=np.array([0.0, 0.0]), v_des=np.zeros(3))
-    with pytest.raises(DomainError):
-        Setpoint(p_des=np.array([0.0, 0.0, np.inf]), v_des=np.zeros(3))
-    sp = Setpoint(p_des=np.zeros(3), v_des=np.zeros(3), psi_des=3.0 * math.pi)
-    assert sp.psi_des == pytest.approx(math.pi)
+    s = Scenario("hover", duration_s=1.0, yaw_fixed_rad=3.0 * math.pi)
+    assert reference(0.0, s)[2] == pytest.approx(math.pi)
+    # the tangent heading of a circle past a half turn comes back wrapped
+    s = Scenario("circle", duration_s=10.0, circle_center=np.zeros(3), yaw_mode="tangent")
+    assert reference(3.0, s)[2] == pytest.approx(3.0 + math.pi / 2.0 - 2.0 * math.pi)
     # huge finite entries are accepted: the finiteness test must not overflow
-    sp = Setpoint(p_des=[1e308, 1e308, 1e308], v_des=[1e308, -1e308, 1e308], psi_des=1e308)
-    assert sp.p_des == (1e308, 1e308, 1e308) and sp.v_des == (1e308, -1e308, 1e308)
-    with pytest.raises(DomainError):
-        Setpoint(p_des=[0.0, "x", 0.0], v_des=np.zeros(3))
-    with pytest.raises(DomainError):
-        Setpoint(p_des=np.zeros(3), v_des=np.array([0.0, 0.0]))
+    s = Scenario("hover", duration_s=1.0, hover_pos=np.array([1e308, -1e308, 1e308]),
+                 yaw_fixed_rad=1e308)
+    p_des, v_des, psi_des = reference(0.0, s)
+    assert p_des == (1e308, -1e308, 1e308) and -math.pi < psi_des <= math.pi
+    with pytest.raises(DomainError, match="outside"):
+        reference(1.1, s)
+    # headings are wrapped once per scenario, which is exact: wrapping is
+    # idempotent on (-pi, pi], including its ends and the float next to them
+    angles = np.random.default_rng(5).uniform(-1e3, 1e3, 10_000).tolist()
+    angles += [math.pi, -math.pi, math.nextafter(-math.pi, 0.0), 1e308, -0.0, 5e-324]
+    for a in angles:
+        w = wrap_angle(a)
+        assert -math.pi < w <= math.pi and _bits(wrap_angle(w)) == _bits(w), a
 
 
-def test_setpoint_matches_map_all_oracle():
-    cases = [
-        ((0.0, -0.0, 1.5), (0.1, -0.2, 0.0), 0.3),
-        (np.array([1.0, 2.0, 3.0]), [0, 1, 0], np.float64(7.0)),
-        ([1e308, -1e308, 5e-324], (-5e-324, 1e308, 0.0), -1e308),
-        (("1.5", 2, True), (0.0, 0.0, 0.0), "0.25"),
-    ]
-    for p, v, psi in cases:
-        got, want = Setpoint(p, v, psi), oracles.ReferenceSetpoint(p, v, psi)
-        for g, w in zip((*got.p_des, *got.v_des, got.psi_des),
-                        (*want.p_des, *want.v_des, want.psi_des)):
-            assert type(g) is float and _bits(g) == _bits(w)
-    bad = [
-        ((0.0, 0.0), (0.0, 0.0, 0.0), 0.0),
-        ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0),
-        ((0.0, 0.0, 0.0), "xyz", 0.0),
-        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), None),
-        (np.zeros((3, 3)), (0.0, 0.0, 0.0), 0.0),
-    ]
-    for p, v, psi in bad:
-        with pytest.raises(DomainError):
-            oracles.ReferenceSetpoint(p, v, psi)
-        with pytest.raises(DomainError):
-            Setpoint(p, v, psi)
+# --------------------------------------------------------------------------
+# the float cascade against the object cascade it replaced
+# --------------------------------------------------------------------------
+
+def _latches(ctrl) -> bytes:
+    """Every latched float of a cascade, plus its flags, as bytes."""
+    floats = (*ctrl.f_des, *ctrl.q_des, ctrl.f_a, *ctrl.omega_des, *ctrl.m_des,
+              *ctrl.integral, *ctrl.omega_hat)
+    return struct.pack(f"<{len(floats)}d??q", *floats, ctrl.saturated, ctrl.roll_clamped,
+                       ctrl._tick)
+
+
+def _tick_both(new, old, est, sp) -> str:
+    """One tick of the float cascade and of the object oracle on the same
+    inputs: the outcomes must match bit for bit, exceptions included.
+    Returns the outcome's name."""
+    try:
+        got = new.update(*est, *sp)
+    except Exception as exc:                       # noqa: BLE001 - compared below
+        got = exc
+    try:
+        want = old.update(StateEstimate(*est), oracles.Setpoint(*sp))
+    except Exception as exc:                       # noqa: BLE001
+        want = exc
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        outcome = type(want).__name__
+    else:
+        assert struct.pack("<4d", *got) == struct.pack("<4d", *astuple(want))
+        outcome = "roll_clamped" if old.roll_clamped else (
+            "saturated" if old.saturated else "ok")
+    assert _latches(new) == _latches(old)
+    return outcome
+
+
+def _random_tick(rng, k: int):
+    """A fed-back state and a setpoint near hover; some ticks demand enough
+    roll or pitch rate to clamp the roll or saturate, and a few are fed a
+    non-finite estimate."""
+    p_des = rng.normal(0.0, 2.0, 3).tolist()
+    v_des = rng.normal(0.0, 1.0, 3).tolist()
+    psi = float(rng.uniform(-math.pi, math.pi))
+    p = (np.array(p_des) + rng.normal(0.0, 0.02 if k % 7 else 1.0, 3)).tolist()
+    v = (np.array(v_des) + rng.normal(0.0, 0.05, 3)).tolist()
+    tilt = quat_from_rotvec(tuple(rng.normal(0.0, 0.01, 3).tolist()))
+    q = quat_multiply(tuple(hover_attitude(psi + float(rng.normal(0.0, 0.01))).tolist()), tilt)
+    omega = rng.normal(0.0, 0.02, 3)
+    kind = k % 11
+    if kind == 3:
+        omega[0] = rng.choice([-1.0, 1.0]) * rng.uniform(20.0, 60.0)   # roll clamp
+    elif kind == 6:
+        omega[1] = rng.choice([-1.0, 1.0]) * rng.uniform(40.0, 120.0)  # elevons clip
+    omega = omega.tolist()
+    if k % 997 == 500:
+        omega[2] = math.nan              # model_inverse's DomainError
+    if k % 1009 == 20:
+        p[0] = math.inf                  # a non-finite f_des: DegenerateThrustError
+    return (tuple(p), tuple(v), q, tuple(omega)), (tuple(p_des), tuple(v_des), psi)
+
+
+def test_cascade_update_is_bit_identical_to_object_oracle():
+    new = CascadeController(PARAMS, GAINS)
+    old = oracles.ObjectCascade(PARAMS, GAINS)
+    rng = np.random.default_rng(2023)
+    seen = {}
+    for k in range(12_000):
+        est, sp = _random_tick(rng, k)
+        outcome = _tick_both(new, old, est, sp)
+        seen[outcome] = seen.get(outcome, 0) + 1
+    assert seen["ok"] > 3000 and seen["roll_clamped"] > 500 and seen["saturated"] > 500
+    assert seen["DomainError"] >= 5 and seen["DegenerateThrustError"] >= 5
+
+
+def test_cascade_errors_match_object_oracle(monkeypatch):
+    # a thrust demand that cancels gravity leaves no thrust direction
+    new, old = CascadeController(PARAMS, GAINS), oracles.ObjectCascade(PARAMS, GAINS)
+    sinking = hover_estimate(p=(0.0, 0.0, 1.5 + PARAMS.g_mag * GAINS.tau_p_z**2))
+    assert _tick_both(new, old, sinking, still_setpoint()) == "DegenerateThrustError"
+    # a non-finite rate estimate reaches the model inverse
+    new, old = CascadeController(PARAMS, GAINS), oracles.ObjectCascade(PARAMS, GAINS)
+    est = hover_estimate(omega=(0.0, math.inf, 0.0))
+    assert _tick_both(new, old, est, still_setpoint()) == "DomainError"
+    # with the margin negative, the roll clamp lets an infeasible roll through
+    monkeypatch.setattr(control, "ROLL_CLAMP_MARGIN", -0.5)
+    new, old = CascadeController(PARAMS, GAINS), oracles.ObjectCascade(PARAMS, GAINS)
+    est = hover_estimate(omega=(-60.0, 0.0, 0.0))
+    assert _tick_both(new, old, est, still_setpoint()) == "InfeasibleRollError"

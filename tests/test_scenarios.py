@@ -47,7 +47,7 @@ def cfg_with(**overrides):
 
 
 def sample_speeds(scenario, t_values):
-    return np.array([np.linalg.norm(reference(t, scenario).v_des) for t in t_values])
+    return np.array([np.linalg.norm(reference(t, scenario)[1]) for t in t_values])
 
 
 # --------------------------------------------------------------------------
@@ -57,32 +57,32 @@ def sample_speeds(scenario, t_values):
 def test_hover_reference_is_constant():
     s = make_scenario(cfg_with(hover_x=1.0, hover_y=-2.0, hover_z=2.5))
     for t in (0.0, 7.3, 60.0):
-        sp = reference(t, s)
-        assert np.allclose(sp.p_des, [1.0, -2.0, 2.5])
-        assert np.allclose(sp.v_des, np.zeros(3))
-        assert sp.psi_des == 0.0
+        p_des, v_des, psi_des = reference(t, s)
+        assert p_des == (1.0, -2.0, 2.5)
+        assert v_des == (0.0, 0.0, 0.0)
+        assert psi_des == 0.0
 
 
 def test_fixed_yaw_mode():
     s = make_scenario(cfg_with(yaw_mode="fixed", yaw_fixed_rad=0.7))
-    assert reference(12.0, s).psi_des == pytest.approx(0.7)
+    assert reference(12.0, s)[2] == pytest.approx(0.7)
 
 
 def test_circle_reference_geometry():
     s = make_scenario(cfg_with(scenario="circle", duration_s=30))
     assert s.circle_rate == pytest.approx(1.0)  # 1.5 m/s on a 1.5 m radius
-    sp0 = reference(0.0, s)
-    assert np.allclose(sp0.p_des, [1.5, 0.0, 1.5])
-    assert np.allclose(sp0.v_des, [0.0, 1.5, 0.0], atol=1e-12)
-    assert sp0.psi_des == pytest.approx(math.pi / 2.0)
-    quarter = reference(math.pi / 2.0, s)  # quarter period at 1 rad/s
-    assert np.allclose(quarter.p_des, [0.0, 1.5, 1.5], atol=1e-12)
-    assert quarter.psi_des == pytest.approx(math.pi)
+    p_des, v_des, psi_des = reference(0.0, s)
+    assert np.allclose(p_des, [1.5, 0.0, 1.5])
+    assert np.allclose(v_des, [0.0, 1.5, 0.0], atol=1e-12)
+    assert psi_des == pytest.approx(math.pi / 2.0)
+    p_des, _, psi_des = reference(math.pi / 2.0, s)  # quarter period at 1 rad/s
+    assert np.allclose(p_des, [0.0, 1.5, 1.5], atol=1e-12)
+    assert psi_des == pytest.approx(math.pi)
     for t in np.linspace(0.0, 29.0, 40):
-        sp = reference(t, s)
-        assert np.linalg.norm(sp.v_des) == pytest.approx(1.5, rel=1e-12)
-        assert sp.p_des[2] == 1.5
-        assert np.linalg.norm(sp.p_des[:2]) == pytest.approx(1.5, rel=1e-12)
+        p_des, v_des, _ = reference(t, s)
+        assert np.linalg.norm(v_des) == pytest.approx(1.5, rel=1e-12)
+        assert p_des[2] == 1.5
+        assert np.linalg.norm(p_des[:2]) == pytest.approx(1.5, rel=1e-12)
 
 
 def test_circle_rate_scales_with_speed_and_radius():
@@ -102,7 +102,7 @@ def test_waypoint_trapezoid_touches_speed_cap():
     speeds = sample_speeds(s, np.linspace(0.0, 10.0, 2001))
     assert np.max(speeds) == pytest.approx(1.25, rel=1e-12)
     assert np.all(speeds <= 1.25 + 1e-12)
-    assert np.linalg.norm(reference(2.0, s).v_des) == pytest.approx(1.25, rel=1e-12)
+    assert np.linalg.norm(reference(2.0, s)[1]) == pytest.approx(1.25, rel=1e-12)
 
 
 def test_waypoint_sustained_cruise_at_cap():
@@ -113,8 +113,8 @@ def test_waypoint_sustained_cruise_at_cap():
     ))
     # accel phase 1.25 s and 0.78125 m per side leaves a 0.9375 m cruise
     for t in (1.3, 1.6, 1.9):
-        assert np.linalg.norm(reference(t, s).v_des) == pytest.approx(1.25, rel=1e-12)
-    assert np.allclose(reference(3.25, s).p_des, [2.5, 0.0, 1.5], atol=1e-9)
+        assert np.linalg.norm(reference(t, s)[1]) == pytest.approx(1.25, rel=1e-12)
+    assert np.allclose(reference(3.25, s)[0], [2.5, 0.0, 1.5], atol=1e-9)
 
 
 def test_waypoint_short_leg_falls_back_to_triangle():
@@ -128,7 +128,7 @@ def test_waypoint_short_leg_falls_back_to_triangle():
     assert leg.v_peak == pytest.approx(v_peak, rel=1e-12)
     # apex at t = sqrt(L / a), and no sample anywhere exceeds it
     t_apex = math.sqrt(0.5 / 0.2)
-    assert np.linalg.norm(reference(t_apex, s).v_des) == pytest.approx(v_peak, rel=1e-12)
+    assert np.linalg.norm(reference(t_apex, s)[1]) == pytest.approx(v_peak, rel=1e-12)
     speeds = sample_speeds(s, np.linspace(0.0, 10.0, 2001))
     assert np.max(speeds) <= v_peak + 1e-12
     assert np.max(speeds) < 1.25
@@ -142,9 +142,9 @@ def test_waypoint_dwell_holds_vertex():
     ))
     leg0 = s.legs[0]
     t_hold = leg0.t0 + leg0.duration + 1.5  # mid-dwell
-    sp = reference(t_hold, s)
-    assert np.allclose(sp.p_des, [2.5, 0.0, 1.5], atol=1e-9)
-    assert np.allclose(sp.v_des, np.zeros(3))
+    p_des, v_des, _ = reference(t_hold, s)
+    assert np.allclose(p_des, [2.5, 0.0, 1.5], atol=1e-9)
+    assert v_des == (0.0, 0.0, 0.0)
     assert s.legs[1].t0 == pytest.approx(leg0.t0 + leg0.duration + 3.0)
 
 
@@ -153,9 +153,9 @@ def test_waypoint_final_hold_and_domain():
         scenario="waypoint", waypoints="0,0,1.5; 2.5,0,1.5",
         waypoint_dwell_s=0, duration_s=10,
     ))
-    end = reference(10.0, s)
-    assert np.allclose(end.p_des, [2.5, 0.0, 1.5], atol=1e-9)
-    assert np.allclose(end.v_des, np.zeros(3))
+    p_des, v_des, _ = reference(10.0, s)
+    assert np.allclose(p_des, [2.5, 0.0, 1.5], atol=1e-9)
+    assert v_des == (0.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         reference(-0.1, s)
     with pytest.raises(DomainError):
@@ -170,7 +170,7 @@ def test_waypoint_tangent_yaw_points_along_leg():
         scenario="waypoint", waypoints="0,0,1.5; 0,5,1.5",
         waypoint_dwell_s=0, duration_s=20,
     ))
-    assert reference(1.0, s).psi_des == pytest.approx(math.pi / 2.0)
+    assert reference(1.0, s)[2] == pytest.approx(math.pi / 2.0)
 
 
 def test_waypoint_reference_is_continuous_with_bounded_speed():
@@ -180,32 +180,71 @@ def test_waypoint_reference_is_continuous_with_bounded_speed():
         waypoint_dwell_s=1, duration_s=40,
     ))
     ts = np.linspace(0.0, 40.0, 8001)
-    prev = reference(ts[0], s).p_des
+    prev = reference(ts[0], s)[0]
     dt = ts[1] - ts[0]
     for t in ts[1:]:
-        sp = reference(t, s)
-        assert np.linalg.norm(sp.v_des) <= 1.25 + 1e-12
-        assert np.linalg.norm(np.subtract(sp.p_des, prev)) <= 1.25 * dt + 1e-9
-        prev = sp.p_des
+        p_des, v_des, _ = reference(t, s)
+        assert np.linalg.norm(v_des) <= 1.25 + 1e-12
+        assert np.linalg.norm(np.subtract(p_des, prev)) <= 1.25 * dt + 1e-9
+        prev = p_des
+
+
+def _sample_bits(p_des, v_des, psi_des) -> bytes:
+    return struct.pack("<7d", *p_des, *v_des, psi_des)
+
+
+def _reference_outcome(t, s):
+    """reference(t, s) and the Setpoint oracle's sample, as bytes or as the
+    exception's type and message; the two must be the same."""
+    outcomes = []
+    for lookup in (reference, oracles.reference_setpoint_at):
+        try:
+            sample = lookup(t, s)
+        except Exception as exc:                   # noqa: BLE001 - compared by the caller
+            outcomes.append((type(exc), str(exc)))
+            continue
+        if isinstance(sample, tuple):
+            assert all(type(c) is float for c in (*sample[0], *sample[1], sample[2]))
+        else:
+            sample = (sample.p_des, sample.v_des, sample.psi_des)
+        outcomes.append(_sample_bits(*sample))
+    return outcomes
 
 
 @pytest.mark.parametrize("yaw_mode", ["tangent", "fixed"])
-@pytest.mark.parametrize("kind", ["waypoint", "star"])
+@pytest.mark.parametrize("kind", ["waypoint", "star", "hover", "circle"])
 def test_reference_is_bit_identical_to_list_oracle(kind, yaw_mode):
-    s = make_scenario(cfg_with(scenario=kind, yaw_mode=yaw_mode, duration_s=60.0))
+    # every control tick of a 75 s run (with the loop's k * dt bits), each
+    # leg's start and end, mid-dwell, and past the end of the path
+    s = make_scenario(cfg_with(scenario=kind, yaw_mode=yaw_mode, duration_s=75.0,
+                               yaw_fixed_rad=2.5))
     assert s.leg_starts == tuple(leg.t0 for leg in s.legs)
-    times = [0.0, s.duration_s]
+    dt = 1.0 / 2000
+    times = [k * dt for k in range(0, 150_000 + 1, 4)]
     for leg, nxt in zip(s.legs, s.legs[1:] + (None,)):
         end = leg.t0 + leg.duration
         times += [leg.t0, end]
         if nxt is not None:
             times.append(0.5 * (end + nxt.t0))    # mid-dwell
+    if s.legs:
+        assert s.legs[-1].t0 + s.legs[-1].duration < 70.0     # ticks past the path
     for t in times:
         t = min(t, s.duration_s)
-        got, want = reference(t, s), oracles.reference_setpoint_at(t, s)
-        got = (*got.p_des, *got.v_des, got.psi_des)
-        want = (*want.p_des, *want.v_des, want.psi_des)
-        assert [struct.pack("<d", x) for x in got] == [struct.pack("<d", x) for x in want], t
+        got, want = _reference_outcome(t, s)
+        assert got == want, t
+
+
+def test_reference_errors_match_setpoint_oracle():
+    # a circle rate that overflows: nan at t = 0 (the finiteness test),
+    # cos(inf) after it, and a time outside the run
+    s = make_scenario(cfg_with(scenario="circle", circle_speed_mps=1e308,
+                               circle_radius_m=1e-300, duration_s=6.0))
+    assert s.circle_rate == math.inf
+    cases = {0.0: DomainError, 1.0: ValueError, 6.5: DomainError, -1.0: DomainError}
+    for t, error in cases.items():
+        got, want = _reference_outcome(t, s)
+        assert got == want and got[0] is error, t
+    assert _reference_outcome(0.0, s)[0][1] == "setpoint must be finite"
 
 
 def test_star_reference_is_a_pentagram():

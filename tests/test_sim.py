@@ -12,7 +12,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from tailsim.control import ActuatorCommand, StateEstimate, clamp_command
+from tailsim.control import ActuatorCommand, StateEstimate
 from tailsim.errors import DomainError, SimulationDivergedError
 from tailsim.model import ActuatorState, VehicleParams, total_wrench
 from tailsim.rotations import quat_to_rotvec, quat_multiply, quat_conjugate
@@ -35,6 +35,7 @@ from oracles import (
     array_sense,
     derivative,
     quat_to_matrix,
+    reference_clamp_command,
     reference_step,
     reference_wrench,
 )
@@ -265,7 +266,7 @@ def test_step_is_bit_identical_to_list_oracle(dt, disturbed):
     dist = DisturbanceSpec() if disturbed else None
     for state, command in oracle_cases(rng):
         got = step(state, command, dt, PARAMS, dist)
-        want = reference_step(state, clamp_command(command, PARAMS)[0], dt, PARAMS, dist)
+        want = reference_step(state, reference_clamp_command(command, PARAMS)[0], dt, PARAMS, dist)
         assert got.y == want.y and bits(got.y) == bits(want.y)
         assert got.act == want.act and bits(astuple(got.act)) == bits(astuple(want.act))
 
@@ -281,7 +282,7 @@ def test_step_saturates_its_command():
     )
     for state, _ in list(oracle_cases(rng))[6:26]:
         for raw in commands:
-            saturated, clipped = clamp_command(raw, PARAMS)
+            saturated, clipped = reference_clamp_command(raw, PARAMS)
             assert clipped
             got = step(state, raw, 2e-3, PARAMS, DisturbanceSpec())
             want = step(state, saturated, 2e-3, PARAMS, DisturbanceSpec())
@@ -387,7 +388,7 @@ def assert_step_follows_actuator_lag(act, cmd):
     st = hover_state()
     st.act = act
     got = astuple(step(st, cmd, 2e-3, PARAMS).act)
-    want = actuator_step(act, clamp_command(cmd, PARAMS)[0], 2e-3, PARAMS)
+    want = actuator_step(act, reference_clamp_command(cmd, PARAMS)[0], 2e-3, PARAMS)
     assert got == pytest.approx(astuple(want), rel=1e-12)
 
 
