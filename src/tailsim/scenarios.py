@@ -141,9 +141,8 @@ class Scenario:
 
     ``legs`` is stored as a tuple.  What :func:`reference` needs on every
     call is computed once here: the legs' start times, which it bisects,
-    the held point (hover) or the circle's rate, centre, radius, speed and
-    yaw mode, and the heading of each leg (or the fixed one), wrapped to
-    (-pi, pi].
+    the held point (hover) or the circle's rate, centre, radius and speed,
+    and the heading of each leg (or the fixed one), wrapped to (-pi, pi].
     """
 
     kind: str
@@ -156,7 +155,8 @@ class Scenario:
     circle_rate: float = 1.0          # rad/s, = speed / radius
     legs: tuple[_Leg, ...] = ()
     leg_starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _point: tuple = field(init=False, repr=False, compare=False)
+    _hover_p: tuple = field(default=(), init=False, repr=False, compare=False)
+    _circle: tuple = field(default=(), init=False, repr=False, compare=False)
     _yaw: float = field(init=False, repr=False, compare=False)
     _leg_yaws: tuple = field(init=False, repr=False, compare=False)
 
@@ -176,11 +176,10 @@ class Scenario:
         ])
         if self.kind == "hover":
             px, py, pz = self.hover_pos
-            self._point = (float(px), float(py), float(pz))
+            self._hover_p = (float(px), float(py), float(pz))
         elif self.kind == "circle":
             rate, r = float(self.circle_rate), float(self.circle_radius)
-            tangent = self.yaw_mode == "tangent"
-            self._point = (rate, *self.circle_center.tolist(), r, rate * r, tangent)
+            self._circle = (rate, *self.circle_center.tolist(), r, rate * r)
 
 
 def make_scenario(config: Config) -> Scenario:
@@ -236,14 +235,17 @@ def reference(t: float, scenario: Scenario) -> tuple[tuple, tuple, float]:
         )
     kind = scenario.kind
     if kind == "circle":
-        rate, cx, cy, cz, r, speed, tangent = scenario._point
+        rate, cx, cy, cz, r, speed = scenario._circle
         theta = rate * t
         c, s = math.cos(theta), math.sin(theta)
         px, py, pz = cx + r * c, cy + r * s, cz + 0.0
         vx, vy, vz = -speed * s, speed * c, 0.0
-        yaw = wrap_angle(theta + math.pi / 2.0) if tangent else scenario._yaw
+        if scenario.yaw_mode == "tangent":
+            yaw = wrap_angle(theta + math.pi / 2.0)
+        else:
+            yaw = scenario._yaw
     elif kind == "hover":
-        px, py, pz = scenario._point
+        px, py, pz = scenario._hover_p
         vx = vy = vz = 0.0
         yaw = scenario._yaw
     else:

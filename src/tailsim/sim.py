@@ -466,8 +466,8 @@ class ComplementaryEstimator:
     state are tuples of Python floats, updated by the functions of
     :mod:`tailsim.rotations` and :class:`LowPass` with the operations of
     the elementwise array update in the same order, so the numbers are
-    bit for bit those of array code at a fraction of the cost.
-    :meth:`estimate` hands those tuples out.
+    bit for bit those of array code at a fraction of the cost.  The run
+    loop reads those four fields directly.
 
     Args:
         initial: starting estimate (measured pose at deployment).
@@ -520,6 +520,3 @@ class ComplementaryEstimator:
             self.v = (vx + g * ix, vy + g * iy, vz + g * iz)
         self.q = q
         self.p = (px, py, pz)
-
-    def estimate(self) -> StateEstimate:
-        return StateEstimate(self.p, self.v, self.q, self.omega)

@@ -559,10 +559,11 @@ def test_setpoint_validation_and_heading_wrap():
     s = Scenario("circle", duration_s=10.0, circle_center=np.zeros(3), yaw_mode="tangent")
     assert reference(3.0, s)[2] == pytest.approx(3.0 + math.pi / 2.0 - 2.0 * math.pi)
     # huge finite entries are accepted: the finiteness test must not overflow
-    s = Scenario("hover", duration_s=1.0, hover_pos=np.array([1e308, -1e308, 1e308]),
+    # (a plain sum of these entries is inf)
+    s = Scenario("hover", duration_s=1.0, hover_pos=np.array([1e308, 1e308, 1e308]),
                  yaw_fixed_rad=1e308)
     p_des, v_des, psi_des = reference(0.0, s)
-    assert p_des == (1e308, -1e308, 1e308) and -math.pi < psi_des <= math.pi
+    assert p_des == (1e308, 1e308, 1e308) and -math.pi < psi_des <= math.pi
     with pytest.raises(DomainError, match="outside"):
         reference(1.1, s)
     # headings are wrapped once per scenario, which is exact: wrapping is

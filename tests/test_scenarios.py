@@ -8,7 +8,7 @@ import struct
 import subprocess
 import sys
 import threading
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +245,15 @@ def test_reference_errors_match_setpoint_oracle():
         got, want = _reference_outcome(t, s)
         assert got == want and got[0] is error, t
     assert _reference_outcome(0.0, s)[0][1] == "setpoint must be finite"
+
+
+@pytest.mark.parametrize("kind", ["waypoint", "star", "hover", "circle"])
+def test_every_scenario_kind_converts_to_a_dict(kind):
+    # the per-kind constants reference reads have defaults, so a scenario
+    # of any kind has every field set
+    s = make_scenario(cfg_with(scenario=kind))
+    d = asdict(s)
+    assert d["kind"] == kind and d["leg_starts"] == s.leg_starts
 
 
 def test_star_reference_is_a_pentagram():

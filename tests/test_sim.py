@@ -628,10 +628,9 @@ def test_complementary_estimator_stationary_lock():
     for k in range(1000):  # 1 s of 1 kHz IMU, 100 Hz pose
         sample = sense(truth, force, PARAMS, dist, rng, t=k * 1e-3, with_pose=(k % 10 == 0))
         est.update(sample, 1e-3)
-    out = est.estimate()
-    assert np.allclose(out.p, truth.p, atol=1e-12)
-    assert np.allclose(out.v, truth.v, atol=1e-12)
-    assert abs(abs(out.q @ truth.q) - 1.0) < 1e-12
+    assert np.allclose(est.p, truth.p, atol=1e-12)
+    assert np.allclose(est.v, truth.v, atol=1e-12)
+    assert abs(abs(est.q @ truth.q) - 1.0) < 1e-12
 
 
 def test_complementary_estimator_position_offset_converges():
@@ -645,9 +644,8 @@ def test_complementary_estimator_position_offset_converges():
     for k in range(2000):  # 2 s
         sample = sense(truth, force, PARAMS, dist, rng, t=k * 1e-3, with_pose=(k % 10 == 0))
         est.update(sample, 1e-3)
-    out = est.estimate()
-    assert np.linalg.norm(out.p - truth.p) < 1e-6
-    assert np.linalg.norm(out.v) < 1e-5
+    assert np.linalg.norm(est.p - truth.p) < 1e-6
+    assert np.linalg.norm(est.v) < 1e-5
 
 
 def test_complementary_estimator_attitude_offset_converges():
@@ -661,7 +659,7 @@ def test_complementary_estimator_attitude_offset_converges():
     for k in range(2000):
         sample = sense(truth, force, PARAMS, dist, rng, t=k * 1e-3, with_pose=(k % 10 == 0))
         est.update(sample, 1e-3)
-    err = quat_to_rotvec(quat_multiply(quat_conjugate(est.estimate().q), truth.q))
+    err = quat_to_rotvec(quat_multiply(quat_conjugate(est.q), truth.q))
     assert np.linalg.norm(err) < 1e-6
 
 
@@ -673,7 +671,7 @@ def test_complementary_estimator_integrates_gyro_between_fixes():
     for k in range(1000):  # 1 s of gyro-only dead reckoning
         sample = SensorSample(t=k * 1e-3, gyro=rate, accel=(0.0, 0.0, 0.0))
         est.update(sample, 1e-3)
-    spin = quat_to_rotvec(quat_multiply(quat_conjugate(hover_attitude(0.0)), est.estimate().q))
+    spin = quat_to_rotvec(quat_multiply(quat_conjugate(hover_attitude(0.0)), est.q))
     assert np.linalg.norm(spin) == pytest.approx(1.0, rel=1e-6)
 
 
@@ -710,9 +708,9 @@ def test_complementary_estimator_matches_array_estimator_bit_for_bit():
         sample = sense(truth, force, PARAMS, dist, rng, t=k * 1e-3, with_pose=(k % 10 == 0))
         est.update(sample, 1e-3)
         ref.update(sample, 1e-3)
-        got, want = est.estimate(), ref.estimate()
+        want = ref.estimate()
         for name in ("p", "v", "q", "omega"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), (k, name)
+            assert np.array_equal(getattr(est, name), getattr(want, name)), (k, name)
         for _ in range(2):
             truth = step(truth, command, 5e-4, PARAMS, dist)
-    assert np.linalg.norm(est.estimate().p - truth.p) < 0.05
+    assert np.linalg.norm(est.p - truth.p) < 0.05
