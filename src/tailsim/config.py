@@ -6,9 +6,10 @@ names (``m``, ``l``, ``J_xx``, ``k_t``, ...), the controller gain names
 (``tau_p_xy``, ``tau_att``, ``K_I_omega_x``, ...), and harness keys
 (loop/sensor rates, scenario selection and geometry, disturbance and
 noise levels, seed).  Every key ships with a default, so a file passed
-to a run acts as a set of overrides; strict validation additionally
-demands that every canonical key is present and reports *all* problems
-at once.
+to a run acts as a set of overrides.  Its values are checked exactly as a
+config changed in place is (:meth:`Config.scenario_problems`), and *all*
+problems are reported at once; strict validation also demands every
+canonical key.
 
 Vector values (``waypoints``) are written as semicolon-separated
 ``x,y,z`` triples.
@@ -17,13 +18,13 @@ Vector values (``waypoints``) are written as semicolon-separated
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from numbers import Real
 
 import numpy as np
 
 from .control import ControllerGains, LoopRates
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .model import VehicleParams
 from .sim import MAX_PHYSICS_DT, DisturbanceSpec
 
@@ -43,6 +44,10 @@ MAX_HOVER_SPEED_FRACTION = 0.9
 # vertices and legs are built in Python, about 8 us per point, before the
 # first step: 1e6 points would take seconds and 1e308 would never finish.
 MAX_STAR_POINTS = 1000
+
+# A run log, round(duration_s * logging_rate_hz) rows of 53 float64 columns,
+# is allocated before the first step: 10**7 rows take 4.2 GB.
+MAX_LOG_ROWS = 10**7
 
 # A position coordinate (a hover point, circle or star centre, start offset or
 # waypoint) may lie at most this far from 0, and a circle or star radius may be
@@ -150,13 +155,11 @@ class Config:
         is checked here by hand relates several fields or checks a type
         (``physics_rate_hz``, ``waypoints`` and ``seed``).
         """
-        params_problems = self.params.problems()
-        problems = params_problems + self.gains.problems() + self.rates.problems()
-        for key, spec in _KEYS.items():
-            if spec.domain is not None:
-                problem = spec.problem(key, self)
-                if problem is not None:
-                    problems.append(problem)
+        params_problems, rates_problems = self.params.problems(), self.rates.problems()
+        problems = params_problems + self.gains.problems() + rates_problems
+        domain_problems = {key: spec.problem(key, self)
+                           for key, spec in _KEYS.items() if spec.domain is not None}
+        problems += [problem for problem in domain_problems.values() if problem is not None]
         h = self.harness
         if not isinstance(h.physics_rate_hz, Real):
             problems.append(f"physics_rate_hz: must be a real number, got {h.physics_rate_hz!r}")
@@ -170,12 +173,11 @@ class Config:
                     f"physics_rate_hz: step {1.0 / h.physics_rate_hz:g} s exceeds the "
                     f"{MAX_PHYSICS_DT:g} s integration limit"
                 )
-            for name, rate in (
-                ("imu_rate_hz", h.imu_rate_hz),
-                ("pose_rate_hz", h.pose_rate_hz),
-                ("logging_rate_hz", h.logging_rate_hz),
-                ("rate_loop (rate_rate_hz)", self.rates.rate_rate),
-            ):
+            rates = [("imu_rate_hz", h.imu_rate_hz), ("pose_rate_hz", h.pose_rate_hz),
+                     ("logging_rate_hz", h.logging_rate_hz)]
+            if not rates_problems:  # LoopRates checks the rate loop's own value
+                rates.append(("rate_loop (rate_rate_hz)", self.rates.rate_rate))
+            for name, rate in rates:
                 if not (isinstance(rate, Real) and math.isfinite(rate) and round(rate) >= 1):
                     problems.append(f"{name}: must be finite and >= 1 Hz when rounded, got {rate}")
                 elif h.physics_rate_hz % int(round(rate)) != 0:
@@ -183,6 +185,19 @@ class Config:
                         f"{name}: {rate:g} Hz must divide physics_rate_hz "
                         f"{h.physics_rate_hz} Hz evenly"
                     )
+        rate = h.logging_rate_hz
+        if not domain_problems["duration_s"] and isinstance(rate, Real) and 1 <= rate < math.inf:
+            rows = h.duration_s * rate
+            if rows == math.inf or round(rows) > MAX_LOG_ROWS:
+                problems.append(f"duration_s: {h.duration_s} s at logging_rate_hz {rate} Hz "
+                                f"would log more than {MAX_LOG_ROWS} rows")
+        orbit = ("circle_speed_mps", "circle_radius_m", "duration_s")
+        if h.scenario == "circle" and not any(domain_problems[key] for key in orbit):
+            # the orbit angle at the end of the run, from make_scenario's rate
+            if not math.isfinite(h.circle_speed_mps / h.circle_radius_m * h.duration_s):
+                problems.append(f"circle_speed_mps, circle_radius_m: {h.circle_speed_mps} m/s "
+                                f"on {h.circle_radius_m} m overflows the orbit angle within "
+                                f"duration_s {h.duration_s} s")
         try:
             w = _KEYS["waypoints"].get("waypoints", self)
         except ConfigError as exc:
@@ -250,6 +265,16 @@ class _Key:
         if not (isinstance(value, np.ndarray) and value.shape == (3,)):
             raise ConfigError([f"{key}: {self.attr} must be an array of 3 numbers, got {value!r}"])
         return value[self.index]
+
+    def set(self, cfg: Config, value) -> None:
+        """Store ``value`` at this key in ``cfg`` unchecked; an indexed key writes
+        into a fresh float copy of its vector, which other configs may share."""
+        section = getattr(cfg, self.section)
+        if self.index is not None:
+            vector = np.array(getattr(section, self.attr), dtype=float)
+            vector[self.index] = value
+            value = vector
+        object.__setattr__(section, self.attr, value)
 
     def problem(self, key: str, cfg: Config) -> str | None:
         """The message for this key's value in ``cfg`` outside its domain, None
@@ -421,64 +446,43 @@ def parse_pairs(text: str) -> dict[str, str]:
     return pairs
 
 
-def apply_overrides(base: Config, pairs: dict[str, str]) -> Config:
-    """New Config with ``pairs`` applied on top of ``base``.
+def _shallow_copy(section):
+    """A copy of a config section sharing its field values, made past its checks
+    (copy.copy would cache ``__slotnames__`` on the class and build the instance
+    dict, which makes every later attribute read about twice as slow)."""
+    copy = object.__new__(type(section))
+    for f in fields(section):
+        object.__setattr__(copy, f.name, getattr(section, f.name))
+    return copy
 
-    All problems (unknown keys, unparsable values, violated invariants)
-    are collected and raised together.
+
+def apply_overrides(base: Config, pairs: dict[str, str]) -> Config:
+    """New Config with ``pairs`` applied on top of ``base`` (left unchanged).
+
+    Each parsed value is stored unchecked in a copy of its section of
+    ``base``, and the result is checked by :meth:`Config.scenario_problems`,
+    exactly as a config changed in place.  Unknown keys, unparsable values
+    and every problem of the result are raised together.
 
     Raises:
         ConfigError: listing every problem found.
     """
     problems: list[str] = []
-    values: dict[str, object] = {}
+    config = Config(**{f.name: getattr(base, f.name) for f in fields(Config)})
     for key, raw in pairs.items():
         spec = _KEYS.get(key)
         if spec is None:
             problems.append(f"unknown key {key!r}")
             continue
         try:
-            values[key] = spec.parse(raw)
+            value = spec.parse(raw)
         except ValueError as exc:
             problems.append(f"{key}: invalid value {raw!r} ({exc})")
-
-    # regroup per section, then rebuild the typed sections so their own
-    # invariant checks run
-    by_section: dict[str, dict[str, object]] = {}
-    for key, value in values.items():
-        spec = _KEYS[key]
-        by_section.setdefault(spec.section, {})[key] = value
-
-    sections = {
-        "params": base.params,
-        "gains": base.gains,
-        "rates": base.rates,
-        "disturbance": base.disturbance,
-        "harness": base.harness,
-    }
-    rebuilt = {}
-    for section, obj in sections.items():
-        updates = by_section.get(section, {})
-        if not updates:
-            rebuilt[section] = obj
             continue
-        kwargs: dict[str, object] = {}
-        vectors: dict[str, np.ndarray] = {}
-        for key, value in updates.items():
-            spec = _KEYS[key]
-            if spec.index is None:
-                kwargs[spec.attr] = value
-            else:
-                if spec.attr not in vectors:
-                    vectors[spec.attr] = np.array(getattr(obj, spec.attr), dtype=float)
-                vectors[spec.attr][spec.index] = value
-        kwargs.update(vectors)
-        try:
-            rebuilt[section] = replace(obj, **kwargs)
-        except DomainError as exc:
-            problems.append(str(exc))
-            rebuilt[section] = obj
-    config = Config(**rebuilt)
+        section = getattr(base, spec.section)
+        if getattr(config, spec.section) is section:  # the first value set in it
+            setattr(config, spec.section, _shallow_copy(section))
+        spec.set(config, value)
     problems.extend(config.scenario_problems())
     if problems:
         raise ConfigError(problems)
@@ -515,23 +519,17 @@ def validate_text(text: str) -> Config:
         ConfigError: listing *all* missing keys, unknown keys, and value
             problems in one shot.
     """
-    problems: list[str] = []
     try:
-        pairs = parse_pairs(text)
+        pairs, problems = parse_pairs(text), []
     except ConfigError as exc:
-        problems.extend(exc.problems)
-        pairs = {}
-    missing = [key for key in _KEYS if key not in pairs]
-    problems.extend(f"missing key {key!r}" for key in missing)
-    config = None
-    if pairs:
-        try:
-            config = apply_overrides(Config(), pairs)
-        except ConfigError as exc:
-            problems.extend(exc.problems)
+        pairs, problems = {}, exc.problems
+    problems += [f"missing key {key!r}" for key in _KEYS if key not in pairs]
+    try:
+        config = apply_overrides(Config(), pairs)
+    except ConfigError as exc:
+        problems += exc.problems
     if problems:
         raise ConfigError(problems)
-    assert config is not None
     return config
 
 

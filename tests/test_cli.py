@@ -11,7 +11,7 @@ import oracles
 from forks import assert_no_child_left, use_cpus
 from tailsim import scenarios
 from tailsim.cli import main
-from tailsim.config import Config, load_config
+from tailsim.config import Config, load_config, parse_pairs
 from tailsim.errors import SimulationDivergedError
 from tailsim.model import VehicleParams
 from tailsim.scenarios import LOG_COLUMNS, run_scenario
@@ -336,6 +336,28 @@ def test_validate_and_run_report_bad_values_as_config_errors(tmp_path, capsys, l
     assert main(["run", "--config", str(partial)]) == 1
     err = capsys.readouterr().err
     assert "error: category=config-invalid" in err and message in err
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"scenario": "circle", "circle_speed_mps": "1e8", "circle_radius_m": "1e-300",
+      "duration_s": "6"},
+     "circle_speed_mps, circle_radius_m: 100000000.0 m/s on 1e-300 m overflows the orbit angle"),
+    ({"duration_s": "1e300"},
+     "duration_s: 1e+300 s at logging_rate_hz 100 Hz would log more than 10000000 rows"),
+], ids=["orbit-angle", "log-rows"])
+def test_validate_and_run_reject_a_config_that_ended_in_a_traceback(tmp_path, capsys, values,
+                                                                    message):
+    # the run ended in math.cos's ValueError and in np.arange's "Maximum
+    # allowed size exceeded"
+    full, partial = tmp_path / "full.cfg", tmp_path / "partial.cfg"
+    pairs = {**parse_pairs(Config().to_text()), **values}
+    full.write_text("".join(f"{key} = {value}\n" for key, value in pairs.items()))
+    partial.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    for argv in (["validate", str(full)], ["run", "--config", str(partial)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "error: category=config-invalid" in captured.err and message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("text", ["1e308", "1e6"])

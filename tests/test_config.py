@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tailsim.config import (
@@ -12,6 +12,7 @@ from tailsim.config import (
     CANONICAL_KEYS,
     FINITE,
     MAX_HOVER_SPEED_FRACTION,
+    MAX_LOG_ROWS,
     MAX_POSITION_M,
     NONNEGATIVE,
     POSITION,
@@ -89,7 +90,7 @@ def test_apply_overrides_collects_all_problems_at_once():
             {
                 "no_such_key": "1",          # unknown key
                 "m": "heavy",                # unparsable float
-                "k_t": "-1e-6",              # fails dataclass validation
+                "k_t": "-1e-6",              # fails the vehicle section's check
                 "scenario": "spiral",        # not a scenario kind
                 "physics_rate_hz": "300",    # below the 1 kHz pose rate -> divisibility
             },
@@ -513,13 +514,9 @@ CONTRACT = settings(derandomize=True, deadline=None, max_examples=120)
 def set_directly(cfg, key, value):
     """Store ``value`` at ``key``'s attribute, past every constructor check."""
     spec = _KEYS[key]
-    section = getattr(cfg, spec.section)
-    if spec.index is not None:
-        getattr(section, spec.attr)[spec.index] = value
-    elif spec.kind == "vec3list":  # every coordinate of every waypoint
-        setattr(section, spec.attr, np.full_like(getattr(section, spec.attr), value))
-    else:
-        setattr(section, spec.attr, value)
+    if spec.kind == "vec3list":  # every coordinate of every waypoint
+        value = np.full_like(spec.get(key, cfg), value)
+    spec.set(cfg, value)
 
 
 def in_domain(domain, value) -> bool:
@@ -620,3 +617,108 @@ def test_any_key_outside_its_declared_domain_names_itself(value):
         stored = _KEYS[key].get(key, cfg)
         if not in_domain(_KEYS[key].domain, stored):
             assert any(p.startswith(f"{key}:") for p in cfg.scenario_problems()), key
+
+
+@CONTRACT
+@given(st.dictionaries(st.sampled_from(CANONICAL_KEYS), st.sampled_from(EDGE_TEXTS),
+                       min_size=1, max_size=4))
+@example({"m": "-1", "l": "-2"})
+def test_a_file_is_checked_exactly_as_a_config_changed_in_place(pairs):
+    try:
+        values = {key: _KEYS[key].parse(text) for key, text in pairs.items()}
+    except ValueError:
+        assume(False)
+    cfg = Config()
+    for key, value in values.items():
+        _KEYS[key].set(cfg, value)
+    expected = cfg.scenario_problems()
+    try:
+        apply_overrides(Config(), pairs)
+    except ConfigError as exc:
+        assert exc.problems == expected
+    else:
+        assert expected == []
+
+
+@pytest.mark.parametrize("pairs, lines", [
+    ({"m": "-1", "l": "-2"}, ["VehicleParams.m must be finite and > 0, got -1.0",
+                              "VehicleParams.l must be finite and > 0, got -2.0"]),
+    ({"noise_gyro": "-1"}, ["noise_gyro: must be finite and >= 0, got -1.0"]),
+    ({"noise_gyro": "-1", "noise_accel": "-1"}, ["noise_gyro: must be finite and >= 0, got -1.0",
+                                                 "noise_accel: must be finite and >= 0, got -1.0"]),
+    ({"dist_force_x": "nan", "dist_torque_y": "inf"}, ["dist_force_x: must be finite, got nan",
+                                                       "dist_torque_y: must be finite, got inf"]),
+], ids=["two-vehicle-constants", "one-noise-level", "two-noise-levels", "two-offsets"])
+def test_a_file_reports_every_bad_value_of_a_section_by_its_key(pairs, lines):
+    # each section's constructor used to report only its first problem, and
+    # the disturbance section's without the key or the value
+    with pytest.raises(ConfigError) as excinfo:
+        apply_overrides(Config(), pairs)
+    assert excinfo.value.problems == lines
+
+
+def test_apply_overrides_leaves_its_base_unchanged():
+    base = Config()
+    before = base.to_text()
+    cfg = apply_overrides(base, {"m": "0.7", "dist_force_y": "0.5", "hover_z": "2.5",
+                                 "waypoints": "0,0,1; 1,1,1"})
+    assert base.to_text() == before
+    assert cfg.disturbance.force_offset_world.tolist() == [0.1, 0.5, 0.03]
+    with pytest.raises(ConfigError):
+        apply_overrides(base, {"dist_force_x": "nan", "noise_gyro": "-1", "star_x": "inf"})
+    assert base.to_text() == before
+
+
+def test_a_rate_loop_below_one_hertz_is_one_line():
+    # the harness-rate loop used to repeat LoopRates' line for rate_rate
+    line = "loop rates must be finite and >= 1 Hz when rounded"
+    with pytest.raises(ConfigError) as excinfo:
+        apply_overrides(Config(), {"rate_rate_hz": "5e-324"})
+    assert excinfo.value.problems == [line]
+    cfg = Config()
+    cfg.rates.rate_rate = 0
+    assert cfg.scenario_problems() == [line]
+
+
+def test_a_rate_loop_that_does_not_divide_the_physics_rate_is_named():
+    cfg = Config()
+    cfg.rates.rate_rate = 300.0
+    cfg.rates.attitude_rate = 150.0
+    cfg.rates.position_rate = 50.0
+    assert cfg.scenario_problems() == [
+        "rate_loop (rate_rate_hz): 300 Hz must divide physics_rate_hz 2000 Hz evenly"
+    ]
+
+
+ORBIT = {"circle_speed_mps": "1e8", "circle_radius_m": "1e-300", "duration_s": "6"}
+
+
+@pytest.mark.parametrize("speed", ["1e8", "1e30"])
+def test_an_orbit_angle_that_overflows_is_rejected(speed):
+    # at 1e8 the run ended in math.cos's ValueError, at 1e30 in an unkeyed
+    # "setpoint must be finite"
+    with pytest.raises(ConfigError) as excinfo:
+        apply_overrides(Config(), {**ORBIT, "scenario": "circle", "circle_speed_mps": speed})
+    assert excinfo.value.problems == [
+        f"circle_speed_mps, circle_radius_m: {float(speed)} m/s on 1e-300 m overflows "
+        "the orbit angle within duration_s 6.0 s"
+    ]
+    apply_overrides(Config(), {**ORBIT, "scenario": "hover", "circle_speed_mps": speed})
+
+
+def test_the_largest_finite_orbit_angle_validates():
+    # 1e8 / 1e-300 = 1e308 rad/s, and 1e308 * 1.7 is still finite
+    apply_overrides(Config(), {**ORBIT, "scenario": "circle", "duration_s": "1.7"})
+
+
+@pytest.mark.parametrize("duration", ["1e300", repr(MAX_LOG_ROWS / 100 + 0.01)])
+def test_a_log_too_large_to_allocate_is_rejected(duration):
+    # duration_s = 1e300 used to end in numpy's "Maximum allowed size exceeded"
+    with pytest.raises(ConfigError) as excinfo:
+        apply_overrides(Config(), {"duration_s": duration, "logging_rate_hz": "100"})
+    assert excinfo.value.problems == [
+        f"duration_s: {float(duration)} s at logging_rate_hz 100 Hz would log more than "
+        "10000000 rows"
+    ]
+    bound = repr(MAX_LOG_ROWS / 100)
+    assert apply_overrides(Config(), {"duration_s": bound}).harness.duration_s == 1e5

@@ -236,9 +236,11 @@ def test_reference_is_bit_identical_to_list_oracle(kind, yaw_mode):
 
 def test_reference_errors_match_setpoint_oracle():
     # a circle rate that overflows: nan at t = 0 (the finiteness test),
-    # cos(inf) after it, and a time outside the run
-    s = make_scenario(cfg_with(scenario="circle", circle_speed_mps=1e308,
-                               circle_radius_m=1e-300, duration_s=6.0))
+    # cos(inf) after it, and a time outside the run; validation rejects this
+    # orbit, so it is set on a validated config
+    cfg = cfg_with(scenario="circle", duration_s=6.0)
+    cfg.harness.circle_speed_mps, cfg.harness.circle_radius_m = 1e308, 1e-300
+    s = make_scenario(cfg)
     assert s.circle_rate == math.inf
     cases = {0.0: DomainError, 1.0: ValueError, 6.5: DomainError, -1.0: DomainError}
     for t, error in cases.items():
