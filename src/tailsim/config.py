@@ -267,11 +267,16 @@ class _Key:
         return value[self.index]
 
     def set(self, cfg: Config, value) -> None:
-        """Store ``value`` at this key in ``cfg`` unchecked; an indexed key writes
-        into a fresh float copy of its vector, which other configs may share."""
+        """Store ``value`` at this key in ``cfg`` unchecked.  An indexed key writes
+        into a fresh copy of its vector (a float copy of a numeric one), which
+        other configs may share; a vector that is not an array of 3 is left as
+        it is, for :meth:`Config.scenario_problems` to name."""
         section = getattr(cfg, self.section)
         if self.index is not None:
-            vector = np.array(getattr(section, self.attr), dtype=float)
+            vector = getattr(section, self.attr)
+            if not (isinstance(vector, np.ndarray) and vector.shape == (3,)):
+                return
+            vector = vector.astype(float) if vector.dtype.kind in "iuf" else vector.copy()
             vector[self.index] = value
             value = vector
         object.__setattr__(section, self.attr, value)

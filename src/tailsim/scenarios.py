@@ -28,7 +28,7 @@ from .control import CascadeController, StateEstimate
 from .errors import ConfigError, DomainError, MetricsWindowError, SimulationDivergedError
 from .model import ActuatorState, total_wrench
 from .rotations import quat_to_matrix_f, wrap_angle
-from .sim import ComplementaryEstimator, VehicleState, plant, rk4, sense
+from .sim import ComplementaryEstimator, Normals, VehicleState, plant, rk4, sense
 
 # the per-step call, compiled or Python (see tailsim.sim.KERNEL); perfbench's
 # tracer wraps this binding as the ``sim.step`` span
@@ -505,7 +505,9 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
 
     Only the complementary estimator's sensing draws noise, so only then
     is the random generator seeded (and ``numpy.random`` imported): a
-    perfect-estimator run loads no random generator.
+    perfect-estimator run loads no random generator.  Its normals are
+    drawn in blocks (:class:`tailsim.sim.Normals`), the same stream as
+    one draw per sample.
 
     Raises:
         SimulationDivergedError: with the failure timestamp attached.
@@ -540,7 +542,7 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
 
     complementary = h.estimator == "complementary"
     if complementary:
-        rng = np.random.default_rng(disturbance.seed)
+        normals = Normals(np.random.default_rng(disturbance.seed)).take
         estimator = ComplementaryEstimator(
             StateEstimate(y[0:3], y[3:6], y[6:10], y[10:13]),
             pose_rate=float(h.pose_rate_hz),
@@ -563,16 +565,14 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
             r00, r01, r02, r10, r11, r12, r20, r21, r22 = quat_to_matrix_f(y[6:10])
             R_wb = ((r00, r10, r20), (r01, r11, r21), (r02, r12, r22))  # the transpose
             fx, fy, fz, _, _, _ = total_wrench(ActuatorState(*act), R_wb, params)
-            state.y = y   # sense reads the state's y only
             force = (
                 fx + (r00 * ox + r10 * oy + r20 * oz),
                 fy + (r01 * ox + r11 * oy + r21 * oz),
                 fz + (r02 * ox + r12 * oy + r22 * oz),
             )
-            sample = sense(
-                state, force, params, disturbance, rng,
-                t=t, with_pose=(k % pose_every == 0),
-            )
+            with_pose = k % pose_every == 0
+            sample = sense(y, force, params, disturbance, normals(12 if with_pose else 6),
+                           t, with_pose)
             estimator.update(sample, imu_dt)
             e_p, e_v, e_q, e_w = estimator.p, estimator.v, estimator.q, estimator.omega
 

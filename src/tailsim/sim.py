@@ -17,8 +17,10 @@ Equations of motion (body rates ``omega``, diagonal inertia ``J``)::
 
 Sensing mimics the flight hardware: a 1 kHz IMU (rate gyro plus
 accelerometer measuring specific force) and a 100 Hz external pose
-source, each with white Gaussian noise drawn in a fixed order (gyro,
-accel, pose position, pose attitude).  The complementary estimator
+source, each with white Gaussian noise taken in a fixed order (gyro,
+accel, pose position, pose attitude).  A run draws those normals from
+its seeded generator in blocks of :data:`NOISE_BLOCK` (:class:`Normals`),
+the same stream as one draw per sample.  The complementary estimator
 integrates gyro rates smoothed by :class:`LowPass`, the one filter in
 the package, and blends pose corrections in.
 
@@ -36,11 +38,12 @@ when it could not be built (:data:`KERNEL` says which, and why).  So the
 vehicle's physics is written twice, once in Python (the definition, the
 fallback and the test oracle) and once in C (the speed: 0.5-1 us per
 step against 12-19 us); :func:`plant` stays in Python only.
-:func:`sense` (which takes the body force as three floats) and the
-estimator work through :mod:`tailsim.rotations`.  The operations and
-their order are those of the elementwise array code, so the results are
-bit-identical to it.  Sensor samples and estimates are tuples of floats;
-only the state's ``p``, ``v``, ``q`` and ``omega`` read as arrays.
+:func:`sense` (which reads the state's 13 floats, the body force as
+three floats and the sample's normals) and the estimator work through
+:mod:`tailsim.rotations`.  The operations and their order are those of
+the elementwise array code, so the results are bit-identical to it.
+Sensor samples and estimates are tuples of floats; only the state's
+``p``, ``v``, ``q`` and ``omega`` read as arrays.
 """
 
 from __future__ import annotations
@@ -343,7 +346,8 @@ def step(state: VehicleState, command, dt: float, params: VehicleParams,
 class SensorSample:
     """One IMU sample, optionally paired with an external pose fix.
 
-    Each channel is a tuple of Python floats.
+    Each channel is a tuple of Python floats.  :func:`sense` builds it
+    positionally, in field order.
     """
 
     t: float
@@ -353,62 +357,91 @@ class SensorSample:
     pose_q: tuple | None = None   # measured attitude quaternion
 
 
+#: Standard normals a run's :class:`Normals` draws per call of its generator.
+NOISE_BLOCK = 1200
+
+
+class Normals:
+    """A generator's standard normals, drawn :data:`NOISE_BLOCK` at a time.
+
+    ``take(n)`` returns the next ``n`` draws as a list of floats: the same
+    numbers, in the same order, as one ``rng.standard_normal(n).tolist()``
+    per call, since a generator's normal stream does not depend on how it
+    is split into calls.  A call that runs past the block's end keeps the
+    block's rest and appends a new block, so fewer than ``NOISE_BLOCK + n``
+    floats are held.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._buf = []
+        self._i = 0
+
+    def take(self, n: int) -> list:
+        """The next ``n`` standard normals, ``n`` at most :data:`NOISE_BLOCK`."""
+        i = self._i
+        j = i + n
+        if j > len(self._buf):
+            self._buf = self._buf[i:] + self._rng.standard_normal(NOISE_BLOCK).tolist()
+            i, j = 0, n
+        self._i = j
+        return self._buf[i:j]
+
+
 def sense(
-    state: VehicleState,
+    y: tuple,
     force,
     params: VehicleParams,
     disturbance: DisturbanceSpec,
-    rng: np.random.Generator,
+    noise,
     t: float = 0.0,
     with_pose: bool = False,
 ) -> SensorSample:
-    """Simulated IMU (and optional pose) measurement of the current state.
+    """Simulated IMU (and optional pose) measurement of the state ``y``.
 
     The accelerometer reports specific force: the total body force minus
     weight, divided by mass, so a hovering vehicle reads ``g`` along its
     thrust axis.  The weight in body axes is ``-m g`` times the third row
     of the body-to-world matrix, so only that row of the full matrix is
-    used.  All channels draw independent Gaussian noise from ``rng`` in a
-    fixed order (gyro, accel, pose position, pose attitude; one call,
-    which yields the same stream as one call per channel) to keep runs
-    reproducible.
+    used.  Each channel adds its standard deviation times standard
+    normals taken from ``noise`` in a fixed order (gyro, accel, pose
+    position, pose attitude), so a run draws 6 normals per sample, or 12
+    with a pose fix (a run takes them from :class:`Normals`).
 
     Args:
-        state: true vehicle state.
+        y: the true state's 13 floats (:attr:`VehicleState.y`).
         force: the three components of the total body force currently
             acting (gravity included), N.
         params: vehicle constants.
         disturbance: noise standard deviations.
-        rng: noise source.
+        noise: this sample's standard normals, 6 floats, or 12 with a pose.
         t: sample timestamp, s.
         with_pose: attach a pose fix to this sample.
     """
-    y = state.y
     q = y[6:10]
     r20, r21, r22 = quat_to_matrix_f(q)[6:]
     m = params.m
     mg = m * params.g_mag
     fx, fy, fz = force
-    n = rng.standard_normal(12 if with_pose else 6).tolist()
 
     s_g = disturbance.gyro_noise_std
     wx, wy, wz = y[10:13]
-    gyro = (wx + s_g * n[0], wy + s_g * n[1], wz + s_g * n[2])
+    gyro = (wx + s_g * noise[0], wy + s_g * noise[1], wz + s_g * noise[2])
     s_a = disturbance.accel_noise_std
     accel = (
-        (fx + mg * r20) / m + s_a * n[3],
-        (fy + mg * r21) / m + s_a * n[4],
-        (fz + mg * r22) / m + s_a * n[5],
+        (fx + mg * r20) / m + s_a * noise[3],
+        (fy + mg * r21) / m + s_a * noise[4],
+        (fz + mg * r22) / m + s_a * noise[5],
     )
     pose_p = pose_q = None
     if with_pose:
         s_p = disturbance.pose_pos_noise_std
         px, py, pz = y[0:3]
-        pose_p = (px + s_p * n[6], py + s_p * n[7], pz + s_p * n[8])
+        pose_p = (px + s_p * noise[6], py + s_p * noise[7], pz + s_p * noise[8])
         s_q = disturbance.pose_att_noise_std
-        tilt = (s_q * n[9], s_q * n[10], s_q * n[11])
+        tilt = (s_q * noise[9], s_q * noise[10], s_q * noise[11])
         pose_q = quat_normalize(quat_multiply(q, quat_from_rotvec(tilt)))
-    return SensorSample(t=t, gyro=gyro, accel=accel, pose_p=pose_p, pose_q=pose_q)
+    return SensorSample(t, gyro, accel, pose_p, pose_q)
 
 
 def _floats(x) -> tuple:
@@ -435,10 +468,20 @@ class LowPass:
         self._alpha = 0.0
 
     def advance(self, x, dt: float) -> tuple:
-        """Advance the filter by one sample of floats; return the output tuple."""
+        """Advance the filter by one sample of floats; return the output tuple.
+
+        Three floats at the previous sample's ``dt`` (the IMU's gyro at its
+        fixed rate) take a short path with the same arithmetic.
+        """
+        y = self.y
+        if dt == self._dt and len(y) == 3:
+            alpha = self._alpha
+            x0, x1, x2 = x
+            y0, y1, y2 = y
+            self.y = y = (y0 + alpha * (x0 - y0), y1 + alpha * (x1 - y1), y2 + alpha * (x2 - y2))
+            return y
         if not dt > 0.0:
             raise DomainError("low-pass step requires dt > 0")
-        y = self.y
         if y is None:
             self.y = tuple(x)
             return self.y

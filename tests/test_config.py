@@ -18,6 +18,7 @@ from tailsim.config import (
     POSITION,
     POSITIVE,
     RADIUS,
+    SCENARIO_KINDS,
     Config,
     apply_overrides,
     load_config,
@@ -509,6 +510,10 @@ EDGE_TEXTS = ("nan", "inf", "-inf", "0", "-0", "-1", "1e308", "-1e308", "5e-324"
               "3", "1e6")
 DOMAIN_KEYS = tuple(key for key, spec in _KEYS.items() if spec.domain is not None)
 CONTRACT = settings(derandomize=True, deadline=None, max_examples=120)
+# each property also draws the scenario, so that every scenario's cross-key
+# rules (the orbit angle, the zero-length path) meet the edge values; a
+# drawn "scenario" key may still replace it with an edge value
+SCENARIOS = st.sampled_from(SCENARIO_KINDS)
 
 
 def set_directly(cfg, key, value):
@@ -561,10 +566,12 @@ def test_declared_domain_messages(key, value, message):
 
 @CONTRACT
 @given(st.dictionaries(st.sampled_from(CANONICAL_KEYS),
-                       st.sampled_from((None,) + EDGE_TEXTS), max_size=6))
-def test_full_dump_with_edge_values_validates_or_raises_config_error(overrides):
+                       st.sampled_from((None,) + EDGE_TEXTS), max_size=6), SCENARIOS)
+@example({"circle_speed_mps": "1e308", "circle_radius_m": "1e-300"}, "circle")
+def test_full_dump_with_edge_values_validates_or_raises_config_error(overrides, scenario):
     # None keeps the key's default
     pairs = parse_pairs(Config().to_text())
+    pairs["scenario"] = scenario
     pairs.update({key: text for key, text in overrides.items() if text is not None})
     text = "".join(f"{key} = {value}\n" for key, value in pairs.items())
     try:
@@ -575,10 +582,12 @@ def test_full_dump_with_edge_values_validates_or_raises_config_error(overrides):
 
 @CONTRACT
 @given(st.dictionaries(st.sampled_from(CANONICAL_KEYS), st.sampled_from(EDGE_VALUES),
-                       min_size=1, max_size=4))
-@example({"k_t": -1})
-def test_scenario_problems_never_raises_on_edge_values_set_directly(values):
+                       min_size=1, max_size=4), SCENARIOS)
+@example({"k_t": -1}, "hover")
+@example({"waypoints": 3}, "waypoint")
+def test_scenario_problems_never_raises_on_edge_values_set_directly(values, scenario):
     cfg = Config()
+    cfg.harness.scenario = scenario
     for key, value in values.items():
         set_directly(cfg, key, value)
     problems = cfg.scenario_problems()
@@ -587,10 +596,11 @@ def test_scenario_problems_never_raises_on_edge_values_set_directly(values):
 
 @CONTRACT
 @given(st.dictionaries(st.sampled_from(DOMAIN_KEYS), st.sampled_from(EDGE_VALUES),
-                       min_size=1, max_size=4))
-@example({"star_points": math.nan})
-def test_every_value_outside_a_declared_domain_names_its_key(values):
+                       min_size=1, max_size=4), SCENARIOS)
+@example({"star_points": math.nan}, "star")
+def test_every_value_outside_a_declared_domain_names_its_key(values, scenario):
     cfg = Config()
+    cfg.harness.scenario = scenario
     for key, value in values.items():
         set_directly(cfg, key, value)
     problems = cfg.scenario_problems()
@@ -621,9 +631,12 @@ def test_any_key_outside_its_declared_domain_names_itself(value):
 
 @CONTRACT
 @given(st.dictionaries(st.sampled_from(CANONICAL_KEYS), st.sampled_from(EDGE_TEXTS),
-                       min_size=1, max_size=4))
-@example({"m": "-1", "l": "-2"})
-def test_a_file_is_checked_exactly_as_a_config_changed_in_place(pairs):
+                       min_size=1, max_size=4), SCENARIOS)
+@example({"m": "-1", "l": "-2"}, "hover")
+@example({"circle_speed_mps": "1e308", "circle_radius_m": "5e-324"}, "circle")
+@example({"waypoints": "1,1,1; 1,1,1"}, "waypoint")
+def test_a_file_is_checked_exactly_as_a_config_changed_in_place(pairs, scenario):
+    pairs = {"scenario": scenario, **pairs}
     try:
         values = {key: _KEYS[key].parse(text) for key, text in pairs.items()}
     except ValueError:
@@ -667,6 +680,35 @@ def test_apply_overrides_leaves_its_base_unchanged():
     with pytest.raises(ConfigError):
         apply_overrides(base, {"dist_force_x": "nan", "noise_gyro": "-1", "star_x": "inf"})
     assert base.to_text() == before
+
+
+@pytest.mark.parametrize("attr, value, key, line", [
+    ("hover_pos", None, "hover_x", "hover_x: hover_pos must be an array of 3 numbers, got None"),
+    ("start_offset", np.zeros(2), "start_offset_z",
+     "start_offset_z: start_offset must be an array of 3 numbers, got array([0., 0.])"),
+    ("circle_center", [0.0, 0.0, 1.5], "circle_y",
+     "circle_y: circle_center must be an array of 3 numbers, got [0.0, 0.0, 1.5]"),
+], ids=["None", "two-vector", "list"])
+def test_an_override_on_a_base_vector_that_is_not_an_array_of_3_is_a_config_error(
+        attr, value, key, line):
+    # None and the 2-vector used to raise IndexError out of _Key.set, and the
+    # list was turned into an array that the base itself is rejected without
+    base = Config()
+    setattr(base.harness, attr, value)
+    with pytest.raises(ConfigError) as excinfo:
+        apply_overrides(base, {key: "1"})
+    assert excinfo.value.problems == base.scenario_problems()
+    assert line in excinfo.value.problems
+    assert getattr(base.harness, attr) is value
+
+
+def test_an_override_on_a_base_vector_of_strings_is_a_config_error():
+    # the float copy of the vector used to raise ValueError out of _Key.set
+    base = Config()
+    base.harness.hover_pos = np.array(["a", "b", "c"])
+    with pytest.raises(ConfigError) as excinfo:
+        apply_overrides(base, {"hover_x": "1"})
+    assert [p.split(":")[0] for p in excinfo.value.problems] == ["hover_x", "hover_y", "hover_z"]
 
 
 def test_a_rate_loop_below_one_hertz_is_one_line():

@@ -12,6 +12,8 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from tailsim import scenarios, sim
+from tailsim.config import Config, apply_overrides
 from tailsim.control import ActuatorCommand, StateEstimate
 from tailsim.errors import DomainError, SimulationDivergedError
 from tailsim.model import ActuatorState, VehicleParams, total_wrench
@@ -19,9 +21,11 @@ from tailsim.rotations import quat_to_rotvec, quat_multiply, quat_conjugate
 from tailsim.scenarios import hover_attitude
 from tailsim.sim import (
     MAX_PHYSICS_DT,
+    NOISE_BLOCK,
     ComplementaryEstimator,
     DisturbanceSpec,
     LowPass,
+    Normals,
     SensorSample,
     VehicleState,
     sense,
@@ -444,10 +448,16 @@ def test_step_actuator_state_follows_motor_lag():
 # sensing
 # --------------------------------------------------------------------------
 
+def draws(rng, with_pose):
+    """One sample's standard normals drawn by themselves: 6, or 12 with a pose."""
+    return rng.standard_normal(12 if with_pose else 6).tolist()
+
+
 def test_sense_noiseless_hover_reads_gravity_on_thrust_axis():
     st = hover_state()
     force = total_wrench(st.act, quat_to_matrix(st.q).T, PARAMS)[:3]
-    sample = sense(st, force, PARAMS, DisturbanceSpec.none(), np.random.default_rng(0))
+    sample = sense(st.y, force, PARAMS, DisturbanceSpec.none(),
+                   draws(np.random.default_rng(0), False))
     assert np.allclose(sample.gyro, np.zeros(3), atol=1e-15)
     # specific force: thrust only, along body -z at 1 g
     assert np.allclose(sample.accel, [0.0, 0.0, -9.81], atol=1e-12)
@@ -459,7 +469,7 @@ def test_sense_noiseless_pose_is_exact():
     st.p = np.array([1.0, -2.0, 3.0])
     force = total_wrench(st.act, quat_to_matrix(st.q).T, PARAMS)[:3]
     sample = sense(
-        st, force, PARAMS, DisturbanceSpec.none(), np.random.default_rng(0),
+        st.y, force, PARAMS, DisturbanceSpec.none(), draws(np.random.default_rng(0), True),
         t=0.25, with_pose=True,
     )
     assert sample.t == 0.25
@@ -474,8 +484,8 @@ def test_sense_is_reproducible_for_equal_seeds():
     out = []
     for _ in range(2):
         rng = np.random.default_rng(123)
-        s1 = sense(st, force, PARAMS, dist, rng, with_pose=True)
-        s2 = sense(st, force, PARAMS, dist, rng, with_pose=False)
+        s1 = sense(st.y, force, PARAMS, dist, draws(rng, True), with_pose=True)
+        s2 = sense(st.y, force, PARAMS, dist, draws(rng, False), with_pose=False)
         out.append((s1, s2))
     (a1, a2), (b1, b2) = out
     assert np.array_equal(a1.gyro, b1.gyro)
@@ -486,8 +496,9 @@ def test_sense_is_reproducible_for_equal_seeds():
 
 
 def test_sense_matches_array_formulas():
-    # gyro and pose bit for bit (same draws, same operations); the accel's
-    # weight term is m g times R's third row instead of a matmul
+    # gyro and pose bit for bit (the same normals, drawn per sample against
+    # the oracle's per channel, and the same operations); the accel's weight
+    # term is m g times R's third row instead of a matmul
     st = hover_state()
     st.q = quat_multiply(st.q, np.array([math.cos(0.2), 0.3 * math.sin(0.2),
                                          -0.4 * math.sin(0.2), math.sqrt(0.75) * math.sin(0.2)]))
@@ -495,7 +506,8 @@ def test_sense_matches_array_formulas():
     force = total_wrench(st.act, quat_to_matrix(st.q).T, PARAMS)[:3]
     rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
     for with_pose in (True, False, True):
-        new = sense(st, force, PARAMS, DisturbanceSpec(), rng_new, with_pose=with_pose)
+        new = sense(st.y, force, PARAMS, DisturbanceSpec(), draws(rng_new, with_pose),
+                    with_pose=with_pose)
         old = array_sense(st, force, PARAMS, DisturbanceSpec(), rng_old, with_pose=with_pose)
         assert np.array_equal(new.gyro, old.gyro)
         assert np.allclose(new.accel, old.accel, rtol=1e-12, atol=0.0)
@@ -505,6 +517,46 @@ def test_sense_matches_array_formulas():
         else:
             assert new.pose_p is None and new.pose_q is None
     assert rng_new.random() == rng_old.random()  # same number of draws
+
+
+class PerSampleNormals:
+    """The noise source runs had before block draws: one call per sample."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def take(self, n):
+        return self.rng.standard_normal(n).tolist()
+
+
+@pytest.mark.parametrize("block", [NOISE_BLOCK, 100, 18])
+def test_block_drawn_noise_equals_per_sample_draws_bit_for_bit(block, monkeypatch):
+    # first a pose sample that straddles the run's first block end (199 x 6 =
+    # 1194), then the run's pattern: a pose fix every 10th sample
+    monkeypatch.setattr(sim, "NOISE_BLOCK", block)
+    sizes = [6] * 199 + [12] + [12 if k % 10 == 0 else 6 for k in range(600)]
+    normals = Normals(np.random.default_rng(7))
+    per_sample = np.random.default_rng(7)
+    refills = straddles = 0
+    for n in sizes:
+        left = len(normals._buf) - normals._i
+        refills += left < n
+        straddles += 0 < left < n
+        got = normals.take(n)
+        assert struct.pack(f"{n}d", *got) == struct.pack(f"{n}d", *per_sample.standard_normal(n))
+        # what is held: a block and the rest of the one before, less than a take
+        assert len(normals._buf) < block + 12
+    assert refills >= 3 and straddles >= 1
+
+
+def test_a_run_with_block_drawn_noise_logs_the_per_sample_draws(monkeypatch):
+    # the run's log bytes with the noise drawn per sample, as runs drew it
+    # before block draws: the golden digests pin the same on 6 s runs
+    cfg = apply_overrides(Config(), {"estimator": "complementary", "scenario": "star",
+                                     "duration_s": "2", "transient_window_s": "0.5"})
+    blocks = scenarios.run_scenario(cfg)[0].to_csv()
+    monkeypatch.setattr(scenarios, "Normals", PerSampleNormals)
+    assert scenarios.run_scenario(cfg)[0].to_csv() == blocks
 
 
 def test_disturbance_defaults_and_validation():
@@ -619,14 +671,20 @@ def complementary_from(truth, **kwargs):
     return ComplementaryEstimator(perfect_estimate(truth), **kwargs)
 
 
+def imu_sample(truth, force, dist, normals, k, t):
+    """Sample ``k`` of an IMU with a pose fix every 10th, its noise taken as a run takes it."""
+    with_pose = k % 10 == 0
+    return sense(truth.y, force, PARAMS, dist, normals.take(12 if with_pose else 6), t, with_pose)
+
+
 def test_complementary_estimator_stationary_lock():
     truth = hover_state()
     force = total_wrench(truth.act, quat_to_matrix(truth.q).T, PARAMS)[:3]
     est = complementary_from(truth)
-    rng = np.random.default_rng(0)
+    normals = Normals(np.random.default_rng(0))
     dist = DisturbanceSpec.none()
     for k in range(1000):  # 1 s of 1 kHz IMU, 100 Hz pose
-        sample = sense(truth, force, PARAMS, dist, rng, t=k * 1e-3, with_pose=(k % 10 == 0))
+        sample = imu_sample(truth, force, dist, normals, k, k * 1e-3)
         est.update(sample, 1e-3)
     assert np.allclose(est.p, truth.p, atol=1e-12)
     assert np.allclose(est.v, truth.v, atol=1e-12)
@@ -639,10 +697,10 @@ def test_complementary_estimator_position_offset_converges():
     start = perfect_estimate(truth)
     start.p = start.p + np.array([0.1, 0.0, 0.0])
     est = ComplementaryEstimator(start)
-    rng = np.random.default_rng(0)
+    normals = Normals(np.random.default_rng(0))
     dist = DisturbanceSpec.none()
     for k in range(2000):  # 2 s
-        sample = sense(truth, force, PARAMS, dist, rng, t=k * 1e-3, with_pose=(k % 10 == 0))
+        sample = imu_sample(truth, force, dist, normals, k, k * 1e-3)
         est.update(sample, 1e-3)
     assert np.linalg.norm(est.p - truth.p) < 1e-6
     assert np.linalg.norm(est.v) < 1e-5
@@ -654,10 +712,10 @@ def test_complementary_estimator_attitude_offset_converges():
     start = perfect_estimate(truth)
     start.q = quat_multiply(start.q, np.array([math.cos(0.05), math.sin(0.05), 0.0, 0.0]))
     est = ComplementaryEstimator(start)
-    rng = np.random.default_rng(0)
+    normals = Normals(np.random.default_rng(0))
     dist = DisturbanceSpec.none()
     for k in range(2000):
-        sample = sense(truth, force, PARAMS, dist, rng, t=k * 1e-3, with_pose=(k % 10 == 0))
+        sample = imu_sample(truth, force, dist, normals, k, k * 1e-3)
         est.update(sample, 1e-3)
     err = quat_to_rotvec(quat_multiply(quat_conjugate(est.q), truth.q))
     assert np.linalg.norm(err) < 1e-6
@@ -701,16 +759,21 @@ def test_complementary_estimator_matches_array_estimator_bit_for_bit():
     est = ComplementaryEstimator(start, cutoff_hz=35.0)
     ref = ArrayComplementaryEstimator(start, cutoff_hz=35.0)
     dist = DisturbanceSpec(seed=11)
-    rng = np.random.default_rng(dist.seed)
+    normals = Normals(np.random.default_rng(dist.seed))
     command = ActuatorCommand(1.01 * HOVER_W, 0.99 * HOVER_W, 0.04, -0.03)
-    for k in range(2000):  # 2 s of 1 kHz IMU, pose at 100 Hz
+    t = 0.0
+    # 2 s of IMU at 1 kHz, 2 kHz for samples 700-1299 and 1 kHz again, pose
+    # every 10th sample: the gyro filter's gain is recomputed at each change
+    for k in range(2400):
+        dt = 5e-4 if 700 <= k < 1300 else 1e-3
         force = total_wrench(truth.act, quat_to_matrix(truth.q).T, PARAMS)[:3]
-        sample = sense(truth, force, PARAMS, dist, rng, t=k * 1e-3, with_pose=(k % 10 == 0))
-        est.update(sample, 1e-3)
-        ref.update(sample, 1e-3)
+        sample = imu_sample(truth, force, dist, normals, k, t)
+        est.update(sample, dt)
+        ref.update(sample, dt)
         want = ref.estimate()
         for name in ("p", "v", "q", "omega"):
             assert np.array_equal(getattr(est, name), getattr(want, name)), (k, name)
-        for _ in range(2):
+        for _ in range(round(dt / 5e-4)):
             truth = step(truth, command, 5e-4, PARAMS, dist)
+        t += dt
     assert np.linalg.norm(est.p - truth.p) < 0.05
