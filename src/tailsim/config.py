@@ -11,8 +11,8 @@ config changed in place is (:meth:`Config.scenario_problems`), and *all*
 problems are reported at once; strict validation also demands every
 canonical key.
 
-Vector values (``waypoints``) are written as semicolon-separated
-``x,y,z`` triples.
+Vectors are stored as tuples of three floats; ``waypoints``, a tuple of
+them, is written as semicolon-separated ``x,y,z`` triples.
 """
 
 from __future__ import annotations
@@ -90,31 +90,22 @@ class HarnessSettings:
     imu_cutoff_hz: float = 20.0
     estimator: str = "perfect"
     transient_window_s: float = 5.0
-    start_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    hover_pos: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.5]))
-    waypoints: np.ndarray = field(
-        default_factory=lambda: np.array(_DEFAULT_WAYPOINTS)
-    )
+    start_offset: tuple = (0.0, 0.0, 0.0)
+    hover_pos: tuple = (0.0, 0.0, 1.5)
+    waypoints: tuple = _DEFAULT_WAYPOINTS
     waypoint_speed_mps: float = 1.25
     waypoint_accel_mps2: float = 0.2
     waypoint_dwell_s: float = 3.0
-    circle_center: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.5]))
+    circle_center: tuple = (0.0, 0.0, 1.5)
     circle_radius_m: float = 1.5
     circle_speed_mps: float = 1.5
-    star_center: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.5]))
+    star_center: tuple = (0.0, 0.0, 1.5)
     star_points: int = 5
     star_radius_m: float = 1.5
     star_speed_mps: float = 1.25
     star_accel_mps2: float = 0.625
     yaw_mode: str = "tangent"
     yaw_fixed_rad: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.start_offset = np.asarray(self.start_offset, dtype=float)
-        self.hover_pos = np.asarray(self.hover_pos, dtype=float)
-        self.waypoints = np.asarray(self.waypoints, dtype=float)
-        self.circle_center = np.asarray(self.circle_center, dtype=float)
-        self.star_center = np.asarray(self.star_center, dtype=float)
 
 
 @dataclass
@@ -131,8 +122,8 @@ class Config:
         """Serialize every canonical key (a full, round-trippable file).
 
         Raises ConfigError, with the line :meth:`scenario_problems` gives,
-        when an indexed key's vector is not an array of 3 numbers or
-        ``waypoints`` is not an array of two or more triples of numbers.
+        when an indexed key's vector is not a tuple of 3 or ``waypoints`` is
+        not a tuple of two or more triples of real numbers.
         """
         lines = ["# tailsim configuration (all keys)"]
         section = None
@@ -203,10 +194,10 @@ class Config:
         except ConfigError as exc:
             problems += exc.problems
         else:
-            if not _IN_DOMAIN[POSITION](w).all():
+            if not all(_IN_DOMAIN[POSITION](c) for point in w for c in point):
                 problems.append(f"waypoints: every coordinate must be {POSITION}")
             elif h.scenario == "waypoint" and all(
-                np.linalg.norm(b - a) < MIN_LEG_LENGTH_M for a, b in zip(w[:-1], w[1:])
+                leg_length(a, b) < MIN_LEG_LENGTH_M for a, b in zip(w, w[1:])
             ):
                 problems.append("waypoints: the path has no leg of nonzero length")
         if not params_problems:
@@ -223,6 +214,12 @@ class Config:
         elif seed < 0:
             problems.append(f"seed: must be >= 0, got {seed}")
         return problems
+
+
+def leg_length(a: tuple, b: tuple) -> float:
+    """The length of the straight path leg from point ``a`` to point ``b``."""
+    dx, dy, dz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def _is_integer(value) -> bool:
@@ -252,38 +249,38 @@ class _Key:
 
     def get(self, key: str, cfg: Config):
         """The value of ``key`` in ``cfg``; ConfigError when it is indexed and its
-        vector is not an array of 3, or it is a ``vec3list`` and not an array of
+        vector is not a tuple of 3, or it is a ``vec3list`` and not a tuple of
         two or more triples of real numbers."""
         value = getattr(getattr(cfg, self.section), self.attr)
         if self.kind == "vec3list":
-            if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
-                raise ConfigError([f"{key}: must be an array of real numbers, got {value!r}"])
-            if value.ndim != 2 or value.shape[0] < 2 or value.shape[1] != 3:
+            if not (isinstance(value, tuple) and all(
+                    isinstance(point, tuple) and len(point) == 3
+                    and all(isinstance(c, Real) for c in point) for point in value)):
+                raise ConfigError([f"{key}: must be a tuple of x,y,z tuples of real numbers, "
+                                   f"got {value!r}"])
+            if len(value) < 2:
                 raise ConfigError([f"{key}: need at least two x,y,z triples"])
         if self.index is None:
             return value
-        if not (isinstance(value, np.ndarray) and value.shape == (3,)):
-            raise ConfigError([f"{key}: {self.attr} must be an array of 3 numbers, got {value!r}"])
+        if not (isinstance(value, tuple) and len(value) == 3):
+            raise ConfigError([f"{key}: {self.attr} must be a tuple of 3 numbers, got {value!r}"])
         return value[self.index]
 
     def set(self, cfg: Config, value) -> None:
-        """Store ``value`` at this key in ``cfg`` unchecked.  An indexed key writes
-        into a fresh copy of its vector (a float copy of a numeric one), which
-        other configs may share; a vector that is not an array of 3 is left as
-        it is, for :meth:`Config.scenario_problems` to name."""
+        """Store ``value`` at this key in ``cfg`` unchecked.  An indexed key stores
+        a new tuple with ``value`` in its place; a vector that is not a tuple of
+        3 is left as it is, for :meth:`Config.scenario_problems` to name."""
         section = getattr(cfg, self.section)
         if self.index is not None:
             vector = getattr(section, self.attr)
-            if not (isinstance(vector, np.ndarray) and vector.shape == (3,)):
+            if not (isinstance(vector, tuple) and len(vector) == 3):
                 return
-            vector = vector.astype(float) if vector.dtype.kind in "iuf" else vector.copy()
-            vector[self.index] = value
-            value = vector
+            value = vector[:self.index] + (value,) + vector[self.index + 1:]
         object.__setattr__(section, self.attr, value)
 
     def problem(self, key: str, cfg: Config) -> str | None:
         """The message for this key's value in ``cfg`` outside its domain, None
-        inside it; an indexed key's vector must first be an array of 3."""
+        inside it; an indexed key's vector must first be a tuple of 3."""
         try:
             value = self.get(key, cfg)
         except ConfigError as exc:
@@ -321,10 +318,10 @@ class _Key:
                 parts = [float(p) for p in chunk.split(",")]
                 if len(parts) != 3:
                     raise ValueError(f"expected x,y,z triple, got {chunk!r}")
-                triples.append(parts)
+                triples.append(tuple(parts))
             if not triples:
                 raise ValueError("expected at least one x,y,z triple")
-            return np.array(triples)
+            return tuple(triples)
         raise AssertionError(f"unknown kind {self.kind}")
 
 
@@ -419,7 +416,7 @@ def _format_value(value) -> str:
         return value
     if _is_integer(value):
         return str(int(value))
-    if isinstance(value, np.ndarray):
+    if isinstance(value, tuple):
         return "; ".join(",".join(f"{c:.17g}" for c in row) for row in value)
     return f"{float(value):.17g}"
 

@@ -23,12 +23,12 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from . import _forked
-from .config import MIN_LEG_LENGTH_M, Config
+from .config import MIN_LEG_LENGTH_M, Config, leg_length
 from .control import CascadeController, StateEstimate
 from .errors import ConfigError, DomainError, MetricsWindowError, SimulationDivergedError
 from .model import ActuatorState, total_wrench
 from .rotations import quat_to_matrix_f, wrap_angle
-from .sim import ComplementaryEstimator, Normals, VehicleState, plant, rk4, sense
+from .sim import ComplementaryEstimator, Normals, VehicleState, plant, rk4, sense, vec3
 
 # the per-step call, compiled or Python (see tailsim.sim.KERNEL); perfbench's
 # tracer wraps this binding as the ``sim.step`` span
@@ -87,10 +87,8 @@ class _Leg:
         return d_acc + self.v_peak * (tau - self.t_acc), self.v_peak
 
 
-def _make_legs(
-    points: np.ndarray, speed: float, accel: float, dwell: float = 0.0
-) -> list[_Leg]:
-    """Trapezoidal legs through ``points`` with a hold after each leg.
+def _make_legs(points, speed: float, accel: float, dwell: float = 0.0) -> list[_Leg]:
+    """Trapezoidal legs through ``points`` (x,y,z triples) with a hold after each leg.
 
     The dwell lets the closed loop settle at each waypoint before the
     next leg excites it again; the reference holds the waypoint (zero
@@ -98,13 +96,12 @@ def _make_legs(
     """
     legs: list[_Leg] = []
     t0 = 0.0
-    for a, b in zip(points[:-1], points[1:]):
-        ax, ay, az = np.asarray(a, dtype=float).tolist()
-        bx, by, bz = np.asarray(b, dtype=float).tolist()
-        dx, dy, dz = bx - ax, by - ay, bz - az
-        length = math.sqrt(dx * dx + dy * dy + dz * dz)
+    for a, b in zip(points, points[1:]):
+        length = leg_length(a, b)
         if length < MIN_LEG_LENGTH_M:
             continue
+        (ax, ay, az), (bx, by, bz) = a, b
+        dx, dy, dz = bx - ax, by - ay, bz - az
         t_acc = speed / accel
         if length < accel * t_acc * t_acc:       # too short to reach the cap
             v_peak = math.sqrt(length * accel)
@@ -123,39 +120,38 @@ def _make_legs(
     return legs
 
 
-def _star_vertices(center: np.ndarray, radius: float, n_points: int) -> np.ndarray:
+def _star_vertices(center: tuple, radius: float, n_points: int) -> list[tuple]:
     """Closed star polygon: every second vertex of a regular n-gon."""
     step_k = 2 if n_points % 2 else 1   # even counts fall back to the n-gon
     angles = [
         math.pi / 2 + (step_k * k) * 2.0 * math.pi / n_points
         for k in range(n_points + 1)
     ]
-    return np.array(
-        [center + radius * np.array([math.cos(a), math.sin(a), 0.0]) for a in angles]
-    )
+    cx, cy, cz = center
+    return [(cx + radius * math.cos(a), cy + radius * math.sin(a), cz) for a in angles]
 
 
 @dataclass
 class Scenario:
     """A reference trajectory definition over a fixed time horizon.
 
-    ``legs`` is stored as a tuple.  What :func:`reference` needs on every
-    call is computed once here: the legs' start times, which it bisects,
-    the held point (hover) or the circle's rate, centre, radius and speed,
-    and the heading of each leg (or the fixed one), wrapped to (-pi, pi].
+    ``legs`` is stored as a tuple, ``hover_pos`` and a circle's centre as
+    three floats (:func:`tailsim.sim.vec3`).  What :func:`reference` needs on
+    every call is computed once here: the legs' start times, which it
+    bisects, the circle's rate, centre, radius and speed, and the heading of
+    each leg (or the fixed one), wrapped to (-pi, pi].
     """
 
     kind: str
     duration_s: float
     yaw_mode: str = "fixed"
     yaw_fixed_rad: float = 0.0
-    hover_pos: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.5]))
-    circle_center: np.ndarray | None = None
+    hover_pos: tuple = (0.0, 0.0, 1.5)
+    circle_center: tuple | None = None
     circle_radius: float = 1.5
     circle_rate: float = 1.0          # rad/s, = speed / radius
     legs: tuple[_Leg, ...] = ()
     leg_starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _hover_p: tuple = field(default=(), init=False, repr=False, compare=False)
     _circle: tuple = field(default=(), init=False, repr=False, compare=False)
     _yaw: float = field(init=False, repr=False, compare=False)
     _leg_yaws: tuple = field(init=False, repr=False, compare=False)
@@ -174,12 +170,11 @@ class Scenario:
             else self._yaw
             for leg in self.legs
         ])
-        if self.kind == "hover":
-            px, py, pz = self.hover_pos
-            self._hover_p = (float(px), float(py), float(pz))
-        elif self.kind == "circle":
+        self.hover_pos = vec3(self.hover_pos, "Scenario.hover_pos")
+        if self.kind == "circle":
+            self.circle_center = vec3(self.circle_center, "Scenario.circle_center")
             rate, r = float(self.circle_rate), float(self.circle_radius)
-            self._circle = (rate, *self.circle_center.tolist(), r, rate * r)
+            self._circle = (rate, *self.circle_center, r, rate * r)
 
 
 def make_scenario(config: Config) -> Scenario:
@@ -189,11 +184,11 @@ def make_scenario(config: Config) -> Scenario:
         duration_s=h.duration_s, yaw_mode=h.yaw_mode, yaw_fixed_rad=h.yaw_fixed_rad
     )
     if h.scenario == "hover":
-        return Scenario("hover", hover_pos=h.hover_pos.copy(), **common)
+        return Scenario("hover", hover_pos=h.hover_pos, **common)
     if h.scenario == "circle":
         return Scenario(
             "circle",
-            circle_center=h.circle_center.copy(),
+            circle_center=h.circle_center,
             circle_radius=h.circle_radius_m,
             circle_rate=h.circle_speed_mps / h.circle_radius_m,
             **common,
@@ -245,7 +240,7 @@ def reference(t: float, scenario: Scenario) -> tuple[tuple, tuple, float]:
         else:
             yaw = scenario._yaw
     elif kind == "hover":
-        px, py, pz = scenario._hover_p
+        px, py, pz = scenario.hover_pos
         vx = vy = vz = 0.0
         yaw = scenario._yaw
     else:
@@ -482,7 +477,7 @@ def initial_state(config: Config, scenario: Scenario) -> VehicleState:
     p_des, v_des, psi_des = reference(0.0, scenario)
     omega_h = config.params.hover_rotor_speed()
     return VehicleState(
-        p=np.add(p_des, config.harness.start_offset),
+        p=[c + offset for c, offset in zip(p_des, config.harness.start_offset)],
         v=v_des,
         q=hover_attitude(psi_des),
         omega=np.zeros(3),
@@ -550,7 +545,7 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
         )
         imu_dt = 1.0 / h.imu_rate_hz
 
-    ox, oy, oz = disturbance.force_offset_world.tolist()
+    ox, oy, oz = disturbance.force_offset_world
     static_reference = scenario.kind == "hover"   # setpoint is time-invariant
     if static_reference:
         p_des, v_des, psi_des = reference(0.0, scenario)

@@ -49,7 +49,8 @@ Sensor samples and estimates are tuples of floats; only the state's
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -70,6 +71,19 @@ from .rotations import (
 MAX_PHYSICS_DT = 2e-3
 
 
+def vec3(value, name: str) -> tuple:
+    """``value``, a tuple, list or array of three real numbers, as a tuple of
+    three Python floats; DomainError naming ``name`` for anything else."""
+    try:
+        if isinstance(value, (tuple, list, np.ndarray)):
+            x, y, z = value
+            if isinstance(x, Real) and isinstance(y, Real) and isinstance(z, Real):
+                return float(x), float(y), float(z)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be 3 real numbers, got {value!r}")
+
+
 @dataclass
 class DisturbanceSpec:
     """Constant offsets, sensor noise levels, and the run's random seed.
@@ -78,18 +92,13 @@ class DisturbanceSpec:
     torque offset is a body-frame trim asymmetry.  Noise standard
     deviations apply per axis and per sample.  Defaults are sized so a
     disturbed hover lands in the centimetre error regime, dominated by
-    the horizontal force offset along x.  Each offset is stored as a float
-    array of shape (3,) and checked (shape, finite entries) on every
-    assignment, at construction or later; an entry changed in place is
-    caught by :meth:`tailsim.config.Config.scenario_problems`.
+    the horizontal force offset along x.  Each offset is stored as a tuple
+    of three Python floats and checked (three finite real numbers) on every
+    assignment, at construction or later.
     """
 
-    force_offset_world: np.ndarray = field(
-        default_factory=lambda: np.array([0.10, 0.02, 0.03])
-    )                                     # N
-    torque_offset_body: np.ndarray = field(
-        default_factory=lambda: np.array([5e-4, 2e-3, 5e-4])
-    )                                     # N m
+    force_offset_world: tuple = (0.10, 0.02, 0.03)    # N
+    torque_offset_body: tuple = (5e-4, 2e-3, 5e-4)    # N m
     gyro_noise_std: float = 0.005         # rad/s
     accel_noise_std: float = 0.05         # m/s^2
     pose_pos_noise_std: float = 0.001     # m
@@ -98,13 +107,8 @@ class DisturbanceSpec:
 
     def __setattr__(self, name: str, value) -> None:
         if name in ("force_offset_world", "torque_offset_body"):
-            try:
-                value = np.asarray(value, dtype=float)
-            except (TypeError, ValueError):
-                raise DomainError(f"DisturbanceSpec.{name} must hold real numbers") from None
-            if value.shape != (3,):
-                raise DomainError(f"DisturbanceSpec.{name} must be a 3-vector")
-            if not np.all(np.isfinite(value)):
+            value = vec3(value, f"DisturbanceSpec.{name}")
+            if not all(map(math.isfinite, value)):
                 raise DomainError(f"DisturbanceSpec.{name} must be finite, got {value!r}")
         object.__setattr__(self, name, value)
 
@@ -117,7 +121,7 @@ class DisturbanceSpec:
     @classmethod
     def none(cls) -> "DisturbanceSpec":
         """All offsets and noise levels zero."""
-        return cls(np.zeros(3), np.zeros(3), 0.0, 0.0, 0.0, 0.0)
+        return cls((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, 0.0, 0.0, 0.0)
 
 
 class _Part:
@@ -235,8 +239,8 @@ def plant(dt: float, params: VehicleParams, disturbance: DisturbanceSpec | None 
     """
     if not (0.0 < dt <= MAX_PHYSICS_DT):
         raise DomainError(f"physics step must satisfy 0 < dt <= {MAX_PHYSICS_DT}, got {dt!r}")
-    offsets = ([0.0] * 6 if disturbance is None else
-               disturbance.force_offset_world.tolist() + disturbance.torque_offset_body.tolist())
+    offsets = ((0.0,) * 6 if disturbance is None else
+               disturbance.force_offset_world + disturbance.torque_offset_body)
     p = params
     return (p.k_t, p.k_m, p.k_l, p.k_d, p.k_p, p.l, -p.m * p.g_mag, 1.0 / p.m,
             p.j_xx, p.j_yy, p.j_zz, *offsets,
@@ -454,7 +458,7 @@ class LowPass:
 
     ``y += (1 - exp(-dt / tau)) * (x - y)`` with ``tau = 1 / (2 pi f_c)``;
     unit DC gain, amplitude ``1 / sqrt(1 + (f / f_c)^2)`` well below the
-    sampling rate.  The output is held as a tuple of Python floats (the
+    sampling rate.  The output is held as a tuple of three Python floats (the
     same IEEE arithmetic as the elementwise array update).  The gain is
     recomputed only when ``dt`` changes.
     """
@@ -463,34 +467,30 @@ class LowPass:
         if not 0.0 < cutoff_hz < math.inf:
             raise DomainError("low-pass cutoff must be finite and > 0")
         self.tau = 1.0 / (2.0 * math.pi * cutoff_hz)
-        self.y = None if initial is None else _floats(initial)
+        self.y = None if initial is None else vec3(initial, "low-pass initial value")
         self._dt = None
         self._alpha = 0.0
 
     def advance(self, x, dt: float) -> tuple:
-        """Advance the filter by one sample of floats; return the output tuple.
-
-        Three floats at the previous sample's ``dt`` (the IMU's gyro at its
-        fixed rate) take a short path with the same arithmetic.
-        """
-        y = self.y
-        if dt == self._dt and len(y) == 3:
-            alpha = self._alpha
-            x0, x1, x2 = x
-            y0, y1, y2 = y
-            self.y = y = (y0 + alpha * (x0 - y0), y1 + alpha * (x1 - y1), y2 + alpha * (x2 - y2))
-            return y
-        if not dt > 0.0:
-            raise DomainError("low-pass step requires dt > 0")
-        if y is None:
-            self.y = tuple(x)
-            return self.y
+        """Advance the filter by one sample of three floats; return the output
+        tuple.  Raises DomainError unless ``dt > 0`` and ``x`` has 3 entries."""
         if dt != self._dt:
+            if not dt > 0.0:
+                raise DomainError("low-pass step requires dt > 0")
             self._dt = dt
             self._alpha = 1.0 - math.exp(-dt / self.tau)
+        try:
+            x0, x1, x2 = x
+        except (TypeError, ValueError):
+            raise DomainError(f"low-pass input must be 3 floats, got {x!r}") from None
+        y = self.y
+        if y is None:
+            self.y = y = (x0, x1, x2)
+            return y
         alpha = self._alpha
-        self.y = tuple([yi + alpha * (xi - yi) for xi, yi in zip(x, y)])
-        return self.y
+        y0, y1, y2 = y
+        self.y = y = (y0 + alpha * (x0 - y0), y1 + alpha * (x1 - y1), y2 + alpha * (x2 - y2))
+        return y
 
 
 IMU_CUTOFF_HZ = 20.0

@@ -628,8 +628,8 @@ def reference_step(
         dist_f = (0.0, 0.0, 0.0)
         dist_m = (0.0, 0.0, 0.0)
     else:
-        dist_f = disturbance.force_offset_world.tolist()
-        dist_m = disturbance.torque_offset_body.tolist()
+        dist_f = disturbance.force_offset_world
+        dist_m = disturbance.torque_offset_body
 
     y0 = state.y
 
@@ -757,7 +757,7 @@ def reference_setpoint_at(t: float, scenario: Scenario) -> Setpoint:
         theta = scenario.circle_rate * t
         r = scenario.circle_radius
         c, s = math.cos(theta), math.sin(theta)
-        cx, cy, cz = scenario.circle_center.tolist()
+        cx, cy, cz = scenario.circle_center
         speed = scenario.circle_rate * r
         if scenario.yaw_mode == "tangent":
             yaw = wrap_angle(theta + math.pi / 2.0)

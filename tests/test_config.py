@@ -20,6 +20,7 @@ from tailsim.config import (
     RADIUS,
     SCENARIO_KINDS,
     Config,
+    HarnessSettings,
     apply_overrides,
     load_config,
     parse_pairs,
@@ -36,10 +37,8 @@ def test_default_round_trip_through_text():
     assert restored.params == cfg.params
     assert restored.gains == cfg.gains
     assert restored.rates == cfg.rates
-    assert np.array_equal(
-        restored.disturbance.force_offset_world, cfg.disturbance.force_offset_world
-    )
-    # harness settings hold arrays, so compare the serialised form
+    assert restored.disturbance == cfg.disturbance
+    assert restored.harness == cfg.harness
     assert restored.to_text() == cfg.to_text()
 
 
@@ -78,10 +77,14 @@ def test_apply_overrides_vector_and_waypoint_syntax():
             "seed": "11",
         },
     )
-    assert np.allclose(cfg.disturbance.force_offset_world, [0.2, 0.02, 0.03])
-    assert cfg.harness.hover_pos[2] == 2.5
-    assert np.allclose(cfg.harness.waypoints, [[0, 0, 1], [4, 0, 1], [4, 4, 1]])
+    assert cfg.disturbance.force_offset_world == (0.2, 0.02, 0.03)
+    assert cfg.harness.hover_pos == (0.0, 0.0, 2.5)
+    assert cfg.harness.waypoints == ((0.0, 0.0, 1.0), (4.0, 0.0, 1.0), (4.0, 4.0, 1.0))
     assert cfg.disturbance.seed == 11
+    # every vector is stored as a tuple of Python floats
+    for value in (cfg.disturbance.force_offset_world, cfg.harness.hover_pos,
+                  *cfg.harness.waypoints):
+        assert type(value) is tuple and all(type(c) is float for c in value)
 
 
 def test_apply_overrides_collects_all_problems_at_once():
@@ -231,7 +234,7 @@ def test_hover_trim_must_leave_thrust_margin(mass, accepted):
 def test_scenario_problems_sees_non_finite_values_set_after_construction():
     cfg = Config()
     cfg.disturbance.gyro_noise_std = float("nan")
-    cfg.disturbance.force_offset_world[1] = float("inf")
+    _KEYS["dist_force_y"].set(cfg, float("inf"))   # past DisturbanceSpec's own check
     cfg.harness.imu_cutoff_hz = float("nan")
     problems = "\n".join(cfg.scenario_problems())
     assert "noise_gyro" in problems
@@ -324,8 +327,8 @@ def test_default_harness_settings():
     assert h.circle_radius_m == 1.5
     assert h.circle_speed_mps == 1.5
     assert h.yaw_mode == "tangent"
-    assert np.allclose(h.hover_pos, [0.0, 0.0, 1.5])
-    assert len(h.waypoints) == 5 and np.allclose(h.waypoints[0], h.waypoints[-1])
+    assert h.hover_pos == (0.0, 0.0, 1.5)
+    assert len(h.waypoints) == 5 and h.waypoints[0] == h.waypoints[-1] == (0.0, 0.0, 1.5)
 
 
 # --------------------------------------------------------------------------
@@ -386,11 +389,11 @@ def test_a_keyed_field_set_later_to_a_non_number_is_a_line_naming_its_key(sectio
 
 
 @pytest.mark.parametrize("attr, value, line", [
-    ("waypoints", "x", "waypoints: must be an array of real numbers, got 'x'"),
-    ("hover_pos", 5.0, "hover_x: hover_pos must be an array of 3 numbers, got 5.0"),
+    ("waypoints", "x", "waypoints: must be a tuple of x,y,z tuples of real numbers, got 'x'"),
+    ("hover_pos", 5.0, "hover_x: hover_pos must be a tuple of 3 numbers, got 5.0"),
     ("start_offset", [1.0],
-     "start_offset_y: start_offset must be an array of 3 numbers, got [1.0]"),
-    ("circle_center", None, "circle_z: circle_center must be an array of 3 numbers, got None"),
+     "start_offset_y: start_offset must be a tuple of 3 numbers, got [1.0]"),
+    ("circle_center", None, "circle_z: circle_center must be a tuple of 3 numbers, got None"),
 ], ids=["waypoints", "hover_pos", "start_offset", "circle_center"])
 def test_a_vector_field_set_later_to_a_non_array_is_a_line_naming_its_key(attr, value, line):
     # reading the field as an array used to raise out of scenario_problems
@@ -402,11 +405,17 @@ def test_a_vector_field_set_later_to_a_non_array_is_a_line_naming_its_key(attr, 
     assert line in excinfo.value.problems
 
 
+def test_a_harness_vector_given_as_an_array_is_a_line_for_each_of_its_keys():
+    # vectors are stored as tuples, and HarnessSettings converts nothing
+    cfg = Config(harness=HarnessSettings(hover_pos=np.array([0.0, 0.0, 1.5])))
+    assert [p.split(":")[0] for p in cfg.scenario_problems()] == ["hover_x", "hover_y", "hover_z"]
+
+
 @pytest.mark.parametrize("attr, value, line", [
-    ("hover_pos", 5.0, "hover_x: hover_pos must be an array of 3 numbers, got 5.0"),
+    ("hover_pos", 5.0, "hover_x: hover_pos must be a tuple of 3 numbers, got 5.0"),
     ("start_offset", [1.0],
-     "start_offset_x: start_offset must be an array of 3 numbers, got [1.0]"),
-    ("circle_center", None, "circle_x: circle_center must be an array of 3 numbers, got None"),
+     "start_offset_x: start_offset must be a tuple of 3 numbers, got [1.0]"),
+    ("circle_center", None, "circle_x: circle_center must be a tuple of 3 numbers, got None"),
 ], ids=["hover_pos", "start_offset", "circle_center"])
 def test_to_text_of_a_vector_field_set_later_to_a_non_array_is_a_config_error(attr, value, line):
     # indexing the field used to raise TypeError out of to_text
@@ -419,11 +428,11 @@ def test_to_text_of_a_vector_field_set_later_to_a_non_array_is_a_config_error(at
 
 
 @pytest.mark.parametrize("value, line", [
-    (None, "waypoints: must be an array of real numbers, got None"),
-    ([[1, 2, 3]], "waypoints: must be an array of real numbers, got [[1, 2, 3]]"),
-    ("x", "waypoints: must be an array of real numbers, got 'x'"),
-    (5.0, "waypoints: must be an array of real numbers, got 5.0"),
-    (np.array([1.0, 2.0, 3.0]), "waypoints: need at least two x,y,z triples"),
+    (None, "waypoints: must be a tuple of x,y,z tuples of real numbers, got None"),
+    ([[1, 2, 3]], "waypoints: must be a tuple of x,y,z tuples of real numbers, got [[1, 2, 3]]"),
+    ("x", "waypoints: must be a tuple of x,y,z tuples of real numbers, got 'x'"),
+    (5.0, "waypoints: must be a tuple of x,y,z tuples of real numbers, got 5.0"),
+    (((1.0, 2.0, 3.0),), "waypoints: need at least two x,y,z triples"),
 ], ids=["None", "list", "str", "float", "one-triple"])
 def test_to_text_of_waypoints_set_later_to_a_non_array_is_a_config_error(value, line):
     # None and the list used to raise TypeError out of to_text, while the
@@ -520,7 +529,7 @@ def set_directly(cfg, key, value):
     """Store ``value`` at ``key``'s attribute, past every constructor check."""
     spec = _KEYS[key]
     if spec.kind == "vec3list":  # every coordinate of every waypoint
-        value = np.full_like(spec.get(key, cfg), value)
+        value = tuple((value, value, value) for _ in spec.get(key, cfg))
     spec.set(cfg, value)
 
 
@@ -676,18 +685,18 @@ def test_apply_overrides_leaves_its_base_unchanged():
     cfg = apply_overrides(base, {"m": "0.7", "dist_force_y": "0.5", "hover_z": "2.5",
                                  "waypoints": "0,0,1; 1,1,1"})
     assert base.to_text() == before
-    assert cfg.disturbance.force_offset_world.tolist() == [0.1, 0.5, 0.03]
+    assert cfg.disturbance.force_offset_world == (0.1, 0.5, 0.03)
     with pytest.raises(ConfigError):
         apply_overrides(base, {"dist_force_x": "nan", "noise_gyro": "-1", "star_x": "inf"})
     assert base.to_text() == before
 
 
 @pytest.mark.parametrize("attr, value, key, line", [
-    ("hover_pos", None, "hover_x", "hover_x: hover_pos must be an array of 3 numbers, got None"),
+    ("hover_pos", None, "hover_x", "hover_x: hover_pos must be a tuple of 3 numbers, got None"),
     ("start_offset", np.zeros(2), "start_offset_z",
-     "start_offset_z: start_offset must be an array of 3 numbers, got array([0., 0.])"),
+     "start_offset_z: start_offset must be a tuple of 3 numbers, got array([0., 0.])"),
     ("circle_center", [0.0, 0.0, 1.5], "circle_y",
-     "circle_y: circle_center must be an array of 3 numbers, got [0.0, 0.0, 1.5]"),
+     "circle_y: circle_center must be a tuple of 3 numbers, got [0.0, 0.0, 1.5]"),
 ], ids=["None", "two-vector", "list"])
 def test_an_override_on_a_base_vector_that_is_not_an_array_of_3_is_a_config_error(
         attr, value, key, line):

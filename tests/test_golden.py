@@ -11,6 +11,9 @@ or the metrics, so neither depends on which OpenBLAS kernel numpy loads;
 ``test_log_digests_hold_on_every_openblas_kernel`` checks both on every
 kernel this CPU can run.
 
+The default config file, ``Config().to_text()``, is pinned too: its keys,
+their order, the defaults and the ``%.17g`` value format.
+
 The sysid digests cover the bench CSV written by ``tailsim sysid synth``
 (12 x 13 grid, 5 % noise, seed 1) and the ``sysid fit --intercept`` file
 made from it: the synthetic model, its noise stream, the ``%.17g`` CSV
@@ -83,6 +86,14 @@ def test_metrics_json_matches_golden(scenario, estimator):
     _, metrics = _run(scenario, estimator, "12")
     digest = hashlib.sha256(metrics.to_json().encode()).hexdigest()
     assert digest == METRICS_GOLDEN[(scenario, estimator)]
+
+
+DEFAULT_CONFIG_GOLDEN = "1c488e5667699294fabc7bced243a3477d92fb96daa6cd340fbb9f80971a6b50"
+
+
+def test_default_config_text_matches_golden():
+    digest = hashlib.sha256(Config().to_text().encode()).hexdigest()
+    assert digest == DEFAULT_CONFIG_GOLDEN
 
 
 # the tests above run on the RK4 kernel that import loaded (the compiled one

@@ -249,6 +249,25 @@ def test_reference_errors_match_setpoint_oracle():
     assert _reference_outcome(0.0, s)[0][1] == "setpoint must be finite"
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"kind": "circle"}, "circle_center"),
+    ({"kind": "hover", "hover_pos": [1.0, 2.0]}, "hover_pos"),
+    ({"kind": "hover", "hover_pos": None}, "hover_pos"),
+], ids=["circle-without-centre", "two-floats", "None"])
+def test_a_malformed_scenario_vector_is_a_domain_error_naming_it(kwargs, name):
+    # these raised AttributeError (the centre's default is None), ValueError
+    # and TypeError
+    with pytest.raises(DomainError, match=f"Scenario.{name} must be 3 real numbers"):
+        Scenario(duration_s=1.0, **kwargs)
+
+
+def test_scenario_stores_its_vectors_as_float_tuples():
+    s = Scenario("circle", duration_s=1.0, hover_pos=np.array([1, 2, 3]),
+                 circle_center=[np.float64(0.5), 0, 1])
+    assert s.hover_pos == (1.0, 2.0, 3.0) and s.circle_center == (0.5, 0.0, 1.0)
+    assert all(type(c) is float for c in (*s.hover_pos, *s.circle_center))
+
+
 @pytest.mark.parametrize("kind", ["waypoint", "star", "hover", "circle"])
 def test_every_scenario_kind_converts_to_a_dict(kind):
     # the per-kind constants reference reads have defaults, so a scenario
@@ -706,6 +725,17 @@ def test_noisy_complementary_hover_run_is_deterministic():
     assert log_c.to_csv() != log_a.to_csv()
 
 
+
+def test_accelerometer_noise_changes_no_log_or_metrics_byte():
+    # noise_accel perturbs only SensorSample.accel, which nothing reads: the
+    # normals are drawn whatever its level, so the gyro and pose noise match
+    outputs = set()
+    for level in (0, 0.05, 5):
+        log, m = run_scenario(cfg_with(scenario="hover", estimator="complementary",
+                                       duration_s=2, transient_window_s=0.5, noise_accel=level))
+        outputs.add((log.to_csv(), m.to_json()))
+    assert len(outputs) == 1
+
 def test_log_state_columns_equal_state_y_at_logged_ticks(monkeypatch):
     # the run steps the state it has just logged, so the input state floats
     # of every kernel call are recorded and compared with its tick's log row
@@ -734,7 +764,7 @@ def test_plant_constants_are_bound_per_run_not_cached():
     cfg = cfg_with(**short)
     first, _ = run_scenario(cfg)
     cfg.params.m = 0.7
-    cfg.disturbance.force_offset_world[0] = 0.3
+    cfg.disturbance.force_offset_world = (0.3, 0.02, 0.03)
     second, _ = run_scenario(cfg)
     fresh, _ = run_scenario(cfg_with(m=0.7, dist_force_x=0.3, **short))
     assert second.to_csv() == fresh.to_csv()

@@ -561,13 +561,13 @@ def test_a_run_with_block_drawn_noise_logs_the_per_sample_draws(monkeypatch):
 
 def test_disturbance_defaults_and_validation():
     d = DisturbanceSpec()
-    assert np.allclose(d.force_offset_world, [0.10, 0.02, 0.03])
-    assert np.allclose(d.torque_offset_body, [5e-4, 2e-3, 5e-4])
+    assert d.force_offset_world == (0.10, 0.02, 0.03)
+    assert d.torque_offset_body == (5e-4, 2e-3, 5e-4)
     assert (d.gyro_noise_std, d.accel_noise_std) == (0.005, 0.05)
     assert (d.pose_pos_noise_std, d.pose_att_noise_std) == (0.001, 0.00175)
     assert d.seed == 0
     z = DisturbanceSpec.none()
-    assert np.all(z.force_offset_world == 0.0) and z.gyro_noise_std == 0.0
+    assert z.force_offset_world == (0.0, 0.0, 0.0) and z.gyro_noise_std == 0.0
     with pytest.raises(DomainError):
         DisturbanceSpec(gyro_noise_std=-1.0)
     with pytest.raises(DomainError):
@@ -587,13 +587,13 @@ def test_disturbance_defaults_and_validation():
 def test_disturbance_offsets_are_validated_on_assignment(name):
     d = DisturbanceSpec()
     for bad in ([0.0, 0.0, math.nan], np.array([0.0, math.inf, 0.0]), [0.0, 0.0],
-                np.zeros((3, 1)), ["x", 0.0, 0.0]):
+                np.zeros((3, 1)), ["x", 0.0, 0.0], {0.0, 1.0, 2.0}, np.float64(1.0)):
         with pytest.raises(DomainError):
             setattr(d, name, bad)
-    setattr(d, name, [1, 2, 3])
-    value = getattr(d, name)
-    assert isinstance(value, np.ndarray) and value.dtype == float
-    assert value.tolist() == [1.0, 2.0, 3.0]
+    for good in ([1, 2, 3], np.array([1.0, 2.0, 3.0]), (np.float64(1.0), 2, 3.0)):
+        setattr(d, name, good)
+        value = getattr(d, name)
+        assert value == (1.0, 2.0, 3.0) and all(type(c) is float for c in value)
     step(VehicleState(np.zeros(3), np.zeros(3), hover_attitude(0.0), np.zeros(3)),
          ActuatorCommand(), 1e-3, PARAMS, d)
 
@@ -606,22 +606,26 @@ def test_lowpass_unit_dc_gain():
     lp = LowPass(20.0)
     y = None
     for _ in range(2000):
-        y = lp.advance((3.0,), 1e-3)
-    assert y[0] == pytest.approx(3.0, rel=1e-9)
+        y = lp.advance((3.0, -2.0, 0.5), 1e-3)
+    assert y == pytest.approx((3.0, -2.0, 0.5), rel=1e-9)
 
 
 def test_lowpass_first_sample_initialises_output():
     lp = LowPass(20.0)
-    assert lp.advance((5.0, -1.0), 1e-3) == (5.0, -1.0)
+    assert lp.advance((5.0, -1.0, 2.0), 1e-3) == (5.0, -1.0, 2.0)
 
 
 def _sine_gain(f_sig, fc=20.0, dt=1e-5, t_total=0.5):
-    lp = LowPass(fc, initial=[0.0])
+    # the same sine on all three channels, which must come out identical
+    lp = LowPass(fc, initial=[0.0, 0.0, 0.0])
     n = round(t_total / dt)
     t = np.arange(n) * dt
     y = np.empty(n)
     for k in range(n):
-        y[k] = lp.advance((math.sin(2.0 * math.pi * f_sig * t[k]),), dt)[0]
+        x = math.sin(2.0 * math.pi * f_sig * t[k])
+        y0, y1, y2 = lp.advance((x, x, x), dt)
+        assert y0 == y1 == y2
+        y[k] = y0
     m = t >= t_total / 2.0  # discard the settling transient
     a = 2.0 * np.mean(y[m] * np.sin(2.0 * np.pi * f_sig * t[m]))
     b = 2.0 * np.mean(y[m] * np.cos(2.0 * np.pi * f_sig * t[m]))
@@ -639,11 +643,11 @@ def test_lowpass_gain_a_decade_above_cutoff():
 def test_lowpass_matches_array_filter_bit_for_bit():
     rng = np.random.default_rng(2)
     lp, ref = LowPass(20.0, initial=[0.1, -0.2, 0.3]), ArrayLowPass(20.0, initial=[0.1, -0.2, 0.3])
-    scalar, scalar_ref = LowPass(5.0), ArrayLowPass(5.0)
+    uninitialised, uninitialised_ref = LowPass(5.0), ArrayLowPass(5.0)
     for dt in (1e-3, 1e-3, 5e-4, 2e-3, 1e-3):
         x = rng.standard_normal(3)
         assert np.array_equal(lp.advance(x.tolist(), dt), ref.step(x, dt))
-        assert scalar.advance((float(x[0]),), dt)[0] == scalar_ref.step(x[0], dt)
+        assert np.array_equal(uninitialised.advance(x.tolist(), dt), uninitialised_ref.step(x, dt))
 
 
 def test_lowpass_validation():
@@ -655,6 +659,21 @@ def test_lowpass_validation():
     lp = LowPass(20.0)
     with pytest.raises(DomainError):
         lp.advance((0.0, 0.0, 0.0), 0.0)
+    with pytest.raises(DomainError):
+        LowPass(20.0, initial=[0.0, 0.0])
+
+
+@pytest.mark.parametrize("initial", [None, (0.1, -0.2, 0.3)], ids=["uninitialised", "initial"])
+def test_lowpass_rejects_an_input_that_is_not_three_floats_on_every_call(initial):
+    # a 2-float input used to shrink the state on the general path, and to
+    # raise a bare ValueError on the short one
+    lp = LowPass(20.0, initial=initial)
+    for dt in (1e-3, 1e-3, 2e-3):
+        for bad in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0), (), 5.0):
+            with pytest.raises(DomainError, match="low-pass input must be 3 floats"):
+                lp.advance(bad, dt)
+        lp.advance((1.0, 2.0, 3.0), dt)
+    assert len(lp.y) == 3
 
 
 # --------------------------------------------------------------------------
