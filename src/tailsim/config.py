@@ -21,10 +21,8 @@ import math
 from dataclasses import dataclass, field, fields
 from numbers import Real
 
-import numpy as np
-
-from .control import ControllerGains, LoopRates
-from .errors import ConfigError
+from .control import WHOLE_HZ, ControllerGains, LoopRates, divisor_problems, is_whole_hz
+from .errors import ConfigError, is_integer
 from .model import VehicleParams
 from .sim import MAX_PHYSICS_DT, DisturbanceSpec
 
@@ -56,7 +54,7 @@ MAX_LOG_ROWS = 10**7
 # metrics overflow.
 MAX_POSITION_M = 1e6
 
-# The float domains a key may declare, each named by its message text.
+# The number domains a key may declare, each named by its message text.
 FINITE, NONNEGATIVE, POSITIVE = "finite", "finite and >= 0", "finite and > 0"
 POSITION = f"finite and at most {MAX_POSITION_M:g} m from 0"
 RADIUS = f"> 0 and at most {MAX_POSITION_M:g} m"
@@ -66,6 +64,16 @@ _IN_DOMAIN = {
     POSITIVE: lambda v: 0 < v < math.inf,
     POSITION: lambda v: abs(v) <= MAX_POSITION_M,
     RADIUS: lambda v: 0 < v <= MAX_POSITION_M,
+    WHOLE_HZ: is_whole_hz,
+}
+
+# Each rate the run loop schedules, by key, and the key of the rate whose ticks
+# it fires on (a pose fix comes on an IMU tick); LoopRates checks its own.
+SCHEDULED_BY = {
+    "imu_rate_hz": "physics_rate_hz",
+    "logging_rate_hz": "physics_rate_hz",
+    "rate_rate_hz": "physics_rate_hz",
+    "pose_rate_hz": "imu_rate_hz",
 }
 
 _DEFAULT_WAYPOINTS = (
@@ -143,41 +151,25 @@ class Config:
 
         Each key's own domain is declared on its ``_KEYS`` entry, and the
         vehicle, gain and loop-rate sections check their own fields; what
-        is checked here by hand relates several fields or checks a type
-        (``physics_rate_hz``, ``waypoints`` and ``seed``).
+        is checked here by hand relates several fields (each rate divides
+        the rate that schedules it, :data:`SCHEDULED_BY`) or checks a type
+        (``waypoints`` and ``seed``).
         """
-        params_problems, rates_problems = self.params.problems(), self.rates.problems()
-        problems = params_problems + self.gains.problems() + rates_problems
+        params_problems = self.params.problems()
+        problems = params_problems + self.gains.problems() + self.rates.problems()
         domain_problems = {key: spec.problem(key, self)
                            for key, spec in _KEYS.items() if spec.domain is not None}
         problems += [problem for problem in domain_problems.values() if problem is not None]
         h = self.harness
-        if not isinstance(h.physics_rate_hz, Real):
-            problems.append(f"physics_rate_hz: must be a real number, got {h.physics_rate_hz!r}")
-        elif h.physics_rate_hz <= 0:
-            problems.append(f"physics_rate_hz: must be > 0, got {h.physics_rate_hz}")
-        elif not _is_integer(h.physics_rate_hz):
-            problems.append(f"physics_rate_hz: must be an integer, got {h.physics_rate_hz!r}")
-        else:
-            if 1.0 / h.physics_rate_hz > MAX_PHYSICS_DT + 1e-12:
-                problems.append(
-                    f"physics_rate_hz: step {1.0 / h.physics_rate_hz:g} s exceeds the "
-                    f"{MAX_PHYSICS_DT:g} s integration limit"
-                )
-            rates = [("imu_rate_hz", h.imu_rate_hz), ("pose_rate_hz", h.pose_rate_hz),
-                     ("logging_rate_hz", h.logging_rate_hz)]
-            if not rates_problems:  # LoopRates checks the rate loop's own value
-                rates.append(("rate_loop (rate_rate_hz)", self.rates.rate_rate))
-            for name, rate in rates:
-                if not (isinstance(rate, Real) and math.isfinite(rate) and round(rate) >= 1):
-                    problems.append(f"{name}: must be finite and >= 1 Hz when rounded, got {rate}")
-                elif h.physics_rate_hz % int(round(rate)) != 0:
-                    problems.append(
-                        f"{name}: {rate:g} Hz must divide physics_rate_hz "
-                        f"{h.physics_rate_hz} Hz evenly"
-                    )
+        if not domain_problems["physics_rate_hz"]:
+            dt = 1.0 / h.physics_rate_hz
+            if dt > MAX_PHYSICS_DT + 1e-12:
+                problems.append(f"physics_rate_hz: step {dt:g} s exceeds the "
+                                f"{MAX_PHYSICS_DT:g} s integration limit")
+        rates = {key: _KEYS[key].get(key, self) for key in ("physics_rate_hz", *SCHEDULED_BY)}
+        problems += divisor_problems(rates, SCHEDULED_BY)
         rate = h.logging_rate_hz
-        if not domain_problems["duration_s"] and isinstance(rate, Real) and 1 <= rate < math.inf:
+        if not domain_problems["duration_s"] and not domain_problems["logging_rate_hz"]:
             rows = h.duration_s * rate
             if rows == math.inf or round(rows) > MAX_LOG_ROWS:
                 problems.append(f"duration_s: {h.duration_s} s at logging_rate_hz {rate} Hz "
@@ -209,7 +201,7 @@ class Config:
                     "rad/s ceiling, which leaves too little thrust to manoeuvre"
                 )
         seed = self.disturbance.seed
-        if not _is_integer(seed):
+        if not is_integer(seed):
             problems.append(f"seed: must be an integer, got {seed!r}")
         elif seed < 0:
             problems.append(f"seed: must be >= 0, got {seed}")
@@ -222,19 +214,15 @@ def leg_length(a: tuple, b: tuple) -> float:
     return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 class _Key:
     """One canonical configuration key bound to a config attribute.
 
     ``domain`` declares the key's own rule, checked by
     :meth:`Config.scenario_problems`: ``FINITE``, ``NONNEGATIVE``,
-    ``POSITIVE``, ``POSITION`` or ``RADIUS`` for a real number, a tuple of
-    the allowed strings, or a range for an integer within it (a non-number
-    is named first, then the lower bound is checked, then the type, then
-    the upper bound).
+    ``POSITIVE``, ``POSITION`` or ``RADIUS`` for a real number, ``WHOLE_HZ``
+    for a loop rate, a tuple of the allowed strings, or a range for an
+    integer within it (a non-number is named first, then the lower bound is
+    checked, then the type, then the upper bound).
     None leaves the value to its section's own checks or to the rules
     that relate several keys.
     """
@@ -293,7 +281,7 @@ class _Key:
         if isinstance(domain, range):
             if not value >= domain.start:
                 return f"{key}: must be >= {domain.start}, got {value}"
-            if not _is_integer(value):
+            if not is_integer(value):
                 return f"{key}: must be an integer, got {value!r}"
             return None if value < domain.stop else f"{key}: must be <= {domain[-1]}, got {value}"
         return None if _IN_DOMAIN[domain](value) else f"{key}: must be {domain}, got {value}"
@@ -356,9 +344,9 @@ _KEYS: dict[str, _Key] = {
     "K_I_omega_y": _Key("gains", "k_i_omega_y"),
     "K_I_omega_z": _Key("gains", "k_i_omega_z"),
     # loop rates
-    "position_rate_hz": _Key("rates", "position_rate"),
-    "attitude_rate_hz": _Key("rates", "attitude_rate"),
-    "rate_rate_hz": _Key("rates", "rate_rate"),
+    "position_rate_hz": _Key("rates", "position_rate", kind="int"),
+    "attitude_rate_hz": _Key("rates", "attitude_rate", kind="int"),
+    "rate_rate_hz": _Key("rates", "rate_rate", kind="int"),
     # disturbance / noise
     "dist_force_x": _Key("disturbance", "force_offset_world", index=0, domain=FINITE),
     "dist_force_y": _Key("disturbance", "force_offset_world", index=1, domain=FINITE),
@@ -374,10 +362,10 @@ _KEYS: dict[str, _Key] = {
     # harness
     "scenario": _Key("harness", "scenario", kind="str", domain=SCENARIO_KINDS),
     "duration_s": _Key("harness", "duration_s", domain=POSITIVE),
-    "physics_rate_hz": _Key("harness", "physics_rate_hz", kind="int"),
-    "imu_rate_hz": _Key("harness", "imu_rate_hz", kind="int"),
-    "pose_rate_hz": _Key("harness", "pose_rate_hz", kind="int"),
-    "logging_rate_hz": _Key("harness", "logging_rate_hz", kind="int"),
+    "physics_rate_hz": _Key("harness", "physics_rate_hz", kind="int", domain=WHOLE_HZ),
+    "imu_rate_hz": _Key("harness", "imu_rate_hz", kind="int", domain=WHOLE_HZ),
+    "pose_rate_hz": _Key("harness", "pose_rate_hz", kind="int", domain=WHOLE_HZ),
+    "logging_rate_hz": _Key("harness", "logging_rate_hz", kind="int", domain=WHOLE_HZ),
     "imu_cutoff_hz": _Key("harness", "imu_cutoff_hz", domain=POSITIVE),
     "estimator": _Key("harness", "estimator", kind="str", domain=ESTIMATOR_KINDS),
     "transient_window_s": _Key("harness", "transient_window_s", domain=NONNEGATIVE),
@@ -414,7 +402,7 @@ CANONICAL_KEYS = tuple(_KEYS)
 def _format_value(value) -> str:
     if isinstance(value, str):
         return value
-    if _is_integer(value):
+    if is_integer(value):
         return str(int(value))
     if isinstance(value, tuple):
         return "; ".join(",".join(f"{c:.17g}" for c in row) for row in value)

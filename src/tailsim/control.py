@@ -2,7 +2,8 @@
 
 Three nested loops run on one clock, the body-rate loop's tick: the
 outer loops fire on every n-th tick, and each stage latches the most
-recent output of the stage above it:
+recent output of the stage above it.  Each rate is whole Hz and divides
+the rate of the loop that schedules it (:func:`divisor_problems`):
 
 * position loop (default 100 Hz): world-frame PD law with velocity
   reference feedforward produces a desired total force vector,
@@ -40,7 +41,7 @@ import math
 from dataclasses import dataclass, field, fields
 from numbers import Real
 
-from .errors import DegenerateThrustError, DomainError, InfeasibleRollError
+from .errors import DegenerateThrustError, DomainError, InfeasibleRollError, is_integer
 from .model import VehicleParams
 from .rotations import (
     quat_conjugate,
@@ -93,13 +94,33 @@ class ControllerGains:
         return problems
 
 
+# The form of every loop rate, the cascade's and the run harness's.
+WHOLE_HZ = "a whole number of Hz >= 1"
+
+
+def is_whole_hz(rate) -> bool:
+    """Whether ``rate`` is an integer (not a float or a bool) of at least 1 Hz."""
+    return is_integer(rate) and rate >= 1
+
+
+def divisor_problems(rates: dict, schedule: dict) -> list[str]:
+    """One line per rate in ``schedule`` (name -> its scheduler's name, both
+    keys of ``rates``) that does not divide its scheduler's; a loop ticks on
+    every ``base // rate``-th tick.  Rates that are not whole Hz are skipped."""
+    return [f"{name}: {rates[name]} Hz must divide {base} {rates[base]} Hz evenly"
+            for name, base in schedule.items()
+            if is_whole_hz(rates[name]) and is_whole_hz(rates[base])
+            and rates[base] % rates[name]]
+
+
 @dataclass
 class LoopRates:
-    """Execution rates of the three cascade stages, Hz."""
+    """Execution rates of the three cascade stages, whole Hz; the position and
+    attitude rates divide the rate loop's."""
 
-    position_rate: float = 100.0
-    attitude_rate: float = 250.0
-    rate_rate: float = 500.0
+    position_rate: int = 100
+    attitude_rate: int = 250
+    rate_rate: int = 500
 
     def __post_init__(self) -> None:
         problems = self.problems()
@@ -107,22 +128,13 @@ class LoopRates:
             raise DomainError(problems[0])
 
     def problems(self) -> list[str]:
-        """Every problem of the rates (empty when sound); the divisions run on sound rates only."""
-        names = ("position_rate", "attitude_rate", "rate_rate")
-        rates = [getattr(self, name) for name in names]
-        unreal = [f"LoopRates.{name} must be a real number, got {rate!r}"
-                  for name, rate in zip(names, rates) if not isinstance(rate, Real)]
-        if unreal:
-            return unreal
-        # the run harness divides the physics rate by int(round(rate_rate))
-        if not all(math.isfinite(r) and round(r) >= 1 for r in rates):
-            return ["loop rates must be finite and >= 1 Hz when rounded"]
-        return [
-            f"LoopRates.{name} {getattr(self, name):g} Hz must divide "
-            f"the rate loop {self.rate_rate:g} Hz evenly"
-            for name in ("position_rate", "attitude_rate")
-            if not float(self.rate_rate / getattr(self, name)).is_integer()
-        ]
+        """Every problem of the rates (empty when sound)."""
+        rates = {f"LoopRates.{f.name}": getattr(self, f.name) for f in fields(self)}
+        problems = [f"{name} must be a real number, got {rate!r}" if not isinstance(rate, Real)
+                    else f"{name} must be {WHOLE_HZ}, got {rate}"
+                    for name, rate in rates.items() if not is_whole_hz(rate)]
+        scheduled = ("LoopRates.position_rate", "LoopRates.attitude_rate")
+        return problems + divisor_problems(rates, dict.fromkeys(scheduled, "LoopRates.rate_rate"))
 
 
 @dataclass
@@ -351,8 +363,8 @@ class CascadeController:
 
     Call :meth:`update` once per rate-loop tick, at ``rates.rate_rate``.
     The rate loop fires on every tick; the position and attitude loops
-    fire on tick 0 and then every ``rate_rate / position_rate`` and
-    ``rate_rate / attitude_rate`` ticks, and latch their outputs for the
+    fire on tick 0 and then every ``rate_rate // position_rate`` and
+    ``rate_rate // attitude_rate`` ticks, and latch their outputs for the
     stages below in between.  Telemetry of every latched intermediate is
     kept on the instance for logging.
 
@@ -375,8 +387,8 @@ class CascadeController:
     rates: LoopRates = field(default_factory=LoopRates)
 
     def __post_init__(self) -> None:
-        self._position_every = round(self.rates.rate_rate / self.rates.position_rate)
-        self._attitude_every = round(self.rates.rate_rate / self.rates.attitude_rate)
+        self._position_every = self.rates.rate_rate // self.rates.position_rate
+        self._attitude_every = self.rates.rate_rate // self.rates.attitude_rate
         lag = math.exp(-1.0 / (self.rates.rate_rate * self.params.tau_motor))
         self._lag = lag
         self._lead = 1.0 / (1.0 - lag)

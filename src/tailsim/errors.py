@@ -2,10 +2,12 @@
 
 Every error raised by the package derives from :class:`TailsimError` and
 carries a short machine-readable ``category`` string that the CLI reports
-on failure.
+on failure; :func:`is_integer` is the one integer test of every domain check.
 """
 
 from __future__ import annotations
+
+from numbers import Integral
 
 
 class TailsimError(Exception):
@@ -77,3 +79,8 @@ class MetricsWindowError(TailsimError):
     """The log is too short for the requested post-transient metrics window."""
 
     category = "metrics-window"
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer (a bool is not)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)

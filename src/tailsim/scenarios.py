@@ -28,7 +28,7 @@ from .control import CascadeController, StateEstimate
 from .errors import ConfigError, DomainError, MetricsWindowError, SimulationDivergedError
 from .model import ActuatorState, total_wrench
 from .rotations import quat_to_matrix_f, wrap_angle
-from .sim import ComplementaryEstimator, Normals, VehicleState, plant, rk4, sense, vec3
+from .sim import ComplementaryEstimator, Normals, VehicleState, plant, rk4, sense, vector
 
 # the per-step call, compiled or Python (see tailsim.sim.KERNEL); perfbench's
 # tracer wraps this binding as the ``sim.step`` span
@@ -136,7 +136,7 @@ class Scenario:
     """A reference trajectory definition over a fixed time horizon.
 
     ``legs`` is stored as a tuple, ``hover_pos`` and a circle's centre as
-    three floats (:func:`tailsim.sim.vec3`).  What :func:`reference` needs on
+    three floats (:func:`tailsim.sim.vector`).  What :func:`reference` needs on
     every call is computed once here: the legs' start times, which it
     bisects, the circle's rate, centre, radius and speed, and the heading of
     each leg (or the fixed one), wrapped to (-pi, pi].
@@ -170,9 +170,9 @@ class Scenario:
             else self._yaw
             for leg in self.legs
         ])
-        self.hover_pos = vec3(self.hover_pos, "Scenario.hover_pos")
+        self.hover_pos = vector(self.hover_pos, "Scenario.hover_pos")
         if self.kind == "circle":
-            self.circle_center = vec3(self.circle_center, "Scenario.circle_center")
+            self.circle_center = vector(self.circle_center, "Scenario.circle_center")
             rate, r = float(self.circle_rate), float(self.circle_radius)
             self._circle = (rate, *self.circle_center, r, rate * r)
 
@@ -522,7 +522,7 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
     physics_rate = h.physics_rate_hz
     dt = 1.0 / physics_rate
     n_steps = int(round(scenario.duration_s * physics_rate))
-    ctrl_every = physics_rate // int(round(config.rates.rate_rate))
+    ctrl_every = physics_rate // config.rates.rate_rate
     imu_every = physics_rate // h.imu_rate_hz
     pose_every = physics_rate // h.pose_rate_hz
     log_every = physics_rate // h.logging_rate_hz
@@ -540,7 +540,7 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
         normals = Normals(np.random.default_rng(disturbance.seed)).take
         estimator = ComplementaryEstimator(
             StateEstimate(y[0:3], y[3:6], y[6:10], y[10:13]),
-            pose_rate=float(h.pose_rate_hz),
+            pose_rate=h.pose_rate_hz,
             cutoff_hz=h.imu_cutoff_hz,
         )
         imu_dt = 1.0 / h.imu_rate_hz

@@ -71,17 +71,16 @@ from .rotations import (
 MAX_PHYSICS_DT = 2e-3
 
 
-def vec3(value, name: str) -> tuple:
-    """``value``, a tuple, list or array of three real numbers, as a tuple of
-    three Python floats; DomainError naming ``name`` for anything else."""
+def vector(value, name: str, n: int = 3) -> tuple:
+    """``value``, a tuple, list or flat array of ``n`` real numbers, as a tuple
+    of ``n`` Python floats; DomainError naming ``name`` for anything else."""
     try:
-        if isinstance(value, (tuple, list, np.ndarray)):
-            x, y, z = value
-            if isinstance(x, Real) and isinstance(y, Real) and isinstance(z, Real):
-                return float(x), float(y), float(z)
-    except (TypeError, ValueError, OverflowError):
+        if (isinstance(value, (tuple, list, np.ndarray)) and len(value) == n
+                and all(isinstance(c, Real) for c in value)):
+            return tuple(map(float, value))
+    except (TypeError, OverflowError):
         pass
-    raise DomainError(f"{name} must be 3 real numbers, got {value!r}")
+    raise DomainError(f"{name} must be {n} real numbers, got {value!r}")
 
 
 @dataclass
@@ -107,7 +106,7 @@ class DisturbanceSpec:
 
     def __setattr__(self, name: str, value) -> None:
         if name in ("force_offset_world", "torque_offset_body"):
-            value = vec3(value, f"DisturbanceSpec.{name}")
+            value = vector(value, f"DisturbanceSpec.{name}")
             if not all(map(math.isfinite, value)):
                 raise DomainError(f"DisturbanceSpec.{name} must be finite, got {value!r}")
         object.__setattr__(self, name, value)
@@ -137,9 +136,7 @@ class _Part:
         return self if state is None else np.array(state.y[self.start:self.stop])
 
     def __set__(self, state, value) -> None:
-        part = _floats(value)
-        if len(part) != self.stop - self.start:
-            raise DomainError(f"VehicleState.{self.name} needs {self.stop - self.start} entries")
+        part = vector(value, f"VehicleState.{self.name}", self.stop - self.start)
         if not all(map(math.isfinite, part)):
             raise DomainError(f"VehicleState.{self.name} entries must be finite, got {part!r}")
         if self.name == "q" and not abs(math.hypot(*part) - 1.0) <= 1e-6:
@@ -154,9 +151,10 @@ class VehicleState:
     ``px`` ... ``wz`` columns: position (world frame, m), velocity (world
     frame, m/s), attitude quaternion (unit norm), body rates (rad/s).
     ``p``, ``v``, ``q`` and ``omega`` read their slice of ``y`` as a new
-    array and replace it when set; every entry must be finite and the
-    attitude unit norm.  ``act`` is a copy of the given actuator state in
-    Python floats, so that stepping keeps ``y`` and ``act`` in floats.
+    array and replace it when set (:func:`vector`); every entry must be
+    finite and the attitude unit norm.  ``act`` is a copy of the given
+    actuator state in Python floats, so that stepping keeps ``y`` and ``act``
+    in floats.
     """
 
     __slots__ = ("y", "act")
@@ -448,11 +446,6 @@ def sense(
     return SensorSample(t, gyro, accel, pose_p, pose_q)
 
 
-def _floats(x) -> tuple:
-    """A scalar or array, flattened to a tuple of Python floats."""
-    return tuple(np.asarray(x, dtype=float).ravel().tolist())
-
-
 class LowPass:
     """First-order low-pass filter with exact zero-order-hold discretisation.
 
@@ -467,7 +460,7 @@ class LowPass:
         if not 0.0 < cutoff_hz < math.inf:
             raise DomainError("low-pass cutoff must be finite and > 0")
         self.tau = 1.0 / (2.0 * math.pi * cutoff_hz)
-        self.y = None if initial is None else vec3(initial, "low-pass initial value")
+        self.y = None if initial is None else vector(initial, "low-pass initial value")
         self._dt = None
         self._alpha = 0.0
 
@@ -513,7 +506,7 @@ class ComplementaryEstimator:
     loop reads those four fields directly.
 
     Args:
-        initial: starting estimate (measured pose at deployment).
+        initial: starting estimate (measured pose at deployment), by :func:`vector`.
         pose_rate: pose fix rate, Hz (sets the velocity correction gain).
         attitude_blend: per-fix fraction of the attitude innovation applied.
         pos_alpha: per-fix fraction of the position innovation applied.
@@ -533,14 +526,14 @@ class ComplementaryEstimator:
     ):
         if not 0.0 < attitude_blend <= 1.0 or not 0.0 < pos_alpha <= 1.0:
             raise DomainError("blend fractions must lie in (0, 1]")
-        self.q = _floats(initial.q)
-        self.p = _floats(initial.p)
-        self.v = _floats(initial.v)
-        self.omega = _floats(initial.omega)
+        self.q = vector(initial.q, "StateEstimate.q", 4)
+        self.p = vector(initial.p, "StateEstimate.p")
+        self.v = vector(initial.v, "StateEstimate.v")
+        self.omega = vector(initial.omega, "StateEstimate.omega")
         self.attitude_blend = attitude_blend
         self.pos_alpha = pos_alpha
         self.vel_gain = vel_beta * pose_rate
-        self._gyro_lp = LowPass(cutoff_hz, initial.omega)
+        self._gyro_lp = LowPass(cutoff_hz, self.omega)
 
     def update(self, sample: SensorSample, dt: float) -> None:
         """Fuse one IMU sample (and its optional pose fix) into the estimate."""

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _forked
-from .errors import DomainError, InsufficientExcitationError
+from .errors import DomainError, InsufficientExcitationError, is_integer
 from .model import VehicleParams
 
 ALL_CONSTANTS = ("k_t", "k_m", "k_l", "k_d", "k_p")
@@ -264,7 +264,7 @@ def generate_synthetic(
     """
     if not 0.0 <= relative_noise < math.inf:
         raise DomainError(f"relative_noise must be finite and >= 0, got {relative_noise!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+    if not is_integer(seed):
         raise DomainError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed!r}")

@@ -315,9 +315,15 @@ def test_sysid_synth_negative_seed_is_domain_error(tmp_path, capsys, noise):
     ("seed = 1e400", "seed: invalid value '1e400'"),
     ("seed = -1", "seed: must be >= 0"),
     ("m = 1.0", "omega_max: hover needs a rotor speed of 789.966 rad/s"),
-    ("attitude_rate_hz = 5e-324", "loop rates must be finite and >= 1 Hz when rounded"),
-    ("position_rate_hz = 5e-324", "loop rates must be finite and >= 1 Hz when rounded"),
-    ("rate_rate_hz = 5e-324", "loop rates must be finite and >= 1 Hz when rounded"),
+    ("attitude_rate_hz = 5e-324", "attitude_rate_hz: invalid value '5e-324'"),
+    ("position_rate_hz = 5e-324", "position_rate_hz: invalid value '5e-324'"),
+    ("rate_rate_hz = 5e-324", "rate_rate_hz: invalid value '5e-324'"),
+    ("attitude_rate_hz = 500.4", "attitude_rate_hz: invalid value '500.4'"),
+    ("position_rate_hz = 500.4", "position_rate_hz: invalid value '500.4'"),
+    ("rate_rate_hz = 500.4", "rate_rate_hz: invalid value '500.4'"),
+    ("attitude_rate_hz = 0.6", "attitude_rate_hz: invalid value '0.6'"),
+    ("position_rate_hz = 0.6", "position_rate_hz: invalid value '0.6'"),
+    ("rate_rate_hz = 0.6", "rate_rate_hz: invalid value '0.6'"),
 ])
 def test_validate_and_run_report_bad_values_as_config_errors(tmp_path, capsys, line, message):
     # each used to pass validation or end in a traceback

@@ -19,6 +19,7 @@ from tailsim.config import (
     POSITIVE,
     RADIUS,
     SCENARIO_KINDS,
+    WHOLE_HZ,
     Config,
     HarnessSettings,
     apply_overrides,
@@ -496,16 +497,17 @@ def test_a_fractional_physics_rate_set_later_is_named_once():
     # the divisibility of the other rates by it is not checked
     cfg = Config()
     cfg.harness.physics_rate_hz = 2000.5
-    assert cfg.scenario_problems() == ["physics_rate_hz: must be an integer, got 2000.5"]
+    assert cfg.scenario_problems() == ["physics_rate_hz: must be a whole number of Hz >= 1, "
+                                       "got 2000.5"]
 
 
 def test_run_rejects_a_position_rate_set_later_that_does_not_divide_the_rate_loop():
     cfg = Config()
-    cfg.rates.position_rate = 3.0
+    cfg.rates.position_rate = 3
     with pytest.raises(ConfigError) as excinfo:
         run_scenario(cfg)
     assert excinfo.value.problems == [
-        "LoopRates.position_rate 3 Hz must divide the rate loop 500 Hz evenly"
+        "LoopRates.position_rate: 3 Hz must divide LoopRates.rate_rate 500 Hz evenly"
     ]
 
 
@@ -542,19 +544,18 @@ def in_domain(domain, value) -> bool:
         return -MAX_POSITION_M <= value <= MAX_POSITION_M
     if domain == RADIUS:
         return 0 < value <= MAX_POSITION_M
+    if domain == WHOLE_HZ:
+        return type(value) is int and value >= 1
     lower = {FINITE: -math.inf < value, NONNEGATIVE: 0 <= value, POSITIVE: 0 < value}[domain]
     return lower and value < math.inf
 
 
 def test_only_harness_and_disturbance_keys_declare_a_domain():
     # the vehicle, gain and loop-rate keys are checked by their sections
-    assert len(DOMAIN_KEYS) == 38
+    assert len(DOMAIN_KEYS) == 42
     assert {_KEYS[key].section for key in DOMAIN_KEYS} == {"disturbance", "harness"}
     keyed = {key for key, spec in _KEYS.items() if spec.section in ("disturbance", "harness")}
-    assert keyed - set(DOMAIN_KEYS) == {
-        "seed", "physics_rate_hz", "imu_rate_hz", "pose_rate_hz", "logging_rate_hz",
-        "waypoints",
-    }
+    assert keyed - set(DOMAIN_KEYS) == {"seed", "waypoints"}
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -722,22 +723,25 @@ def test_an_override_on_a_base_vector_of_strings_is_a_config_error():
 
 def test_a_rate_loop_below_one_hertz_is_one_line():
     # the harness-rate loop used to repeat LoopRates' line for rate_rate
-    line = "loop rates must be finite and >= 1 Hz when rounded"
     with pytest.raises(ConfigError) as excinfo:
         apply_overrides(Config(), {"rate_rate_hz": "5e-324"})
-    assert excinfo.value.problems == [line]
+    assert excinfo.value.problems == [
+        "rate_rate_hz: invalid value '5e-324' (expected an integer, got '5e-324')"
+    ]
     cfg = Config()
     cfg.rates.rate_rate = 0
-    assert cfg.scenario_problems() == [line]
+    assert cfg.scenario_problems() == [
+        "LoopRates.rate_rate must be a whole number of Hz >= 1, got 0"
+    ]
 
 
 def test_a_rate_loop_that_does_not_divide_the_physics_rate_is_named():
     cfg = Config()
-    cfg.rates.rate_rate = 300.0
-    cfg.rates.attitude_rate = 150.0
-    cfg.rates.position_rate = 50.0
+    cfg.rates.rate_rate = 300
+    cfg.rates.attitude_rate = 150
+    cfg.rates.position_rate = 50
     assert cfg.scenario_problems() == [
-        "rate_loop (rate_rate_hz): 300 Hz must divide physics_rate_hz 2000 Hz evenly"
+        "rate_rate_hz: 300 Hz must divide physics_rate_hz 2000 Hz evenly"
     ]
 
 

@@ -401,7 +401,7 @@ def test_cascade_stage_latching():
 
 
 def test_cascade_rate_loop_cadence():
-    ctrl = CascadeController(PARAMS, GAINS, LoopRates(100.0, 250.0, 500.0))
+    ctrl = CascadeController(PARAMS, GAINS, LoopRates(100, 250, 500))
     sp = still_setpoint()
     changes = 0
     prev = ctrl.update(*hover_estimate(), *sp)
@@ -496,9 +496,9 @@ def test_gains_validation():
     with pytest.raises(DomainError):
         ControllerGains(k_i_omega_x=-1.0)
     with pytest.raises(DomainError):
-        LoopRates(position_rate=0.0)
+        LoopRates(position_rate=0)
     with pytest.raises(DomainError):
-        LoopRates(position_rate=300.0)  # does not divide the 500 Hz rate loop
+        LoopRates(position_rate=300)  # does not divide the 500 Hz rate loop
 
 
 # --------------------------------------------------------------------------

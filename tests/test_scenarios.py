@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import tailsim
-from tailsim import scenarios
+from tailsim import control, scenarios
 from tailsim.config import Config, apply_overrides
 from tailsim.control import ActuatorCommand
 from tailsim.errors import ConfigError, DomainError, MetricsWindowError, SimulationDivergedError
@@ -860,6 +860,55 @@ def test_logging_rate_does_not_change_physics():
     for key in ("rms_x_m", "rms_y_m", "rms_z_m"):
         a, b = m_a.to_dict()[key], m_b.to_dict()[key]
         assert b == pytest.approx(a, rel=0.01)
+
+
+LOOPS = ("rate_rate_hz", "attitude_rate_hz", "position_rate_hz")
+RATE_SETS = {
+    "defaults": {},
+    "1kHz-physics": {"physics_rate_hz": "1000", "imu_rate_hz": "500", "pose_rate_hz": "50",
+                     "logging_rate_hz": "50", "rate_rate_hz": "500", "attitude_rate_hz": "250",
+                     "position_rate_hz": "125"},
+    "1kHz-log": {"logging_rate_hz": "1000"},
+    "500.4Hz-loops": dict.fromkeys(LOOPS, "500.4"),
+    "1.4Hz-loops": dict.fromkeys(LOOPS, "1.4"),
+    "imu400-pose250": {"imu_rate_hz": "400", "pose_rate_hz": "250"},
+    "imu1000-pose2000": {"imu_rate_hz": "1000", "pose_rate_hz": "2000"},
+}
+
+
+@pytest.mark.parametrize("rates", RATE_SETS.values(), ids=RATE_SETS)
+def test_every_accepted_rate_is_the_rate_that_runs(monkeypatch, rates):
+    # these used to validate: the 500.4 Hz loops ran at 500 Hz and the 1.4 Hz
+    # ones at 1 Hz, while the cascade integrated over their stated periods,
+    # and a 250 Hz pose fix under a 400 Hz IMU came 50 times a second
+    try:
+        cfg = apply_overrides(Config(), {"scenario": "circle", "estimator": "complementary",
+                                         "duration_s": "1", "transient_window_s": "0.5", **rates})
+    except ConfigError as exc:
+        assert exc.problems and all(line.split(":")[0] in rates for line in exc.problems)
+        return
+    counts = dict.fromkeys(("update", "position_control", "attitude_control", "sense", "pose"), 0)
+
+    def counting(owner, attr):
+        fn = vars(owner)[attr]
+
+        def wrapper(*args):
+            counts[attr] += 1
+            if attr == "sense":
+                counts["pose"] += args[-1]        # with_pose
+            return fn(*args)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    for owner, attr in ((control.CascadeController, "update"), (control, "position_control"),
+                        (control, "attitude_control"), (scenarios, "sense")):
+        counting(owner, attr)
+    log, _ = run_scenario(cfg)
+    h, r = cfg.harness, cfg.rates
+    assert {**counts, "rows": len(log)} == {
+        "update": r.rate_rate, "position_control": r.position_rate,
+        "attitude_control": r.attitude_rate, "sense": h.imu_rate_hz, "pose": h.pose_rate_hz,
+        "rows": h.logging_rate_hz,
+    }
 
 
 def test_divergence_is_reported_with_timestamp():

@@ -337,6 +337,28 @@ NON_FINITE = (math.nan, math.inf, -math.inf)
 PART_SIZES = {"p": 3, "v": 3, "q": 4, "omega": 3}
 
 
+MISSHAPEN = {
+    "column": lambda n: np.zeros((n, 1)),
+    "nested": lambda n: [[0.0]] * n,
+    "short": lambda n: (0.0,) * (n - 1),
+    "long": lambda n: (0.0,) * (n + 1),
+    "scalar": lambda n: 0.0,
+}
+
+
+@pytest.mark.parametrize("shape", MISSHAPEN)
+@pytest.mark.parametrize("name", PART_SIZES)
+def test_a_misshapen_state_or_estimate_vector_is_a_domain_error_naming_it(name, shape):
+    # a (3, 1) array or nested list used to be flattened into a state, and the
+    # estimator took a vector of any length, to fail later in update
+    parts = {"p": (0.0, 0.0, 1.5), "v": (0.0,) * 3, "q": hover_attitude(0.0), "omega": (0.0,) * 3}
+    parts[name] = MISSHAPEN[shape](PART_SIZES[name])
+    with pytest.raises(DomainError, match=rf"^VehicleState\.{name} must be "):
+        VehicleState(**parts)
+    with pytest.raises(DomainError, match=rf"^StateEstimate\.{name} must be "):
+        ComplementaryEstimator(StateEstimate(**parts))
+
+
 @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
 @pytest.mark.parametrize("name", PART_SIZES)
 def test_vehicle_state_constructor_rejects_non_finite_entries(name, bad):
