@@ -54,6 +54,8 @@ MAX_LOG_ROWS = 10**7
 # metrics overflow.
 MAX_POSITION_M = 1e6
 
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)
+
 # The number domains a key may declare, each named by its message text.
 FINITE, NONNEGATIVE, POSITIVE = "finite", "finite and >= 0", "finite and > 0"
 POSITION = f"finite and at most {MAX_POSITION_M:g} m from 0"
@@ -161,6 +163,12 @@ class Config:
                            for key, spec in _KEYS.items() if spec.domain is not None}
         problems += [problem for problem in domain_problems.values() if problem is not None]
         h = self.harness
+        # the step 1 / rate and the row count duration_s * rate below are floats:
+        # a rate above the largest float has neither
+        for key in ("physics_rate_hz", "logging_rate_hz"):
+            if not domain_problems[key] and getattr(h, key) > _FLOAT_MAX:
+                domain_problems[key] = f"{key}: {getattr(h, key)} Hz is beyond float range"
+                problems.append(domain_problems[key])
         if not domain_problems["physics_rate_hz"]:
             dt = 1.0 / h.physics_rate_hz
             if dt > MAX_PHYSICS_DT + 1e-12:

@@ -360,7 +360,35 @@ class Metrics:
             fh.write(self.to_json())
 
 
-_SAMPLE_BLOCK = 32  # samples summed per np.add.reduce call in _correlation_lag
+# samples per left-to-right partial sum in _correlation_lag's exact sums;
+# the block sums are then added up left to right, block by block
+_SAMPLE_BLOCK = 32
+_LAG_CHUNK = 32  # lags whose exact sums are formed in one product array
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
+
+
+def _block_sums(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``sum_i r[i] * rows[i, j]`` for each column ``j`` of ``rows``, in a fixed order.
+
+    The products are added left to right within each block of
+    ``_SAMPLE_BLOCK`` samples, and the block sums left to right onto
+    ``0.0``.  ``np.add.accumulate`` is sequential by definition, where
+    ``np.add.reduce`` may sum a narrow axis pairwise.  The last block is
+    filled with ``-0.0``, which added to any float leaves it unchanged.
+    """
+    n, width = rows.shape
+    blocks = -(-n // _SAMPLE_BLOCK)
+    out = np.empty(width)
+    for c in range(0, width, _LAG_CHUNK):
+        cols = rows[:, c:c + _LAG_CHUNK]
+        m = cols.shape[1]
+        terms = np.full((blocks * _SAMPLE_BLOCK, m), -0.0)
+        np.multiply(r[:, None], cols, out=terms[:n])
+        sums = np.zeros((blocks + 1, m))
+        sums[1:] = np.add.accumulate(terms.reshape(blocks, _SAMPLE_BLOCK, m), axis=1)[:, -1]
+        out[c:c + m] = np.add.accumulate(sums, axis=0)[-1]
+    return out
 
 
 def _correlation_lag(ref: np.ndarray, resp: np.ndarray, dt: float, max_lag_s: float = 2.0) -> float:
@@ -373,32 +401,64 @@ def _correlation_lag(ref: np.ndarray, resp: np.ndarray, dt: float, max_lag_s: fl
     records much longer than the lag.  A parabolic fit through the peak
     refines the estimate below the sample period.
 
-    Only the lags within ``max_lag_s`` are formed.  Each reference
-    sample times the zero-padded response at every lag is added up over
-    the samples, in sample order, a block of samples per
-    ``np.add.reduce`` call: elementwise arithmetic in a fixed order with
-    no BLAS call, so the result does not depend on the BLAS kernel or
-    the CPU.
+    Only the lags within ``max_lag_s`` are formed, in two passes.  The
+    screen, ``np.correlate``, gives every lag's sum in whatever order
+    numpy and BLAS choose.  The lags whose screened sum is within
+    ``slack`` of the screened maximum are the candidates.  The span from
+    the first candidate to the last, one lag wider each way for the
+    parabola, then gets its sums in a fixed order (:func:`_block_sums`);
+    ``argmax`` and the parabolic fit read only these.  The result is the
+    same float as summing every lag in that order, and does not depend
+    on the BLAS kernel or the CPU.
+
+    Why the candidates hold the fixed-order argmax and every lag tied
+    with it.  Each sum at a lag is a recursive sum of its ``n`` products
+    in some order, each product passing through at most ``n`` roundings,
+    so it is within ``e = gamma_n S + n TINY / 2`` of the true sum ``T``,
+    where ``gamma_n = n u / (1 - n u)``, ``u = eps / 2``, ``S`` is the sum
+    of the products' magnitudes and ``TINY / 2`` bounds a product's
+    underflow.  At every lag ``S <= B = n max|r| max|y|``.  If ``k`` is
+    the fixed-order argmax, then at every lag ``j``::
+
+        screen[k] >= T[k] - e >= fixed[k] - 2e >= fixed[j] - 2e
+                  >= T[j] - 3e >= screen[j] - 4e
+
+    and ``4e`` is about ``2 n eps B + 2 n TINY``.  ``slack = n (4 eps B +
+    4 TINY)`` is twice that, which also covers the rounding of ``B``,
+    ``slack`` and ``top - slack``.  ``B`` is a product of Python floats,
+    computed times four, so that a ``B`` near the top of float range,
+    where a sum could overflow, makes ``slack`` infinite without a
+    warning.  A screened maximum or ``slack`` that is not finite (an
+    overflow, an inf or a nan in the input) makes the span every lag:
+    the fixed-order sums then give the same nan or inf as they would
+    without the screen.
     """
     r = ref - ref.mean()
     y = resp - resp.mean()
     n = len(r)
     max_lag = min(n - 1, int(round(max_lag_s / dt)))
     pad = np.zeros(max_lag)
+    padded = np.concatenate((pad, y, pad))
     # row i holds y[i + lag] for lag = -max_lag..max_lag, zero outside
-    rows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((pad, y, pad)), 2 * max_lag + 1
-    )
-    cw = np.zeros(2 * max_lag + 1)
-    for i in range(0, n, _SAMPLE_BLOCK):
-        block = slice(i, i + _SAMPLE_BLOCK)
-        cw += np.add.reduce(r[block, None] * rows[block], axis=0)
-    k = int(np.argmax(cw))
+    rows = np.lib.stride_tricks.sliding_window_view(padded, 2 * max_lag + 1)
+    screen = np.correlate(padded, r, "valid")
+    top = float(np.max(screen))
+    bound = 4.0 * n * float(np.max(np.abs(r))) * float(np.max(np.abs(y)))
+    slack = n * (_EPS * bound + 4.0 * _TINY)
+    lo, hi = 0, len(screen)
+    if math.isfinite(top) and math.isfinite(slack):
+        hit = screen >= top - slack
+        lo = max(int(np.argmax(hit)) - 1, 0)
+        hi = min(len(hit) + 1 - int(np.argmax(hit[::-1])), len(hit))
+    cw = _block_sums(r, rows[:, lo:hi])
+    j = int(np.argmax(cw))
+    k = lo + j
     best = float(k - max_lag)
-    if 0 < k < len(cw) - 1:
-        curvature = cw[k - 1] - 2.0 * cw[k] + cw[k + 1]
+    if 0 < k < len(screen) - 1:
+        # the span holds a candidate's neighbours: cw[j -/+ 1] is lag k -/+ 1
+        curvature = cw[j - 1] - 2.0 * cw[j] + cw[j + 1]
         if curvature < 0.0:
-            best += 0.5 * float(cw[k - 1] - cw[k + 1]) / float(curvature)
+            best += 0.5 * float(cw[j - 1] - cw[j + 1]) / float(curvature)
     return best * dt
 
 

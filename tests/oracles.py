@@ -23,7 +23,8 @@ the cascade on those objects, with two :class:`ActuatorCommand` per tick.
 row, formatting every cell.  :func:`reference_write_records_csv` and
 :func:`reference_read_records_csv` are the bench-record CSV writer that
 formats every cell and the reader that parses line by line with
-``float``.
+``float``.  :func:`reference_correlation_lag` is the latency search that
+sums every lag, a block of samples per ``np.add.reduce`` call.
 """
 
 from __future__ import annotations
@@ -921,3 +922,38 @@ def reference_read_records_csv(path) -> BenchRecords:
         return BenchRecords(table[:, 0], table[:, 1], table[:, 2:5], table[:, 5:])
     except _InvalidRecord as exc:
         raise DomainError(f"line {line_numbers[exc.row]}: {exc.reason}") from None
+
+
+_SAMPLE_BLOCK = 32  # samples summed per np.add.reduce call in reference_correlation_lag
+
+
+def reference_correlation_lag(ref: np.ndarray, resp: np.ndarray, dt: float, max_lag_s: float = 2.0) -> float:
+    """Delay (s, positive = response late) maximizing the cross-correlation.
+
+    Every lag within ``max_lag_s`` is formed: each reference sample times
+    the zero-padded response at every lag is added up over the samples,
+    in sample order, a block of samples per ``np.add.reduce`` call, which
+    sums each lag of a ``(block, 2 max_lag + 1)`` array left to right
+    when there is more than one lag.  A parabolic fit through the peak
+    refines the estimate below the sample period.
+    """
+    r = ref - ref.mean()
+    y = resp - resp.mean()
+    n = len(r)
+    max_lag = min(n - 1, int(round(max_lag_s / dt)))
+    pad = np.zeros(max_lag)
+    # row i holds y[i + lag] for lag = -max_lag..max_lag, zero outside
+    rows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((pad, y, pad)), 2 * max_lag + 1
+    )
+    cw = np.zeros(2 * max_lag + 1)
+    for i in range(0, n, _SAMPLE_BLOCK):
+        block = slice(i, i + _SAMPLE_BLOCK)
+        cw += np.add.reduce(r[block, None] * rows[block], axis=0)
+    k = int(np.argmax(cw))
+    best = float(k - max_lag)
+    if 0 < k < len(cw) - 1:
+        curvature = cw[k - 1] - 2.0 * cw[k] + cw[k + 1]
+        if curvature < 0.0:
+            best += 0.5 * float(cw[k - 1] - cw[k + 1]) / float(curvature)
+    return best * dt

@@ -520,6 +520,9 @@ EDGE_VALUES = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1, 1e308, -1e308, 5e-3
 EDGE_TEXTS = ("nan", "inf", "-inf", "0", "-0", "-1", "1e308", "-1e308", "5e-324", "1e-300",
               "3", "1e6")
 DOMAIN_KEYS = tuple(key for key, spec in _KEYS.items() if spec.domain is not None)
+RATE_KEYS = tuple(key for key in CANONICAL_KEYS if key.endswith("_rate_hz"))
+# an integer rate past the largest float: no float holds its step or row count
+RATE_EDGE_VALUES = EDGE_VALUES + (10**400,)
 CONTRACT = settings(derandomize=True, deadline=None, max_examples=120)
 # each property also draws the scenario, so that every scenario's cross-key
 # rules (the orbit angle, the zero-length path) meet the edge values; a
@@ -596,12 +599,32 @@ def test_full_dump_with_edge_values_validates_or_raises_config_error(overrides, 
 @example({"k_t": -1}, "hover")
 @example({"waypoints": 3}, "waypoint")
 def test_scenario_problems_never_raises_on_edge_values_set_directly(values, scenario):
+    assert_problems_are_lines(values, scenario)
+
+
+def assert_problems_are_lines(values, scenario):
     cfg = Config()
     cfg.harness.scenario = scenario
     for key, value in values.items():
         set_directly(cfg, key, value)
     problems = cfg.scenario_problems()
     assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
+
+
+@CONTRACT
+@given(st.dictionaries(st.sampled_from(RATE_KEYS), st.sampled_from(RATE_EDGE_VALUES),
+                       min_size=1, max_size=4), SCENARIOS)
+@example({"physics_rate_hz": 10**400}, "hover")
+@example({"logging_rate_hz": 10**400, "duration_s": 1e308}, "hover")
+def test_scenario_problems_never_raises_on_rate_edge_values_set_directly(values, scenario):
+    assert_problems_are_lines(values, scenario)
+
+
+@pytest.mark.parametrize("key", ["physics_rate_hz", "logging_rate_hz"])
+def test_a_rate_past_float_range_is_a_problem_naming_its_key(key):
+    cfg = Config()
+    set_directly(cfg, key, 10**400)
+    assert f"{key}: {10**400} Hz is beyond float range" in cfg.scenario_problems()
 
 
 @CONTRACT

@@ -6,8 +6,10 @@ rows each).  A mismatch means the change altered the simulated
 trajectory, the controller's schedule, the noise stream or the CSV
 format.  The metrics digests cover ``Metrics.to_json()`` of 12 s circle
 and star runs, whose ``latency_s`` comes from a cross-correlation summed
-in a fixed order.  No BLAS call produces a value that reaches the run log
-or the metrics, so neither depends on which OpenBLAS kernel numpy loads;
+in a fixed order.  The correlation's screen, ``np.correlate``, reaches
+BLAS ``ddot``, but it only chooses which lags get the fixed-order sums; no
+BLAS value reaches the run log or the metrics, so neither depends on
+which OpenBLAS kernel numpy loads.
 ``test_log_digests_hold_on_every_openblas_kernel`` checks both on every
 kernel this CPU can run.
 

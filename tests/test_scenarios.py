@@ -341,6 +341,64 @@ def test_metrics_latency_of_shifted_response():
     assert m.latency_s == pytest.approx(0.2, abs=0.011)  # one logging tick
 
 
+def same_float(a, b):
+    return (math.isnan(a) and math.isnan(b)) or a.hex() == b.hex()
+
+
+def lag_matches_oracle(ref, resp, dt):
+    return same_float(
+        scenarios._correlation_lag(ref, resp, dt), oracles.reference_correlation_lag(ref, resp, dt)
+    )
+
+
+# n below one sample block, across a block boundary, clipped to max_lag = n - 1
+# (up to 2 s / 10 ms = 200 lags), and long enough for 2000 lags at 1 ms
+@pytest.mark.parametrize("n", [2, 7, 31, 33, 150, 417, 2500])
+def test_correlation_lag_is_bit_identical_to_every_lag_oracle(n):
+    rng = np.random.default_rng(2800 + n)
+    walk = rng.standard_normal(n).cumsum()
+    shift = int(rng.integers(1, n))
+    shifted = np.concatenate((np.full(shift, walk[0]), walk[:-shift]))
+    responses = {
+        "noise": rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3),
+        "noisy copy": walk + 0.1 * rng.standard_normal(n),
+        "shifted copy": shifted,
+        "identical": walk,
+        # the correlation is then even in the lag: its peak is a tie of two
+        # lags whose products are summed with different block boundaries
+        "negated": -walk,
+        "zero": np.zeros(n),  # every lag ties
+    }
+    for dt in (0.001, 0.0037, 0.01):
+        for name, resp in responses.items():
+            assert lag_matches_oracle(walk, resp, dt), (name, dt)
+
+
+def test_correlation_lag_is_bit_identical_to_oracle_on_a_star_log():
+    log, _ = run_scenario(cfg_with(scenario="star", logging_rate_hz=1000, duration_s=10))
+    i0 = 5000  # the default 5 s transient window
+    for ref_name, name in (("ref_px", "px"), ("ref_py", "py")):
+        assert lag_matches_oracle(log.column(ref_name)[i0:], log.column(name)[i0:], 0.001), name
+
+
+def test_correlation_lag_is_bit_identical_to_oracle_on_overflowing_input():
+    rng = np.random.default_rng(2801)
+    walk = rng.standard_normal(700).cumsum()
+    nan_at = walk.copy()
+    nan_at[300] = math.nan
+    cases = [
+        (walk * 1e300, walk * 1e10),  # the products overflow
+        (walk * 1e306, -walk),  # the reference's mean is not finite
+        (walk * 1e152, walk * 1e152),  # the sums overflow, each product does not
+        (walk, np.where(walk > 0.0, math.inf, walk)),
+        (walk, nan_at),
+        (walk * 1e-160, walk * 1e-160),  # the products underflow
+    ]
+    with np.errstate(all="ignore"):
+        for i, (ref, resp) in enumerate(cases):
+            assert lag_matches_oracle(ref, resp, 0.001), i
+
+
 def test_metrics_peak_pitch_from_tilted_attitude():
     # Ry(tilt) diag(1, -1, -1): the zero-heading hover attitude pitched
     # by tilt about world y
