@@ -54,8 +54,6 @@ MAX_LOG_ROWS = 10**7
 # metrics overflow.
 MAX_POSITION_M = 1e6
 
-_FLOAT_MAX = math.nextafter(math.inf, 0.0)
-
 # The number domains a key may declare, each named by its message text.
 FINITE, NONNEGATIVE, POSITIVE = "finite", "finite and >= 0", "finite and > 0"
 POSITION = f"finite and at most {MAX_POSITION_M:g} m from 0"
@@ -151,25 +149,22 @@ class Config:
     def scenario_problems(self) -> list[str]:
         """Every problem of the config (empty when it is sound).
 
-        Each key's own domain is declared on its ``_KEYS`` entry, and the
+        Each key's own domain is declared on its ``_KEYS`` entry, with the
+        one float-range rule of every number (:meth:`_Key.problem`), and the
         vehicle, gain and loop-rate sections check their own fields; what
         is checked here by hand relates several fields (each rate divides
         the rate that schedules it, :data:`SCHEDULED_BY`) or checks a type
-        (``waypoints`` and ``seed``).
+        (``waypoints`` and ``seed``).  A key with a problem of its own is
+        left out of the rules that relate it to others.
         """
         params_problems = self.params.problems()
         problems = params_problems + self.gains.problems() + self.rates.problems()
-        domain_problems = {key: spec.problem(key, self)
-                           for key, spec in _KEYS.items() if spec.domain is not None}
-        problems += [problem for problem in domain_problems.values() if problem is not None]
+        # waypoints is checked below, as a whole
+        key_problems = {key: spec.problem(key, self)
+                        for key, spec in _KEYS.items() if spec.kind != "vec3list"}
+        problems += [problem for problem in key_problems.values() if problem is not None]
         h = self.harness
-        # the step 1 / rate and the row count duration_s * rate below are floats:
-        # a rate above the largest float has neither
-        for key in ("physics_rate_hz", "logging_rate_hz"):
-            if not domain_problems[key] and getattr(h, key) > _FLOAT_MAX:
-                domain_problems[key] = f"{key}: {getattr(h, key)} Hz is beyond float range"
-                problems.append(domain_problems[key])
-        if not domain_problems["physics_rate_hz"]:
+        if not key_problems["physics_rate_hz"]:
             dt = 1.0 / h.physics_rate_hz
             if dt > MAX_PHYSICS_DT + 1e-12:
                 problems.append(f"physics_rate_hz: step {dt:g} s exceeds the "
@@ -177,13 +172,13 @@ class Config:
         rates = {key: _KEYS[key].get(key, self) for key in ("physics_rate_hz", *SCHEDULED_BY)}
         problems += divisor_problems(rates, SCHEDULED_BY)
         rate = h.logging_rate_hz
-        if not domain_problems["duration_s"] and not domain_problems["logging_rate_hz"]:
+        if not key_problems["duration_s"] and not key_problems["logging_rate_hz"]:
             rows = h.duration_s * rate
             if rows == math.inf or round(rows) > MAX_LOG_ROWS:
                 problems.append(f"duration_s: {h.duration_s} s at logging_rate_hz {rate} Hz "
                                 f"would log more than {MAX_LOG_ROWS} rows")
         orbit = ("circle_speed_mps", "circle_radius_m", "duration_s")
-        if h.scenario == "circle" and not any(domain_problems[key] for key in orbit):
+        if h.scenario == "circle" and not any(key_problems[key] for key in orbit):
             # the orbit angle at the end of the run, from make_scenario's rate
             if not math.isfinite(h.circle_speed_mps / h.circle_radius_m * h.duration_s):
                 problems.append(f"circle_speed_mps, circle_radius_m: {h.circle_speed_mps} m/s "
@@ -200,7 +195,8 @@ class Config:
                 leg_length(a, b) < MIN_LEG_LENGTH_M for a, b in zip(w, w[1:])
             ):
                 problems.append("waypoints: the path has no leg of nonzero length")
-        if not params_problems:
+        if not params_problems and not any(
+                key_problems[key] for key, spec in _KEYS.items() if spec.section == "params"):
             hover_speed = self.params.hover_rotor_speed()
             if hover_speed > MAX_HOVER_SPEED_FRACTION * self.params.omega_max:
                 problems.append(
@@ -214,6 +210,15 @@ class Config:
         elif seed < 0:
             problems.append(f"seed: must be >= 0, got {seed}")
         return problems
+
+
+def _beyond_float_range(value: Real) -> bool:
+    """Whether the real number ``value`` is too large in magnitude for a float."""
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
 
 
 def leg_length(a: tuple, b: tuple) -> float:
@@ -276,7 +281,13 @@ class _Key:
 
     def problem(self, key: str, cfg: Config) -> str | None:
         """The message for this key's value in ``cfg`` outside its domain, None
-        inside it; an indexed key's vector must first be a tuple of 3."""
+        inside it; an indexed key's vector must first be a tuple of 3.
+
+        Every number but the seed (integer entropy, which numpy's generator
+        takes at any size) must also have a float, whatever the key's domain
+        or its section's checks: an integer past the largest float is
+        ``<key>: <value> is beyond float range``.
+        """
         try:
             value = self.get(key, cfg)
         except ConfigError as exc:
@@ -284,6 +295,11 @@ class _Key:
         domain = self.domain
         if isinstance(domain, tuple):
             return None if value in domain else f"{key}: must be one of {domain}, got {value!r}"
+        if isinstance(value, Real) and key != "seed" and _beyond_float_range(value):
+            unit = " Hz" if key.endswith("_hz") else ""
+            return f"{key}: {value}{unit} is beyond float range"
+        if domain is None:
+            return None
         if not isinstance(value, Real):
             return f"{key}: must be a real number, got {value!r}"
         if isinstance(domain, range):

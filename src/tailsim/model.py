@@ -79,7 +79,8 @@ class VehicleParams:
         problems = []
         for name in (f.name for f in fields(self)):
             value = getattr(self, name)
-            if not (isinstance(value, Real) and math.isfinite(value) and value > 0.0):
+            # compared, not converted: an integer past the largest float has no float
+            if not (isinstance(value, Real) and 0.0 < value < math.inf):
                 problems.append(f"VehicleParams.{name} must be finite and > 0, got {value!r}")
         return problems
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from bisect import bisect_right
 from dataclasses import astuple, dataclass, field
 
@@ -52,6 +53,9 @@ LOG_COLUMNS = (
 _FLAG_COLUMNS = ("saturated", "roll_clamped")
 # one log row: floats round-trip exactly (``%.17g``), flags as ints
 _ROW = ",".join("%d" if name in _FLAG_COLUMNS else "%.17g" for name in LOG_COLUMNS) + "\n"
+# packs one log row's native doubles into a buffer at a byte offset
+_PACK_ROW = struct.Struct(f"{len(LOG_COLUMNS)}d").pack_into
+_PACK_ROW_SIZE = 8 * len(LOG_COLUMNS)
 # rows per ``%`` of the row template in ScenarioLog._rows_csv
 _CSV_BLOCK = 32
 # rows per write in ScenarioLog.write_csv, on two processes from two chunks on
@@ -269,14 +273,37 @@ def reference(t: float, scenario: Scenario) -> tuple[tuple, tuple, float]:
 
 
 class ScenarioLog:
-    """Fixed-rate log of one scenario run (one row per logging tick)."""
+    """Fixed-rate log of one scenario run (one row per logging tick).
+
+    The rows live in one ``bytearray`` of ``n_rows`` rows of
+    ``len(LOG_COLUMNS)`` doubles, zero until written; ``data`` is the
+    writable ``(n_rows, len(LOG_COLUMNS))`` float64 array over it, whose
+    first ``len(log)`` rows are the log.  :meth:`append` packs a row's
+    floats straight into the buffer (:data:`_PACK_ROW`), the bits
+    ``float(value)`` holds, without numpy's conversion of a sequence.
+    """
 
     def __init__(self, n_rows: int):
-        self.data = np.zeros((n_rows, len(LOG_COLUMNS)))
+        self._buf = bytearray(n_rows * _PACK_ROW_SIZE)
+        self.data = np.frombuffer(self._buf).reshape(n_rows, len(LOG_COLUMNS))
         self._row = 0
 
     def append(self, row: list[float]) -> None:
-        self.data[self._row] = row
+        """Write ``row``, one float value per column of LOG_COLUMNS, as the next row.
+
+        Raises:
+            DomainError: ``row`` is not that many float values, or every row
+                is written; the log is left as it was.
+        """
+        try:
+            _PACK_ROW(self._buf, self._row * _PACK_ROW_SIZE, *row)
+        except (struct.error, TypeError) as exc:
+            n_rows, width = self.data.shape
+            if self._row == n_rows:
+                raise DomainError(f"the log is full: it holds {n_rows} rows of {width} "
+                                  "float values") from None
+            self.data[self._row] = 0.0  # the values packed before the bad one
+            raise DomainError(f"a log row is {width} float values: {exc}") from None
         self._row += 1
 
     def __len__(self) -> int:
@@ -366,6 +393,12 @@ _SAMPLE_BLOCK = 32
 _LAG_CHUNK = 32  # lags whose exact sums are formed in one product array
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).smallest_subnormal)
+# eta of Higham's FFT bound, mu + gamma_4 (sqrt 2 + mu), for twiddles within
+# mu = eps of the true roots of unity
+_FFT_ETA = 4.0 * _EPS
+# the factor on that bound for pocketfft's radix-4 and real-input passes,
+# which the radix-2 proof does not cover, and for its twiddles
+_FFT_SAFETY = 8.0
 
 
 def _block_sums(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -391,6 +424,59 @@ def _block_sums(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _screen(r: np.ndarray, padded: np.ndarray) -> tuple[np.ndarray, float]:
+    """Every lag's sum ``sum_i r[i] * padded[i + lag]`` by FFT, and ``slack``.
+
+    The ``len(padded) - len(r) + 1`` sums are ``irfft(rfft(padded, N) *
+    conj(rfft(r, N)), N)``'s first entries, ``N`` the power of two at or
+    above ``len(padded)``: at those lags no product wraps round.  ``slack``
+    is at least four times the sum of two errors at any lag: the screen's,
+    and that of :func:`_block_sums` (see :func:`_correlation_lag`).
+
+    With ``x`` and ``z``, the zero-padded ``padded`` and ``r`` (``n``
+    samples each, so ``|x|_2 |z|_2 <= B0 = n max|r| max|y|``), the exact
+    sums are ``c = F^-1 (F x . conj(F z))``.  Each of the three transforms
+    is within ``rho = L eta / (1 - L eta)`` of its exact value in the
+    2-norm, relative to that value's norm, for ``L = log2 N`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 24.2);
+    the complex products are within ``sqrt 2 gamma_2 < 1.5 eps`` of theirs.
+    As ``|F x|_2 = sqrt N |x|_2`` and ``|a . b|_2 <= |a|_2 |b|_2``, the
+    computed sums are then within ``((1 + rho)^3 (1 + 1.5 eps) - 1) sqrt N
+    B0`` of ``c`` in the 2-norm, so at every lag.  Underflow adds at most
+    ``TINY / 2`` to each multiplication.  Each of a forward transform's at
+    most ``2 N L`` reaches a spectrum entry with a factor of modulus at most
+    1, then the other transform's entry, at most ``n max|r|`` (or ``n
+    max|y|``) in modulus, then a sum with weight at most ``2 / N`` over
+    ``N / 2 + 1`` entries; the inverse's own reach a sum at most once, and
+    the spectrum products' and the final scaling's add at most ``5 TINY``:
+    in all within twice ``(N L (n max|r| + n max|y| + 1) + 5) TINY``.  Both
+    terms are taken ``_FFT_SAFETY`` times, which covers that two.  The
+    fixed-order sums are within ``gamma_n B0 + n TINY / 2`` of ``c``.  With
+    ``B = 4 B0`` (``bound``) and ``gamma_n <= n eps``, four times the sum of
+    the two errors is at most ``slack``.
+
+    ``B`` is a product of Python floats, so that a ``B`` near the top of
+    float range, where a sum could overflow, makes ``slack`` infinite
+    without a warning.  ``numpy.fft`` is imported here, on the first
+    call, and not at set-up.
+    """
+    from numpy.fft import irfft, rfft
+
+    n = len(r)
+    size = 1 << (len(padded) - 1).bit_length()
+    log2 = size.bit_length() - 1
+    spectrum = rfft(padded, size) * np.conj(rfft(r, size))
+    screen = irfft(spectrum, size)[: len(padded) - n + 1]
+    max_r, max_y = float(np.max(np.abs(r))), float(np.max(np.abs(padded)))
+    bound = 4.0 * n * max_r * max_y
+    rho = log2 * _FFT_ETA / (1.0 - log2 * _FFT_ETA)
+    fft_error = ((1.0 + rho) ** 3 * (1.0 + 1.5 * _EPS) - 1.0) * math.sqrt(size)
+    underflow = size * log2 * (n * max_r + n * max_y + 1.0) + 5.0
+    slack = ((n * _EPS + _FFT_SAFETY * fft_error) * bound
+             + (2.0 * n + 4.0 * _FFT_SAFETY * underflow) * _TINY)
+    return screen, slack
+
+
 def _correlation_lag(ref: np.ndarray, resp: np.ndarray, dt: float, max_lag_s: float = 2.0) -> float:
     """Delay (s, positive = response late) maximizing the cross-correlation.
 
@@ -402,36 +488,27 @@ def _correlation_lag(ref: np.ndarray, resp: np.ndarray, dt: float, max_lag_s: fl
     refines the estimate below the sample period.
 
     Only the lags within ``max_lag_s`` are formed, in two passes.  The
-    screen, ``np.correlate``, gives every lag's sum in whatever order
-    numpy and BLAS choose.  The lags whose screened sum is within
-    ``slack`` of the screened maximum are the candidates.  The span from
-    the first candidate to the last, one lag wider each way for the
-    parabola, then gets its sums in a fixed order (:func:`_block_sums`);
-    ``argmax`` and the parabolic fit read only these.  The result is the
-    same float as summing every lag in that order, and does not depend
-    on the BLAS kernel or the CPU.
+    screen, an FFT (:func:`_screen`), gives every lag's sum to within a
+    bound.  The lags whose screened sum is within ``slack`` of the
+    screened maximum are the candidates.  The span from the first
+    candidate to the last, one lag wider each way for the parabola, then
+    gets its sums in a fixed order (:func:`_block_sums`); ``argmax`` and
+    the parabolic fit read only these.  The result is the same float as
+    summing every lag in that order, and depends on no BLAS, FFT or CPU.
 
     Why the candidates hold the fixed-order argmax and every lag tied
-    with it.  Each sum at a lag is a recursive sum of its ``n`` products
-    in some order, each product passing through at most ``n`` roundings,
-    so it is within ``e = gamma_n S + n TINY / 2`` of the true sum ``T``,
-    where ``gamma_n = n u / (1 - n u)``, ``u = eps / 2``, ``S`` is the sum
-    of the products' magnitudes and ``TINY / 2`` bounds a product's
-    underflow.  At every lag ``S <= B = n max|r| max|y|``.  If ``k`` is
-    the fixed-order argmax, then at every lag ``j``::
+    with it.  The screen is within ``e_s`` and the fixed-order sums are
+    within ``e_f`` of the true sums ``T`` at every lag.  If ``k`` is the
+    fixed-order argmax, then at every lag ``j``::
 
-        screen[k] >= T[k] - e >= fixed[k] - 2e >= fixed[j] - 2e
-                  >= T[j] - 3e >= screen[j] - 4e
+        screen[k] >= T[k] - e_s >= fixed[k] - e_s - e_f >= fixed[j] - e_s - e_f
+                  >= T[j] - e_s - 2 e_f >= screen[j] - 2 (e_s + e_f)
 
-    and ``4e`` is about ``2 n eps B + 2 n TINY``.  ``slack = n (4 eps B +
-    4 TINY)`` is twice that, which also covers the rounding of ``B``,
-    ``slack`` and ``top - slack``.  ``B`` is a product of Python floats,
-    computed times four, so that a ``B`` near the top of float range,
-    where a sum could overflow, makes ``slack`` infinite without a
-    warning.  A screened maximum or ``slack`` that is not finite (an
-    overflow, an inf or a nan in the input) makes the span every lag:
-    the fixed-order sums then give the same nan or inf as they would
-    without the screen.
+    ``slack`` is twice ``2 (e_s + e_f)``, which also covers the rounding of
+    ``slack`` and ``top - slack``.  A screened maximum or ``slack`` that
+    is not finite (an overflow, an inf or a nan in the input) makes the
+    span every lag: the fixed-order sums then give the same nan or inf as
+    they would without the screen.
     """
     r = ref - ref.mean()
     y = resp - resp.mean()
@@ -441,10 +518,8 @@ def _correlation_lag(ref: np.ndarray, resp: np.ndarray, dt: float, max_lag_s: fl
     padded = np.concatenate((pad, y, pad))
     # row i holds y[i + lag] for lag = -max_lag..max_lag, zero outside
     rows = np.lib.stride_tricks.sliding_window_view(padded, 2 * max_lag + 1)
-    screen = np.correlate(padded, r, "valid")
+    screen, slack = _screen(r, padded)
     top = float(np.max(screen))
-    bound = 4.0 * n * float(np.max(np.abs(r))) * float(np.max(np.abs(y)))
-    slack = n * (_EPS * bound + 4.0 * _TINY)
     lo, hi = 0, len(screen)
     if math.isfinite(top) and math.isfinite(slack):
         hit = screen >= top - slack

@@ -515,14 +515,17 @@ def test_run_rejects_a_position_rate_set_later_that_does_not_divide_the_rate_loo
 # the validation contract: every config validates or is a ConfigError
 # --------------------------------------------------------------------------
 
+# 10**400, an integer past the largest float, can only be set in place: a
+# file's float(raw) caps it at inf
 EDGE_VALUES = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1, 1e308, -1e308, 5e-324, 1e-300,
-               3, 1e6)
+               3, 1e6, 10**400)
 EDGE_TEXTS = ("nan", "inf", "-inf", "0", "-0", "-1", "1e308", "-1e308", "5e-324", "1e-300",
               "3", "1e6")
 DOMAIN_KEYS = tuple(key for key, spec in _KEYS.items() if spec.domain is not None)
 RATE_KEYS = tuple(key for key in CANONICAL_KEYS if key.endswith("_rate_hz"))
-# an integer rate past the largest float: no float holds its step or row count
-RATE_EDGE_VALUES = EDGE_VALUES + (10**400,)
+# every number but the seed must have a float
+NUMBER_KEYS = tuple(key for key, spec in _KEYS.items()
+                    if spec.kind in ("float", "int") and key != "seed")
 CONTRACT = settings(derandomize=True, deadline=None, max_examples=120)
 # each property also draws the scenario, so that every scenario's cross-key
 # rules (the orbit angle, the zero-length path) meet the edge values; a
@@ -551,6 +554,10 @@ def in_domain(domain, value) -> bool:
         return type(value) is int and value >= 1
     lower = {FINITE: -math.inf < value, NONNEGATIVE: 0 <= value, POSITIVE: 0 < value}[domain]
     return lower and value < math.inf
+
+
+def edge_id(value):
+    return "10**400" if value == 10**400 else repr(value)
 
 
 def test_only_harness_and_disturbance_keys_declare_a_domain():
@@ -612,7 +619,7 @@ def assert_problems_are_lines(values, scenario):
 
 
 @CONTRACT
-@given(st.dictionaries(st.sampled_from(RATE_KEYS), st.sampled_from(RATE_EDGE_VALUES),
+@given(st.dictionaries(st.sampled_from(RATE_KEYS), st.sampled_from(EDGE_VALUES),
                        min_size=1, max_size=4), SCENARIOS)
 @example({"physics_rate_hz": 10**400}, "hover")
 @example({"logging_rate_hz": 10**400, "duration_s": 1e308}, "hover")
@@ -625,6 +632,42 @@ def test_a_rate_past_float_range_is_a_problem_naming_its_key(key):
     cfg = Config()
     set_directly(cfg, key, 10**400)
     assert f"{key}: {10**400} Hz is beyond float range" in cfg.scenario_problems()
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["10**400", "-10**400"])
+@pytest.mark.parametrize("scenario", SCENARIO_KINDS)
+def test_every_number_past_float_range_is_a_problem_naming_its_key(scenario, value):
+    for key in NUMBER_KEYS:
+        cfg = Config()
+        cfg.harness.scenario = scenario
+        set_directly(cfg, key, value)
+        unit = " Hz" if key.endswith("_hz") else ""
+        assert f"{key}: {value}{unit} is beyond float range" in cfg.scenario_problems(), key
+
+
+def test_a_seed_past_float_range_is_a_seed():
+    cfg = Config()
+    cfg.disturbance.seed = 10**400
+    assert cfg.scenario_problems() == []
+
+
+@pytest.mark.parametrize("section, attr, key", [
+    ("params", "m", "m"),
+    ("gains", "tau_p_xy", "tau_p_xy"),
+    ("gains", "k_i_omega_z", "K_I_omega_z"),
+    ("harness", "transient_window_s", "transient_window_s"),
+    ("harness", "yaw_fixed_rad", "yaw_fixed_rad"),
+    ("harness", "circle_speed_mps", "circle_speed_mps"),
+    ("harness", "duration_s", "duration_s"),
+])
+def test_a_run_rejects_a_number_past_float_range_set_later(section, attr, key):
+    # each raised OverflowError, in validation or inside the run
+    cfg = Config()
+    cfg.harness.scenario = "circle"
+    setattr(getattr(cfg, section), attr, 10**400)
+    with pytest.raises(ConfigError) as excinfo:
+        run_scenario(cfg)
+    assert excinfo.value.problems == [f"{key}: {10**400} is beyond float range"]
 
 
 @CONTRACT
@@ -643,7 +686,7 @@ def test_every_value_outside_a_declared_domain_names_its_key(values, scenario):
             assert any(p.startswith(f"{key}:") for p in problems), (key, stored, problems)
 
 
-@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=edge_id)
 def test_scenario_problems_never_raises_on_any_key_at_an_edge_value(value):
     for key in CANONICAL_KEYS:
         cfg = Config()
@@ -652,7 +695,7 @@ def test_scenario_problems_never_raises_on_any_key_at_an_edge_value(value):
         assert all(isinstance(p, str) for p in problems), key
 
 
-@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=edge_id)
 def test_any_key_outside_its_declared_domain_names_itself(value):
     for key in DOMAIN_KEYS:
         cfg = Config()

@@ -353,8 +353,11 @@ def lag_matches_oracle(ref, resp, dt):
 
 # n below one sample block, across a block boundary, clipped to max_lag = n - 1
 # (up to 2 s / 10 ms = 200 lags), and long enough for 2000 lags at 1 ms
-@pytest.mark.parametrize("n", [2, 7, 31, 33, 150, 417, 2500])
-def test_correlation_lag_is_bit_identical_to_every_lag_oracle(n):
+SEEDED_LAG_SIZES = [2, 7, 31, 33, 150, 417, 2500]
+
+
+def seeded_lag_cases(n):
+    """``(name, dt, reference, response)`` for a seeded walk of ``n`` samples."""
     rng = np.random.default_rng(2800 + n)
     walk = rng.standard_normal(n).cumsum()
     shift = int(rng.integers(1, n))
@@ -371,7 +374,13 @@ def test_correlation_lag_is_bit_identical_to_every_lag_oracle(n):
     }
     for dt in (0.001, 0.0037, 0.01):
         for name, resp in responses.items():
-            assert lag_matches_oracle(walk, resp, dt), (name, dt)
+            yield name, dt, walk, resp
+
+
+@pytest.mark.parametrize("n", SEEDED_LAG_SIZES)
+def test_correlation_lag_is_bit_identical_to_every_lag_oracle(n):
+    for name, dt, walk, resp in seeded_lag_cases(n):
+        assert lag_matches_oracle(walk, resp, dt), (name, dt)
 
 
 def test_correlation_lag_is_bit_identical_to_oracle_on_a_star_log():
@@ -379,6 +388,39 @@ def test_correlation_lag_is_bit_identical_to_oracle_on_a_star_log():
     i0 = 5000  # the default 5 s transient window
     for ref_name, name in (("ref_px", "px"), ("ref_py", "py")):
         assert lag_matches_oracle(log.column(ref_name)[i0:], log.column(name)[i0:], 0.001), name
+
+
+def screen_error(ref, resp, dt):
+    """The FFT screen's largest error at any lag, and its ``slack``.
+
+    The true sums are taken as long double ones, each within ``n eps B0``
+    of the true sum for long double's ``eps`` (``B0 = n max|r| max|y|``);
+    that bound is added to the error.
+    """
+    r, y = ref - ref.mean(), resp - resp.mean()
+    n = len(r)
+    pad = np.zeros(min(n - 1, int(round(2.0 / dt))))
+    padded = np.concatenate((pad, y, pad))
+    screen, slack = scenarios._screen(r, padded)
+    sums = np.correlate(padded.astype(np.longdouble), r.astype(np.longdouble), "valid")
+    long_error = n * float(np.finfo(np.longdouble).eps) * n * np.max(np.abs(r)) * np.max(np.abs(y))
+    return float(np.max(np.abs(screen - sums))) + long_error, slack
+
+
+@pytest.mark.parametrize("n", SEEDED_LAG_SIZES)
+def test_latency_screen_error_is_far_inside_its_slack(n):
+    # 2**10 below slack: a change that eats most of the margin fails here
+    for name, dt, walk, resp in seeded_lag_cases(n):
+        error, slack = screen_error(walk, resp, dt)
+        assert error <= slack / 2**10, (name, dt, error, slack)
+
+
+def test_latency_screen_error_is_far_inside_its_slack_on_a_star_log():
+    log, _ = run_scenario(cfg_with(scenario="star", logging_rate_hz=1000, duration_s=10))
+    i0 = 5000  # the default 5 s transient window
+    for ref_name, name in (("ref_px", "px"), ("ref_py", "py")):
+        error, slack = screen_error(log.column(ref_name)[i0:], log.column(name)[i0:], 0.001)
+        assert error <= slack / 2**10, (name, error, slack)
 
 
 def test_correlation_lag_is_bit_identical_to_oracle_on_overflowing_input():
@@ -457,6 +499,51 @@ def test_log_csv_layout(tmp_path):
     path = tmp_path / "log.csv"
     log.write_csv(path)
     assert path.read_text() == text
+
+
+ROW = [0.25] * len(LOG_COLUMNS)
+
+
+@pytest.mark.parametrize("row", [
+    [None] + ROW[1:],
+    ROW[:-1] + ["1.5"],
+    ROW[:-1],
+    ROW + [0.0],
+    [],
+    None,
+], ids=["none", "string", "short", "long", "empty", "not-a-row"])
+def test_append_rejects_a_row_that_is_not_53_floats(row):
+    log = ScenarioLog(3)
+    log.append(ROW)
+    with pytest.raises(DomainError, match=f"{len(LOG_COLUMNS)} float values") as excinfo:
+        log.append(row)
+    assert excinfo.value.__cause__ is None and excinfo.value.__suppress_context__
+    assert len(log) == 1
+    # a row packed up to its bad value is cleared again
+    assert log.data[1:].tolist() == [[0.0] * len(LOG_COLUMNS)] * 2
+    log.append(ROW)
+    assert log.columns("t", "roll_clamped").tolist() == [[0.25, 0.25]] * 2
+
+
+@pytest.mark.parametrize("capacity", [0, 2])
+def test_append_past_the_last_row_raises_domain_error(capacity):
+    log = ScenarioLog(capacity)
+    for _ in range(capacity):
+        log.append(ROW)
+    with pytest.raises(DomainError, match=f"{capacity} rows of {len(LOG_COLUMNS)} float values"):
+        log.append(ROW)
+    assert len(log) == capacity
+
+
+def test_append_stores_each_value_as_its_float():
+    # the bits a float(value) of each holds: -0.0, a nan payload, ints and bools
+    row = [-0.0, _bits_to_float(0x7FF8000000000001), 3, True, np.float64(0.1),
+           np.int64(-7)] + ROW[6:]
+    log = ScenarioLog(1)
+    log.append(row)
+    assert [_float_to_bits(v) for v in log.data[0].tolist()] == [
+        _float_to_bits(float(v)) for v in row
+    ]
 
 
 def _bits_to_float(bits):
@@ -905,6 +992,33 @@ def test_perfect_run_loads_no_random_generator():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300, check=True).stdout
     assert out.split() == ["False", "True"]
+
+
+def test_set_up_and_a_hover_run_load_no_fft(tmp_path):
+    # the latency screen imports numpy.fft on its first excited axis only
+    path = tmp_path / "star.cfg"
+    path.write_text("scenario = star\nduration_s = 12\n")
+    code = (
+        "import sys\n"
+        "import tailsim.cli\n"
+        "from tailsim.config import Config, load_config\n"
+        "from tailsim.scenarios import make_scenario, run_scenario\n"
+        f"config = load_config({str(path)!r})\n"
+        "make_scenario(config)\n"
+        "print('numpy.fft' in sys.modules)\n"
+        "hover = Config()\n"
+        "hover.harness.duration_s = 7\n"
+        "run_scenario(hover)\n"
+        "print('numpy.fft' in sys.modules)\n"
+        "run_scenario(config)\n"
+        "print('numpy.fft' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(tailsim.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True).stdout
+    assert out.split() == ["False", "False", "True"]
 
 
 def test_logging_rate_does_not_change_physics():
