@@ -51,13 +51,24 @@ LOG_COLUMNS = (
 )
 
 _FLAG_COLUMNS = ("saturated", "roll_clamped")
-# one log row: floats round-trip exactly (``%.17g``), flags as ints
-_ROW = ",".join("%d" if name in _FLAG_COLUMNS else "%.17g" for name in LOG_COLUMNS) + "\n"
 # packs one log row's native doubles into a buffer at a byte offset
 _PACK_ROW = struct.Struct(f"{len(LOG_COLUMNS)}d").pack_into
 _PACK_ROW_SIZE = 8 * len(LOG_COLUMNS)
-# rows per ``%`` of the row template in ScenarioLog._rows_csv
-_CSV_BLOCK = 32
+# the column groups ScenarioLog._rows_csv formats a block by, each named by its
+# first column: time, reference, state, estimate, controller, actuators, flags
+_GROUP_STARTS = tuple(LOG_COLUMNS.index(name) for name in (
+    "t", "ref_px", "px", "est_px", "fdes_x", "act_omega_left", "saturated"))
+# each group's columns, and its part of the row template: floats round-trip
+# exactly (``%.17g``), flags as ints
+_GROUPS = tuple(
+    (slice(a, b), ",".join("%d" if name in _FLAG_COLUMNS else "%.17g"
+                           for name in LOG_COLUMNS[a:b]))
+    for a, b in zip(_GROUP_STARTS, _GROUP_STARTS[1:] + (len(LOG_COLUMNS),))
+)
+_STATE_GROUP = _GROUP_STARTS.index(LOG_COLUMNS.index("px"))
+_EST_GROUP = _GROUP_STARTS.index(LOG_COLUMNS.index("est_px"))
+# rows per block in ScenarioLog._rows_csv
+_CSV_BLOCK = 128
 # rows per write in ScenarioLog.write_csv, on two processes from two chunks on
 _ROWS_PER_WRITE = 1024
 
@@ -272,6 +283,30 @@ def reference(t: float, scenario: Scenario) -> tuple[tuple, tuple, float]:
 # logging
 
 
+def _texts(part: str, values: np.ndarray, block: np.ndarray, lo: int) -> list[str]:
+    """The texts of a group's rows ``values`` from one ``%`` of its template
+    part, and one empty string after them.
+
+    Raises:
+        DomainError: a flag of the log block ``block`` (rows from ``lo``) is
+            not finite, so has no ``%d`` text.
+    """
+    try:
+        return (((part + "\n") * len(values)) % tuple(values.ravel().tolist())).split("\n")
+    except (ValueError, OverflowError):
+        raise _bad_flag(block, lo) from None
+
+
+def _bad_flag(block: np.ndarray, lo: int) -> DomainError:
+    """The error for a log block (rows from ``lo``) whose flags ``%d`` cannot
+    format: it names the first flag value that is not finite."""
+    cols = _GROUPS[-1][0]
+    flags = block[:, cols]
+    row, col = np.argwhere(~np.isfinite(flags))[0].tolist()
+    return DomainError(f"log row {lo + row}: {LOG_COLUMNS[cols.start + col]} = "
+                       f"{float(flags[row, col])!r}; a flag must be finite")
+
+
 class ScenarioLog:
     """Fixed-rate log of one scenario run (one row per logging tick).
 
@@ -319,22 +354,105 @@ class ScenarioLog:
         return self.data[: self._row, idx]
 
     def to_csv(self) -> str:
-        """The log as CSV: floats round-trip exactly (``%.17g``), flags as ints."""
+        """The log as CSV: floats round-trip exactly (``%.17g``), flags as ints.
+
+        Raises:
+            DomainError: a flag is not finite.
+        """
         return "".join([",".join(LOG_COLUMNS) + "\n", *self._rows_csv(0, self._row)])
 
     def _rows_csv(self, start: int, stop: int) -> list[str]:
         """The CSV text of rows ``start`` to ``stop``, one string per
-        ``_CSV_BLOCK`` rows, each from one ``%`` of the row template repeated
-        over the block.  A row's text depends only on its own values."""
+        ``_CSV_BLOCK`` rows.
+
+        A block is one ``%`` of a row template built by column group
+        (:data:`_GROUPS`), on the rows' bits.  A group whose every row is new
+        is formatted in line.  Otherwise a group row whose bits equal the row
+        above reuses that row's text, an estimate whose bits equal its own
+        row's state reuses the state's text, and the group's other rows are
+        formatted with one ``%`` of its template; the row template then takes
+        the group's one text, when every row shares it, or a text per row.
+        Every text is the ``%.17g`` (``%d`` for a flag) of the same bits, so a
+        row's text depends only on its own values, as
+        :func:`_forked.write_csv` needs.
+
+        Raises:
+            DomainError: a flag is not finite, so has no ``%d`` text.
+        """
         parts = []
+        est, state = _GROUPS[_EST_GROUP][0], _GROUPS[_STATE_GROUP][0]
+        bits = self.data[start:stop].view(np.int64)
+        # changed[i, g]: row i's group g differs from the row above in some bit
+        changed = np.ones((len(bits), len(_GROUPS)), dtype=bool)
+        changed[1:] = np.logical_or.reduceat(bits[1:] != bits[:-1], _GROUP_STARTS, axis=1)
+        as_state = (bits[:, est] == bits[:, state]).all(axis=1)
+        above: list = [None] * len(_GROUPS)  # each group's text of the row above, if kept
         for lo in range(start, stop, _CSV_BLOCK):
-            block = self.data[lo : min(lo + _CSV_BLOCK, stop)]
-            parts.append((_ROW * len(block)) % tuple(block.ravel().tolist()))
+            hi = min(lo + _CSV_BLOCK, stop)
+            n = hi - lo
+            block = self.data[lo:hi]
+            # own[i, g]: row i's group g needs its own text: it changed, or it
+            # is the block's first and the text above was not kept
+            own = changed[lo - start:hi - start]
+            own[0] |= [text is None for text in above]
+            same = as_state[lo - start:hi - start]
+            # fresh: the rows formatted here; mine: the rows whose text is not
+            # the row above's (an estimate's own or its state's)
+            fresh, mine = own.copy(), own.copy()
+            fresh[:, _EST_GROUP] &= ~same
+            mine[:, _EST_GROUP] |= same
+            counts = np.count_nonzero(fresh, axis=0).tolist()
+            varies = mine[1:].any(axis=0).tolist()
+            rows = np.arange(n)
+            template, fields, texts = [], [], []
+            for g, (cols, part) in enumerate(_GROUPS):
+                k = counts[g]
+                if k == n and (g != _STATE_GROUP or not same.any()):
+                    template.append(part)
+                    fields.append(block[:, cols])
+                    texts.append(None)
+                    continue
+                if not varies[g]:
+                    # one text for every row, put in the template: it has no "%"
+                    if not mine[0, g]:
+                        text = above[g]
+                    elif not fresh[0, g]:
+                        text = texts[_STATE_GROUP][0]
+                    else:
+                        text = _texts(part, block[:1, cols], block, lo)[0]
+                    template.append(text)
+                    texts.append([text] * n)
+                    continue
+                # each row's index into the texts it may reuse: the fresh
+                # lines, the row above the block (index -1 of ``last``), then
+                # for the estimate the same rows' state
+                lines = _texts(part, block[fresh[:, g], cols], block, lo)
+                lines[-1] = above[g]
+                code = np.empty(n + 1, dtype=np.intp)
+                code[:n] = np.cumsum(fresh[:, g]) - 1
+                code[n] = k
+                if g == _EST_GROUP:
+                    code[:n][same] = rows[same] + (k + 1)
+                    lines += texts[_STATE_GROUP]
+                last = np.maximum.accumulate(np.where(mine[:, g], rows, -1))
+                texts.append([lines[j] for j in code[last].tolist()])
+                template.append("%s")
+                fields.append(np.array(texts[-1], dtype=object).reshape(n, 1))
+            values = np.concatenate(fields, axis=1).ravel().tolist() if fields else []
+            try:
+                parts.append(((",".join(template) + "\n") * n) % tuple(values))
+            except (ValueError, OverflowError):
+                raise _bad_flag(block, lo) from None
+            above = [None if column is None else column[-1] for column in texts]
         return parts
 
     def write_csv(self, path) -> None:
         """Write :meth:`to_csv`'s text to ``path``, ``_ROWS_PER_WRITE`` rows at
-        a time, on two processes from two chunks on (:func:`_forked.write_csv`)."""
+        a time, on two processes from two chunks on (:func:`_forked.write_csv`).
+
+        Raises:
+            DomainError: a flag is not finite; the file may hold part of the log.
+        """
         header = ",".join(LOG_COLUMNS) + "\n"
         _forked.write_csv(path, header, self._rows_csv, self._row, _ROWS_PER_WRITE)
 
@@ -631,7 +749,11 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
     stages fire on every n-th tick; each tick's command is read as four
     floats); with the complementary estimator, IMU samples (and
     pose fixes at the pose rate) are fused as they arrive.  The log
-    captures the state at each logging tick before it is stepped.
+    captures the state at each logging tick before it is stepped.  Its
+    ``est_*`` columns hold the latest estimate formed at or before the row:
+    with the perfect estimator, the estimate the controller last used (the
+    true state at the last control tick); with the complementary estimator,
+    the filter's output after its last IMU sample.
 
     Only the complementary estimator's sensing draws noise, so only then
     is the random generator seeded (and ``numpy.random`` imported): a

@@ -4,6 +4,7 @@ import json
 import math
 import mmap
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -563,23 +564,72 @@ CSV_SPECIALS = (
 CSV_FLAG_VALUES = (0.0, 1.0, -0.0, 0.5, 2.0)
 
 
+# values that compare equal as floats or print alike, but differ in their bits
+CSV_TWINS = {
+    _float_to_bits(a): b for a, b in [
+        (0.0, -0.0), (-0.0, 0.0),
+        (CSV_SPECIALS[2], CSV_SPECIALS[3]), (CSV_SPECIALS[3], CSV_SPECIALS[2]),
+    ]
+}
+REF = slice(IDX["ref_px"], IDX["ref_psi"] + 1)
+STATE = slice(IDX["px"], IDX["wz"] + 1)
+EST = slice(IDX["est_px"], IDX["est_wz"] + 1)
+# each column group's columns but the flags'
+FLOAT_GROUPS = [slice(a, b) for a, b in zip(scenarios._GROUP_STARTS,
+                                            scenarios._GROUP_STARTS[1:-1])]
+
+
 def repetitive_log(n_rows, capacity):
     """A log whose values repeat within blocks, across block edges and
-    across columns: held rows repeat the row above (so does the first row
-    of every later block), the est_* columns copy the true state, and the
-    second row of each block holds all the special values side by side."""
+    across columns.  The second row of each block holds all the special
+    values side by side.  Every third row repeats the row above but for
+    ``t``, which changes on every row but the first of each later block (so
+    a block formats it in line, and the next block's first row repeats it).
+    The other rows are drawn from the specials and normals with the est_*
+    columns a copy of the state, and in turn:
+    - the repeated row after one turns a value into its twin (0.0 and -0.0,
+      or two nan payloads), so its group differs only in that bit;
+    - one column group is held from the row above while the others change;
+    - est_* equals the state but for one column, which holds its twin.
+    One group keeps its first row's values through each block: ref_* in even
+    blocks, and est_* in odd blocks, whose first row gets a new state with
+    est_* set to it."""
     rng = np.random.default_rng(n_rows)
     pool = list(CSV_SPECIALS) + rng.normal(size=6).tolist()
+    twins = [0.0, CSV_SPECIALS[2]]
     log = ScenarioLog(capacity)
     row = None
     for i in range(n_rows):
+        turn = i // 6
         if i % _CSV_BLOCK == 1:
             row = [pool[(k + i) % len(pool)] for k in range(len(LOG_COLUMNS))]
         elif i % 3 == 1 or (i and i % _CSV_BLOCK == 0):
             row = list(row)
+            c = turn % IDX["saturated"]
+            if i % 6 == 4 and _float_to_bits(row[c]) in CSV_TWINS:
+                row[c] = CSV_TWINS[_float_to_bits(row[c])]
         else:
+            above = row
             row = [pool[k] for k in rng.integers(len(pool), size=len(LOG_COLUMNS))]
-            row[IDX["est_px"] : IDX["est_wz"] + 1] = row[IDX["px"] : IDX["wz"] + 1]
+            row[EST] = row[STATE]
+            if i % 6 == 3:      # the next row turns this value into its twin
+                row[turn % IDX["saturated"]] = twins[turn % 2]
+            elif i % 6 == 5:
+                group = FLOAT_GROUPS[turn % len(FLOAT_GROUPS)]
+                row[group] = above[group]
+            elif i % 6 == 2:
+                c = turn % (STATE.stop - STATE.start)
+                row[STATE.start + c] = twins[turn % 2]
+                row[EST.start + c] = CSV_TWINS[_float_to_bits(twins[turn % 2])]
+        if i % _CSV_BLOCK == 0:
+            hold = EST if i // _CSV_BLOCK % 2 else REF
+            if hold == EST:
+                row[STATE] = [pool[k] for k in rng.integers(len(pool), size=STATE.stop - STATE.start)]
+                row[EST] = row[STATE]
+            held = row[hold]
+        row[hold] = held
+        if i % _CSV_BLOCK:
+            row[IDX["t"]] = i / 4
         row[IDX["saturated"]] = CSV_FLAG_VALUES[i % len(CSV_FLAG_VALUES)]
         row[IDX["roll_clamped"]] = CSV_FLAG_VALUES[(i + 1) % len(CSV_FLAG_VALUES)]
         log.append(row)
@@ -604,12 +654,22 @@ def test_to_csv_is_byte_identical_to_row_template_oracle(n_rows, capacity):
     assert text.count("\n") == n_rows + 1
 
 
+def test_the_csv_column_groups_follow_the_column_names():
+    names = [LOG_COLUMNS[cols] for cols, _ in scenarios._GROUPS]
+    assert sum(names, ()) == LOG_COLUMNS
+    assert names[scenarios._EST_GROUP] == tuple(
+        "est_" + name for name in names[scenarios._STATE_GROUP])
+    assert [group[0] for group in names] == [
+        "t", "ref_px", "px", "est_px", "fdes_x", "act_omega_left", "saturated"]
+    assert names[-1] == scenarios._FLAG_COLUMNS
+
+
 # From two chunks of _ROWS_PER_WRITE rows on, write_csv hands the second half
 # of the rows to a forked helper.  These tests pin it to the same oracle as
 # to_csv, on small logs with the chunk patched down and on one real run log at
 # the real threshold; reporting a single usable CPU runs the one-process path.
 # test_cli.py writes a real run log through ``tailsim run --out-log``.
-SMALL_ROWS_PER_WRITE = 40   # not a whole number of blocks
+SMALL_ROWS_PER_WRITE = 40   # under one block: each chunk's first row has no row above
 SMALL_SPLIT_ROWS = 2 * SMALL_ROWS_PER_WRITE
 SPLIT_ROWS = 2 * scenarios._ROWS_PER_WRITE
 
@@ -629,6 +689,31 @@ def test_write_csv_matches_oracle_across_the_split(tmp_path, monkeypatch, n_rows
     assert (tmp_path / "log.csv").read_bytes() == oracles.reference_to_csv(log).encode()
     assert len(forks) == (cpus == 2 and n_rows >= SMALL_SPLIT_ROWS)
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["changing-flags", "held-flags"])
+@pytest.mark.parametrize("row", [7, 2 * SMALL_SPLIT_ROWS + 1], ids=["first-half", "second-half"])
+@pytest.mark.parametrize("flag, value", [
+    ("saturated", math.nan), ("roll_clamped", math.inf), ("saturated", -math.inf),
+])
+def test_a_flag_that_is_not_finite_fails_the_csv_naming_its_column(
+    tmp_path, monkeypatch, flag, value, row, held
+):
+    # %d has no text for it: a bare ValueError (nan) or OverflowError (inf) before
+    small_split(monkeypatch)
+    log = repetitive_log(3 * SMALL_SPLIT_ROWS, 3 * SMALL_SPLIT_ROWS)
+    if held:
+        log.data[:, IDX["saturated"]:] = 0.0
+    log.data[row, IDX[flag]] = value
+    message = re.escape(f"log row {row}: {flag} = {value!r}; a flag must be finite")
+    with pytest.raises(DomainError, match=message):
+        log.to_csv()
+    for cpus in (1, 2):
+        forks = use_cpus(monkeypatch, cpus)
+        with pytest.raises(DomainError, match=message):
+            log.write_csv(tmp_path / "log.csv")
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
 
 
 def test_write_csv_splits_a_star_log_at_the_real_threshold(tmp_path, monkeypatch):
@@ -734,7 +819,7 @@ def test_a_run_without_a_log_destination_maps_and_forks_nothing(monkeypatch):
 # Real star runs written to their destination as `tailsim run --out-log` does:
 # the run first, then write_csv.  The "streamed" names are kept from when the
 # log was written during the loop; the cases and the oracle are the same.
-STREAM_ROWS_PER_WRITE = 48  # two chunks are a whole number of blocks
+STREAM_ROWS_PER_WRITE = 48  # under one block, as SMALL_ROWS_PER_WRITE
 STREAM_SPLIT_ROWS = 2 * STREAM_ROWS_PER_WRITE
 
 
