@@ -283,20 +283,6 @@ def reference(t: float, scenario: Scenario) -> tuple[tuple, tuple, float]:
 # logging
 
 
-def _texts(part: str, values: np.ndarray, block: np.ndarray, lo: int) -> list[str]:
-    """The texts of a group's rows ``values`` from one ``%`` of its template
-    part, and one empty string after them.
-
-    Raises:
-        DomainError: a flag of the log block ``block`` (rows from ``lo``) is
-            not finite, so has no ``%d`` text.
-    """
-    try:
-        return (((part + "\n") * len(values)) % tuple(values.ravel().tolist())).split("\n")
-    except (ValueError, OverflowError):
-        raise _bad_flag(block, lo) from None
-
-
 def _bad_flag(block: np.ndarray, lo: int) -> DomainError:
     """The error for a log block (rows from ``lo``) whose flags ``%d`` cannot
     format: it names the first flag value that is not finite."""
@@ -365,16 +351,13 @@ class ScenarioLog:
         """The CSV text of rows ``start`` to ``stop``, one string per
         ``_CSV_BLOCK`` rows.
 
-        A block is one ``%`` of a row template built by column group
-        (:data:`_GROUPS`), on the rows' bits.  A group whose every row is new
-        is formatted in line.  Otherwise a group row whose bits equal the row
-        above reuses that row's text, an estimate whose bits equal its own
-        row's state reuses the state's text, and the group's other rows are
-        formatted with one ``%`` of its template; the row template then takes
-        the group's one text, when every row shares it, or a text per row.
-        Every text is the ``%.17g`` (``%d`` for a flag) of the same bits, so a
-        row's text depends only on its own values, as
-        :func:`_forked.write_csv` needs.
+        A block is formatted by column group (:data:`_GROUPS`), on the rows'
+        bits: a group row whose bits equal the row above reuses that row's
+        text, an estimate whose bits equal its own row's state reuses the
+        state's text, and the group's other rows are formatted with one ``%``
+        of its template; each row then joins its groups' texts.  Every text
+        is the ``%.17g`` (``%d`` for a flag) of the same bits, so a row's text
+        depends only on its own values, as :func:`_forked.write_csv` needs.
 
         Raises:
             DomainError: a flag is not finite, so has no ``%d`` text.
@@ -382,68 +365,46 @@ class ScenarioLog:
         parts = []
         est, state = _GROUPS[_EST_GROUP][0], _GROUPS[_STATE_GROUP][0]
         bits = self.data[start:stop].view(np.int64)
-        # changed[i, g]: row i's group g differs from the row above in some bit
-        changed = np.ones((len(bits), len(_GROUPS)), dtype=bool)
-        changed[1:] = np.logical_or.reduceat(bits[1:] != bits[:-1], _GROUP_STARTS, axis=1)
+        # mine[i, g]: row i's group g does not take the row above's text: it
+        # differs from it in some bit, or it is an estimate equal to the state
+        mine = np.ones((len(bits), len(_GROUPS)), dtype=bool)
+        mine[1:] = np.logical_or.reduceat(bits[1:] != bits[:-1], _GROUP_STARTS, axis=1)
         as_state = (bits[:, est] == bits[:, state]).all(axis=1)
-        above: list = [None] * len(_GROUPS)  # each group's text of the row above, if kept
-        for lo in range(start, stop, _CSV_BLOCK):
-            hi = min(lo + _CSV_BLOCK, stop)
-            n = hi - lo
-            block = self.data[lo:hi]
-            # own[i, g]: row i's group g needs its own text: it changed, or it
-            # is the block's first and the text above was not kept
-            own = changed[lo - start:hi - start]
-            own[0] |= [text is None for text in above]
-            same = as_state[lo - start:hi - start]
-            # fresh: the rows formatted here; mine: the rows whose text is not
-            # the row above's (an estimate's own or its state's)
-            fresh, mine = own.copy(), own.copy()
-            fresh[:, _EST_GROUP] &= ~same
-            mine[:, _EST_GROUP] |= same
-            counts = np.count_nonzero(fresh, axis=0).tolist()
-            varies = mine[1:].any(axis=0).tolist()
-            rows = np.arange(n)
-            template, fields, texts = [], [], []
+        # fresh[i, g]: row i's group g is formatted
+        fresh = mine.copy()
+        fresh[:, _EST_GROUP] &= ~as_state
+        mine[:, _EST_GROUP] |= as_state
+        above = [""] * len(_GROUPS)  # each group's text of the row above the block
+        for lo in range(0, len(bits), _CSV_BLOCK):
+            hi = min(lo + _CSV_BLOCK, len(bits))
+            rows = np.arange(hi - lo)
+            block = self.data[start + lo : start + hi]
+            new = fresh[lo:hi]
+            counts = np.count_nonzero(new, axis=0)
+            # each row's index into its group's lines: the fresh rows' texts,
+            # the text of the row above the block, then for the estimate the
+            # state's texts
+            code = np.empty((hi - lo + 1, len(_GROUPS)), dtype=np.intp)
+            code[:-1] = np.cumsum(new, axis=0) - 1
+            code[-1] = counts
+            same = as_state[lo:hi]
+            code[:-1, _EST_GROUP][same] = rows[same] + counts[_EST_GROUP] + 1
+            # the row whose text each row takes, -1 (code's last row) for the row above
+            source = np.maximum.accumulate(np.where(mine[lo:hi], rows[:, None], -1), axis=0)
+            code = np.take_along_axis(code, source, axis=0).T.tolist()
+            texts = []
             for g, (cols, part) in enumerate(_GROUPS):
-                k = counts[g]
-                if k == n and (g != _STATE_GROUP or not same.any()):
-                    template.append(part)
-                    fields.append(block[:, cols])
-                    texts.append(None)
-                    continue
-                if not varies[g]:
-                    # one text for every row, put in the template: it has no "%"
-                    if not mine[0, g]:
-                        text = above[g]
-                    elif not fresh[0, g]:
-                        text = texts[_STATE_GROUP][0]
-                    else:
-                        text = _texts(part, block[:1, cols], block, lo)[0]
-                    template.append(text)
-                    texts.append([text] * n)
-                    continue
-                # each row's index into the texts it may reuse: the fresh
-                # lines, the row above the block (index -1 of ``last``), then
-                # for the estimate the same rows' state
-                lines = _texts(part, block[fresh[:, g], cols], block, lo)
+                values = block[new[:, g], cols]
+                try:
+                    lines = ((part + "\n") * len(values) % tuple(values.ravel().tolist())).split("\n")
+                except (ValueError, OverflowError):
+                    raise _bad_flag(block, start + lo) from None
                 lines[-1] = above[g]
-                code = np.empty(n + 1, dtype=np.intp)
-                code[:n] = np.cumsum(fresh[:, g]) - 1
-                code[n] = k
                 if g == _EST_GROUP:
-                    code[:n][same] = rows[same] + (k + 1)
                     lines += texts[_STATE_GROUP]
-                last = np.maximum.accumulate(np.where(mine[:, g], rows, -1))
-                texts.append([lines[j] for j in code[last].tolist()])
-                template.append("%s")
-                fields.append(np.array(texts[-1], dtype=object).reshape(n, 1))
-            values = np.concatenate(fields, axis=1).ravel().tolist() if fields else []
-            try:
-                parts.append(((",".join(template) + "\n") * n) % tuple(values))
-            except (ValueError, OverflowError):
-                raise _bad_flag(block, lo) from None
-            above = [None if column is None else column[-1] for column in texts]
+                texts.append(list(map(lines.__getitem__, code[g])))
+            parts.append("\n".join(map(",".join, zip(*texts))) + "\n")
+            above = [column[-1] for column in texts]
         return parts
 
     def write_csv(self, path) -> None:

@@ -584,16 +584,21 @@ def repetitive_log(n_rows, capacity):
     across columns.  The second row of each block holds all the special
     values side by side.  Every third row repeats the row above but for
     ``t``, which changes on every row but the first of each later block (so
-    a block formats it in line, and the next block's first row repeats it).
+    the next block's first row repeats the text above it).
     The other rows are drawn from the specials and normals with the est_*
     columns a copy of the state, and in turn:
     - the repeated row after one turns a value into its twin (0.0 and -0.0,
       or two nan payloads), so its group differs only in that bit;
     - one column group is held from the row above while the others change;
     - est_* equals the state but for one column, which holds its twin.
-    One group keeps its first row's values through each block: ref_* in even
-    blocks, and est_* in odd blocks, whose first row gets a new state with
-    est_* set to it."""
+    The blocks then take three turns:
+    - ref_* keeps the block's first row's values through the block;
+    - est_* does, and the block's first row gets a new state with est_* set
+      to it;
+    - but for the second row, every row gets a new state, and est_* differs
+      from it and is held from the row above on every even row, as the
+      complementary filter's output is when the IMU runs at half the
+      logging rate."""
     rng = np.random.default_rng(n_rows)
     pool = list(CSV_SPECIALS) + rng.normal(size=6).tolist()
     twins = [0.0, CSV_SPECIALS[2]]
@@ -621,13 +626,20 @@ def repetitive_log(n_rows, capacity):
                 c = turn % (STATE.stop - STATE.start)
                 row[STATE.start + c] = twins[turn % 2]
                 row[EST.start + c] = CSV_TWINS[_float_to_bits(twins[turn % 2])]
-        if i % _CSV_BLOCK == 0:
-            hold = EST if i // _CSV_BLOCK % 2 else REF
+        turn_of_block = i // _CSV_BLOCK % 3
+        if turn_of_block == 2:
+            if i % _CSV_BLOCK != 1:
+                row[STATE] = [pool[k] for k in rng.integers(len(pool), size=STATE.stop - STATE.start)]
+                row[EST] = (log.data[i - 1, EST] if i % 2 == 0 else
+                            [pool[k] for k in rng.integers(len(pool), size=EST.stop - EST.start)])
+        elif i % _CSV_BLOCK == 0:
+            hold = (REF, EST)[turn_of_block]
             if hold == EST:
                 row[STATE] = [pool[k] for k in rng.integers(len(pool), size=STATE.stop - STATE.start)]
                 row[EST] = row[STATE]
             held = row[hold]
-        row[hold] = held
+        if turn_of_block < 2:
+            row[hold] = held
         if i % _CSV_BLOCK:
             row[IDX["t"]] = i / 4
         row[IDX["saturated"]] = CSV_FLAG_VALUES[i % len(CSV_FLAG_VALUES)]
@@ -641,7 +653,7 @@ def repetitive_log(n_rows, capacity):
     (_CSV_BLOCK - 1, _CSV_BLOCK - 1),
     (_CSV_BLOCK, _CSV_BLOCK),
     (_CSV_BLOCK + 1, _CSV_BLOCK + 1),
-    (2 * _CSV_BLOCK + 5, 3 * _CSV_BLOCK),
+    (3 * _CSV_BLOCK - 5, 3 * _CSV_BLOCK),
 ], ids=["empty", "block-1", "block", "block+1", "below-capacity"])
 def test_to_csv_is_byte_identical_to_row_template_oracle(n_rows, capacity):
     log = repetitive_log(n_rows, capacity)
@@ -728,6 +740,29 @@ def test_write_csv_splits_a_star_log_at_the_real_threshold(tmp_path, monkeypatch
     assert (tmp_path / "log.csv").read_bytes() == oracles.reference_to_csv(log).encode()
     assert len(forks) == 1
     assert_no_child_left()
+
+
+def test_a_log_whose_estimate_is_held_between_imu_samples_matches_the_oracle(
+    tmp_path, monkeypatch
+):
+    # at 500 Hz the filter's output is held on every second 1 kHz row and never
+    # equals the true state, which changes on every row
+    rate = 1000
+    log, _ = run_scenario(cfg_with(
+        scenario="circle", estimator="complementary", imu_rate_hz=500,
+        logging_rate_hz=rate, transient_window_s=1, duration_s=SPLIT_ROWS / rate,
+    ))
+    est = log.data[: len(log), EST]
+    assert (est[1:] != est[:-1]).any(axis=1).mean() == pytest.approx(0.5, abs=0.01)
+    assert (est != log.data[: len(log), STATE]).any(axis=1).all()
+    want = oracles.reference_to_csv(log)
+    assert log.to_csv() == want
+    for cpus in (2, 1):
+        forks = use_cpus(monkeypatch, cpus)
+        log.write_csv(tmp_path / "log.csv")
+        assert (tmp_path / "log.csv").read_bytes() == want.encode()
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt, SystemExit])
