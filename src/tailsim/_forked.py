@@ -5,6 +5,7 @@ added); :func:`write_csv` is the writer both CSV writers use."""
 from __future__ import annotations
 
 import os
+import stat
 import threading
 
 # bytes per read from a forked helper's pipe
@@ -96,33 +97,63 @@ def fork(work) -> Child | None:
 def write_csv(path, header: str, rows, n: int, chunk: int) -> None:
     """Write ``header`` and rows ``0`` to ``n`` to ``path`` as UTF-8, ``chunk``
     rows at a time; ``rows(lo, hi)`` gives rows ``lo`` to ``hi`` as strings to
-    join.  From two chunks on, when the file is seekable and :func:`can_fork`,
-    a forked child formats the second half (a row's text must depend only on
-    its own values) while this process writes the first, and its bytes are
-    copied in after them; if the child fails, its half is formatted here."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        def write(start: int, stop: int) -> None:
-            for lo in range(start, stop, chunk):
-                fh.writelines(rows(lo, min(lo + chunk, stop)))
+    join.  A destination that is a regular file, or does not exist yet, is
+    written through a temporary file beside it (named from the pid, created
+    with ``O_EXCL``, given an existing file's permissions) that replaces it
+    on success and is removed on any failure: a failed write leaves an
+    existing file's bytes as they were and creates no file.  A FIFO or a
+    device is written in place.  A symbolic link is followed to its target."""
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            _write_rows(fh, header, rows, n, chunk)
+        return
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
+            _write_rows(fh, header, rows, n, chunk)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
-        fh.write(header)
-        half = n // 2
-        child = None
-        if n >= 2 * chunk and fh.seekable() and can_fork():
-            # the child formats all of its half before it writes to the pipe,
-            # so it never waits on this process with work left to do
-            child = fork(lambda out: out.write("".join(rows(half, n)).encode()))
-        try:
-            write(0, n if child is None else half)
-            if child is not None:
-                fh.flush()
-                mark = fh.buffer.tell()
-                child.copy_to(fh.buffer)
-                if not child.join():
-                    # what arrived may be partial: drop it, format it here
-                    fh.buffer.seek(mark)
-                    fh.buffer.truncate()
-                    write(half, n)
-        finally:
-            if child is not None:
-                child.join(kill=True)
+
+def _write_rows(fh, header: str, rows, n: int, chunk: int) -> None:
+    """:func:`write_csv`'s rows into the open text file ``fh``.  From two
+    chunks on, when ``fh`` is seekable and :func:`can_fork`, a forked child
+    formats the second half (a row's text must depend only on its own
+    values) while this process writes the first, and its bytes are copied in
+    after them; if the child fails, its half is formatted here."""
+    def write(start: int, stop: int) -> None:
+        for lo in range(start, stop, chunk):
+            fh.writelines(rows(lo, min(lo + chunk, stop)))
+
+    fh.write(header)
+    half = n // 2
+    child = None
+    if n >= 2 * chunk and fh.seekable() and can_fork():
+        # the child formats all of its half before it writes to the pipe,
+        # so it never waits on this process with work left to do
+        child = fork(lambda out: out.write("".join(rows(half, n)).encode()))
+    try:
+        write(0, n if child is None else half)
+        if child is not None:
+            fh.flush()
+            mark = fh.buffer.tell()
+            child.copy_to(fh.buffer)
+            if not child.join():
+                # what arrived may be partial: drop it, format it here
+                fh.buffer.seek(mark)
+                fh.buffer.truncate()
+                write(half, n)
+    finally:
+        if child is not None:
+            child.join(kill=True)

@@ -1,10 +1,15 @@
 /* The compiled twin of tailsim.sim.advance: one RK4 step of the vehicle on C doubles.
  *
- * advance(c, y0, act, c_wl, c_wr, c_dl, c_dr) -> (y, act) takes and returns what
- * sim.advance does: the 24 sim.plant constants, the 13 state floats, the 4 actuator
- * floats and the 4 command floats (positional only; every value is read as a C double,
- * which is exact for Python floats).  model.actuator_wrench and sim._rhs are the two
- * static functions below.  Each statement transcribes the Python line that assigns the
+ * advance_into(c, s, c_wl, c_wr, c_dl, c_dr) -> None steps the vehicle in place.  c is
+ * the tuple of 24 sim.plant constants; s is a writable buffer of 17 doubles (format
+ * "d", an array('d') say): the 13 state values of sim.VehicleState.y, then the 4
+ * actuator values; c_wl ... c_dr are the 4 command floats (positional only; every value
+ * is read as a C double, which is exact for Python floats).  On success s holds the
+ * state and actuators one step later, as sim.advance returns them; when the step raises,
+ * s is left byte for byte as it was.  A buffer of another size or format, or a
+ * read-only one, raises before any step.  step() below is the step itself, on an
+ * aligned copy of the buffer; model.actuator_wrench and sim._rhs are the two static
+ * functions before it.  Each statement transcribes the Python line that assigns the
  * same name, with Python's operands in Python's order; a comment quotes the Python where
  * the C differs in form.  Built with -ffp-contract=off and without -ffast-math (no fused
  * multiply-add, no reassociation), every result then has the bits of sim.advance.
@@ -15,6 +20,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <string.h>
 
 static PyObject *diverged;  /* tailsim.errors.SimulationDivergedError */
 
@@ -117,38 +123,12 @@ floats(PyObject *arg, double *out, Py_ssize_t n)
     return 0;
 }
 
-static PyObject *
-tuple_of(const double *v, Py_ssize_t n)
+/* sim.advance on s: s[0..12] the state y0, s[13..16] the actuators act, overwritten
+ * with the step's (y, act) on success and left as they were on an error */
+static int
+step(const double *c, const double *cmd, double *s)
 {
-    PyObject *t = PyTuple_New(n);
-    for (Py_ssize_t i = 0; t != NULL && i < n; i++) {
-        PyObject *f = PyFloat_FromDouble(v[i]);
-        if (f == NULL) {
-            Py_CLEAR(t);
-            break;
-        }
-        PyTuple_SET_ITEM(t, i, f);
-    }
-    return t;
-}
-
-/* sim.advance */
-static PyObject *
-advance(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    double c[24], y0[13], a[4], cmd[4];
-    if (nargs != 7) {
-        PyErr_Format(PyExc_TypeError, "advance() takes 7 positional arguments (%zd given)",
-                     nargs);
-        return NULL;
-    }
-    if (floats(args[0], c, 24) < 0 || floats(args[1], y0, 13) < 0 || floats(args[2], a, 4) < 0)
-        return NULL;
-    for (int i = 0; i < 4; i++) {
-        cmd[i] = PyFloat_AsDouble(args[3 + i]);
-        if (cmd[i] == -1.0 && PyErr_Occurred())
-            return NULL;
-    }
+    const double *y0 = s, *a = s + 13;
     const double dmx = c[14], dmy = c[15], dmz = c[16], e_m2 = c[17], e_s2 = c[18];
     const double w_max = c[19], d_max = c[20], dt = c[21], half = c[22], sixth = c[23];
 
@@ -170,14 +150,14 @@ advance(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     double w[6], k1[13], k2[13], k3[13], k4[13], y[13], mx, my, mz;
     actuator_wrench(wl0, wr0, dl0, dr0, c, w);
     if (rhs(y0, NULL, 0.0, w, w[3] + dmx, w[4] + dmy, w[5] + dmz, c, k1) < 0)
-        return NULL;
+        return -1;
     actuator_wrench(wl1, wr1, dl1, dr1, c, w);
     mx = w[3] + dmx; my = w[4] + dmy; mz = w[5] + dmz;  /* mx, my, mz = mx + dmx, ... */
     if (rhs(y0, k1, half, w, mx, my, mz, c, k2) < 0 || rhs(y0, k2, half, w, mx, my, mz, c, k3) < 0)
-        return NULL;
+        return -1;
     actuator_wrench(wl2, wr2, dl2, dr2, c, w);
     if (rhs(y0, k3, dt, w, w[3] + dmx, w[4] + dmy, w[5] + dmz, c, k4) < 0)
-        return NULL;
+        return -1;
 
     /* px = y0[0] + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]), ... wz */
     for (int i = 0; i < 13; i++)
@@ -188,34 +168,66 @@ advance(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         sum = sum + y[i];
     if (!isfinite(sum)) {
         PyErr_SetString(diverged, "non-finite state after integration step");
-        return NULL;
+        return -1;
     }
 
     /* inv_n = 1.0 / math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz) */
     double norm = sqrt(y[6] * y[6] + y[7] * y[7] + y[8] * y[8] + y[9] * y[9]);
-    if (norm == 0.0) {
-        zero_division();
-        return NULL;
-    }
+    if (norm == 0.0)
+        return zero_division();
     double inv_n = 1.0 / norm;
     for (int i = 6; i < 10; i++)
         y[i] = y[i] * inv_n;
-    double act[4] = {
-        wl2 < 0.0 ? 0.0 : wl2 > w_max ? w_max : wl2,
-        wr2 < 0.0 ? 0.0 : wr2 > w_max ? w_max : wr2,
-        dl2 < -d_max ? -d_max : dl2 > d_max ? d_max : dl2,
-        dr2 < -d_max ? -d_max : dr2 > d_max ? d_max : dr2,
-    };
-    PyObject *y_out = tuple_of(y, 13), *act_out = tuple_of(act, 4);
-    PyObject *out = y_out && act_out ? PyTuple_Pack(2, y_out, act_out) : NULL;
-    Py_XDECREF(y_out);
-    Py_XDECREF(act_out);
-    return out;
+    memcpy(s, y, sizeof y);
+    s[13] = wl2 < 0.0 ? 0.0 : wl2 > w_max ? w_max : wl2;
+    s[14] = wr2 < 0.0 ? 0.0 : wr2 > w_max ? w_max : wr2;
+    s[15] = dl2 < -d_max ? -d_max : dl2 > d_max ? d_max : dl2;
+    s[16] = dr2 < -d_max ? -d_max : dr2 > d_max ? d_max : dr2;
+    return 0;
+}
+
+/* sim.advance_into */
+static PyObject *
+advance_into(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    double c[24], cmd[4], s[17];
+    if (nargs != 6) {
+        PyErr_Format(PyExc_TypeError,
+                     "advance_into() takes 6 positional arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (floats(args[0], c, 24) < 0)
+        return NULL;
+    for (int i = 0; i < 4; i++) {
+        cmd[i] = PyFloat_AsDouble(args[2 + i]);
+        if (cmd[i] == -1.0 && PyErr_Occurred())
+            return NULL;
+    }
+    Py_buffer view;
+    if (PyObject_GetBuffer(args[1], &view, PyBUF_WRITABLE | PyBUF_FORMAT) < 0)
+        return NULL;
+    int rc = -1;
+    const char *format = view.format == NULL ? "B" : view.format;
+    if (view.len != (Py_ssize_t)sizeof s || strcmp(format, "d") != 0) {
+        PyErr_Format(PyExc_ValueError, "advance_into() needs a buffer of 17 doubles, "
+                     "got %zd bytes of format '%s'", view.len, format);
+    }
+    else {
+        memcpy(s, view.buf, sizeof s);  /* the buffer need not be aligned for double */
+        rc = step(c, cmd, s);
+        if (rc == 0)
+            memcpy(view.buf, s, sizeof s);
+    }
+    PyBuffer_Release(&view);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
 }
 
 static PyMethodDef methods[] = {
-    {"advance", (PyCFunction)(void (*)(void))advance, METH_FASTCALL,
-     "advance(c, y0, act, c_wl, c_wr, c_dl, c_dr) -> (y, act): tailsim.sim.advance, compiled"},
+    {"advance_into", (PyCFunction)(void (*)(void))advance_into, METH_FASTCALL,
+     "advance_into(c, s, c_wl, c_wr, c_dl, c_dr) -> None: tailsim.sim.advance_into, "
+     "compiled"},
     {NULL, NULL, 0, NULL},
 };
 

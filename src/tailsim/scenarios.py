@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from array import array
 from bisect import bisect_right
 from dataclasses import astuple, dataclass, field
 
@@ -283,14 +284,12 @@ def reference(t: float, scenario: Scenario) -> tuple[tuple, tuple, float]:
 # logging
 
 
-def _bad_flag(block: np.ndarray, lo: int) -> DomainError:
-    """The error for a log block (rows from ``lo``) whose flags ``%d`` cannot
-    format: it names the first flag value that is not finite."""
-    cols = _GROUPS[-1][0]
-    flags = block[:, cols]
-    row, col = np.argwhere(~np.isfinite(flags))[0].tolist()
-    return DomainError(f"log row {lo + row}: {LOG_COLUMNS[cols.start + col]} = "
-                       f"{float(flags[row, col])!r}; a flag must be finite")
+def _bad_flag(flags: np.ndarray, lo: int) -> DomainError:
+    """The error for log flags (rows from ``lo``) of which some value is
+    neither 0 nor 1: it names the first such value's row and column."""
+    row, col = np.argwhere((flags != 0.0) & (flags != 1.0))[0].tolist()
+    return DomainError(f"log row {lo + row}: {_FLAG_COLUMNS[col]} = "
+                       f"{float(flags[row, col])!r}; a flag must be 0 or 1")
 
 
 class ScenarioLog:
@@ -343,7 +342,7 @@ class ScenarioLog:
         """The log as CSV: floats round-trip exactly (``%.17g``), flags as ints.
 
         Raises:
-            DomainError: a flag is not finite.
+            DomainError: a flag is neither 0 nor 1.
         """
         return "".join([",".join(LOG_COLUMNS) + "\n", *self._rows_csv(0, self._row)])
 
@@ -360,8 +359,11 @@ class ScenarioLog:
         depends only on its own values, as :func:`_forked.write_csv` needs.
 
         Raises:
-            DomainError: a flag is not finite, so has no ``%d`` text.
+            DomainError: a flag is neither 0 nor 1 (-0.0 is 0).
         """
+        flags = self.data[start:stop, _GROUPS[-1][0]]
+        if not ((flags == 0.0) | (flags == 1.0)).all():
+            raise _bad_flag(flags, start)
         parts = []
         est, state = _GROUPS[_EST_GROUP][0], _GROUPS[_STATE_GROUP][0]
         bits = self.data[start:stop].view(np.int64)
@@ -395,10 +397,7 @@ class ScenarioLog:
             texts = []
             for g, (cols, part) in enumerate(_GROUPS):
                 values = block[new[:, g], cols]
-                try:
-                    lines = ((part + "\n") * len(values) % tuple(values.ravel().tolist())).split("\n")
-                except (ValueError, OverflowError):
-                    raise _bad_flag(block, start + lo) from None
+                lines = ((part + "\n") * len(values) % tuple(values.ravel().tolist())).split("\n")
                 lines[-1] = above[g]
                 if g == _EST_GROUP:
                     lines += texts[_STATE_GROUP]
@@ -410,9 +409,11 @@ class ScenarioLog:
     def write_csv(self, path) -> None:
         """Write :meth:`to_csv`'s text to ``path``, ``_ROWS_PER_WRITE`` rows at
         a time, on two processes from two chunks on (:func:`_forked.write_csv`).
+        A regular file is replaced only once the whole log is written.
 
         Raises:
-            DomainError: a flag is not finite; the file may hold part of the log.
+            DomainError: a flag is neither 0 nor 1; an existing file at
+                ``path`` keeps its bytes, and no file is created.
         """
         header = ",".join(LOG_COLUMNS) + "\n"
         _forked.write_csv(path, header, self._rows_csv, self._row, _ROWS_PER_WRITE)
@@ -703,9 +704,15 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
     """Execute one closed-loop scenario; return its log and metrics.
 
     Physics advances at the configured rate by one kernel,
-    :data:`tailsim.sim.rk4` (the compiled twin of :func:`tailsim.sim.advance`
-    when it loaded), on the state and actuator floats the loop carries,
-    with the constants of :func:`tailsim.sim.plant` built once per call.
+    :data:`tailsim.sim.rk4` (the compiled twin of
+    :func:`tailsim.sim.advance_into` when it loaded), called once per step
+    on the constants of :func:`tailsim.sim.plant`, built once per call, and
+    on one buffer of 17 doubles (an ``array('d')``: the 13 state values,
+    then the 4 actuator values) that it overwrites in place.  The loop reads
+    the buffer back as Python floats only on the steps where something
+    happens: a multiple of the greatest common divisor of the control and
+    log intervals (and of the IMU interval with the complementary
+    estimator), counted in physics steps.
     The controller cascade is ticked at the rate-loop frequency (the outer
     stages fire on every n-th tick; each tick's command is read as four
     floats); with the complementary estimator, IMU samples (and
@@ -748,8 +755,9 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
     # the logged sample times, with the bits of the loop's k * dt
     _window_start(np.arange(0, n_steps, log_every)[:n_rows] * dt, h.transient_window_s)
 
-    state = initial_state(config, scenario)
-    y, act = state.y, astuple(state.act)
+    start = initial_state(config, scenario)
+    y = start.y
+    state = array("d", (*y, *astuple(start.act)))
     consts = plant(dt, params, disturbance)
     controller = CascadeController(params, config.gains, config.rates)
 
@@ -763,6 +771,8 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
         )
         imu_dt = 1.0 / h.imu_rate_hz
 
+    # the steps on which the loop reads the state: every IMU, control or log tick
+    stride = math.gcd(ctrl_every, log_every, imu_every if complementary else ctrl_every)
     ox, oy, oz = disturbance.force_offset_world
     static_reference = scenario.kind == "hover"   # setpoint is time-invariant
     if static_reference:
@@ -771,46 +781,50 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
     log = ScenarioLog(n_rows)
     # every loop ticks at k = 0, so each e_*, *_des and c_* is set before use
     for k in range(n_steps):
-        t = k * dt
+        if k % stride == 0:
+            v = state.tolist()
+            y, act = v[:13], v[13:]
+            t = k * dt
 
-        if complementary and k % imu_every == 0:
-            # the accelerometer reads force only, so the torque offset is left out
-            r00, r01, r02, r10, r11, r12, r20, r21, r22 = quat_to_matrix_f(y[6:10])
-            R_wb = ((r00, r10, r20), (r01, r11, r21), (r02, r12, r22))  # the transpose
-            fx, fy, fz, _, _, _ = total_wrench(ActuatorState(*act), R_wb, params)
-            force = (
-                fx + (r00 * ox + r10 * oy + r20 * oz),
-                fy + (r01 * ox + r11 * oy + r21 * oz),
-                fz + (r02 * ox + r12 * oy + r22 * oz),
-            )
-            with_pose = k % pose_every == 0
-            sample = sense(y, force, params, disturbance, normals(12 if with_pose else 6),
-                           t, with_pose)
-            estimator.update(sample, imu_dt)
-            e_p, e_v, e_q, e_w = estimator.p, estimator.v, estimator.q, estimator.omega
+            if complementary and k % imu_every == 0:
+                # the accelerometer reads force only, so the torque offset is left out
+                r00, r01, r02, r10, r11, r12, r20, r21, r22 = quat_to_matrix_f(y[6:10])
+                R_wb = ((r00, r10, r20), (r01, r11, r21), (r02, r12, r22))  # the transpose
+                fx, fy, fz, _, _, _ = total_wrench(ActuatorState(*act), R_wb, params)
+                force = (
+                    fx + (r00 * ox + r10 * oy + r20 * oz),
+                    fy + (r01 * ox + r11 * oy + r21 * oz),
+                    fz + (r02 * ox + r12 * oy + r22 * oz),
+                )
+                with_pose = k % pose_every == 0
+                sample = sense(y, force, params, disturbance, normals(12 if with_pose else 6),
+                               t, with_pose)
+                estimator.update(sample, imu_dt)
+                e_p, e_v, e_q, e_w = estimator.p, estimator.v, estimator.q, estimator.omega
 
-        if k % ctrl_every == 0:
-            if not complementary:
-                e_p, e_v, e_q, e_w = y[0:3], y[3:6], y[6:10], y[10:13]
-            if not static_reference:
-                p_des, v_des, psi_des = reference(t, scenario)
-            c_wl, c_wr, c_dl, c_dr = controller.update(e_p, e_v, e_q, e_w, p_des, v_des, psi_des)
+            if k % ctrl_every == 0:
+                if not complementary:
+                    e_p, e_v, e_q, e_w = y[0:3], y[3:6], y[6:10], y[10:13]
+                if not static_reference:
+                    p_des, v_des, psi_des = reference(t, scenario)
+                c_wl, c_wr, c_dl, c_dr = controller.update(e_p, e_v, e_q, e_w,
+                                                           p_des, v_des, psi_des)
 
-        if k % log_every == 0 and len(log) < n_rows:
-            log.append([
-                t,
-                *p_des, *v_des, psi_des,
-                *y,
-                *e_p, *e_v, *e_q, *e_w,
-                *controller.f_des, *controller.omega_des, *controller.m_des,
-                c_wl, c_wr, c_dl, c_dr,
-                *act,
-                float(controller.saturated), float(controller.roll_clamped),
-            ])
+            if k % log_every == 0 and len(log) < n_rows:
+                log.append([
+                    t,
+                    *p_des, *v_des, psi_des,
+                    *y,
+                    *e_p, *e_v, *e_q, *e_w,
+                    *controller.f_des, *controller.omega_des, *controller.m_des,
+                    c_wl, c_wr, c_dl, c_dr,
+                    *act,
+                    float(controller.saturated), float(controller.roll_clamped),
+                ])
 
         try:
-            y, act = step(consts, y, act, c_wl, c_wr, c_dl, c_dr)
+            step(consts, state, c_wl, c_wr, c_dl, c_dr)
         except SimulationDivergedError as exc:
-            raise SimulationDivergedError(f"{exc} at t = {t + dt:.6f} s") from None
+            raise SimulationDivergedError(f"{exc} at t = {k * dt + dt:.6f} s") from None
 
     return log, metrics(log, h.transient_window_s)

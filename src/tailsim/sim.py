@@ -26,18 +26,21 @@ the package, and blends pose corrections in.
 
 Everything that runs at the physics or IMU rate computes on Python
 floats: the state is one tuple of 13 floats (:class:`VehicleState`).  A
-run builds its constants once (:func:`plant`) and carries the state and
-actuator floats through one kernel, :func:`advance`, which builds no
-array or list (the four stage derivatives are combined by 13 written-out
-updates); :func:`step` is the single-step API on a :class:`VehicleState`.
-:func:`advance` also exists compiled: on import this module builds (once
-per user, into a cache) and loads ``_rk4.c``, a line-by-line C
-transcription of :func:`advance` and its two helpers whose results have
-the same bits, and :data:`rk4` is that kernel, or :func:`advance` itself
-when it could not be built (:data:`KERNEL` says which, and why).  So the
-vehicle's physics is written twice, once in Python (the definition, the
-fallback and the test oracle) and once in C (the speed: 0.5-1 us per
-step against 12-19 us); :func:`plant` stays in Python only.
+run builds its constants once (:func:`plant`).  One step is defined by
+:func:`advance` on floats, which builds no array or list (the four stage
+derivatives are combined by 13 written-out updates); :func:`advance_into`
+applies it in place to a buffer of 17 doubles (the 13 state values, then
+the 4 actuator values), which a run carries from step to step, and
+:func:`step` is the single-step API on a :class:`VehicleState`.  The step
+also exists compiled: on import this module builds (once per user, into a
+cache) and loads ``_rk4.c``, a line-by-line C transcription of
+:func:`advance` and its two helpers whose results have the same bits,
+whose one entry point steps the buffer in place as :func:`advance_into`
+does; :data:`rk4` is that kernel, or :func:`advance_into` itself when it
+could not be built (:data:`KERNEL` says which, and why).  So the vehicle's
+physics is written twice, once in Python (the definition, the fallback
+and the test oracle) and once in C (the speed: about 0.25 us per step
+against 13 us); :func:`plant` stays in Python only.
 :func:`sense` (which reads the state's 13 floats, the body force as
 three floats and the sample's normals) and the estimator work through
 :mod:`tailsim.rotations`.  The operations and their order are those of
@@ -49,6 +52,7 @@ Sensor samples and estimates are tuples of floats; only the state's
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import astuple, dataclass
 from numbers import Real
 
@@ -316,11 +320,23 @@ def advance(c: tuple, y0: tuple, act: tuple, c_wl: float, c_wr: float, c_dl: flo
     )
 
 
+def advance_into(c: tuple, s, c_wl: float, c_wr: float, c_dl: float, c_dr: float) -> None:
+    """:func:`advance` in place: ``s`` is a writable buffer of 17 doubles (an
+    ``array('d')``), the 13 state values then the 4 actuator values.
+
+    On success ``s`` holds the ``(y, act)`` that :func:`advance` returns for
+    them; when the step raises, ``s`` is left as it was.  The Python kernel,
+    and the definition that the compiled ``_rk4.advance_into`` reproduces.
+    """
+    y, act = advance(c, tuple(s[:13]), tuple(s[13:]), c_wl, c_wr, c_dl, c_dr)
+    s[:] = array("d", y + act)
+
+
 _compiled, KERNEL = _build.load()
-#: The RK4 step that :func:`step` and the run loop call: ``_rk4.advance``, the
-#: compiled twin of :func:`advance` (positional arguments only), or
-#: :func:`advance` when that did not load.  Chosen once, at import.
-rk4 = advance if _compiled is None else _compiled.advance
+#: The RK4 step that :func:`step` and the run loop call: ``_rk4.advance_into``,
+#: the compiled twin of :func:`advance_into` (positional arguments only), or
+#: :func:`advance_into` when that did not load.  Chosen once, at import.
+rk4 = advance_into if _compiled is None else _compiled.advance_into
 del _compiled
 
 
@@ -331,16 +347,15 @@ def step(state: VehicleState, command, dt: float, params: VehicleParams,
     ``command`` is any object with the four actuator fields, held over the
     step.  Raises what :func:`plant` (a step size outside
     ``0 < dt <= 2e-3``) and :func:`advance` (a divergence) raise.  The step
-    is taken by :data:`rk4`.
+    is taken by :data:`rk4` on a buffer of the state's 17 doubles.
     """
     a = state.act
-    y, act = rk4(
-        plant(dt, params, disturbance), state.y,
-        (a.omega_left, a.omega_right, a.delta_left, a.delta_right),
-        command.omega_left, command.omega_right, command.delta_left, command.delta_right,
-    )
+    s = array("d", (*state.y, a.omega_left, a.omega_right, a.delta_left, a.delta_right))
+    rk4(plant(dt, params, disturbance), s,
+        command.omega_left, command.omega_right, command.delta_left, command.delta_right)
+    v = s.tolist()
     out = object.__new__(VehicleState)   # no validation: q is unit by construction
-    out.y, out.act = y, ActuatorState(*act)
+    out.y, out.act = tuple(v[:13]), ActuatorState(*v[13:])
     return out
 
 
@@ -380,7 +395,10 @@ class Normals:
         self._i = 0
 
     def take(self, n: int) -> list:
-        """The next ``n`` standard normals, ``n`` at most :data:`NOISE_BLOCK`."""
+        """The next ``n`` standard normals, ``n`` at most :data:`NOISE_BLOCK`
+        (DomainError for more: one refill could not supply them)."""
+        if n > NOISE_BLOCK:
+            raise DomainError(f"Normals.take draws at most {NOISE_BLOCK} normals, asked for {n}")
         i = self._i
         j = i + n
         if j > len(self._buf):

@@ -312,6 +312,7 @@ def write_records_csv(path, records: BenchRecords) -> None:
 
     Rows are formatted by :func:`_rows` and written ``_ROWS_PER_WRITE`` at a
     time by :func:`_forked.write_csv`, on two processes from two chunks on.
+    A regular file is replaced only once every row is written.
     """
     _forked.write_csv(path, CSV_HEADER + "\n", lambda lo, hi: _rows(records, lo, hi),
                       len(records), _ROWS_PER_WRITE)

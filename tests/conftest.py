@@ -23,7 +23,8 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def python_kernel(monkeypatch):
-    """Force the Python RK4 kernel, :func:`tailsim.sim.advance`, into ``sim.step``
-    and the run loop, in place of the compiled one that import may have loaded."""
-    monkeypatch.setattr(sim, "rk4", sim.advance)
-    monkeypatch.setattr(scenarios, "step", sim.advance)
+    """Force the Python RK4 kernel, :func:`tailsim.sim.advance_into`, into
+    ``sim.step`` and the run loop, in place of the compiled one that import may
+    have loaded."""
+    monkeypatch.setattr(sim, "rk4", sim.advance_into)
+    monkeypatch.setattr(scenarios, "step", sim.advance_into)

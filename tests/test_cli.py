@@ -15,7 +15,7 @@ from tailsim.config import Config, load_config, parse_pairs
 from tailsim.errors import SimulationDivergedError
 from tailsim.model import VehicleParams
 from tailsim.scenarios import LOG_COLUMNS, run_scenario
-from tailsim.sim import advance
+from tailsim.sim import advance_into
 from tailsim.sysid import ALL_CONSTANTS
 
 QUIET_HOVER = """\
@@ -155,7 +155,7 @@ def test_a_run_that_raises_writes_no_log(tmp_path, monkeypatch, capsys):
         calls.append(1)
         if len(calls) > SPLIT_ROWS:  # about half way through the run
             raise SimulationDivergedError("injected divergence")
-        return advance(*args)
+        return advance_into(*args)
 
     monkeypatch.setattr(scenarios, "step", diverging_step)
     path = tmp_path / "log.csv"

@@ -2,8 +2,9 @@
 
 ``tailsim.sim`` builds ``_rk4.c`` into a per-user cache on import and
 falls back to the Python kernel on any failure.  The comparison runs on
-the kernel that import loaded; the build tests point the cache at a
-temporary directory by patching ``tailsim._build``'s attributes.
+the kernel that import loaded, which steps a buffer of 17 doubles in place
+(``advance_into``); the build tests point the cache at a temporary
+directory by patching ``tailsim._build``'s attributes.
 """
 
 import os
@@ -12,6 +13,7 @@ import struct
 import subprocess
 import sys
 import sysconfig
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +23,13 @@ import tailsim
 from tailsim import _build, sim
 from tailsim.errors import SimulationDivergedError
 from tailsim.model import VehicleParams
-from tailsim.sim import DisturbanceSpec, advance, plant
+from tailsim.sim import DisturbanceSpec, advance, advance_into, plant
 
 PARAMS = VehicleParams()
 SRC = str(Path(tailsim.__file__).resolve().parent.parent)
 
-needs_compiled = pytest.mark.skipif(sim.rk4 is advance, reason=f"no compiled kernel ({sim.KERNEL})")
+needs_compiled = pytest.mark.skipif(sim.rk4 is advance_into,
+                                    reason=f"no compiled kernel ({sim.KERNEL})")
 needs_compiler = pytest.mark.skipif(
     shutil.which(_build.CC) is None
     or not Path(sysconfig.get_paths()["include"], "Python.h").exists(),
@@ -34,14 +37,28 @@ needs_compiler = pytest.mark.skipif(
 )
 
 
-def outcome(kernel, *args):
-    """The kernel's ``(y, act)`` as IEEE bytes (-0.0 is not +0.0), or what it raised."""
+def outcome(c, y0, act, *cmd):
+    """``advance``'s ``(y, act)`` as IEEE bytes (-0.0 is not +0.0), or what it raised."""
     try:
-        y, act = kernel(*args)
+        y, act = advance(c, y0, act, *cmd)
     except (SimulationDivergedError, ZeroDivisionError) as exc:
         return type(exc), str(exc)
     assert all(type(v) is float for v in y + act)
     return struct.pack("17d", *y, *act)
+
+
+def outcome_into(kernel, c, y0, act, *cmd):
+    """What ``kernel`` (an ``advance_into``) leaves in a buffer of ``y0`` and
+    ``act``, as bytes, or what it raised; a step that raised left the buffer
+    as it was."""
+    s = array("d", y0 + act)
+    before = s.tobytes()
+    try:
+        kernel(c, s, *cmd)
+    except (SimulationDivergedError, ZeroDivisionError) as exc:
+        assert s.tobytes() == before
+        return type(exc), str(exc)
+    return s.tobytes()
 
 
 def seeded_inputs(n: int, seed: int):
@@ -76,8 +93,8 @@ def seeded_inputs(n: int, seed: int):
 def test_compiled_kernel_is_bit_for_bit_advance_on_seeded_inputs():
     results = {}
     for args in seeded_inputs(100_000, seed=21):
-        want = outcome(advance, *args)
-        assert outcome(sim.rk4, *args) == want, args
+        want = outcome(*args)
+        assert outcome_into(sim.rk4, *args) == want, args
         kind = want if isinstance(want, tuple) else "state"
         results[kind] = results.get(kind, 0) + 1
     # the diverging states and NaN commands raised, the rest stepped
@@ -96,9 +113,53 @@ def test_compiled_kernel_divides_by_zero_where_python_does(where):
     else:
         c[8 + ["j_xx", "j_yy", "j_zz"].index(where)] = 0.0
     args = (tuple(c), tuple(y), (400.0, 400.0, 0.0, 0.0), 400.0, 400.0, 0.0, 0.0)
-    want = outcome(advance, *args)
+    want = outcome(*args)
     assert want == (ZeroDivisionError, "float division by zero")
-    assert outcome(sim.rk4, *args) == want
+    assert outcome_into(sim.rk4, *args) == want
+    assert outcome_into(advance_into, *args) == want
+
+
+def test_the_python_kernel_is_advance_on_the_buffer_and_keeps_it_on_a_raise():
+    results = set()
+    for args in seeded_inputs(2000, seed=22):
+        want = outcome(*args)
+        assert outcome_into(advance_into, *args) == want, args
+        results.add(want if isinstance(want, tuple) else "state")
+    assert len(results) == 2   # some steps diverged, the rest stepped
+
+
+STATE = (0.0,) * 6 + (1.0, 0.0, 0.0, 0.0, 0.1, 0.2, 0.3) + (400.0, 400.0, 0.0, 0.0)
+BAD_BUFFERS = {
+    "16-doubles": lambda: array("d", STATE[:16]),
+    "18-doubles": lambda: array("d", STATE + (0.0,)),
+    "read-only": lambda: memoryview(array("d", STATE)).toreadonly(),
+}
+COMPILED_BAD_BUFFERS = {
+    **BAD_BUFFERS,
+    "34-floats": lambda: array("f", STATE + STATE),   # 136 bytes, not doubles
+    "136-bytes": lambda: bytearray(array("d", STATE).tobytes()),
+    "bytes": lambda: array("d", STATE).tobytes(),
+    "list": lambda: list(STATE),
+}
+
+
+@pytest.mark.parametrize("buffer", BAD_BUFFERS)
+def test_a_buffer_of_another_size_or_a_read_only_one_raises_on_the_python_kernel(buffer):
+    s = BAD_BUFFERS[buffer]()
+    before = bytes(s)
+    with pytest.raises((ValueError, TypeError)):
+        advance_into(plant(2e-3, PARAMS), s, 400.0, 400.0, 0.0, 0.0)
+    assert bytes(s) == before
+
+
+@needs_compiled
+@pytest.mark.parametrize("buffer", COMPILED_BAD_BUFFERS)
+def test_a_buffer_of_another_size_format_or_a_read_only_one_raises_on_the_compiled_kernel(buffer):
+    s = COMPILED_BAD_BUFFERS[buffer]()
+    before = list(s)
+    with pytest.raises((ValueError, TypeError, BufferError)):
+        sim.rk4(plant(2e-3, PARAMS), s, 400.0, 400.0, 0.0, 0.0)
+    assert list(s) == before
 
 
 @needs_compiled
@@ -106,7 +167,7 @@ def test_the_run_loop_and_step_use_the_compiled_kernel():
     from tailsim import scenarios
 
     assert sim.KERNEL.startswith("compiled: ")
-    assert scenarios.step is sim.rk4 is not advance
+    assert scenarios.step is sim.rk4 is not advance_into
 
 
 def load_recording(monkeypatch):
@@ -134,7 +195,7 @@ def test_a_build_from_an_empty_cache_then_a_hit_that_spawns_nothing(tmp_path, mo
     [built] = cache.iterdir()   # the library only: the temporary file was renamed
     assert kernel == f"compiled: {built}"
     args = next(seeded_inputs(1, seed=3))
-    assert outcome(module.advance, *args) == outcome(advance, *args)
+    assert outcome_into(module.advance_into, *args) == outcome(*args)
 
     (module, again), started = load_recording(monkeypatch)
     assert module is not None and again == kernel and started == []
@@ -155,7 +216,8 @@ def test_import_without_a_compiler_runs_on_the_python_kernel(tmp_path):
     # a host with no compiler on PATH and nothing cached yet
     probe = ("import tailsim.sim as s, tailsim.scenarios as sc; "
              "from tailsim.config import Config, apply_overrides; "
-             "assert s.rk4 is s.advance and sc.step is s.advance; print(s.KERNEL); "
+             "assert s.rk4 is s.advance_into and sc.step is s.advance_into; "
+             "print(s.KERNEL); "
              "cfg = apply_overrides(Config(), {'duration_s': '1', 'transient_window_s': '0.5'}); "
              "print(len(sc.run_scenario(cfg)[0]))")
     env = {**os.environ, "PATH": str(tmp_path), "XDG_CACHE_HOME": str(tmp_path),

@@ -34,7 +34,7 @@ from tailsim.scenarios import (
     reference,
     run_scenario,
 )
-from tailsim.sim import VehicleState, advance, step
+from tailsim.sim import VehicleState, advance_into, step
 
 import oracles
 from forks import assert_no_child_left, failing_in, record_exits, use_cpus
@@ -561,7 +561,7 @@ CSV_SPECIALS = (
     math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
     1e308, -1e308, 1.0 / 3.0,
 )
-CSV_FLAG_VALUES = (0.0, 1.0, -0.0, 0.5, 2.0)
+CSV_FLAG_VALUES = (0.0, 1.0, -0.0)
 
 
 # values that compare equal as floats or print alike, but differ in their bits
@@ -717,7 +717,7 @@ def test_a_flag_that_is_not_finite_fails_the_csv_naming_its_column(
     if held:
         log.data[:, IDX["saturated"]:] = 0.0
     log.data[row, IDX[flag]] = value
-    message = re.escape(f"log row {row}: {flag} = {value!r}; a flag must be finite")
+    message = re.escape(f"log row {row}: {flag} = {value!r}; a flag must be 0 or 1")
     with pytest.raises(DomainError, match=message):
         log.to_csv()
     for cpus in (1, 2):
@@ -726,6 +726,54 @@ def test_a_flag_that_is_not_finite_fails_the_csv_naming_its_column(
             log.write_csv(tmp_path / "log.csv")
         assert len(forks) == cpus - 1
         assert_no_child_left()
+
+
+@pytest.mark.parametrize("row", [7, 2 * SMALL_SPLIT_ROWS + 1], ids=["first-half", "second-half"])
+@pytest.mark.parametrize("flag, value", [
+    ("saturated", 0.5), ("roll_clamped", 2.0), ("roll_clamped", -1.0),
+])
+def test_a_flag_other_than_0_or_1_fails_the_csv_naming_its_column(
+    tmp_path, monkeypatch, flag, value, row
+):
+    # %d would print 0.5 as 0 and 2.0 as 2
+    test_a_flag_that_is_not_finite_fails_the_csv_naming_its_column(
+        tmp_path, monkeypatch, flag, value, row, held=False)
+
+
+@pytest.mark.parametrize("exists", [True, False], ids=["existing", "new"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failed_log_write_keeps_the_destination_and_leaves_no_temporary_file(
+    tmp_path, monkeypatch, cpus, exists
+):
+    forks = use_cpus(monkeypatch, cpus)
+    log = ScenarioLog(3000)
+    for i in range(3000):
+        log.append([i / 1000] + [0.0] * (len(LOG_COLUMNS) - 1))
+    log.data[2500, IDX["saturated"]] = math.nan
+    path = tmp_path / "log.csv"
+    if exists:
+        path.write_bytes(b"an earlier log\n")
+    with pytest.raises(DomainError, match="log row 2500: saturated = nan"):
+        log.write_csv(path)
+    assert list(tmp_path.iterdir()) == ([path] if exists else [])
+    if exists:
+        assert path.read_bytes() == b"an earlier log\n"
+    assert len(forks) == cpus - 1     # 3000 rows: from 2 * 1024 on, a helper formats half
+    assert_no_child_left()
+
+
+def test_a_log_write_replaces_a_file_keeping_its_mode_and_writes_through_a_link(tmp_path):
+    log = repetitive_log(50, 50)
+    want = oracles.reference_to_csv(log).encode()
+    path = tmp_path / "log.csv"
+    path.write_bytes(b"an earlier log\n")
+    path.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(path)
+    log.write_csv(link)
+    assert link.is_symlink() and path.read_bytes() == want
+    assert path.stat().st_mode & 0o777 == 0o640
+    assert sorted(tmp_path.iterdir()) == [link, path]
 
 
 def test_write_csv_splits_a_star_log_at_the_real_threshold(tmp_path, monkeypatch):
@@ -1006,9 +1054,9 @@ def test_log_state_columns_equal_state_y_at_logged_ticks(monkeypatch):
     # of every kernel call are recorded and compared with its tick's log row
     seen = []
 
-    def recording_step(consts, y, *args):
-        seen.append(y)
-        return advance(consts, y, *args)
+    def recording_step(consts, s, *args):
+        seen.append(tuple(s[:13]))
+        return advance_into(consts, s, *args)
 
     monkeypatch.setattr(scenarios, "step", recording_step)
     cfg = cfg_with(scenario="circle", estimator="complementary", duration_s=1,
@@ -1068,7 +1116,7 @@ def test_unreachable_metrics_window_fails_before_the_first_step(
 
     def counting_step(*args):
         calls.append(1)
-        return advance(*args)
+        return advance_into(*args)
 
     monkeypatch.setattr(scenarios, "step", counting_step)
     cfg = cfg_with(scenario="hover", estimator=estimator, duration_s=duration,
@@ -1213,6 +1261,34 @@ def test_divergence_is_reported_with_timestamp():
 
 def test_divergence_is_reported_with_timestamp_on_the_python_kernel(python_kernel):
     test_divergence_is_reported_with_timestamp()
+
+
+@pytest.mark.parametrize("kernel", ["loaded", "python"])
+@pytest.mark.parametrize("scenario, estimator, k", [
+    ("circle", "perfect", 4 * 700 + 3),       # the loop reads the state every 4th step
+    ("hover", "complementary", 2 * 400 + 1),  # every 2nd, at the 1 kHz IMU rate
+])
+def test_a_divergence_between_loop_events_reports_the_end_of_its_own_step(
+    request, monkeypatch, kernel, scenario, estimator, k
+):
+    if kernel == "python":
+        request.getfixturevalue("python_kernel")
+    real = scenarios.step
+    calls = []
+
+    def diverging_step(*args):
+        if len(calls) == k:
+            raise SimulationDivergedError("injected divergence")
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(scenarios, "step", diverging_step)
+    cfg = cfg_with(scenario=scenario, estimator=estimator, duration_s=2, transient_window_s=0.5)
+    dt = 1.0 / cfg.harness.physics_rate_hz
+    with pytest.raises(SimulationDivergedError) as excinfo:
+        run_scenario(cfg)
+    assert str(excinfo.value).endswith(f"injected divergence at t = {(k + 1) * dt:.6f} s")
+    assert len(calls) == k
 
 
 def test_start_offset_realises_a_step_response():

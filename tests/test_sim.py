@@ -571,6 +571,17 @@ def test_block_drawn_noise_equals_per_sample_draws_bit_for_bit(block, monkeypatc
     assert refills >= 3 and straddles >= 1
 
 
+def test_a_take_of_more_than_a_block_raises_and_draws_nothing():
+    # one refill could not supply it: a fresh instance returned 1200 floats
+    normals = Normals(np.random.default_rng(7))
+    per_sample = np.random.default_rng(7)
+    for first in (True, False):
+        with pytest.raises(DomainError, match=f"at most {NOISE_BLOCK} normals, asked for 1201"):
+            normals.take(NOISE_BLOCK + 1)
+        n = NOISE_BLOCK if first else 7
+        assert normals.take(n) == per_sample.standard_normal(n).tolist()
+
+
 def test_a_run_with_block_drawn_noise_logs_the_per_sample_draws(monkeypatch):
     # the run's log bytes with the noise drawn per sample, as runs drew it
     # before block draws: the golden digests pin the same on 6 s runs

@@ -698,6 +698,35 @@ def test_write_records_csv_to_an_unseekable_file_does_not_fork(tmp_path, monkeyp
     assert forks == []
 
 
+@pytest.mark.parametrize("exists", [True, False], ids=["existing", "new"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failed_bench_write_keeps_the_destination_and_leaves_no_temporary_file(
+    tmp_path, monkeypatch, cpus, exists
+):
+    # a bench record cannot hold a value %.17g fails on, so row 2500's
+    # formatting raises; from 2 * 64 rows on, a helper formats the second half
+    small_split(monkeypatch)
+    forks = use_cpus(monkeypatch, cpus)
+    rows = sysid._rows
+
+    def failing_rows(records, lo, hi):
+        if lo <= 2500 < hi:
+            raise DomainError("row 2500 fails")
+        return rows(records, lo, hi)
+
+    monkeypatch.setattr(sysid, "_rows", failing_rows)
+    path = tmp_path / "bench.csv"
+    if exists:
+        path.write_bytes(b"an earlier bench file\n")
+    with pytest.raises(DomainError, match="row 2500 fails"):
+        write_records_csv(path, pooled_records(3000, 3))
+    assert list(tmp_path.iterdir()) == ([path] if exists else [])
+    if exists:
+        assert path.read_bytes() == b"an earlier bench file\n"
+    assert len(forks) == cpus - 1
+    assert_no_child_left()
+
+
 def test_the_split_adds_no_module_to_the_import(tmp_path):
     # the helper is os.fork and a pipe, which numpy's import has loaded;
     # multiprocessing alone would add a few tens of milliseconds of set-up.
