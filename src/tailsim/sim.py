@@ -39,7 +39,7 @@ whose one entry point steps the buffer in place as :func:`advance_into`
 does; :data:`rk4` is that kernel, or :func:`advance_into` itself when it
 could not be built (:data:`KERNEL` says which, and why).  So the vehicle's
 physics is written twice, once in Python (the definition, the fallback
-and the test oracle) and once in C (the speed: about 0.25 us per step
+and the test oracle) and once in C (the speed: about 0.3 us per step
 against 13 us); :func:`plant` stays in Python only.
 :func:`sense` (which reads the state's 13 floats, the body force as
 three floats and the sample's normals) and the estimator work through
