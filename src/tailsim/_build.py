@@ -10,9 +10,9 @@ cache entry and renames it into place, so concurrent first imports never
 see a partial library.  The flags are fixed, not Python's own ``CFLAGS``:
 ``-ffp-contract=off`` forbids fused multiply-adds and no fast-math flag
 allows reassociation, so the compiled kernel keeps the bits of
-:func:`tailsim.sim.advance`.  Any failure (no compiler, no Python headers,
-a read-only cache, a timeout) leaves the caller on the Python kernel, with
-the reason.
+:func:`tailsim.sim.advance`, whose twin it is.  Any failure (no compiler,
+no Python headers, a read-only cache, a timeout) leaves the caller on the
+Python kernel, :func:`tailsim.sim.advance` itself, with the reason.
 """
 
 from __future__ import annotations

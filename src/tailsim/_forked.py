@@ -101,9 +101,10 @@ def write_csv(path, header: str, rows, n: int, chunk: int) -> None:
     written through a temporary file beside it (named from the pid, created
     with ``O_EXCL``, given an existing file's permissions) that replaces it
     on success and is removed on any failure: a failed write leaves an
-    existing file's bytes as they were and creates no file.  A FIFO or a
+    existing file's bytes as they were and creates no file; an existing file
+    this process may not write raises PermissionError first.  A FIFO or a
     device is written in place.  A symbolic link is followed to its target."""
-    target = os.path.realpath(path)
+    target = os.fsdecode(os.path.realpath(path))
     try:
         mode = os.stat(target).st_mode
     except FileNotFoundError:
@@ -112,6 +113,8 @@ def write_csv(path, header: str, rows, n: int, chunk: int) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             _write_rows(fh, header, rows, n, chunk)
         return
+    if mode is not None:   # PermissionError as an in-place write would raise
+        os.close(os.open(target, os.O_WRONLY))
     head, tail = os.path.split(target)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

@@ -1,21 +1,20 @@
 /* The compiled twin of tailsim.sim.advance: one RK4 step of the vehicle on C doubles.
  *
- * advance_into(c, s, c_wl, c_wr, c_dl, c_dr) -> None steps the vehicle in place.  c is
- * the tuple of 24 sim.plant constants; s is a writable buffer of 17 doubles (format
- * "d", an array('d') say): the 13 state values of sim.VehicleState.y, then the 4
- * actuator values; c_wl ... c_dr are the 4 command floats (positional only; every value
- * is read as a C double, which is exact for Python floats).  On success s holds the
- * state and actuators one step later, as sim.advance returns them; when the step raises,
- * s is left byte for byte as it was.  A buffer of another size or format, or a
- * read-only one, raises before any step.  step() below is the step itself, on an
- * aligned copy of the buffer; model.actuator_wrench and sim._rhs are the two static
- * functions before it.  Each statement transcribes the Python line that assigns the
- * same name, with Python's operands in Python's order; a comment quotes the Python where
- * the C differs in form.  Built with -ffp-contract=off and without -ffast-math (no fused
- * multiply-add, no reassociation), every result then has the bits of sim.advance.
- * Where Python's `/` would meet 0.0 this kernel raises ZeroDivisionError as Python does,
- * and a non-finite state raises tailsim.errors.SimulationDivergedError with advance's
- * message.  tailsim.sim builds and loads this file through tailsim._build.
+ * advance(c, s, c_wl, c_wr, c_dl, c_dr) -> None steps the vehicle in place, as
+ * sim.advance does, positional arguments only: c is the tuple of 24 sim.plant constants,
+ * s a writable C-contiguous buffer of 17 doubles in format "d" (the 13 state values,
+ * then the 4 actuator values), c_wl ... c_dr the 4 command floats; every value is read
+ * as a C double, which is exact for Python floats.  s is written only when the step
+ * succeeds.  An object that is not a buffer raises TypeError, and any other buffer
+ * ValueError, before any step.  step() below is the step itself, on an aligned copy of
+ * the buffer; model.actuator_wrench and sim._rhs are the two static functions before it.
+ * Each statement transcribes the Python line that assigns the same name, with Python's
+ * operands in Python's order; a comment quotes the Python where the C differs in form.
+ * Built with -ffp-contract=off and without -ffast-math (no fused multiply-add, no
+ * reassociation), every result then has the bits of sim.advance.  Where Python's `/`
+ * would meet 0.0 this kernel raises ZeroDivisionError as Python does, and a non-finite
+ * state raises tailsim.errors.SimulationDivergedError with advance's message.
+ * tailsim.sim builds and loads this file through tailsim._build.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -186,14 +185,13 @@ step(const double *c, const double *cmd, double *s)
     return 0;
 }
 
-/* sim.advance_into */
+/* sim.advance */
 static PyObject *
-advance_into(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+advance(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     double c[24], cmd[4], s[17];
     if (nargs != 6) {
-        PyErr_Format(PyExc_TypeError,
-                     "advance_into() takes 6 positional arguments (%zd given)", nargs);
+        PyErr_Format(PyExc_TypeError, "advance() takes 6 positional arguments (%zd given)", nargs);
         return NULL;
     }
     if (floats(args[0], c, 24) < 0)
@@ -204,13 +202,14 @@ advance_into(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t narg
             return NULL;
     }
     Py_buffer view;
-    if (PyObject_GetBuffer(args[1], &view, PyBUF_WRITABLE | PyBUF_FORMAT) < 0)
+    if (PyObject_GetBuffer(args[1], &view, PyBUF_FULL_RO) < 0)  /* as memoryview(s) */
         return NULL;
     int rc = -1;
     const char *format = view.format == NULL ? "B" : view.format;
-    if (view.len != (Py_ssize_t)sizeof s || strcmp(format, "d") != 0) {
-        PyErr_Format(PyExc_ValueError, "advance_into() needs a buffer of 17 doubles, "
-                     "got %zd bytes of format '%s'", view.len, format);
+    if (view.readonly || !PyBuffer_IsContiguous(&view, 'C') || view.len != (Py_ssize_t)sizeof s
+        || strcmp(format, "d") != 0) {
+        PyErr_Format(PyExc_ValueError, "advance() needs a writable contiguous buffer of 17 "
+                     "doubles, got %zd bytes of format '%s'", view.len, format);
     }
     else {
         memcpy(s, view.buf, sizeof s);  /* the buffer need not be aligned for double */
@@ -225,9 +224,8 @@ advance_into(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t narg
 }
 
 static PyMethodDef methods[] = {
-    {"advance_into", (PyCFunction)(void (*)(void))advance_into, METH_FASTCALL,
-     "advance_into(c, s, c_wl, c_wr, c_dl, c_dr) -> None: tailsim.sim.advance_into, "
-     "compiled"},
+    {"advance", (PyCFunction)(void (*)(void))advance, METH_FASTCALL,
+     "advance(c, s, c_wl, c_wr, c_dl, c_dr) -> None: tailsim.sim.advance, compiled"},
     {NULL, NULL, 0, NULL},
 };
 

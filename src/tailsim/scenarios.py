@@ -705,7 +705,7 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
 
     Physics advances at the configured rate by one kernel,
     :data:`tailsim.sim.rk4` (the compiled twin of
-    :func:`tailsim.sim.advance_into` when it loaded), called once per step
+    :func:`tailsim.sim.advance` when it loaded), called once per step
     on the constants of :func:`tailsim.sim.plant`, built once per call, and
     on one buffer of 17 doubles (an ``array('d')``: the 13 state values,
     then the 4 actuator values) that it overwrites in place.  The loop reads

@@ -27,20 +27,19 @@ the package, and blends pose corrections in.
 Everything that runs at the physics or IMU rate computes on Python
 floats: the state is one tuple of 13 floats (:class:`VehicleState`).  A
 run builds its constants once (:func:`plant`).  One step is defined by
-:func:`advance` on floats, which builds no array or list (the four stage
-derivatives are combined by 13 written-out updates); :func:`advance_into`
-applies it in place to a buffer of 17 doubles (the 13 state values, then
-the 4 actuator values), which a run carries from step to step, and
-:func:`step` is the single-step API on a :class:`VehicleState`.  The step
-also exists compiled: on import this module builds (once per user, into a
-cache) and loads ``_rk4.c``, a line-by-line C transcription of
-:func:`advance` and its two helpers whose results have the same bits,
-whose one entry point steps the buffer in place as :func:`advance_into`
-does; :data:`rk4` is that kernel, or :func:`advance_into` itself when it
-could not be built (:data:`KERNEL` says which, and why).  So the vehicle's
-physics is written twice, once in Python (the definition, the fallback
-and the test oracle) and once in C (the speed: about 0.3 us per step
-against 13 us); :func:`plant` stays in Python only.
+:func:`advance`, in place on a buffer of 17 doubles (the 13 state values,
+then the 4 actuator values) that a run carries from step to step; it
+computes on floats and combines the four stage derivatives by 13
+written-out updates.  :func:`step` is the single-step API on a
+:class:`VehicleState`.  The step also exists compiled: on import this
+module builds (once per user, into a cache) and loads ``_rk4.c``, a
+line-by-line C transcription of :func:`advance` and its two helpers with
+the same bits, arguments and rejected buffers; :data:`rk4` is that
+kernel, ``_rk4.advance``, or :func:`advance` itself when it could not be
+built (:data:`KERNEL` says which, and why).  So the vehicle's physics is
+written twice, once in Python (the definition, the fallback and the test
+oracle) and once in C (the speed: about 0.3 us per step against 12 us);
+:func:`plant` stays in Python only.
 :func:`sense` (which reads the state's 13 floats, the body force as
 three floats and the sample's normals) and the estimator work through
 :mod:`tailsim.rotations`.  The operations and their order are those of
@@ -52,6 +51,7 @@ Sensor samples and estimates are tuples of floats; only the state's
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from dataclasses import astuple, dataclass
 from numbers import Real
@@ -73,6 +73,7 @@ from .rotations import (
 )
 
 MAX_PHYSICS_DT = 2e-3
+_BUFFER = struct.Struct("17d")   # what advance steps: 13 state, then 4 actuator values
 
 
 def vector(value, name: str, n: int = 3) -> tuple:
@@ -250,12 +251,11 @@ def plant(dt: float, params: VehicleParams, disturbance: DisturbanceSpec | None 
             p.omega_max, p.delta_max, dt, 0.5 * dt, dt / 6.0)
 
 
-def advance(c: tuple, y0: tuple, act: tuple, c_wl: float, c_wr: float, c_dl: float,
-            c_dr: float) -> tuple[tuple, tuple]:
-    """One fixed-step RK4 step of the full vehicle on floats: ``(y, act)`` after ``dt``.
+def advance(c: tuple, s, c_wl: float, c_wr: float, c_dl: float, c_dr: float) -> None:
+    """One fixed-step RK4 step of the full vehicle, in place on the buffer ``s``.
 
-    ``c`` is the run's :func:`plant` tuple, ``y0`` the 13 state floats
-    (:attr:`VehicleState.y`) and ``act`` the four actuator floats.  The
+    ``c`` is the run's :func:`plant` tuple; ``s`` holds the 13 state floats
+    (:attr:`VehicleState.y`), then the four actuator floats.  The
     command ``c_wl`` ... ``c_dr``, held over the step, is first saturated to
     ``[0, omega_max]`` and ``[-delta_max, delta_max]``.  The actuators follow
     their exact exponential response to it, with one actuator wrench at each
@@ -264,8 +264,17 @@ def advance(c: tuple, y0: tuple, act: tuple, c_wl: float, c_wr: float, c_dl: flo
     ``y0 + dt/6 * (k1 + 2 * (k2 + k3) + k4)``, written out per component;
     the finiteness check reads the left-to-right sum of the 13 updated
     components (a non-finite or overflowing sum raises
-    SimulationDivergedError), and the quaternion is renormalised.
+    SimulationDivergedError), and the quaternion is renormalised.  ``s`` is
+    written only if the step succeeds.  Like ``_rk4.advance``, it takes a
+    writable C-contiguous buffer of 17 doubles in format ``d`` (an
+    ``array('d')``) and raises before any step on anything else: TypeError if
+    not a buffer, else ValueError.
     """
+    with memoryview(s) as m:
+        if m.readonly or not m.c_contiguous or m.nbytes != _BUFFER.size or m.format != "d":
+            raise ValueError("advance() needs a writable contiguous buffer of 17 doubles, "
+                             f"got {m.nbytes} bytes of format '{m.format}'")
+        *y0, wl0, wr0, dl0, dr0 = _BUFFER.unpack_from(m)
     (k_t, k_m, k_l, k_d, k_p, l, mg, inv_m, jx, jy, jz, dfx, dfy, dfz, dmx, dmy, dmz,
      e_m2, e_s2, w_max, d_max, dt, half, sixth) = c
 
@@ -274,7 +283,6 @@ def advance(c: tuple, y0: tuple, act: tuple, c_wl: float, c_wr: float, c_dl: flo
     c_wr = 0.0 if c_wr < 0.0 else w_max if c_wr > w_max else c_wr
     c_dl = -d_max if c_dl < -d_max else d_max if c_dl > d_max else c_dl
     c_dr = -d_max if c_dr < -d_max else d_max if c_dr > d_max else c_dr
-    wl0, wr0, dl0, dr0 = act
     wl1 = c_wl + (wl0 - c_wl) * e_m2
     wr1 = c_wr + (wr0 - c_wr) * e_m2
     dl1 = c_dl + (dl0 - c_dl) * e_s2
@@ -312,7 +320,8 @@ def advance(c: tuple, y0: tuple, act: tuple, c_wl: float, c_wr: float, c_dl: flo
         raise SimulationDivergedError("non-finite state after integration step")
 
     inv_n = 1.0 / math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-    return (px, py, pz, vx, vy, vz, qw * inv_n, qx * inv_n, qy * inv_n, qz * inv_n, wx, wy, wz), (
+    _BUFFER.pack_into(
+        s, 0, px, py, pz, vx, vy, vz, qw * inv_n, qx * inv_n, qy * inv_n, qz * inv_n, wx, wy, wz,
         0.0 if wl2 < 0.0 else w_max if wl2 > w_max else wl2,
         0.0 if wr2 < 0.0 else w_max if wr2 > w_max else wr2,
         -d_max if dl2 < -d_max else d_max if dl2 > d_max else dl2,
@@ -320,23 +329,11 @@ def advance(c: tuple, y0: tuple, act: tuple, c_wl: float, c_wr: float, c_dl: flo
     )
 
 
-def advance_into(c: tuple, s, c_wl: float, c_wr: float, c_dl: float, c_dr: float) -> None:
-    """:func:`advance` in place: ``s`` is a writable buffer of 17 doubles (an
-    ``array('d')``), the 13 state values then the 4 actuator values.
-
-    On success ``s`` holds the ``(y, act)`` that :func:`advance` returns for
-    them; when the step raises, ``s`` is left as it was.  The Python kernel,
-    and the definition that the compiled ``_rk4.advance_into`` reproduces.
-    """
-    y, act = advance(c, tuple(s[:13]), tuple(s[13:]), c_wl, c_wr, c_dl, c_dr)
-    s[:] = array("d", y + act)
-
-
 _compiled, KERNEL = _build.load()
-#: The RK4 step that :func:`step` and the run loop call: ``_rk4.advance_into``,
-#: the compiled twin of :func:`advance_into` (positional arguments only), or
-#: :func:`advance_into` when that did not load.  Chosen once, at import.
-rk4 = advance_into if _compiled is None else _compiled.advance_into
+#: The RK4 step that :func:`step` and the run loop call: ``_rk4.advance``, the
+#: compiled twin of :func:`advance` (positional arguments only), or
+#: :func:`advance` itself when that did not load.  Chosen once, at import.
+rk4 = advance if _compiled is None else _compiled.advance
 del _compiled
 
 
@@ -349,13 +346,11 @@ def step(state: VehicleState, command, dt: float, params: VehicleParams,
     ``0 < dt <= 2e-3``) and :func:`advance` (a divergence) raise.  The step
     is taken by :data:`rk4` on a buffer of the state's 17 doubles.
     """
-    a = state.act
-    s = array("d", (*state.y, a.omega_left, a.omega_right, a.delta_left, a.delta_right))
+    s = array("d", state.y + astuple(state.act))
     rk4(plant(dt, params, disturbance), s,
         command.omega_left, command.omega_right, command.delta_left, command.delta_right)
-    v = s.tolist()
     out = object.__new__(VehicleState)   # no validation: q is unit by construction
-    out.y, out.act = tuple(v[:13]), ActuatorState(*v[13:])
+    out.y, out.act = tuple(s[:13]), ActuatorState(*s[13:])
     return out
 
 

@@ -2,12 +2,17 @@
 
 import json
 import os
+import shutil
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+import tailsim
 from forks import assert_no_child_left, use_cpus
 from tailsim import scenarios
 from tailsim.cli import main
@@ -15,8 +20,10 @@ from tailsim.config import Config, load_config, parse_pairs
 from tailsim.errors import SimulationDivergedError
 from tailsim.model import VehicleParams
 from tailsim.scenarios import LOG_COLUMNS, run_scenario
-from tailsim.sim import advance_into
+from tailsim.sim import advance
 from tailsim.sysid import ALL_CONSTANTS
+
+SRC = str(Path(tailsim.__file__).resolve().parent.parent)
 
 QUIET_HOVER = """\
 scenario = hover
@@ -155,7 +162,7 @@ def test_a_run_that_raises_writes_no_log(tmp_path, monkeypatch, capsys):
         calls.append(1)
         if len(calls) > SPLIT_ROWS:  # about half way through the run
             raise SimulationDivergedError("injected divergence")
-        return advance_into(*args)
+        return advance(*args)
 
     monkeypatch.setattr(scenarios, "step", diverging_step)
     path = tmp_path / "log.csv"
@@ -189,6 +196,42 @@ def test_run_missing_config_file_is_io_error(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "absent.cfg")])
     assert code == 1
     assert "error: category=io" in capsys.readouterr().err
+
+
+def without_override() -> list[str]:
+    """The command prefix that runs a program unable to write a file whose
+    mode forbids it: none for a user other than root; for root, ``setpriv``
+    with the capabilities that override file permissions dropped."""
+    if os.geteuid() != 0:
+        return []
+    cmd = [shutil.which("setpriv") or "setpriv", "--bounding-set=-dac_override,-dac_read_search,-fowner"]
+    try:
+        subprocess.run([*cmd, "true"], check=True, capture_output=True)
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("running as root, and setpriv cannot drop the override capabilities")
+    return cmd
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "{cfg}", "--out-log", "{out}"],
+    ["sysid", "synth", "--omega-count", "3", "--delta-count", "3", "--out", "{out}"],
+], ids=["run-log", "bench-csv"])
+def test_a_read_only_destination_is_an_io_error_and_is_kept(tmp_path, argv):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("duration_s = 1\ntransient_window_s = 0.5\n")
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"keep me")
+    out.chmod(0o444)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [*without_override(), sys.executable, "-m", "tailsim.cli",
+         *(a.format(cfg=cfg, out=out) for a in argv)],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: category=io\n  [Errno 13] Permission denied")
+    assert out.read_bytes() == b"keep me" and out.stat().st_mode & 0o777 == 0o444
+    assert sorted(tmp_path.iterdir()) == [out, cfg]
 
 
 def test_usage_errors_exit_two(capsys):

@@ -23,8 +23,8 @@ fit-file digest holds only on the OpenBLAS kernel it was measured on
 (SkylakeX).
 
 The digests are pinned per Python and numpy version.  They are the same
-under both RK4 kernels, the compiled ``_rk4.c`` and the Python
-``sim.advance``: each run-log and metrics test has a twin on the Python
+under both RK4 kernels, ``sim.advance`` and its compiled twin
+``_rk4.advance``: each run-log and metrics test has a twin on the Python
 kernel.  A deliberate change to the closed loop re-pins the digests; the
 reason and each old and new digest are recorded in CHANGES.md.
 """

@@ -1,15 +1,15 @@
 """The compiled RK4 kernel: bit for bit ``sim.advance``, and how it is built.
 
 ``tailsim.sim`` builds ``_rk4.c`` into a per-user cache on import and
-falls back to the Python kernel on any failure.  The comparison runs on
-the kernel that import loaded, which steps a buffer of 17 doubles in place
-(``advance_into``); the build tests point the cache at a temporary
-directory by patching ``tailsim._build``'s attributes.
+falls back to the Python kernel, ``sim.advance`` itself, on any failure.
+Both kernels step a buffer of 17 doubles in place and reject the same
+buffers; the comparison runs on the kernel that import loaded.  The build
+tests point the cache at a temporary directory by patching
+``tailsim._build``'s attributes.
 """
 
 import os
 import shutil
-import struct
 import subprocess
 import sys
 import sysconfig
@@ -23,12 +23,12 @@ import tailsim
 from tailsim import _build, sim
 from tailsim.errors import SimulationDivergedError
 from tailsim.model import VehicleParams
-from tailsim.sim import DisturbanceSpec, advance, advance_into, plant
+from tailsim.sim import DisturbanceSpec, advance, plant
 
 PARAMS = VehicleParams()
 SRC = str(Path(tailsim.__file__).resolve().parent.parent)
 
-needs_compiled = pytest.mark.skipif(sim.rk4 is advance_into,
+needs_compiled = pytest.mark.skipif(sim.rk4 is advance,
                                     reason=f"no compiled kernel ({sim.KERNEL})")
 needs_compiler = pytest.mark.skipif(
     shutil.which(_build.CC) is None
@@ -37,20 +37,10 @@ needs_compiler = pytest.mark.skipif(
 )
 
 
-def outcome(c, y0, act, *cmd):
-    """``advance``'s ``(y, act)`` as IEEE bytes (-0.0 is not +0.0), or what it raised."""
-    try:
-        y, act = advance(c, y0, act, *cmd)
-    except (SimulationDivergedError, ZeroDivisionError) as exc:
-        return type(exc), str(exc)
-    assert all(type(v) is float for v in y + act)
-    return struct.pack("17d", *y, *act)
-
-
 def outcome_into(kernel, c, y0, act, *cmd):
-    """What ``kernel`` (an ``advance_into``) leaves in a buffer of ``y0`` and
-    ``act``, as bytes, or what it raised; a step that raised left the buffer
-    as it was."""
+    """What ``kernel`` (``advance`` or its compiled twin) leaves in a buffer of
+    ``y0`` and ``act``, as IEEE bytes (-0.0 is not +0.0), or what it raised; a
+    step that raised left the buffer as it was."""
     s = array("d", y0 + act)
     before = s.tobytes()
     try:
@@ -62,7 +52,7 @@ def outcome_into(kernel, c, y0, act, *cmd):
 
 
 def seeded_inputs(n: int, seed: int):
-    """``n`` argument tuples for ``advance``: random states and actuators, rotor
+    """``n`` argument tuples for :func:`outcome_into`: random states and actuators, rotor
     commands from below 0 to above omega_max, elevon commands past both limits,
     with -0.0 states and commands, NaN commands and diverging body rates mixed in."""
     rng = np.random.default_rng(seed)
@@ -93,7 +83,7 @@ def seeded_inputs(n: int, seed: int):
 def test_compiled_kernel_is_bit_for_bit_advance_on_seeded_inputs():
     results = {}
     for args in seeded_inputs(100_000, seed=21):
-        want = outcome(*args)
+        want = outcome_into(advance, *args)
         assert outcome_into(sim.rk4, *args) == want, args
         kind = want if isinstance(want, tuple) else "state"
         results[kind] = results.get(kind, 0) + 1
@@ -103,9 +93,8 @@ def test_compiled_kernel_is_bit_for_bit_advance_on_seeded_inputs():
     assert set(results) == {diverged, "state"}
 
 
-@needs_compiled
 @pytest.mark.parametrize("where", ["j_xx", "j_yy", "j_zz", "quaternion"])
-def test_compiled_kernel_divides_by_zero_where_python_does(where):
+def test_both_kernels_divide_by_zero_where_python_does(where):
     c = list(plant(2e-3, PARAMS))
     y = [0.0] * 6 + [1.0, 0.0, 0.0, 0.0] + [0.1, 0.2, 0.3]
     if where == "quaternion":
@@ -113,53 +102,62 @@ def test_compiled_kernel_divides_by_zero_where_python_does(where):
     else:
         c[8 + ["j_xx", "j_yy", "j_zz"].index(where)] = 0.0
     args = (tuple(c), tuple(y), (400.0, 400.0, 0.0, 0.0), 400.0, 400.0, 0.0, 0.0)
-    want = outcome(*args)
-    assert want == (ZeroDivisionError, "float division by zero")
+    want = (ZeroDivisionError, "float division by zero")
+    assert outcome_into(advance, *args) == want
     assert outcome_into(sim.rk4, *args) == want
-    assert outcome_into(advance_into, *args) == want
-
-
-def test_the_python_kernel_is_advance_on_the_buffer_and_keeps_it_on_a_raise():
-    results = set()
-    for args in seeded_inputs(2000, seed=22):
-        want = outcome(*args)
-        assert outcome_into(advance_into, *args) == want, args
-        results.add(want if isinstance(want, tuple) else "state")
-    assert len(results) == 2   # some steps diverged, the rest stepped
 
 
 STATE = (0.0,) * 6 + (1.0, 0.0, 0.0, 0.0, 0.1, 0.2, 0.3) + (400.0, 400.0, 0.0, 0.0)
-BAD_BUFFERS = {
-    "16-doubles": lambda: array("d", STATE[:16]),
-    "18-doubles": lambda: array("d", STATE + (0.0,)),
-    "read-only": lambda: memoryview(array("d", STATE)).toreadonly(),
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+KERNELS = pytest.mark.parametrize(
+    "kernel", [advance, pytest.param(sim.rk4, marks=needs_compiled)], ids=["python", "compiled"])
+BAD_BUFFERS = {   # what both kernels raise on before any step: the bytes and format it got
+    "16-doubles": (lambda: array("d", STATE[:16]), "128 bytes of format 'd'"),
+    "18-doubles": (lambda: array("d", STATE + (0.0,)), "144 bytes of format 'd'"),
+    "read-only": (lambda: memoryview(array("d", STATE)).toreadonly(), "136 bytes of format 'd'"),
+    "read-only-numpy": (lambda: read_only(np.array(STATE)), "136 bytes of format 'd'"),
+    "strided": (lambda: memoryview(array("d", STATE + STATE))[::2], "136 bytes of format 'd'"),
+    "34-floats": (lambda: array("f", STATE + STATE), "136 bytes of format 'f'"),
+    "136-bytes": (lambda: bytearray(array("d", STATE).tobytes()), "136 bytes of format 'B'"),
+    "bytes": (lambda: array("d", STATE).tobytes(), "136 bytes of format 'B'"),
+    "list": (lambda: list(STATE), None),   # None: not a buffer at all
+    "tuple": (lambda: STATE, None),
 }
-COMPILED_BAD_BUFFERS = {
-    **BAD_BUFFERS,
-    "34-floats": lambda: array("f", STATE + STATE),   # 136 bytes, not doubles
-    "136-bytes": lambda: bytearray(array("d", STATE).tobytes()),
-    "bytes": lambda: array("d", STATE).tobytes(),
-    "list": lambda: list(STATE),
+GOOD_BUFFERS = {   # other writable contiguous buffers of 17 doubles that both kernels step
+    "memoryview": lambda: memoryview(array("d", STATE)),
+    "numpy": lambda: np.array(STATE),
+    "numpy-17x1": lambda: np.array(STATE).reshape(17, 1),
 }
 
 
+@KERNELS
 @pytest.mark.parametrize("buffer", BAD_BUFFERS)
-def test_a_buffer_of_another_size_or_a_read_only_one_raises_on_the_python_kernel(buffer):
-    s = BAD_BUFFERS[buffer]()
-    before = bytes(s)
-    with pytest.raises((ValueError, TypeError)):
-        advance_into(plant(2e-3, PARAMS), s, 400.0, 400.0, 0.0, 0.0)
-    assert bytes(s) == before
-
-
-@needs_compiled
-@pytest.mark.parametrize("buffer", COMPILED_BAD_BUFFERS)
-def test_a_buffer_of_another_size_format_or_a_read_only_one_raises_on_the_compiled_kernel(buffer):
-    s = COMPILED_BAD_BUFFERS[buffer]()
+def test_a_bad_buffer_raises_and_is_left_as_it_was_on_both_kernels(kernel, buffer):
+    make, got = BAD_BUFFERS[buffer]
+    s = make()
     before = list(s)
-    with pytest.raises((ValueError, TypeError, BufferError)):
-        sim.rk4(plant(2e-3, PARAMS), s, 400.0, 400.0, 0.0, 0.0)
+    if got is None:
+        error, message = TypeError, "a bytes-like object is required"
+    else:
+        error, message = ValueError, f"contiguous buffer of 17 doubles, got {got}"
+    with pytest.raises(error, match=message):
+        kernel(plant(2e-3, PARAMS), s, 400.0, 400.0, 0.0, 0.0)
     assert list(s) == before
+
+
+@KERNELS
+@pytest.mark.parametrize("buffer", GOOD_BUFFERS)
+def test_any_writable_contiguous_buffer_of_17_doubles_steps_on_both_kernels(kernel, buffer):
+    s = GOOD_BUFFERS[buffer]()
+    kernel(plant(2e-3, PARAMS), s, 400.0, 400.0, 0.0, 0.0)
+    assert bytes(s) == outcome_into(advance, plant(2e-3, PARAMS), STATE[:13], STATE[13:],
+                                    400.0, 400.0, 0.0, 0.0)
 
 
 @needs_compiled
@@ -167,7 +165,7 @@ def test_the_run_loop_and_step_use_the_compiled_kernel():
     from tailsim import scenarios
 
     assert sim.KERNEL.startswith("compiled: ")
-    assert scenarios.step is sim.rk4 is not advance_into
+    assert scenarios.step is sim.rk4 is not advance
 
 
 def load_recording(monkeypatch):
@@ -195,7 +193,7 @@ def test_a_build_from_an_empty_cache_then_a_hit_that_spawns_nothing(tmp_path, mo
     [built] = cache.iterdir()   # the library only: the temporary file was renamed
     assert kernel == f"compiled: {built}"
     args = next(seeded_inputs(1, seed=3))
-    assert outcome_into(module.advance_into, *args) == outcome(*args)
+    assert outcome_into(module.advance, *args) == outcome_into(advance, *args)
 
     (module, again), started = load_recording(monkeypatch)
     assert module is not None and again == kernel and started == []
@@ -216,7 +214,7 @@ def test_import_without_a_compiler_runs_on_the_python_kernel(tmp_path):
     # a host with no compiler on PATH and nothing cached yet
     probe = ("import tailsim.sim as s, tailsim.scenarios as sc; "
              "from tailsim.config import Config, apply_overrides; "
-             "assert s.rk4 is s.advance_into and sc.step is s.advance_into; "
+             "assert s.rk4 is s.advance and sc.step is s.advance; "
              "print(s.KERNEL); "
              "cfg = apply_overrides(Config(), {'duration_s': '1', 'transient_window_s': '0.5'}); "
              "print(len(sc.run_scenario(cfg)[0]))")

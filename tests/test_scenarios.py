@@ -34,7 +34,7 @@ from tailsim.scenarios import (
     reference,
     run_scenario,
 )
-from tailsim.sim import VehicleState, advance_into, step
+from tailsim.sim import VehicleState, advance, step
 
 import oracles
 from forks import assert_no_child_left, failing_in, record_exits, use_cpus
@@ -776,6 +776,16 @@ def test_a_log_write_replaces_a_file_keeping_its_mode_and_writes_through_a_link(
     assert sorted(tmp_path.iterdir()) == [link, path]
 
 
+def test_a_log_write_takes_a_str_bytes_or_path_object_alike(tmp_path):
+    log = repetitive_log(50, 50)
+    names = ["str.csv", "bytes.csv", "path.csv"]
+    for path in (str(tmp_path / names[0]), os.fsencode(tmp_path / names[1]), tmp_path / names[2]):
+        log.write_csv(path)
+    assert {(tmp_path / name).read_bytes() for name in names} == {
+        oracles.reference_to_csv(log).encode()}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)   # no temporary file
+
+
 def test_write_csv_splits_a_star_log_at_the_real_threshold(tmp_path, monkeypatch):
     forks = use_cpus(monkeypatch, 2)
     rate = 1000
@@ -1056,7 +1066,7 @@ def test_log_state_columns_equal_state_y_at_logged_ticks(monkeypatch):
 
     def recording_step(consts, s, *args):
         seen.append(tuple(s[:13]))
-        return advance_into(consts, s, *args)
+        return advance(consts, s, *args)
 
     monkeypatch.setattr(scenarios, "step", recording_step)
     cfg = cfg_with(scenario="circle", estimator="complementary", duration_s=1,
@@ -1116,7 +1126,7 @@ def test_unreachable_metrics_window_fails_before_the_first_step(
 
     def counting_step(*args):
         calls.append(1)
-        return advance_into(*args)
+        return advance(*args)
 
     monkeypatch.setattr(scenarios, "step", counting_step)
     cfg = cfg_with(scenario="hover", estimator=estimator, duration_s=duration,

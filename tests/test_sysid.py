@@ -230,6 +230,17 @@ def test_records_csv_round_trip(tmp_path):
     assert np.array_equal(loaded.torque, records.torque)
 
 
+def test_a_bench_write_takes_a_str_bytes_or_path_object_alike(tmp_path):
+    records = pooled_records(300, 5)
+    want = tmp_path / "want.csv"
+    reference_write_records_csv(want, records)
+    names = ["str.csv", "bytes.csv", "path.csv"]
+    for path in (str(tmp_path / names[0]), os.fsencode(tmp_path / names[1]), tmp_path / names[2]):
+        write_records_csv(path, records)
+    assert {(tmp_path / name).read_bytes() for name in names} == {want.read_bytes()}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["want.csv"])
+
+
 def test_read_records_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a, b, c\n1, 2, 3\n")
