@@ -52,9 +52,10 @@ def outcome_into(kernel, c, y0, act, *cmd):
 
 
 def seeded_inputs(n: int, seed: int):
-    """``n`` argument tuples for :func:`outcome_into`: random states and actuators, rotor
-    commands from below 0 to above omega_max, elevon commands past both limits,
-    with -0.0 states and commands, NaN commands and diverging body rates mixed in."""
+    """``n`` argument tuples for :func:`outcome_into`: random states and
+    actuators, rotor commands from below 0 to above omega_max, elevon commands
+    past both limits, with -0.0 states and commands, NaN commands and
+    diverging body rates mixed in."""
     rng = np.random.default_rng(seed)
     plants = [plant(dt, PARAMS, dist)
               for dt in (5e-4, 1e-3, 2e-3) for dist in (None, DisturbanceSpec())]
