@@ -17,7 +17,9 @@ Python kernel, :func:`tailsim.sim.advance` itself, with the reason.
 
 from __future__ import annotations
 
+import errno
 import os
+import shutil   # already loaded by numpy, which tailsim.sim imports first
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
@@ -78,6 +80,8 @@ def load() -> tuple[object | None, str]:
         key = sha256(SOURCE.read_bytes() + "\0".join([*command, suffix]).encode()).hexdigest()
         path = _cache_dir() / f"_rk4-{key}{suffix}"
         if not path.exists():
+            if shutil.which(CC) is None:   # fail as the spawn would, before any tooling loads
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), CC)
             _compile(command, path)
         loader = ExtensionFileLoader("tailsim._rk4", str(path))
         module = module_from_spec(spec_from_file_location("tailsim._rk4", path, loader=loader))

@@ -89,9 +89,9 @@ class VehicleParams:
         return math.sqrt(self.m * self.g_mag / (2.0 * self.k_t))
 
 
-@dataclass
+@dataclass(slots=True)
 class ActuatorState:
-    """Instantaneous rotor speeds (rad/s) and elevon deflections (rad)."""
+    """Rotor speeds (rad/s) and elevon deflections (rad); slotted: one per IMU sample."""
 
     omega_left: float = 0.0
     omega_right: float = 0.0

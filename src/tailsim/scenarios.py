@@ -797,8 +797,8 @@ def run_scenario(config: Config) -> tuple[ScenarioLog, Metrics]:
                     fz + (r02 * ox + r12 * oy + r22 * oz),
                 )
                 with_pose = k % pose_every == 0
-                sample = sense(y, force, params, disturbance, normals(12 if with_pose else 6),
-                               t, with_pose)
+                sample = sense(y, force, (r20, r21, r22), params, disturbance,
+                               normals(12 if with_pose else 6), t, with_pose)
                 estimator.update(sample, imu_dt)
                 e_p, e_v, e_q, e_w = estimator.p, estimator.v, estimator.q, estimator.omega
 

@@ -40,12 +40,12 @@ built (:data:`KERNEL` says which, and why).  So the vehicle's physics is
 written twice, once in Python (the definition, the fallback and the test
 oracle) and once in C (the speed: about 0.3 us per step against 12 us);
 :func:`plant` stays in Python only.
-:func:`sense` (which reads the state's 13 floats, the body force as
-three floats and the sample's normals) and the estimator work through
-:mod:`tailsim.rotations`.  The operations and their order are those of
-the elementwise array code, so the results are bit-identical to it.
-Sensor samples and estimates are tuples of floats; only the state's
-``p``, ``v``, ``q`` and ``omega`` read as arrays.
+:func:`sense` (which reads the state's 13 floats, the body force and the
+rotation matrix's third row as 3 floats each, and the sample's normals)
+and the estimator work through :mod:`tailsim.rotations`.  The operations
+and their order are those of the elementwise array code, so the results
+are bit-identical to it.  Sensor samples and estimates are tuples of
+floats; only the state's ``p``, ``v``, ``q`` and ``omega`` read as arrays.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ from .rotations import (
     quat_integrate,
     quat_multiply,
     quat_normalize,
-    quat_to_matrix_f,
     quat_to_rotvec,
 )
 
@@ -354,12 +353,12 @@ def step(state: VehicleState, command, dt: float, params: VehicleParams,
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class SensorSample:
     """One IMU sample, optionally paired with an external pose fix.
 
     Each channel is a tuple of Python floats.  :func:`sense` builds it
-    positionally, in field order.
+    positionally, in field order; slotted, as a run builds one per IMU sample.
     """
 
     t: float
@@ -406,6 +405,7 @@ class Normals:
 def sense(
     y: tuple,
     force,
+    z_row,
     params: VehicleParams,
     disturbance: DisturbanceSpec,
     noise,
@@ -417,24 +417,25 @@ def sense(
     The accelerometer reports specific force: the total body force minus
     weight, divided by mass, so a hovering vehicle reads ``g`` along its
     thrust axis.  The weight in body axes is ``-m g`` times the third row
-    of the body-to-world matrix, so only that row of the full matrix is
-    used.  Each channel adds its standard deviation times standard
-    normals taken from ``noise`` in a fixed order (gyro, accel, pose
-    position, pose attitude), so a run draws 6 normals per sample, or 12
-    with a pose fix (a run takes them from :class:`Normals`).
+    of the body-to-world matrix, ``z_row``, which the caller passes in
+    (the run loop has the matrix already), so none is formed here.  Each
+    channel adds its standard deviation times standard normals taken from
+    ``noise`` in a fixed order (gyro, accel, pose position, pose attitude),
+    so a run draws 6 normals per sample, or 12 with a pose fix (a run
+    takes them from :class:`Normals`).
 
     Args:
         y: the true state's 13 floats (:attr:`VehicleState.y`).
         force: the three components of the total body force currently
             acting (gravity included), N.
+        z_row: the last three floats of ``quat_to_matrix_f(y[6:10])``.
         params: vehicle constants.
         disturbance: noise standard deviations.
         noise: this sample's standard normals, 6 floats, or 12 with a pose.
         t: sample timestamp, s.
         with_pose: attach a pose fix to this sample.
     """
-    q = y[6:10]
-    r20, r21, r22 = quat_to_matrix_f(q)[6:]
+    r20, r21, r22 = z_row
     m = params.m
     mg = m * params.g_mag
     fx, fy, fz = force
@@ -455,7 +456,7 @@ def sense(
         pose_p = (px + s_p * noise[6], py + s_p * noise[7], pz + s_p * noise[8])
         s_q = disturbance.pose_att_noise_std
         tilt = (s_q * noise[9], s_q * noise[10], s_q * noise[11])
-        pose_q = quat_normalize(quat_multiply(q, quat_from_rotvec(tilt)))
+        pose_q = quat_normalize(quat_multiply(y[6:10], quat_from_rotvec(tilt)))
     return SensorSample(t, gyro, accel, pose_p, pose_q)
 
 

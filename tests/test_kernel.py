@@ -227,6 +227,21 @@ def test_import_without_a_compiler_runs_on_the_python_kernel(tmp_path):
                    f"'{_build.CC}'", "100"]
 
 
+def test_import_without_a_compiler_loads_no_build_tooling_and_makes_no_cache(tmp_path):
+    # with nothing to compile with, the build gives up before it imports its
+    # tooling or creates the cache directory
+    (tmp_path / "bin").mkdir()
+    probe = ("import sys, numpy; before = set(sys.modules); import tailsim.sim as s; "
+             "print(s.KERNEL.startswith('python: ')); "
+             "print(sorted({'signal', 'subprocess', 'sysconfig'} & (set(sys.modules) - before)))")
+    env = {**os.environ, "PATH": str(tmp_path / "bin"), "XDG_CACHE_HOME": str(tmp_path / "xdg"),
+           "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out == ["True", "[]"]
+    assert not (tmp_path / "xdg").exists()
+
+
 @pytest.mark.parametrize("failure", ["missing compiler", "cache under a file", "timeout"])
 def test_a_failed_build_leaves_the_python_kernel_with_the_reason(tmp_path, monkeypatch, failure):
     cache = tmp_path / "cache"
@@ -237,6 +252,8 @@ def test_a_failed_build_leaves_the_python_kernel_with_the_reason(tmp_path, monke
     elif failure == "cache under a file":
         cache.write_text("")
         monkeypatch.setattr(_build, "CACHE_DIR", cache / "tailsim")
+        # any executable stands in for cc, which a host may lack: the cache fails first
+        monkeypatch.setattr(_build, "CC", sys.executable)
         reason = "python: NotADirectoryError: "
     else:
         if shutil.which(_build.CC) is None:

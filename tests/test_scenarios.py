@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import tailsim
-from tailsim import control, scenarios
+from tailsim import control, rotations, scenarios, sim
 from tailsim.config import Config, apply_overrides
 from tailsim.control import ActuatorCommand
 from tailsim.errors import ConfigError, DomainError, MetricsWindowError, SimulationDivergedError
@@ -1259,6 +1259,33 @@ def test_every_accepted_rate_is_the_rate_that_runs(monkeypatch, rates):
         "attitude_control": r.attitude_rate, "sense": h.imu_rate_hz, "pose": h.pose_rate_hz,
         "rows": h.logging_rate_hz,
     }
+
+
+def test_a_sensing_tick_makes_one_call_of_each_and_one_rotation_matrix(monkeypatch):
+    # each IMU sample forms one wrench, one sample, one estimator update and one
+    # body-to-world matrix, shared by the disturbance force and the accelerometer
+    counts = dict.fromkeys(("total_wrench", "sense", "update", "quat_to_matrix_f"), 0)
+
+    def count(owner, attr, key):
+        fn = vars(owner)[attr]
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    count(scenarios, "total_wrench", "total_wrench")
+    count(scenarios, "sense", "sense")
+    count(sim.ComplementaryEstimator, "update", "update")
+    matrix = rotations.quat_to_matrix_f
+    for name, module in list(sys.modules.items()):
+        if name == "tailsim" or name.startswith("tailsim."):
+            for attr, value in list(vars(module).items()):
+                if value is matrix:
+                    count(module, attr, "quat_to_matrix_f")
+    cfg = cfg_with(scenario="hover", estimator="complementary", duration_s=5.5)
+    run_scenario(cfg)
+    assert counts == dict.fromkeys(counts, round(cfg.harness.imu_rate_hz * 5.5))
 
 
 def test_divergence_is_reported_with_timestamp():

@@ -17,7 +17,7 @@ from tailsim.config import Config, apply_overrides
 from tailsim.control import ActuatorCommand, StateEstimate
 from tailsim.errors import DomainError, SimulationDivergedError
 from tailsim.model import ActuatorState, VehicleParams, total_wrench
-from tailsim.rotations import quat_to_rotvec, quat_multiply, quat_conjugate
+from tailsim.rotations import quat_to_rotvec, quat_multiply, quat_conjugate, quat_to_matrix_f
 from tailsim.scenarios import hover_attitude
 from tailsim.sim import (
     MAX_PHYSICS_DT,
@@ -475,10 +475,15 @@ def draws(rng, with_pose):
     return rng.standard_normal(12 if with_pose else 6).tolist()
 
 
+def z_row(state):
+    """The third row of the state's body-to-world matrix, as the run loop passes it."""
+    return quat_to_matrix_f(state.y[6:10])[6:]
+
+
 def test_sense_noiseless_hover_reads_gravity_on_thrust_axis():
     st = hover_state()
     force = total_wrench(st.act, quat_to_matrix(st.q).T, PARAMS)[:3]
-    sample = sense(st.y, force, PARAMS, DisturbanceSpec.none(),
+    sample = sense(st.y, force, z_row(st), PARAMS, DisturbanceSpec.none(),
                    draws(np.random.default_rng(0), False))
     assert np.allclose(sample.gyro, np.zeros(3), atol=1e-15)
     # specific force: thrust only, along body -z at 1 g
@@ -491,8 +496,8 @@ def test_sense_noiseless_pose_is_exact():
     st.p = np.array([1.0, -2.0, 3.0])
     force = total_wrench(st.act, quat_to_matrix(st.q).T, PARAMS)[:3]
     sample = sense(
-        st.y, force, PARAMS, DisturbanceSpec.none(), draws(np.random.default_rng(0), True),
-        t=0.25, with_pose=True,
+        st.y, force, z_row(st), PARAMS, DisturbanceSpec.none(),
+        draws(np.random.default_rng(0), True), t=0.25, with_pose=True,
     )
     assert sample.t == 0.25
     assert np.allclose(sample.pose_p, st.p)
@@ -506,8 +511,8 @@ def test_sense_is_reproducible_for_equal_seeds():
     out = []
     for _ in range(2):
         rng = np.random.default_rng(123)
-        s1 = sense(st.y, force, PARAMS, dist, draws(rng, True), with_pose=True)
-        s2 = sense(st.y, force, PARAMS, dist, draws(rng, False), with_pose=False)
+        s1 = sense(st.y, force, z_row(st), PARAMS, dist, draws(rng, True), with_pose=True)
+        s2 = sense(st.y, force, z_row(st), PARAMS, dist, draws(rng, False), with_pose=False)
         out.append((s1, s2))
     (a1, a2), (b1, b2) = out
     assert np.array_equal(a1.gyro, b1.gyro)
@@ -528,8 +533,8 @@ def test_sense_matches_array_formulas():
     force = total_wrench(st.act, quat_to_matrix(st.q).T, PARAMS)[:3]
     rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
     for with_pose in (True, False, True):
-        new = sense(st.y, force, PARAMS, DisturbanceSpec(), draws(rng_new, with_pose),
-                    with_pose=with_pose)
+        new = sense(st.y, force, z_row(st), PARAMS, DisturbanceSpec(),
+                    draws(rng_new, with_pose), with_pose=with_pose)
         old = array_sense(st, force, PARAMS, DisturbanceSpec(), rng_old, with_pose=with_pose)
         assert np.array_equal(new.gyro, old.gyro)
         assert np.allclose(new.accel, old.accel, rtol=1e-12, atol=0.0)
@@ -726,7 +731,8 @@ def complementary_from(truth, **kwargs):
 def imu_sample(truth, force, dist, normals, k, t):
     """Sample ``k`` of an IMU with a pose fix every 10th, its noise taken as a run takes it."""
     with_pose = k % 10 == 0
-    return sense(truth.y, force, PARAMS, dist, normals.take(12 if with_pose else 6), t, with_pose)
+    return sense(truth.y, force, z_row(truth), PARAMS, dist,
+                 normals.take(12 if with_pose else 6), t, with_pose)
 
 
 def test_complementary_estimator_stationary_lock():
